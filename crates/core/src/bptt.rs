@@ -13,8 +13,8 @@
 //! into a per-shard [`GradSink`]. The unsharded [`bptt_step`] is the same
 //! code with a full-batch context and the direct sink.
 
-use crate::engine::{GradSink, ShardCtx};
 use crate::sam::SpikeActivityMonitor;
+use crate::shard::{GradSink, ShardCtx};
 use skipper_autograd::Graph;
 use skipper_snn::{softmax_cross_entropy_scaled, ParamBinder, SpikingNetwork, StepCtx, TapedState};
 use skipper_tensor::Tensor;

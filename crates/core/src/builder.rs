@@ -172,12 +172,8 @@ impl SessionBuilder {
     }
 
     fn assemble(mut self) -> Result<TrainSession, SkipperError> {
-        if self.cluster.is_some() && matches!(self.method, Method::TbpttLbp { .. }) {
-            return Err(SkipperError::Config(
-                "TBPTT-LBP auxiliary classifiers are not supported over a cluster transport".into(),
-            ));
-        }
         if let Some(cluster) = self.cluster.as_mut() {
+            crate::shard::reject_lbp_over_wire(&self.method)?;
             cluster.set_horizon(self.timesteps);
         }
         let workers = match self.workers {

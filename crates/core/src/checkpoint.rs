@@ -29,17 +29,19 @@
 //! *only* gradient crossing a boundary; spikes cross as values.
 //!
 //! The two phases are exposed separately ([`checkpoint_forward`],
-//! [`checkpoint_backward`]) so the data-parallel engine can interleave a
-//! cross-shard SAM aggregation between them: every shard's `s_t` record is
-//! summed into the network-wide statistic *before* the SST percentile is
-//! formed, keeping skip decisions global (paper semantics) rather than
-//! per-shard. [`checkpointed_step`] chains the phases for the unsharded
-//! reference path.
+//! [`checkpoint_backward`]) so the shard protocol (`shard.rs`) can
+//! interleave a cross-shard SAM aggregation between them: every shard's
+//! `s_t` record is summed into the network-wide statistic *before* the SST
+//! percentile is formed, keeping skip decisions global (paper semantics)
+//! rather than per-shard. [`checkpointed_step`] chains the phases for the
+//! unsharded reference path.
 
 use crate::bptt::StepResult;
-use crate::engine::{GradSink, ShardCtx};
 use crate::method::segment_bounds;
-use crate::sam::{decide_skips, SamMetric, SkipDecisions, SkipPolicy, SpikeActivityMonitor};
+use crate::sam::{
+    decide_skips, emit_skip_trace, SamMetric, SkipDecisions, SkipPolicy, SpikeActivityMonitor,
+};
+use crate::shard::{GradSink, ShardCtx};
 use skipper_autograd::Graph;
 use skipper_memprof::{Category, CategoryGuard};
 use skipper_snn::{
@@ -115,12 +117,11 @@ pub(crate) fn checkpointed_step_with(
         &bounds,
         &a.ckpts,
         &a.per_step_grad,
-        &a.sam,
         &decisions,
         shard,
         &mut GradSink::Direct,
-        true,
     );
+    emit_skip_trace(&bounds, &a.sam, &decisions);
     skipper_obs::counter_add("skipper.steps_skipped", skipped as f64);
     skipper_obs::counter_add("skipper.steps_recomputed", recomputed as f64);
     let groups = vec![a.per_sample_loss];
@@ -206,11 +207,8 @@ pub(crate) fn checkpoint_forward(
 
 /// Phase B over one batch shard: segment-wise backward under an
 /// already-formed global skip schedule. Returns `(recomputed, skipped)`
-/// timestep counts.
-///
-/// `trace` controls emission of the per-step `skip_decision` events and
-/// the SST gauge; the engine passes `false` and emits them once on the
-/// session thread instead of once per shard.
+/// timestep counts. The caller emits the skip trace
+/// ([`emit_skip_trace`]), once per iteration rather than once per shard.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn checkpoint_backward(
     net: &mut SpikingNetwork,
@@ -219,11 +217,9 @@ pub(crate) fn checkpoint_backward(
     bounds: &[usize],
     ckpts: &[NetworkState],
     per_step_grad: &Tensor,
-    sam: &SpikeActivityMonitor,
     decisions: &SkipDecisions,
     shard: ShardCtx,
     sink: &mut GradSink<'_>,
-    trace: bool,
 ) -> (usize, usize) {
     let checkpoints = bounds.len() - 1;
     let mut boundary_grads: Option<Vec<Tensor>> = None;
@@ -232,19 +228,12 @@ pub(crate) fn checkpoint_backward(
     for c in (0..checkpoints).rev() {
         let (start, end) = (bounds[c], bounds[c + 1]);
         let _seg = skipper_obs::span!("recompute_segment", c = c, start = start, end = end);
-        if trace && !decisions.sst(c).is_nan() {
-            skipper_obs::gauge_set("skipper.sst_threshold", decisions.sst(c));
-        }
         let mut g = Graph::new();
         let mut binder = ParamBinder::new(net.params());
         let mut tstate = TapedState::from_state(&mut g, &ckpts[c], true);
         let mut logit_vars = Vec::new();
         for (t, input) in inputs.iter().enumerate().take(end).skip(start) {
-            let skip = decisions.skip(t);
-            if trace {
-                crate::sam::trace_skip_decision(c, t, sam.at(t), decisions.sst(c), skip);
-            }
-            if skip {
+            if decisions.skip(t) {
                 skipped += 1;
                 continue;
             }
@@ -338,18 +327,6 @@ mod tests {
             .map(|p| p.grad().map(|x| x * x).sum())
             .sum();
         assert!(grad_norm > 0.0);
-    }
-
-    #[test]
-    fn skipper_p0_equals_plain_checkpointing() {
-        let (mut a, inputs, labels) = setup(82);
-        let (mut b, _, _) = setup(82);
-        let ra = checkpointed_step(&mut a, &inputs, &labels, 4, 3, 0.0);
-        let rb = checkpointed_step(&mut b, &inputs, &labels, 4, 3, 0.0);
-        assert_eq!(ra.loss, rb.loss);
-        for (pa, pb) in a.params().iter().zip(b.params().iter()) {
-            assert_eq!(pa.grad().data(), pb.grad().data());
-        }
     }
 
     #[test]

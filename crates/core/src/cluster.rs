@@ -1,27 +1,15 @@
-//! Distributed data-parallel training: a coordinator driving TCP (or
-//! in-process loopback) workers through the canonical shard plan.
+//! Distributed data-parallel training: the shard protocol (`shard.rs`)
+//! over TCP or in-process loopback workers.
 //!
-//! The [`Coordinator`] generalizes [`crate::engine`]'s thread pool across
-//! process boundaries: each iteration it serializes the current
-//! parameters (`.skw` v2 records), slices the batch by the same
-//! `S = min(B, 8)` plan, and dispatches shards to connected workers over
-//! [`crate::transport`] frames. Workers ([`run_worker`], usually the
-//! `skipper-worker` bin) rebuild the model from the wire spec, run the
-//! very same shard cores, and return raw gradients.
-//!
-//! # Determinism contract
-//!
-//! Results are bit-identical to the in-process engine (and therefore
-//! independent of the worker count), by construction:
-//!
-//! * the shard plan, per-row dropout streams and loss folding are the
-//!   engine's own (`shard_plan`, `ShardCtx`, `combine_shards`);
-//! * gradients cross the wire as exact little-endian `f32` and are
-//!   reduced by the same fixed-order [`tree_reduce`] in shard order;
-//! * SAM sums are aggregated across shards in shard order *before* the
-//!   SST percentile is formed; phase B ships only those global sums and
-//!   each worker re-derives the identical schedule with the pure
-//!   [`decide_skips`].
+//! The protocol, the plan and every reduction are `shard.rs`'s, so results
+//! are bit-identical to the in-process engine by construction; this module
+//! adds what is particular to workers behind a transport. The
+//! [`Coordinator`] serializes the parameters (`.skw` v2 records) once per
+//! iteration and maps each attempt's requests onto [`crate::transport`]
+//! frames (gradients cross as exact little-endian `f32`, SAM sums as exact
+//! `f64`). Workers ([`run_worker`], usually the `skipper-worker` bin)
+//! rebuild the model from the wire spec, decode a frame back into a request
+//! and hand it to the same `ShardWorker` the engine runs.
 //!
 //! # Recovery model
 //!
@@ -41,25 +29,18 @@
 //! with a typed [`SkipperError::WorkerLost`] — the driver can then
 //! replay the epoch from its last `.sksn` snapshot.
 
-use crate::bptt::{combine_loss_groups, StepResult};
-use crate::checkpoint::{checkpoint_backward, checkpoint_forward, PhaseAOut};
-use crate::engine::{
-    apply_grads, combine_shards, emit_skip_trace, shard_plan, slice_rows, tree_reduce, GradSink,
-    ShardCtx, ShardOut, DEFAULT_MAX_SHARDS,
-};
+use crate::bptt::StepResult;
 use crate::error::SkipperError;
-use crate::method::{segment_bounds, Method};
-use crate::sam::{decide_skips, SamMetric, SkipPolicy, SpikeActivityMonitor};
-use crate::tbptt::tbptt_core;
+use crate::shard::{self, Executor, Iteration, Request, ShardInput, ShardWorker};
 use crate::transport::{
     in_proc_net, Channel, ChannelConnector, ChannelListener, ChannelStats, ChaosConfig, HistDelta,
     InProcConnector, Message, MetricsDelta, ResultPayload, TcpListenerLink, TraceCtx,
-    TransportError, WireGrads, WireReader, WorkCtx,
+    TransportError, WireReader,
 };
 use skipper_autograd::Surrogate;
 use skipper_snn::serialize::{apply_records, read_params, write_records};
-use skipper_snn::{custom_net, ModelConfig, ParamStore, ShardGrads, SpikingNetwork};
-use skipper_tensor::{Tensor, XorShiftRng};
+use skipper_snn::{custom_net, ModelConfig, ParamStore, SpikingNetwork};
+use skipper_tensor::XorShiftRng;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -569,22 +550,9 @@ struct WorkerConn {
     recorder: FlightRecorder,
 }
 
-/// One attempt's failure, recovered by reassigning and retrying.
-struct AttemptFail {
-    reason: String,
-}
-
-impl AttemptFail {
-    fn new(reason: impl Into<String>) -> AttemptFail {
-        AttemptFail {
-            reason: reason.into(),
-        }
-    }
-}
-
 /// The distributed engine's session-side half: owns the listener and the
-/// admitted workers, assigns the canonical shard plan each iteration,
-/// and combines results exactly like the in-process engine.
+/// admitted workers, and runs each attempt of an iteration as a wire
+/// executor of the shard protocol.
 pub struct Coordinator {
     listener: Box<dyn ChannelListener>,
     cfg: ClusterConfig,
@@ -859,44 +827,42 @@ impl Coordinator {
     }
 
     /// Send `msg` to worker `id`; a failed send kills the worker.
-    fn send_to(&mut self, id: u64, msg: &Message) -> Result<(), AttemptFail> {
+    fn send_to(&mut self, id: u64, msg: &Message) -> Result<(), String> {
         let Some(w) = self.workers.iter_mut().find(|w| w.id == id) else {
-            return Err(AttemptFail::new(format!("worker {id} vanished")));
+            return Err(format!("worker {id} vanished"));
         };
         w.recorder.note("send", || frame_summary(msg));
         if let Err(e) = w.channel.send(msg) {
             self.kill_worker(id, "send failed");
-            return Err(AttemptFail::new(format!("send to worker {id}: {e}")));
+            return Err(format!("send to worker {id}: {e}"));
         }
         Ok(())
     }
 
-    /// Collect one `(iteration, attempt)`'s shard results — first-wins
-    /// per shard, stale attempts discarded — until `assignment` is fully
-    /// covered or the work deadline passes. Dead connections and worker
+    /// Collect one `(iteration, attempt)`'s shard results, in shard order
+    /// — first-wins per shard, stale attempts and unknown shards discarded
+    /// — until every shard of `assignment` (worker id per shard) has
+    /// answered or the work deadline passes. Dead connections and worker
     /// faults fail the attempt.
     fn collect(
         &mut self,
         iteration: u64,
         attempt: u32,
-        assignment: &[(u32, u64)],
-    ) -> Result<HashMap<u32, ResultPayload>, AttemptFail> {
+        assignment: &[u64],
+    ) -> Result<Vec<ResultPayload>, String> {
         let deadline = Instant::now() + self.cfg.work_timeout;
-        let mut got: HashMap<u32, ResultPayload> = HashMap::new();
-        while got.len() < assignment.len() {
+        let mut got: Vec<Option<ResultPayload>> = assignment.iter().map(|_| None).collect();
+        let mut outstanding = got.len();
+        while outstanding > 0 {
             if Instant::now() >= deadline {
-                let missing: Vec<u64> = assignment
-                    .iter()
-                    .filter(|(s, _)| !got.contains_key(s))
-                    .map(|(_, w)| *w)
-                    .collect();
-                for id in &missing {
-                    self.kill_worker(*id, "work deadline missed");
+                for (id, slot) in assignment.iter().zip(&got) {
+                    if slot.is_none() {
+                        self.kill_worker(*id, "work deadline missed");
+                    }
                 }
-                return Err(AttemptFail::new(format!(
-                    "work deadline passed with {} shard(s) outstanding",
-                    assignment.len() - got.len()
-                )));
+                return Err(format!(
+                    "work deadline passed with {outstanding} shard(s) outstanding"
+                ));
             }
             let mut dead: Vec<(u64, String)> = Vec::new();
             let mut fault: Option<String> = None;
@@ -913,7 +879,10 @@ impl Coordinator {
                                 shard,
                                 payload,
                             } if i == iteration && a == attempt => {
-                                got.entry(shard).or_insert(payload);
+                                if let Some(slot @ None) = got.get_mut(shard as usize) {
+                                    *slot = Some(payload);
+                                    outstanding -= 1;
+                                }
                             }
                             // counter_add self-guards on enabled(), so the
                             // arms below match unconditionally.
@@ -953,63 +922,38 @@ impl Coordinator {
                 self.kill_worker(*id, why);
             }
             if let Some(reason) = fault {
-                return Err(AttemptFail::new(reason));
+                return Err(reason);
             }
-            if dead
-                .iter()
-                .any(|(id, _)| assignment.iter().any(|(_, w)| w == id))
-            {
-                return Err(AttemptFail::new("a worker with assigned shards died"));
+            if dead.iter().any(|(id, _)| assignment.contains(id)) {
+                return Err("a worker with assigned shards died".into());
             }
         }
-        Ok(got)
-    }
-
-    /// Shard → worker assignment over the current (id-sorted) workers.
-    fn assign(&self, shards: usize) -> Vec<(u32, u64)> {
-        (0..shards)
-            .map(|s| (s as u32, self.workers[s % self.workers.len()].id))
-            .collect()
+        Ok(got.into_iter().flatten().collect())
     }
 
     /// Publish an attempt's shard assignment on the `/cluster` board.
-    fn note_assignment(&self, assignment: &[(u32, u64)], iteration: u64, attempt: u32) {
+    fn note_assignment(&self, assignment: &[u64], iteration: u64, attempt: u32) {
         let mut board = self.board.lock().unwrap_or_else(|p| p.into_inner());
         for w in &self.workers {
             let row = board.entry(w.id).or_default();
             row.iteration = iteration;
             row.attempt = attempt;
-            row.shards = assignment
-                .iter()
-                .filter(|(_, id)| *id == w.id)
-                .map(|(s, _)| *s)
+            row.shards = (0..assignment.len() as u32)
+                .filter(|s| assignment[*s as usize] == w.id)
                 .collect();
         }
     }
 
     /// Run one training iteration across the cluster. Gradients are left
     /// accumulated in `net`'s store, exactly like [`crate::engine`].
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_iteration(
         &mut self,
         net: &mut SpikingNetwork,
-        method: &Method,
-        inputs: &[Tensor],
-        labels: &[usize],
-        iter_seed: u64,
-        metric: SamMetric,
-        policy: SkipPolicy,
+        it: &Iteration<'_>,
     ) -> Result<StepResult, SkipperError> {
-        if matches!(method, Method::TbpttLbp { .. }) {
-            return Err(SkipperError::Config(
-                "TBPTT-LBP auxiliary classifiers are not supported over a cluster transport".into(),
-            ));
-        }
-        let batch = inputs[0].shape()[0];
-        self.timesteps = inputs.len();
-        let plan = shard_plan(batch, DEFAULT_MAX_SHARDS);
+        shard::reject_lbp_over_wire(it.method)?;
+        self.timesteps = it.inputs.len();
         let params = encode_params(net.params())?;
-        let two_phase = matches!(method, Method::Checkpointed { .. } | Method::Skipper { .. });
         let mut attempt: u32 = 0;
         loop {
             self.ensure_capacity()?;
@@ -1017,32 +961,17 @@ impl Coordinator {
                 return Err(SkipperError::Transport {
                     peer: self.listener.addr(),
                     detail: format!(
-                        "iteration {iter_seed}: retry budget exhausted after {attempt} attempts"
+                        "iteration {}: retry budget exhausted after {attempt} attempts",
+                        it.seed
                     ),
                 });
             }
-            let ctx_for = |shard: u32, range: &std::ops::Range<usize>| WorkCtx {
-                iteration: iter_seed,
-                attempt,
-                shard,
-                batch_offset: range.start as u32,
-                global_batch: batch as u32,
-                seed: iter_seed,
-                method: method.clone(),
-                metric,
-                policy,
+            let mut wire = WireAttempt {
+                coordinator: self,
+                params: &params,
+                assignment: Vec::new(),
             };
-            let outcome = if two_phase {
-                self.attempt_two_phase(
-                    net, method, inputs, labels, iter_seed, attempt, &plan, &params, policy,
-                    &ctx_for,
-                )
-            } else {
-                self.attempt_single(
-                    net, inputs, labels, iter_seed, attempt, &plan, &params, &ctx_for,
-                )
-            };
-            match outcome {
+            match shard::run_iteration(&mut wire, attempt, net, None, it) {
                 Ok(step) => return Ok(step),
                 Err(fail) => {
                     attempt += 1;
@@ -1051,194 +980,89 @@ impl Coordinator {
                     skipper_obs::instant!(
                         skipper_obs::Level::Warn,
                         "cluster.attempt_retry",
-                        iteration = iter_seed,
+                        iteration = it.seed,
                         attempt = attempt,
-                        reason = fail.reason.as_str(),
+                        reason = fail.as_str(),
                     );
                 }
             }
         }
     }
+}
 
-    /// One attempt of a single-dispatch method (BPTT, TBPTT).
-    #[allow(clippy::too_many_arguments)]
-    fn attempt_single(
-        &mut self,
-        net: &mut SpikingNetwork,
-        inputs: &[Tensor],
-        labels: &[usize],
-        iter_seed: u64,
-        attempt: u32,
-        plan: &[std::ops::Range<usize>],
-        params: &[u8],
-        ctx_for: &dyn Fn(u32, &std::ops::Range<usize>) -> WorkCtx,
-    ) -> Result<StepResult, AttemptFail> {
-        let assignment = self.assign(plan.len());
-        self.note_assignment(&assignment, iter_seed, attempt);
+/// One attempt of an iteration as an executor of the shard protocol: each
+/// round's requests become `Work*` frames for the assigned workers, and
+/// the first result per shard for this `(iteration, attempt)` wins. Both
+/// rounds run on one assignment — a round-1 carry lives on the worker
+/// that made it — so any loss in between fails the attempt.
+struct WireAttempt<'a> {
+    coordinator: &'a mut Coordinator,
+    /// The iteration's weights, shipped with every round-1 frame.
+    params: &'a [u8],
+    /// The worker id per shard, fixed by the first round.
+    assignment: Vec<u64>,
+}
+
+impl Executor for WireAttempt<'_> {
+    fn round(&mut self, requests: Vec<Request>) -> Result<Vec<ResultPayload>, String> {
+        let (iteration, attempt, _) = requests[0].key();
+        if self.assignment.is_empty() {
+            let live = &self.coordinator.workers; // id-sorted
+            self.assignment = (0..requests.len())
+                .map(|s| live[s % live.len()].id)
+                .collect();
+            self.coordinator
+                .note_assignment(&self.assignment, iteration, attempt);
+        }
         let trace = current_trace_ctx();
-        for (shard, worker) in &assignment {
-            let range = &plan[*shard as usize];
-            let msg = Message::WorkSingle {
-                ctx: ctx_for(*shard, range),
-                params: params.to_vec(),
-                labels: labels[range.clone()].iter().map(|&l| l as u32).collect(),
-                inputs: slice_rows(inputs, range),
-                trace,
-            };
-            self.send_to(*worker, &msg)?;
+        for (request, worker) in requests.into_iter().zip(&self.assignment) {
+            let msg = work_frame(request, self.params, trace);
+            self.coordinator.send_to(*worker, &msg)?;
         }
-        let mut got = self.collect(iter_seed, attempt, &assignment)?;
-        let mut outs: Vec<ShardOut> = Vec::with_capacity(plan.len());
-        for shard in 0..plan.len() as u32 {
-            match got.remove(&shard) {
-                Some(ResultPayload::Single {
-                    loss_groups,
-                    correct,
-                    sam_sums,
-                    recomputed,
-                    skipped,
-                    grads,
-                }) => outs.push(ShardOut {
-                    index: shard as usize,
-                    loss_groups,
-                    correct: correct as usize,
-                    sam_sums,
-                    recomputed: recomputed as usize,
-                    skipped: skipped as usize,
-                    wall_us: 0,
-                    grads,
-                    aux_grads: None,
-                }),
-                _ => {
-                    return Err(AttemptFail::new(format!(
-                        "shard {shard} returned the wrong payload kind"
-                    )))
-                }
-            }
-        }
-        Ok(combine_shards(
-            net.params_mut(),
-            None,
-            outs,
-            inputs[0].shape()[0],
-            inputs.len(),
-        ))
+        self.coordinator
+            .collect(iteration, attempt, &self.assignment)
     }
+}
 
-    /// One attempt of a checkpointed/Skipper iteration: phase A on every
-    /// shard, global SAM aggregation + skip schedule, phase B, fixed-order
-    /// reduction. Both phases must succeed on the same worker set — any
-    /// loss (phase-A carries die with their worker) fails the attempt.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt_two_phase(
-        &mut self,
-        net: &mut SpikingNetwork,
-        method: &Method,
-        inputs: &[Tensor],
-        labels: &[usize],
-        iter_seed: u64,
-        attempt: u32,
-        plan: &[std::ops::Range<usize>],
-        params: &[u8],
-        policy: SkipPolicy,
-        ctx_for: &dyn Fn(u32, &std::ops::Range<usize>) -> WorkCtx,
-    ) -> Result<StepResult, AttemptFail> {
-        let batch = inputs[0].shape()[0];
-        let timesteps = inputs.len();
-        let (checkpoints, percentile) = match method {
-            Method::Checkpointed { checkpoints } => (*checkpoints, 0.0),
-            Method::Skipper {
-                checkpoints,
-                percentile,
-            } => (*checkpoints, *percentile),
-            other => {
-                return Err(AttemptFail::new(format!(
-                    "{other} is not a two-phase method"
-                )))
-            }
-        };
-        let assignment = self.assign(plan.len());
-        self.note_assignment(&assignment, iter_seed, attempt);
-        let trace = current_trace_ctx();
-        for (shard, worker) in &assignment {
-            let range = &plan[*shard as usize];
-            let msg = Message::WorkForward {
-                ctx: ctx_for(*shard, range),
-                params: params.to_vec(),
-                labels: labels[range.clone()].iter().map(|&l| l as u32).collect(),
-                inputs: slice_rows(inputs, range),
-                trace,
-            };
-            self.send_to(*worker, &msg)?;
-        }
-        let mut fwd = self.collect(iter_seed, attempt, &assignment)?;
-        // Cross-shard SAM aggregation in shard order, *before* the SST
-        // percentile — identical to the in-process engine.
-        let mut sums = vec![0.0f64; timesteps];
-        let mut per_sample: Vec<f64> = Vec::with_capacity(batch);
-        let mut correct = 0usize;
-        for shard in 0..plan.len() as u32 {
-            match fwd.remove(&shard) {
-                Some(ResultPayload::Forward {
-                    sam_sums,
-                    per_sample: ps,
-                    correct: c,
-                }) => {
-                    for (acc, v) in sums.iter_mut().zip(&sam_sums) {
-                        *acc += *v;
-                    }
-                    per_sample.extend_from_slice(&ps);
-                    correct += c as usize;
-                }
-                _ => {
-                    return Err(AttemptFail::new(format!(
-                        "shard {shard} returned the wrong phase-A payload"
-                    )))
-                }
-            }
-        }
-        let bounds = segment_bounds(timesteps, checkpoints);
-        let sam = SpikeActivityMonitor::from_sums(sums.clone());
-        let decisions = decide_skips(&sam, &bounds, percentile, policy, iter_seed);
-        for (shard, worker) in &assignment {
-            self.send_to(
-                *worker,
-                &Message::WorkBackward {
-                    iteration: iter_seed,
-                    attempt,
-                    shard: *shard,
-                    sums: sums.clone(),
+/// The frame that carries `request`. Round-1 frames hold only the shard's
+/// own rows (sliced here, on the coordinator's thread) plus the weights.
+fn work_frame(request: Request, params: &[u8], trace: Option<TraceCtx>) -> Message {
+    let single = matches!(request, Request::Single(_));
+    match request {
+        Request::Single(input) | Request::Forward(input) => {
+            let (ctx, inputs, labels) = input.into_rows();
+            let labels = labels.iter().map(|&l| l as u32).collect();
+            let params = params.to_vec();
+            if single {
+                Message::WorkSingle {
+                    ctx,
+                    params,
+                    labels,
+                    inputs,
                     trace,
-                },
-            )?;
-        }
-        let mut bwd = self.collect(iter_seed, attempt, &assignment)?;
-        let mut grad_sets: Vec<WireGrads> = Vec::with_capacity(plan.len());
-        for shard in 0..plan.len() as u32 {
-            match bwd.remove(&shard) {
-                Some(ResultPayload::Grads { grads }) => grad_sets.push(grads),
-                _ => {
-                    return Err(AttemptFail::new(format!(
-                        "shard {shard} returned the wrong phase-B payload"
-                    )))
+                }
+            } else {
+                Message::WorkForward {
+                    ctx,
+                    params,
+                    labels,
+                    inputs,
+                    trace,
                 }
             }
         }
-        // The attempt is complete and consistent: only now touch state.
-        apply_grads(net.params_mut(), tree_reduce(grad_sets));
-        emit_skip_trace(&bounds, &sam, &decisions);
-        let (skipped, recomputed) = (decisions.skipped(), decisions.recomputed());
-        skipper_obs::counter_add("skipper.steps_skipped", skipped as f64);
-        skipper_obs::counter_add("skipper.steps_recomputed", recomputed as f64);
-        let groups = vec![per_sample];
-        Ok(StepResult {
-            loss: combine_loss_groups(&groups, batch),
-            correct,
-            recomputed_steps: recomputed,
-            skipped_steps: skipped,
-            sam,
-            loss_groups: groups,
-        })
+        Request::Backward {
+            iteration,
+            attempt,
+            shard,
+            sums,
+        } => Message::WorkBackward {
+            iteration,
+            attempt,
+            shard,
+            sums,
+            trace,
+        },
     }
 }
 
@@ -1328,14 +1152,6 @@ pub struct WorkerReport {
     pub reconnects: u64,
     /// True when the chaos kill schedule terminated this worker.
     pub killed: bool,
-}
-
-/// Phase-A state parked between the two dispatches of a checkpointed
-/// iteration, keyed by `(iteration, attempt, shard)`.
-struct WorkerCarry {
-    inputs: Vec<Tensor>,
-    a: PhaseAOut,
-    ctx: WorkCtx,
 }
 
 /// Serve shard work from a coordinator until Shutdown (or a chaos kill):
@@ -1552,8 +1368,7 @@ fn serve(
     shadow: &mut MetricShadow,
     recorder: &mut FlightRecorder,
 ) -> ServeEnd {
-    let mut net = custom_net(&spec.model);
-    let mut carries: HashMap<(u64, u32, u32), WorkerCarry> = HashMap::new();
+    let mut worker = ShardWorker::new(custom_net(&spec.model), None);
     let mut last_iter: u64 = 0;
     let kill = opts.chaos.as_ref().and_then(|c| c.kill);
     loop {
@@ -1577,7 +1392,8 @@ fn serve(
             Err(_) => return ServeEnd::Reconnect,
         };
         recorder.note("recv", || frame_summary(&msg));
-        match msg {
+        let single = matches!(msg, Message::WorkSingle { .. });
+        let (request, params, trace) = match msg {
             Message::Shutdown => return ServeEnd::Shutdown,
             Message::WorkSingle {
                 ctx,
@@ -1585,69 +1401,26 @@ fn serve(
                 labels,
                 inputs,
                 trace,
-            } => {
-                if matches!(kill, Some((kw, ki)) if kw == id && ctx.iteration >= ki) {
-                    return ServeEnd::Killed;
-                }
-                if ctx.iteration != last_iter {
-                    last_iter = ctx.iteration;
-                    report.iterations += 1;
-                }
-                let task = worker_task_span(id, ctx.iteration, ctx.attempt, ctx.shard, trace);
-                let shard_span = skipper_obs::span!("shard", shard = ctx.shard);
-                let reply = match work_single(&mut net, &ctx, &params, &labels, &inputs) {
-                    Ok(payload) => {
-                        report.shards += 1;
-                        Message::ShardResult {
-                            iteration: ctx.iteration,
-                            attempt: ctx.attempt,
-                            shard: ctx.shard,
-                            payload,
-                        }
-                    }
-                    Err(detail) => Message::Fault { worker: id, detail },
-                };
-                drop(shard_span);
-                drop(task);
-                if channel.send(&reply).is_err() {
-                    return ServeEnd::Reconnect;
-                }
             }
-            Message::WorkForward {
+            | Message::WorkForward {
                 ctx,
                 params,
                 labels,
                 inputs,
                 trace,
             } => {
-                if matches!(kill, Some((kw, ki)) if kw == id && ctx.iteration >= ki) {
-                    return ServeEnd::Killed;
-                }
-                if ctx.iteration != last_iter {
-                    last_iter = ctx.iteration;
-                    report.iterations += 1;
-                }
-                carries.retain(|(i, a, _), _| *i == ctx.iteration && *a == ctx.attempt);
-                let task = worker_task_span(id, ctx.iteration, ctx.attempt, ctx.shard, trace);
-                let shard_span = skipper_obs::span!("shard_forward", shard = ctx.shard);
-                let reply = match work_forward(&mut net, &ctx, &params, &labels, &inputs) {
-                    Ok((payload, carry)) => {
-                        report.shards += 1;
-                        carries.insert((ctx.iteration, ctx.attempt, ctx.shard), carry);
-                        Message::ShardResult {
-                            iteration: ctx.iteration,
-                            attempt: ctx.attempt,
-                            shard: ctx.shard,
-                            payload,
-                        }
-                    }
-                    Err(detail) => Message::Fault { worker: id, detail },
+                let input = ShardInput {
+                    ctx,
+                    inputs,
+                    labels: labels.iter().map(|&l| l as usize).collect(),
+                    rows: None,
                 };
-                drop(shard_span);
-                drop(task);
-                if channel.send(&reply).is_err() {
-                    return ServeEnd::Reconnect;
-                }
+                let request = if single {
+                    Request::Single(input)
+                } else {
+                    Request::Forward(input)
+                };
+                (request, Some(params), trace)
             }
             Message::WorkBackward {
                 iteration,
@@ -1656,33 +1429,45 @@ fn serve(
                 sums,
                 trace,
             } => {
-                let task = worker_task_span(id, iteration, attempt, shard, trace);
-                let shard_span = skipper_obs::span!("shard_backward", shard = shard);
-                let reply = match carries.remove(&(iteration, attempt, shard)) {
-                    Some(carry) => {
-                        report.shards += 1;
-                        Message::ShardResult {
-                            iteration,
-                            attempt,
-                            shard,
-                            payload: work_backward(&mut net, carry, sums),
-                        }
-                    }
-                    None => Message::Fault {
-                        worker: id,
-                        detail: format!(
-                            "no phase-A carry for iteration {iteration} attempt {attempt} \
-                             shard {shard} (worker restarted between phases)"
-                        ),
-                    },
+                let request = Request::Backward {
+                    iteration,
+                    attempt,
+                    shard,
+                    sums,
                 };
-                drop(shard_span);
-                drop(task);
-                if channel.send(&reply).is_err() {
-                    return ServeEnd::Reconnect;
+                (request, None, trace)
+            }
+            _ => continue,
+        };
+        let (iteration, attempt, shard) = request.key();
+        if matches!(kill, Some((kw, ki)) if kw == id && iteration >= ki) {
+            return ServeEnd::Killed;
+        }
+        if iteration != last_iter {
+            last_iter = iteration;
+            report.iterations += 1;
+        }
+        let task = worker_task_span(id, iteration, attempt, shard, trace);
+        let outcome = match params {
+            Some(params) => apply_wire_params(&mut worker.net, &params),
+            None => Ok(()),
+        }
+        .and_then(|()| worker.handle(request));
+        drop(task);
+        let reply = match outcome {
+            Ok(payload) => {
+                report.shards += 1;
+                Message::ShardResult {
+                    iteration,
+                    attempt,
+                    shard,
+                    payload,
                 }
             }
-            _ => {}
+            Err(detail) => Message::Fault { worker: id, detail },
+        };
+        if channel.send(&reply).is_err() {
+            return ServeEnd::Reconnect;
         }
     }
 }
@@ -1692,124 +1477,6 @@ fn apply_wire_params(net: &mut SpikingNetwork, params: &[u8]) -> Result<(), Stri
     let records =
         read_params(&mut &params[..]).map_err(|e| format!("params decode failed: {e}"))?;
     apply_records(net.params_mut(), records).map_err(|e| format!("params apply failed: {e}"))
-}
-
-/// One single-dispatch shard (BPTT / TBPTT).
-fn work_single(
-    net: &mut SpikingNetwork,
-    ctx: &WorkCtx,
-    params: &[u8],
-    labels: &[u32],
-    inputs: &[Tensor],
-) -> Result<ResultPayload, String> {
-    apply_wire_params(net, params)?;
-    let labels: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
-    let shard = ShardCtx {
-        global_batch: ctx.global_batch as usize,
-        batch_offset: ctx.batch_offset as usize,
-    };
-    let mut grads = ShardGrads::for_store(net.params());
-    let step = match &ctx.method {
-        Method::Bptt => crate::bptt::bptt_core(
-            net,
-            inputs,
-            &labels,
-            ctx.seed,
-            shard,
-            &mut GradSink::Shard(&mut grads),
-        ),
-        Method::Tbptt { window } => tbptt_core(
-            net,
-            inputs,
-            &labels,
-            ctx.seed,
-            *window,
-            shard,
-            &mut GradSink::Shard(&mut grads),
-        ),
-        other => return Err(format!("{other} is not a single-dispatch method")),
-    };
-    Ok(ResultPayload::Single {
-        loss_groups: step.loss_groups,
-        correct: step.correct as u32,
-        sam_sums: step.sam.sums().to_vec(),
-        recomputed: step.recomputed_steps as u32,
-        skipped: step.skipped_steps as u32,
-        grads: grads.into_raw(),
-    })
-}
-
-/// Phase A of a checkpointed/Skipper shard.
-fn work_forward(
-    net: &mut SpikingNetwork,
-    ctx: &WorkCtx,
-    params: &[u8],
-    labels: &[u32],
-    inputs: &[Tensor],
-) -> Result<(ResultPayload, WorkerCarry), String> {
-    apply_wire_params(net, params)?;
-    let checkpoints = match &ctx.method {
-        Method::Checkpointed { checkpoints } | Method::Skipper { checkpoints, .. } => *checkpoints,
-        other => return Err(format!("{other} is not a two-phase method")),
-    };
-    let labels: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
-    let shard = ShardCtx {
-        global_batch: ctx.global_batch as usize,
-        batch_offset: ctx.batch_offset as usize,
-    };
-    let bounds = segment_bounds(inputs.len(), checkpoints);
-    let a = checkpoint_forward(net, inputs, &labels, ctx.seed, &bounds, ctx.metric, shard);
-    let payload = ResultPayload::Forward {
-        sam_sums: a.sam.sums().to_vec(),
-        per_sample: a.per_sample_loss.clone(),
-        correct: a.correct as u32,
-    };
-    let carry = WorkerCarry {
-        inputs: inputs.to_vec(),
-        a,
-        ctx: ctx.clone(),
-    };
-    Ok((payload, carry))
-}
-
-/// Phase B: re-derive the global skip schedule from the aggregated sums
-/// (pure, bit-identical to the coordinator's) and run the segment-wise
-/// backward under it.
-fn work_backward(net: &mut SpikingNetwork, carry: WorkerCarry, sums: Vec<f64>) -> ResultPayload {
-    let ctx = &carry.ctx;
-    let (checkpoints, percentile) = match &ctx.method {
-        Method::Checkpointed { checkpoints } => (*checkpoints, 0.0),
-        Method::Skipper {
-            checkpoints,
-            percentile,
-        } => (*checkpoints, *percentile),
-        // Guarded at work_forward; an impossible carry yields empty grads.
-        _ => (1, 0.0),
-    };
-    let bounds = segment_bounds(carry.inputs.len(), checkpoints);
-    let global_sam = SpikeActivityMonitor::from_sums(sums);
-    let decisions = decide_skips(&global_sam, &bounds, percentile, ctx.policy, ctx.seed);
-    let shard = ShardCtx {
-        global_batch: ctx.global_batch as usize,
-        batch_offset: ctx.batch_offset as usize,
-    };
-    let mut grads = ShardGrads::for_store(net.params());
-    checkpoint_backward(
-        net,
-        &carry.inputs,
-        ctx.seed,
-        &bounds,
-        &carry.a.ckpts,
-        &carry.a.per_step_grad,
-        &carry.a.sam,
-        &decisions,
-        shard,
-        &mut GradSink::Shard(&mut grads),
-        false,
-    );
-    ResultPayload::Grads {
-        grads: grads.into_raw(),
-    }
 }
 
 #[cfg(test)]

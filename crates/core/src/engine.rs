@@ -1,123 +1,37 @@
-//! Data-parallel sharded execution of one training iteration.
+//! The in-process executor of the shard protocol: a persistent
+//! [`WorkerPool`] of named threads running [`ShardWorker::handle`].
 //!
 //! The paper's testbed parallelizes across the batch dimension (Fig. 3's
-//! throughput numbers assume it); this module is the reproduction's
-//! execution engine for that axis. A persistent [`WorkerPool`] of named
-//! threads receives per-shard jobs; each shard runs the method's
-//! shard-aware core (`bptt_core`, `checkpoint_forward`/`checkpoint_backward`,
-//! `tbptt_core`, `lbp_core`) over a contiguous slice of the batch rows and
-//! hands back plain-`Vec` gradients, per-sample losses and SAM sums. The
-//! session thread then combines them deterministically.
+//! throughput numbers assume it). `shard.rs` owns the protocol and
+//! everything that decides a bit of the result; this module adds what is
+//! particular to running it on threads of this process:
 //!
-//! # Determinism
-//!
-//! The engine's results depend only on the seed and the batch — **not** on
-//! the worker count — because every nondeterminism source is pinned:
-//!
-//! * the shard plan is canonical: `S = min(B, 8)` contiguous row ranges,
-//!   independent of how many workers execute them ([`shard_plan`]);
-//! * dropout streams are per *global* row (`StepCtx::train_shard` carries
-//!   the shard's row offset), so a row draws the same mask in any shard;
-//! * per-shard gradients are combined by a fixed-order pairwise tree
-//!   ([`tree_reduce`]) over the shard index, never by arrival order;
-//! * per-sample losses are concatenated in global row order and folded
-//!   exactly like the unsharded accumulation
-//!   ([`combine_loss_groups`](crate::bptt::combine_loss_groups));
-//! * SAM spike sums are exact integers in `f64`, so the cross-shard sum is
-//!   grouping-invariant and the SST percentile — formed on the session
-//!   thread from the *aggregated* record, before phase B — is bit-identical
-//!   to the unsharded monitor (paper semantics: skip decisions are global).
-//!
-//! Versus the truly unsharded single-graph reference, the loss, SAM sums,
-//! SST thresholds and skip decisions are bit-identical; weight gradients
-//! agree to float tolerance only, because kernel backward passes fold over
-//! batch rows in one group where the sharded run folds per shard first.
-//!
-//! # Memory accounting
-//!
-//! The memory tracker and the op log are thread-local, so every worker
-//! tensor is created *and dropped* on its worker thread: networks cross as
-//! storage-sharing handles ([`SpikingNetwork::share`], no new bytes), input
-//! shards are sliced locally under [`Category::Input`], and gradients leave
-//! as untracked raw vectors. Each worker's peak snapshot and op log are
-//! returned for per-worker attribution ([`EngineOutcome::worker_mem`]).
+//! * **Thread affinity.** Shard `i` runs on pool thread `i % n` in both
+//!   rounds, and the worker state travels with the work — into the job,
+//!   back with the report while a carry is parked — so every tensor a
+//!   worker makes is created *and dropped* on its thread, including when a
+//!   job fails or panics. Panics are re-raised on the session thread.
+//! * **No copies, no encoding.** Requests cross as storage-sharing handles
+//!   (networks via [`SpikingNetwork::share`], the batch as `Tensor` clones)
+//!   and are released before a job reports back, so the session thread is
+//!   always the one that frees the storage it allocated; gradients leave as
+//!   untracked raw vectors.
+//! * **Memory booking.** The memory tracker and the op log are
+//!   thread-local; each worker's peak snapshot and op log are returned for
+//!   per-worker attribution ([`EngineOutcome::worker_mem`]).
 
-use crate::bptt::{bptt_core, combine_loss_groups, StepResult};
-use crate::checkpoint::{checkpoint_backward, checkpoint_forward, PhaseAOut};
+use crate::bptt::StepResult;
 use crate::error::SkipperError;
-use crate::lbp::{lbp_core, LocalClassifiers};
-use crate::method::{segment_bounds, Method};
-use crate::sam::{decide_skips, SamMetric, SkipDecisions, SkipPolicy, SpikeActivityMonitor};
-use crate::tbptt::tbptt_core;
-use skipper_autograd::Graph;
-use skipper_memprof::{self as mp, Category, CategoryGuard, MemorySnapshot, OpLog};
-use skipper_snn::{ParamBinder, ParamStore, ShardGrads, SpikingNetwork};
-use skipper_tensor::Tensor;
-use std::ops::Range;
+use crate::lbp::LocalClassifiers;
+use crate::shard::{self, Executor, Iteration, Request, ShardWorker};
+use crate::transport::ResultPayload;
+use skipper_memprof::{self as mp, MemorySnapshot, OpLog};
+use skipper_snn::SpikingNetwork;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread;
-
-/// Upper bound on shards per iteration. Fixed (not worker-derived) so the
-/// computation — and therefore every gradient bit — is identical whether 2
-/// or 8 workers execute the plan.
-pub(crate) const DEFAULT_MAX_SHARDS: usize = 8;
-
-/// Where one batch shard sits inside the global batch. The cores use it to
-/// scale the loss by the *global* batch size and to offset the per-row
-/// dropout streams.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardCtx {
-    /// Rows in the whole iteration's batch (loss denominator).
-    pub global_batch: usize,
-    /// Index of this shard's first row in the global batch.
-    pub batch_offset: usize,
-}
-
-impl ShardCtx {
-    /// The whole batch as one shard (the unsharded reference path).
-    pub fn full(batch: usize) -> ShardCtx {
-        ShardCtx {
-            global_batch: batch,
-            batch_offset: 0,
-        }
-    }
-}
-
-/// Where a core's harvested gradients go: straight into the shared
-/// parameter store (unsharded path) or into a per-shard buffer that the
-/// engine reduces later.
-pub(crate) enum GradSink<'a> {
-    /// Accumulate into the store's gradient tensors.
-    Direct,
-    /// Accumulate into a per-shard buffer.
-    Shard(&'a mut ShardGrads),
-}
-
-impl GradSink<'_> {
-    /// Move every bound leaf's gradient out of `g`. `store` is only
-    /// touched by the direct sink.
-    pub fn harvest(&mut self, binder: &ParamBinder, g: &mut Graph, store: &mut ParamStore) {
-        match self {
-            GradSink::Direct => binder.harvest(g, store),
-            GradSink::Shard(buf) => binder.harvest_into(g, buf),
-        }
-    }
-}
-
-/// The canonical shard plan: `min(batch, max_shards)` contiguous row
-/// ranges with boundaries at `k·B/S` (every shard within one row of
-/// `B/S`). Depends only on the batch size, never on the worker count.
-pub(crate) fn shard_plan(batch: usize, max_shards: usize) -> Vec<Range<usize>> {
-    assert!(batch > 0, "cannot shard an empty batch");
-    assert!(max_shards > 0, "need at least one shard");
-    let shards = batch.min(max_shards);
-    (0..shards)
-        .map(|k| (k * batch / shards)..((k + 1) * batch / shards))
-        .collect()
-}
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -130,9 +44,6 @@ struct Task {
 }
 
 /// A persistent pool of named worker threads fed over per-worker channels.
-/// Shard `i` always runs on worker `i % n`, so a shard's phase-A tensors
-/// are consumed by phase B on the thread that created them (the memory
-/// tracker and span stack are thread-local).
 ///
 /// Telemetry (all gated on [`skipper_obs::enabled`]): every task runs
 /// inside a `worker_task` span adopted into the submitter's span context;
@@ -228,10 +139,9 @@ impl WorkerPool {
     ///
     /// # Errors
     ///
-    /// [`SkipperError::WorkerLost`] when the worker's channel is
-    /// disconnected — its thread panicked or was torn down — so the job
-    /// could not be queued.
-    pub fn submit(&self, worker: usize, job: Job) -> Result<(), SkipperError> {
+    /// Fails when the worker's channel is disconnected — its thread
+    /// panicked or was torn down — so the job could not be queued.
+    pub fn submit(&self, worker: usize, job: Job) -> Result<(), String> {
         let depth = self.depths[worker].fetch_add(1, Ordering::Relaxed) + 1;
         if skipper_obs::enabled() {
             skipper_obs::gauge_set(
@@ -246,9 +156,10 @@ impl WorkerPool {
                 ctx: skipper_obs::SpanContext::capture(),
                 run: job,
             })
-            .map_err(|_| SkipperError::WorkerLost {
-                worker: format!("pool-{worker}"),
-                detail: "job channel disconnected (worker thread panicked or exited)".into(),
+            .map_err(|_| {
+                format!(
+                    "pool-{worker}: job channel disconnected (worker thread panicked or exited)"
+                )
             })
     }
 }
@@ -263,93 +174,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Fixed-order pairwise tree reduction of per-shard raw gradients, indexed
-/// by shard: `((s0+s1)+(s2+s3))+…`. The tree shape depends only on the
-/// shard count, so the summed bits are identical for any worker count.
-pub(crate) fn tree_reduce(mut layers: Vec<Vec<Option<Vec<f32>>>>) -> Vec<Option<Vec<f32>>> {
-    assert!(!layers.is_empty(), "reduce of zero shards");
-    let _span = skipper_obs::span!("tree_reduce", shards = layers.len() as u64);
-    while layers.len() > 1 {
-        let mut next = Vec::with_capacity(layers.len().div_ceil(2));
-        let mut it = layers.into_iter();
-        while let Some(mut a) = it.next() {
-            if let Some(b) = it.next() {
-                for (slot, add) in a.iter_mut().zip(b) {
-                    match (slot.as_mut(), add) {
-                        (Some(acc), Some(v)) => {
-                            for (x, y) in acc.iter_mut().zip(&v) {
-                                *x += *y;
-                            }
-                        }
-                        (None, Some(v)) => *slot = Some(v),
-                        _ => {}
-                    }
-                }
-            }
-            next.push(a);
-        }
-        layers = next;
-    }
-    // lint:allow(panic): tree_reduce is only called with at least one shard layer
-    layers.pop().expect("non-empty by construction")
-}
-
-/// Add reduced raw gradients into the store's accumulators in place. The
-/// grad tensors are uniquely owned again by now (workers dropped their
-/// shares when their jobs ended), so no copy-on-write clone happens.
-pub(crate) fn apply_grads(store: &mut ParamStore, reduced: Vec<Option<Vec<f32>>>) {
-    for (p, g) in store.iter_mut().zip(reduced) {
-        if let Some(v) = g {
-            for (x, y) in p.grad_mut().data_mut().iter_mut().zip(&v) {
-                *x += *y;
-            }
-        }
-    }
-}
-
-/// Slice rows `range` out of every timestep tensor, booking the copies
-/// under [`Category::Input`] on the calling (worker) thread.
-pub(crate) fn slice_rows(inputs: &[Tensor], range: &Range<usize>) -> Vec<Tensor> {
-    let _cat = CategoryGuard::new(Category::Input);
-    inputs
-        .iter()
-        .map(|t| {
-            let batch = t.shape()[0];
-            let stride = t.numel() / batch;
-            let mut dims = t.shape().dims().to_vec();
-            dims[0] = range.len();
-            Tensor::from_vec(
-                t.data()[range.start * stride..range.end * stride].to_vec(),
-                dims,
-            )
-        })
-        .collect()
-}
-
-/// What one shard hands back to the session thread: plain data only, no
-/// tensors (worker tensors die on their worker thread).
-pub(crate) struct ShardOut {
-    pub index: usize,
-    pub loss_groups: Vec<Vec<f64>>,
-    pub correct: usize,
-    pub sam_sums: Vec<f64>,
-    pub recomputed: usize,
-    pub skipped: usize,
-    pub wall_us: u64,
-    pub grads: Vec<Option<Vec<f32>>>,
-    pub aux_grads: Option<Vec<Option<Vec<f32>>>>,
-}
-
-/// Phase-A carry parked between the two dispatches of a checkpointed
-/// iteration: the shard's network handle, sliced inputs and phase-A output
-/// stay on the worker that made them (shard `i` maps to worker `i % n` in
-/// both phases).
-struct Carry {
-    net: SpikingNetwork,
-    inputs: Vec<Tensor>,
-    a: PhaseAOut,
-}
-
 /// Everything the session needs from one engine iteration.
 pub(crate) struct EngineOutcome {
     /// The combined step result (gradients already applied to the store).
@@ -360,19 +184,9 @@ pub(crate) struct EngineOutcome {
     pub ops: OpLog,
 }
 
-/// The data-parallel engine: a worker pool plus the canonical shard plan.
+/// The data-parallel engine: the worker pool the shard protocol runs on.
 pub(crate) struct Engine {
     pool: WorkerPool,
-    max_shards: usize,
-}
-
-impl std::fmt::Debug for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Engine")
-            .field("workers", &self.pool.len())
-            .field("max_shards", &self.max_shards)
-            .finish()
-    }
 }
 
 impl Engine {
@@ -384,7 +198,6 @@ impl Engine {
     pub fn new(workers: usize) -> Result<Engine, SkipperError> {
         Ok(Engine {
             pool: WorkerPool::new(workers)?,
-            max_shards: DEFAULT_MAX_SHARDS,
         })
     }
 
@@ -393,434 +206,159 @@ impl Engine {
         self.pool.len()
     }
 
-    /// Run one training iteration of `method` across the pool. Gradients
-    /// are left accumulated in `net` (and `aux`), exactly like the
-    /// unsharded step functions.
+    /// Run one training iteration across the pool. Gradients are left
+    /// accumulated in `net` (and `aux`), exactly like the unsharded step
+    /// functions.
     ///
     /// # Errors
     ///
     /// [`SkipperError::WorkerLost`] when a pool worker's job channel is
     /// disconnected, so the iteration could not be dispatched.
-    #[allow(clippy::too_many_arguments)]
     pub fn run_iteration(
         &self,
         net: &mut SpikingNetwork,
         aux: Option<&mut LocalClassifiers>,
-        method: &Method,
-        inputs: &[Tensor],
-        labels: &[usize],
-        iter_seed: u64,
-        metric: SamMetric,
-        policy: SkipPolicy,
+        it: &Iteration<'_>,
     ) -> Result<EngineOutcome, SkipperError> {
-        match method {
-            Method::Checkpointed { checkpoints } => self.run_two_phase(
-                net,
-                inputs,
-                labels,
-                iter_seed,
-                *checkpoints,
-                0.0,
-                metric,
-                policy,
-            ),
-            Method::Skipper {
-                checkpoints,
-                percentile,
-            } => self.run_two_phase(
-                net,
-                inputs,
-                labels,
-                iter_seed,
-                *checkpoints,
-                *percentile,
-                metric,
-                policy,
-            ),
-            _ => self.run_single_phase(net, aux, method, inputs, labels, iter_seed),
-        }
-    }
-
-    /// One-dispatch methods: BPTT, TBPTT, TBPTT-LBP.
-    fn run_single_phase(
-        &self,
-        net: &mut SpikingNetwork,
-        aux: Option<&mut LocalClassifiers>,
-        method: &Method,
-        inputs: &[Tensor],
-        labels: &[usize],
-        iter_seed: u64,
-    ) -> Result<EngineOutcome, SkipperError> {
-        let batch = inputs[0].shape()[0];
-        let timesteps = inputs.len();
-        let plan = shard_plan(batch, self.max_shards);
-        let workers = self.pool.len();
-        type Payload = (Vec<ShardOut>, MemorySnapshot, OpLog);
-        let (tx, rx) = channel::<(usize, thread::Result<Payload>)>();
-        let mut active = 0usize;
-        for w in 0..workers {
-            let mine: Vec<(usize, Range<usize>)> = plan
-                .iter()
-                .cloned()
-                .enumerate()
-                .filter(|(i, _)| i % workers == w)
-                .collect();
-            if mine.is_empty() {
-                continue;
+        // Only threads that will get a shard hold a network share: an idle
+        // share would still be alive when the gradients are applied and
+        // force a copy-on-write of every accumulator.
+        let batch = it.inputs[0].shape()[0];
+        let active = shard::shard_plan(batch).len().min(self.pool.len());
+        let mut run = PoolRun {
+            pool: &self.pool,
+            workers: (0..active)
+                .map(|_| {
+                    let aux = aux.as_deref().map(LocalClassifiers::share);
+                    Some(ShardWorker::new(net.share(), aux))
+                })
+                .collect(),
+            worker_mem: Vec::new(),
+            ops: OpLog::new(),
+        };
+        let step = shard::run_iteration(&mut run, 0, net, aux, it).map_err(|detail| {
+            SkipperError::WorkerLost {
+                worker: "pool".into(),
+                detail,
             }
-            active += 1;
-            let tx = tx.clone();
-            let net = net.share();
-            let aux = aux.as_deref().map(LocalClassifiers::share);
-            let inputs = inputs.to_vec();
-            let labels = labels.to_vec();
-            let method = method.clone();
-            self.pool.submit(
-                w,
-                Box::new(move || {
-                    let out = catch_unwind(AssertUnwindSafe(|| {
-                        mp::reset_peaks();
-                        let _ = mp::take_op_log();
-                        let mut net = net;
-                        let mut aux = aux;
-                        let mut outs = Vec::with_capacity(mine.len());
-                        for (index, range) in mine {
-                            // lint:allow(determinism): wall-clock feeds the shard_wall_us telemetry histogram only, never training math
-                            let shard_started = std::time::Instant::now();
-                            let _span = shard_span("shard", index, &range);
-                            let shard_inputs = slice_rows(&inputs, &range);
-                            let shard_labels = labels[range.clone()].to_vec();
-                            let shard = ShardCtx {
-                                global_batch: batch,
-                                batch_offset: range.start,
-                            };
-                            let mut grads = ShardGrads::for_store(net.params());
-                            let mut aux_grads =
-                                aux.as_ref().map(|a| ShardGrads::for_store(a.store()));
-                            let step = match &method {
-                                Method::Bptt => bptt_core(
-                                    &mut net,
-                                    &shard_inputs,
-                                    &shard_labels,
-                                    iter_seed,
-                                    shard,
-                                    &mut GradSink::Shard(&mut grads),
-                                ),
-                                Method::Tbptt { window } => tbptt_core(
-                                    &mut net,
-                                    &shard_inputs,
-                                    &shard_labels,
-                                    iter_seed,
-                                    *window,
-                                    shard,
-                                    &mut GradSink::Shard(&mut grads),
-                                ),
-                                Method::TbpttLbp { window, .. } => {
-                                    let aux =
-                                        // lint:allow(panic): LBP sessions construct aux classifiers up front (method validation)
-                                        aux.as_mut().expect("LBP sessions build aux classifiers");
-                                    let ag = aux_grads
-                                        .as_mut()
-                                        // lint:allow(panic): aux grad buffers are allocated together with the aux classifiers
-                                        .expect("aux grads buffer exists with aux");
-                                    lbp_core(
-                                        &mut net,
-                                        aux,
-                                        &shard_inputs,
-                                        &shard_labels,
-                                        iter_seed,
-                                        *window,
-                                        shard,
-                                        &mut GradSink::Shard(&mut grads),
-                                        &mut GradSink::Shard(ag),
-                                    )
-                                }
-                                two_phase => {
-                                    unreachable!("{two_phase} dispatches through run_two_phase")
-                                }
-                            };
-                            outs.push(ShardOut {
-                                index,
-                                loss_groups: step.loss_groups,
-                                correct: step.correct,
-                                sam_sums: step.sam.sums().to_vec(),
-                                recomputed: step.recomputed_steps,
-                                skipped: step.skipped_steps,
-                                wall_us: shard_started.elapsed().as_micros() as u64,
-                                grads: grads.into_raw(),
-                                aux_grads: aux_grads.map(ShardGrads::into_raw),
-                            });
-                        }
-                        (outs, mp::snapshot(), mp::take_op_log())
-                    }));
-                    let _ = tx.send((w, out));
-                }),
-            )?;
-        }
-        drop(tx);
-        let (shard_outs, worker_mem, ops) = collect_worker_results(&rx, active);
-        let walls: Vec<u64> = shard_outs.iter().map(|s| s.wall_us).collect();
-        record_shard_walls("train", &walls);
-        let aux_store = aux.map(LocalClassifiers::store_mut);
-        let step = combine_shards(net.params_mut(), aux_store, shard_outs, batch, timesteps);
+        })?;
         Ok(EngineOutcome {
             step,
-            worker_mem,
-            ops,
-        })
-    }
-
-    /// Checkpointed / Skipper: phase A on every shard, a cross-shard SAM
-    /// aggregation + global SST decision on the session thread, then phase
-    /// B on every shard under the shared skip schedule.
-    #[allow(clippy::too_many_arguments)]
-    fn run_two_phase(
-        &self,
-        net: &mut SpikingNetwork,
-        inputs: &[Tensor],
-        labels: &[usize],
-        iter_seed: u64,
-        checkpoints: usize,
-        percentile: f32,
-        metric: SamMetric,
-        policy: SkipPolicy,
-    ) -> Result<EngineOutcome, SkipperError> {
-        let batch = inputs[0].shape()[0];
-        let timesteps = inputs.len();
-        let bounds = Arc::new(segment_bounds(timesteps, checkpoints));
-        let plan = shard_plan(batch, self.max_shards);
-        let workers = self.pool.len();
-        let carries: Arc<Vec<parking_lot::Mutex<Option<Carry>>>> = Arc::new(
-            (0..plan.len())
-                .map(|_| parking_lot::Mutex::new(None))
-                .collect(),
-        );
-
-        // Phase A: gradient-free forward with checkpoints, per shard.
-        struct AReport {
-            index: usize,
-            sam_sums: Vec<f64>,
-            per_sample: Vec<f64>,
-            correct: usize,
-            wall_us: u64,
-        }
-        let (tx, rx) = channel::<(usize, thread::Result<Vec<AReport>>)>();
-        let assignment = |w: usize| -> Vec<(usize, Range<usize>)> {
-            plan.iter()
-                .cloned()
-                .enumerate()
-                .filter(|(i, _)| i % workers == w)
-                .collect()
-        };
-        let mut active = 0usize;
-        for w in 0..workers {
-            let mine = assignment(w);
-            if mine.is_empty() {
-                continue;
-            }
-            active += 1;
-            let tx = tx.clone();
-            let net = net.share();
-            let inputs = inputs.to_vec();
-            let labels = labels.to_vec();
-            let bounds = Arc::clone(&bounds);
-            let carries = Arc::clone(&carries);
-            self.pool.submit(
-                w,
-                Box::new(move || {
-                    let out = catch_unwind(AssertUnwindSafe(|| {
-                        mp::reset_peaks();
-                        let _ = mp::take_op_log();
-                        let mut reports = Vec::with_capacity(mine.len());
-                        for (index, range) in mine {
-                            // lint:allow(determinism): wall-clock feeds the shard_wall_us telemetry histogram only, never training math
-                            let shard_started = std::time::Instant::now();
-                            let _span = shard_span("shard_forward", index, &range);
-                            let shard_net = net.share();
-                            let shard_inputs = slice_rows(&inputs, &range);
-                            let shard_labels = labels[range.clone()].to_vec();
-                            let shard = ShardCtx {
-                                global_batch: batch,
-                                batch_offset: range.start,
-                            };
-                            let a = checkpoint_forward(
-                                &shard_net,
-                                &shard_inputs,
-                                &shard_labels,
-                                iter_seed,
-                                &bounds,
-                                metric,
-                                shard,
-                            );
-                            reports.push(AReport {
-                                index,
-                                sam_sums: a.sam.sums().to_vec(),
-                                per_sample: a.per_sample_loss.clone(),
-                                correct: a.correct,
-                                wall_us: shard_started.elapsed().as_micros() as u64,
-                            });
-                            *carries[index].lock() = Some(Carry {
-                                net: shard_net,
-                                inputs: shard_inputs,
-                                a,
-                            });
-                        }
-                        reports
-                    }));
-                    let _ = tx.send((w, out));
-                }),
-            )?;
-        }
-        drop(tx);
-        let mut a_reports: Vec<AReport> = Vec::with_capacity(plan.len());
-        for _ in 0..active {
-            // lint:allow(panic): recv fails only if a worker died without reporting, i.e. after a propagated panic
-            let (_, res) = rx.recv().expect("phase-A worker reports back");
-            match res {
-                Ok(reports) => a_reports.extend(reports),
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        a_reports.sort_by_key(|r| r.index);
-        let forward_walls: Vec<u64> = a_reports.iter().map(|r| r.wall_us).collect();
-        record_shard_walls("forward", &forward_walls);
-
-        // Cross-shard SAM aggregation *before* the SST percentile is formed
-        // (paper semantics: the skip decision is network-wide, Section VI).
-        let mut sums = vec![0.0f64; timesteps];
-        for r in &a_reports {
-            for (acc, v) in sums.iter_mut().zip(&r.sam_sums) {
-                *acc += *v;
-            }
-        }
-        let sam = SpikeActivityMonitor::from_sums(sums);
-        let decisions = decide_skips(&sam, &bounds, percentile, policy, iter_seed);
-        emit_skip_trace(&bounds, &sam, &decisions);
-
-        // Phase B: segment-wise backward per shard under the global
-        // schedule. Each shard reports (index, wall µs, raw gradients).
-        type ShardGradOut = (usize, u64, Vec<Option<Vec<f32>>>);
-        type BPayload = (Vec<ShardGradOut>, MemorySnapshot, OpLog);
-        let (tx, rx) = channel::<(usize, thread::Result<BPayload>)>();
-        let mut active = 0usize;
-        for w in 0..workers {
-            let mine = assignment(w);
-            if mine.is_empty() {
-                continue;
-            }
-            active += 1;
-            let tx = tx.clone();
-            let bounds = Arc::clone(&bounds);
-            let carries = Arc::clone(&carries);
-            let decisions = decisions.clone();
-            self.pool.submit(
-                w,
-                Box::new(move || {
-                    let out = catch_unwind(AssertUnwindSafe(|| {
-                        let mut outs = Vec::with_capacity(mine.len());
-                        for (index, range) in mine {
-                            // lint:allow(determinism): wall-clock feeds the shard_wall_us telemetry histogram only, never training math
-                            let shard_started = std::time::Instant::now();
-                            let _span = shard_span("shard_backward", index, &range);
-                            let Carry { mut net, inputs, a } = carries[index]
-                                .lock()
-                                .take()
-                                // lint:allow(panic): phase A runs every shard to completion before phase B starts, so the carry exists
-                                .expect("phase A parked a carry for this shard");
-                            let shard = ShardCtx {
-                                global_batch: batch,
-                                batch_offset: range.start,
-                            };
-                            let mut grads = ShardGrads::for_store(net.params());
-                            checkpoint_backward(
-                                &mut net,
-                                &inputs,
-                                iter_seed,
-                                &bounds,
-                                &a.ckpts,
-                                &a.per_step_grad,
-                                &a.sam,
-                                &decisions,
-                                shard,
-                                &mut GradSink::Shard(&mut grads),
-                                false,
-                            );
-                            outs.push((
-                                index,
-                                shard_started.elapsed().as_micros() as u64,
-                                grads.into_raw(),
-                            ));
-                        }
-                        (outs, mp::snapshot(), mp::take_op_log())
-                    }));
-                    let _ = tx.send((w, out));
-                }),
-            )?;
-        }
-        drop(tx);
-        let mut by_worker: Vec<(usize, Vec<ShardGradOut>, MemorySnapshot, OpLog)> =
-            Vec::with_capacity(active);
-        for _ in 0..active {
-            // lint:allow(panic): recv fails only if a worker died without reporting, i.e. after a propagated panic
-            let (w, res) = rx.recv().expect("phase-B worker reports back");
-            match res {
-                Ok((outs, mem, ops)) => by_worker.push((w, outs, mem, ops)),
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        by_worker.sort_by_key(|(w, ..)| *w);
-        let mut worker_mem = Vec::with_capacity(by_worker.len());
-        let mut ops = OpLog::new();
-        let mut grad_sets: Vec<ShardGradOut> = Vec::with_capacity(plan.len());
-        for (_, outs, mem, worker_ops) in by_worker {
-            worker_mem.push(mem);
-            ops.extend(worker_ops);
-            grad_sets.extend(outs);
-        }
-        grad_sets.sort_by_key(|(i, ..)| *i);
-        let backward_walls: Vec<u64> = grad_sets.iter().map(|(_, w, _)| *w).collect();
-        record_shard_walls("backward", &backward_walls);
-        apply_grads(
-            net.params_mut(),
-            tree_reduce(grad_sets.into_iter().map(|(.., g)| g).collect()),
-        );
-
-        let groups = vec![a_reports
-            .iter()
-            .flat_map(|r| r.per_sample.iter().copied())
-            .collect::<Vec<f64>>()];
-        let correct = a_reports.iter().map(|r| r.correct).sum();
-        let (skipped, recomputed) = (decisions.skipped(), decisions.recomputed());
-        skipper_obs::counter_add("skipper.steps_skipped", skipped as f64);
-        skipper_obs::counter_add("skipper.steps_recomputed", recomputed as f64);
-        Ok(EngineOutcome {
-            step: StepResult {
-                loss: combine_loss_groups(&groups, batch),
-                correct,
-                recomputed_steps: recomputed,
-                skipped_steps: skipped,
-                sam,
-                loss_groups: groups,
-            },
-            worker_mem,
-            ops,
+            worker_mem: run.worker_mem,
+            ops: run.ops,
         })
     }
 }
 
-/// Open a per-shard span. The enclosing `worker_task` span (itself adopted
-/// into the dispatching thread's context) supplies the parent, so the
-/// shard nests under the session's `iteration` span in the trace.
-fn shard_span(name: &'static str, index: usize, range: &Range<usize>) -> skipper_obs::SpanGuard {
-    if !skipper_obs::enabled() {
-        return skipper_obs::SpanGuard::disabled();
+/// One iteration's run on the pool: the per-thread worker states between
+/// rounds and the memory reports of the threads that finished.
+struct PoolRun<'a> {
+    pool: &'a WorkerPool,
+    /// `workers[w]` is pool thread `w`'s state while it is *not* inside a
+    /// job: before round 1, and between the rounds with a carry parked.
+    workers: Vec<Option<ShardWorker>>,
+    worker_mem: Vec<MemorySnapshot>,
+    ops: OpLog,
+}
+
+/// What one pool thread reports back from one round.
+struct ThreadReport {
+    /// `(shard, reply, wall µs)` for each request it ran.
+    replies: Vec<(usize, ResultPayload, u64)>,
+    /// The worker state, handed back while carries wait for round 2.
+    parked: Option<ShardWorker>,
+    /// Peak snapshot and op log, once the thread's part of the iteration
+    /// is over.
+    finished: Option<(MemorySnapshot, OpLog)>,
+}
+
+/// The body of one pool job: run `requests` on `worker`, on this thread.
+/// Everything the job was given is consumed or dropped here, before the
+/// report is sent.
+fn run_requests(
+    mut worker: ShardWorker,
+    requests: Vec<(usize, Request)>,
+) -> Result<ThreadReport, String> {
+    // Idle on entry means a new iteration starts on this thread; idle on
+    // exit means its part of the iteration is over.
+    if worker.is_idle() {
+        mp::reset_peaks();
+        let _ = mp::take_op_log();
     }
-    let fields: skipper_obs::Fields = vec![
-        ("shard", skipper_obs::FieldValue::from(index as u64)),
-        ("start", skipper_obs::FieldValue::from(range.start as u64)),
-        ("rows", skipper_obs::FieldValue::from(range.len() as u64)),
-    ];
-    skipper_obs::SpanGuard::enter(name, fields)
+    let mut replies = Vec::with_capacity(requests.len());
+    for (shard, request) in requests {
+        // lint:allow(determinism): wall-clock feeds the shard_wall_us telemetry histogram only, never training math
+        let started = std::time::Instant::now();
+        let reply = worker.handle(request)?;
+        replies.push((shard, reply, started.elapsed().as_micros() as u64));
+    }
+    let (parked, finished) = if worker.is_idle() {
+        drop(worker);
+        (None, Some((mp::snapshot(), mp::take_op_log())))
+    } else {
+        (Some(worker), None)
+    };
+    Ok(ThreadReport {
+        replies,
+        parked,
+        finished,
+    })
+}
+
+impl Executor for PoolRun<'_> {
+    fn round(&mut self, requests: Vec<Request>) -> Result<Vec<ResultPayload>, String> {
+        let threads = self.pool.len();
+        let phase = requests.first().map_or("train", Request::phase);
+        let mut queues: Vec<Vec<(usize, Request)>> = (0..threads).map(|_| Vec::new()).collect();
+        for (shard, request) in requests.into_iter().enumerate() {
+            queues[shard % threads].push((shard, request));
+        }
+        let (tx, rx) = channel::<(usize, thread::Result<Result<ThreadReport, String>>)>();
+        let mut active = 0usize;
+        for (w, mine) in queues.into_iter().enumerate() {
+            if mine.is_empty() {
+                continue;
+            }
+            let Some(worker) = self.workers.get_mut(w).and_then(Option::take) else {
+                return Err(format!("pool-{w}: no worker state for this round"));
+            };
+            active += 1;
+            let tx = tx.clone();
+            self.pool.submit(
+                w,
+                Box::new(move || {
+                    let out = catch_unwind(AssertUnwindSafe(move || run_requests(worker, mine)));
+                    let _ = tx.send((w, out));
+                }),
+            )?;
+        }
+        drop(tx);
+        let mut reports = Vec::with_capacity(active);
+        for _ in 0..active {
+            let (w, out) = rx
+                .recv()
+                .map_err(|_| "a pool thread died without reporting".to_string())?;
+            match out {
+                Ok(Ok(report)) => reports.push((w, report)),
+                Ok(Err(detail)) => return Err(format!("pool-{w}: {detail}")),
+                Err(panic) => resume_unwind(panic),
+            }
+        }
+        reports.sort_by_key(|(w, _)| *w);
+        let mut replies = Vec::new();
+        for (w, report) in reports {
+            replies.extend(report.replies);
+            self.workers[w] = report.parked;
+            if let Some((mem, ops)) = report.finished {
+                self.worker_mem.push(mem);
+                self.ops.extend(ops);
+            }
+        }
+        replies.sort_by_key(|(shard, ..)| *shard);
+        let walls: Vec<u64> = replies.iter().map(|(.., wall)| *wall).collect();
+        record_shard_walls(phase, &walls);
+        Ok(replies.into_iter().map(|(_, reply, _)| reply).collect())
+    }
 }
 
 /// Publish per-shard wall times for one dispatch phase: every shard's wall
@@ -836,10 +374,8 @@ fn record_shard_walls(phase: &str, walls: &[u64]) {
     for &w in walls {
         skipper_obs::observe(&hist_key, w as f64);
     }
-    // lint:allow(panic): walls has one entry per shard and the shard plan is never empty
-    let max = *walls.iter().max().expect("non-empty");
-    // lint:allow(panic): walls has one entry per shard and the shard plan is never empty
-    let min = *walls.iter().min().expect("non-empty");
+    let max = walls.iter().copied().max().unwrap_or(0);
+    let min = walls.iter().copied().min().unwrap_or(0);
     let imbalance = if max == 0 {
         0.0
     } else {
@@ -851,113 +387,15 @@ fn record_shard_walls(phase: &str, walls: &[u64]) {
     );
 }
 
-/// Re-emit the unsharded path's skip-decision trace (SST gauge + per-step
-/// events) on the session thread, segment-reversed like
-/// [`checkpoint_backward`] with `trace = true`.
-pub(crate) fn emit_skip_trace(
-    bounds: &[usize],
-    sam: &SpikeActivityMonitor,
-    decisions: &SkipDecisions,
-) {
-    let checkpoints = bounds.len() - 1;
-    for c in (0..checkpoints).rev() {
-        if !decisions.sst(c).is_nan() {
-            skipper_obs::gauge_set("skipper.sst_threshold", decisions.sst(c));
-        }
-        for t in bounds[c]..bounds[c + 1] {
-            crate::sam::trace_skip_decision(c, t, sam.at(t), decisions.sst(c), decisions.skip(t));
-        }
-    }
-}
-
-/// Drain `active` single-phase worker payloads, re-raising worker panics,
-/// and return shard outputs (shard order), worker snapshots (worker order)
-/// and the merged op log.
-#[allow(clippy::type_complexity)]
-fn collect_worker_results(
-    rx: &std::sync::mpsc::Receiver<(
-        usize,
-        thread::Result<(Vec<ShardOut>, MemorySnapshot, OpLog)>,
-    )>,
-    active: usize,
-) -> (Vec<ShardOut>, Vec<MemorySnapshot>, OpLog) {
-    let mut by_worker = Vec::with_capacity(active);
-    for _ in 0..active {
-        // lint:allow(panic): recv fails only if a worker died without reporting, i.e. after a propagated panic
-        let (w, res) = rx.recv().expect("worker reports back");
-        match res {
-            Ok(payload) => by_worker.push((w, payload)),
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-    by_worker.sort_by_key(|(w, _)| *w);
-    let mut shard_outs = Vec::new();
-    let mut worker_mem = Vec::with_capacity(by_worker.len());
-    let mut ops = OpLog::new();
-    for (_, (outs, mem, worker_ops)) in by_worker {
-        shard_outs.extend(outs);
-        worker_mem.push(mem);
-        ops.extend(worker_ops);
-    }
-    shard_outs.sort_by_key(|s| s.index);
-    (shard_outs, worker_mem, ops)
-}
-
-/// Combine sorted single-phase shard outputs: tree-reduce gradients into
-/// the stores, concatenate loss groups in global row order, sum SAM
-/// records, and rebuild the [`StepResult`].
-pub(crate) fn combine_shards(
-    store: &mut ParamStore,
-    aux_store: Option<&mut ParamStore>,
-    mut shard_outs: Vec<ShardOut>,
-    batch: usize,
-    timesteps: usize,
-) -> StepResult {
-    assert!(!shard_outs.is_empty(), "at least one shard ran");
-    let grad_sets: Vec<_> = shard_outs
-        .iter_mut()
-        .map(|s| std::mem::take(&mut s.grads))
-        .collect();
-    apply_grads(store, tree_reduce(grad_sets));
-    if let Some(aux_store) = aux_store {
-        let aux_sets: Vec<_> = shard_outs
-            .iter_mut()
-            .filter_map(|s| s.aux_grads.take())
-            .collect();
-        if !aux_sets.is_empty() {
-            apply_grads(aux_store, tree_reduce(aux_sets));
-        }
-    }
-    let group_count = shard_outs[0].loss_groups.len();
-    let mut groups: Vec<Vec<f64>> = vec![Vec::with_capacity(batch); group_count];
-    let mut sums = vec![0.0f64; timesteps];
-    let mut correct = 0usize;
-    for s in &shard_outs {
-        for (gi, grp) in s.loss_groups.iter().enumerate() {
-            groups[gi].extend_from_slice(grp);
-        }
-        for (acc, v) in sums.iter_mut().zip(&s.sam_sums) {
-            *acc += *v;
-        }
-        correct += s.correct;
-    }
-    StepResult {
-        loss: combine_loss_groups(&groups, batch),
-        correct,
-        recomputed_steps: shard_outs[0].recomputed,
-        skipped_steps: shard_outs[0].skipped,
-        sam: SpikeActivityMonitor::from_sums(sums),
-        loss_groups: groups,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bptt::bptt_step;
     use crate::checkpoint::checkpointed_step;
+    use crate::method::Method;
+    use crate::sam::{SamMetric, SkipPolicy};
     use skipper_snn::{custom_net, ModelConfig};
-    use skipper_tensor::XorShiftRng;
+    use skipper_tensor::{Tensor, XorShiftRng};
 
     fn setup(seed: u64, batch: usize) -> (SpikingNetwork, Vec<Tensor>, Vec<usize>) {
         let net = custom_net(&ModelConfig {
@@ -973,24 +411,23 @@ mod tests {
         (net, inputs, labels)
     }
 
-    #[test]
-    fn shard_plan_is_canonical_and_covers_the_batch() {
-        for batch in [1usize, 2, 5, 8, 9, 64, 127] {
-            let plan = shard_plan(batch, DEFAULT_MAX_SHARDS);
-            assert_eq!(plan.len(), batch.min(DEFAULT_MAX_SHARDS));
-            assert_eq!(plan[0].start, 0);
-            assert_eq!(plan.last().unwrap().end, batch);
-            for pair in plan.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start, "contiguous at B={batch}");
-                assert!(!pair[1].is_empty());
-            }
-            let sizes: Vec<usize> = plan.iter().map(Range::len).collect();
-            let (lo, hi) = (
-                *sizes.iter().min().unwrap() as i64,
-                *sizes.iter().max().unwrap() as i64,
-            );
-            assert!(hi - lo <= 1, "balanced within one row at B={batch}");
-        }
+    fn run(
+        engine: &Engine,
+        net: &mut SpikingNetwork,
+        method: &Method,
+        inputs: &[Tensor],
+        labels: &[usize],
+        seed: u64,
+    ) -> EngineOutcome {
+        let it = Iteration {
+            method,
+            inputs,
+            labels,
+            seed,
+            metric: SamMetric::SpikeSum,
+            policy: SkipPolicy::SpikeActivity,
+        };
+        engine.run_iteration(net, None, &it).unwrap()
     }
 
     #[test]
@@ -1014,36 +451,12 @@ mod tests {
     }
 
     #[test]
-    fn tree_reduce_shape_depends_only_on_shard_order() {
-        let shards: Vec<Vec<Option<Vec<f32>>>> = (0..5)
-            .map(|i| vec![Some(vec![i as f32 * 0.1 + 1.0; 3]), None])
-            .collect();
-        let a = tree_reduce(shards.clone());
-        let b = tree_reduce(shards);
-        assert_eq!(a, b);
-        assert!(a[1].is_none());
-        let expected = ((1.0f32 + 1.1) + (1.2 + 1.3)) + 1.4;
-        assert_eq!(a[0].as_ref().unwrap()[0], expected);
-    }
-
-    #[test]
     fn engine_bptt_matches_unsharded_loss_sam_and_gradients() {
         let (mut reference, inputs, labels) = setup(11, 6);
         let r = bptt_step(&mut reference, &inputs, &labels, 3);
         let engine = Engine::new(2).unwrap();
         let (mut sharded, _, _) = setup(11, 6);
-        let e = engine
-            .run_iteration(
-                &mut sharded,
-                None,
-                &Method::Bptt,
-                &inputs,
-                &labels,
-                3,
-                SamMetric::SpikeSum,
-                SkipPolicy::SpikeActivity,
-            )
-            .unwrap();
+        let e = run(&engine, &mut sharded, &Method::Bptt, &inputs, &labels, 3);
         assert_eq!(r.loss.to_bits(), e.step.loss.to_bits(), "loss is bitwise");
         assert_eq!(r.sam.sums(), e.step.sam.sums(), "SAM sums are bitwise");
         assert_eq!(r.correct, e.step.correct);
@@ -1063,21 +476,11 @@ mod tests {
         for workers in [2usize, 3, 4] {
             let engine = Engine::new(workers).unwrap();
             let (mut net, _, _) = setup(12, 6);
-            let e = engine
-                .run_iteration(
-                    &mut net,
-                    None,
-                    &Method::Skipper {
-                        checkpoints: 2,
-                        percentile: 30.0,
-                    },
-                    &inputs,
-                    &labels,
-                    5,
-                    SamMetric::SpikeSum,
-                    SkipPolicy::SpikeActivity,
-                )
-                .unwrap();
+            let method = Method::Skipper {
+                checkpoints: 2,
+                percentile: 30.0,
+            };
+            let e = run(&engine, &mut net, &method, &inputs, &labels, 5);
             losses.push(e.step.loss.to_bits());
             grads.push(
                 net.params()
@@ -1096,21 +499,11 @@ mod tests {
         let r = checkpointed_step(&mut reference, &inputs, &labels, 9, 2, 40.0);
         let engine = Engine::new(3).unwrap();
         let (mut sharded, _, _) = setup(13, 5);
-        let e = engine
-            .run_iteration(
-                &mut sharded,
-                None,
-                &Method::Skipper {
-                    checkpoints: 2,
-                    percentile: 40.0,
-                },
-                &inputs,
-                &labels,
-                9,
-                SamMetric::SpikeSum,
-                SkipPolicy::SpikeActivity,
-            )
-            .unwrap();
+        let method = Method::Skipper {
+            checkpoints: 2,
+            percentile: 40.0,
+        };
+        let e = run(&engine, &mut sharded, &method, &inputs, &labels, 9);
         assert_eq!(r.skipped_steps, e.step.skipped_steps);
         assert_eq!(r.recomputed_steps, e.step.recomputed_steps);
         assert_eq!(r.loss.to_bits(), e.step.loss.to_bits());

@@ -15,8 +15,8 @@
 //! their own (small) weights.
 
 use crate::bptt::{combine_loss_groups, StepResult};
-use crate::engine::{GradSink, ShardCtx};
 use crate::sam::SpikeActivityMonitor;
+use crate::shard::{GradSink, ShardCtx};
 use skipper_autograd::Graph;
 use skipper_memprof::{Category, CategoryGuard};
 use skipper_snn::{

@@ -73,6 +73,7 @@ pub mod planner;
 pub mod resume;
 pub mod runner;
 pub mod sam;
+mod shard;
 pub mod stats;
 pub mod tbptt;
 pub mod transport;

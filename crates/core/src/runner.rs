@@ -12,6 +12,7 @@ use crate::lbp::{lbp_step, LocalClassifiers};
 use crate::method::Method;
 use crate::resume::SessionState;
 use crate::sam::{SamMetric, SkipPolicy};
+use crate::shard::Iteration;
 use crate::stats::{BatchStats, EvalStats};
 use crate::tbptt::tbptt_step;
 use skipper_memprof::{reset_peaks, snapshot, take_op_log, MemorySnapshot, OpLog};
@@ -352,27 +353,18 @@ impl TrainSession {
             let start = Instant::now();
             let mut worker_mem: Vec<MemorySnapshot> = Vec::new();
             let mut engine_ops = OpLog::new();
+            let sharded = Iteration {
+                method: &self.method,
+                inputs,
+                labels,
+                seed: iter_seed,
+                metric: self.sam_metric,
+                policy: self.skip_policy,
+            };
             let mut result = if let Some(cluster) = self.cluster.as_mut() {
-                cluster.run_iteration(
-                    &mut self.net,
-                    &self.method,
-                    inputs,
-                    labels,
-                    iter_seed,
-                    self.sam_metric,
-                    self.skip_policy,
-                )?
+                cluster.run_iteration(&mut self.net, &sharded)?
             } else if let Some(engine) = &self.engine {
-                let outcome = engine.run_iteration(
-                    &mut self.net,
-                    self.aux.as_mut(),
-                    &self.method,
-                    inputs,
-                    labels,
-                    iter_seed,
-                    self.sam_metric,
-                    self.skip_policy,
-                )?;
+                let outcome = engine.run_iteration(&mut self.net, self.aux.as_mut(), &sharded)?;
                 worker_mem = outcome.worker_mem;
                 engine_ops = outcome.ops;
                 outcome.step
@@ -856,6 +848,7 @@ mod tests {
         });
         let mut s = TrainSession::builder(net, Method::Bptt, 8)
             .optimizer(Box::new(Adam::new(1e-3)))
+            .workers(1) // not the SKIPPER_WORKERS default CI also runs under
             .build_unvalidated()
             .expect("structurally sound config");
         assert_eq!(s.workers(), 1);

@@ -264,6 +264,25 @@ pub fn trace_skip_decision(c: usize, t: usize, s_t: f64, sst: f64, skip: bool) {
     );
 }
 
+/// Emit an iteration's skip-decision trace — the SST gauge and one
+/// [`trace_skip_decision`] event per timestep, most recent segment first
+/// like the backward pass. Called once per iteration by whichever driver
+/// formed the schedule, never once per shard.
+pub(crate) fn emit_skip_trace(
+    bounds: &[usize],
+    sam: &SpikeActivityMonitor,
+    decisions: &SkipDecisions,
+) {
+    for c in (0..bounds.len() - 1).rev() {
+        if !decisions.sst(c).is_nan() {
+            skipper_obs::gauge_set("skipper.sst_threshold", decisions.sst(c));
+        }
+        for t in bounds[c]..bounds[c + 1] {
+            trace_skip_decision(c, t, sam.at(t), decisions.sst(c), decisions.skip(t));
+        }
+    }
+}
+
 /// Nearest-rank percentile of `values`. `p ≤ 0` → `-∞`; `p ≥ 100` → the
 /// maximum.
 ///

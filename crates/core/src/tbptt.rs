@@ -10,8 +10,8 @@
 //! calculated at time (t′, 2t′, …, T) are summed").
 
 use crate::bptt::{combine_loss_groups, StepResult};
-use crate::engine::{GradSink, ShardCtx};
 use crate::sam::SpikeActivityMonitor;
+use crate::shard::{GradSink, ShardCtx};
 use skipper_autograd::Graph;
 use skipper_snn::{softmax_cross_entropy_scaled, ParamBinder, SpikingNetwork, StepCtx, TapedState};
 use skipper_tensor::Tensor;

@@ -212,6 +212,31 @@ fn worker_spans_nest_under_iteration_and_cover_all_pool_threads() {
         assert_eq!(shards.len(), 8, "{name}: one span per shard of the plan");
     }
 
+    // Shard `i` runs on pool thread `i % n` in both rounds: round 2 consumes
+    // the carry round 1 parked on that thread.
+    let u64_field = |e: &obs::Event, key: &str| {
+        e.fields.iter().find_map(|(k, v)| match v {
+            obs::FieldValue::U64(n) if *k == key => Some(*n),
+            _ => None,
+        })
+    };
+    let begun = |e: &&obs::Event| matches!(e.kind, obs::EventKind::SpanBegin { .. });
+    let worker_of_tid: std::collections::BTreeMap<u64, u64> = events
+        .iter()
+        .filter(begun)
+        .filter(|e| e.name == "worker_task" && task_tids.contains(&e.tid))
+        .map(|e| (e.tid, u64_field(e, "worker").expect("worker field")))
+        .collect();
+    for name in ["shard_forward", "shard_backward"] {
+        for e in events.iter().filter(begun).filter(|e| e.name == name) {
+            let Some(worker) = worker_of_tid.get(&e.tid) else {
+                continue; // another test's pool
+            };
+            let shard = u64_field(e, "shard").expect("shard field");
+            assert_eq!(shard % workers as u64, *worker, "{name} of shard {shard}");
+        }
+    }
+
     // The ring can enumerate every pool thread's stream, not just the
     // caller's.
     let all_tids = handle.tids();

@@ -21,7 +21,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 const D1: &str = "\
 D1 · determinism — no nondeterminism sources in the numeric core
 
-Scope: crates/core/src/{engine,checkpoint,sam,bptt,tbptt,lbp}.rs,
+Scope: crates/core/src/{engine,shard,checkpoint,sam,bptt,tbptt,lbp}.rs,
        crates/autograd/src/**, crates/snn/src/**  (non-test code)
 
 Forbidden: HashMap / HashSet (iteration order varies per process),
@@ -53,7 +53,7 @@ Flagged: .sum::<f32|f64>(), .product::<f32|f64>(), .fold(<float seed>, …).
 Why: float addition does not associate. The sharded engine guarantees
 bitwise-identical losses, SAM spike sums, SST thresholds and gradients
 across worker counts by reducing shard results through one fixed-order
-pairwise tree (crates/core/src/engine.rs `tree_reduce`). A free-form
+pairwise tree (crates/core/src/shard.rs `tree_reduce`). A free-form
 iterator reduction on the same path re-introduces an ordering degree of
 freedom; it is only safe when the iteration order itself is fixed and
 shard-local. If that is the case, say so in a waiver; if not, route the

@@ -59,8 +59,9 @@ pub const LIB_CRATES: [&str; 9] = [
 
 /// `crates/core/src` files that are part of the numeric core (D1/D2), in
 /// addition to all of `crates/autograd/src` and `crates/snn/src`.
-pub const CORE_NUMERIC_FILES: [&str; 6] = [
+pub const CORE_NUMERIC_FILES: [&str; 7] = [
     "engine.rs",
+    "shard.rs",
     "checkpoint.rs",
     "sam.rs",
     "bptt.rs",
@@ -516,7 +517,7 @@ impl<'a> FileCtx<'a> {
                 tok.text
             ),
             "accumulation order is part of the determinism contract; route through the \
-             fixed-order pairwise tree reduction (crates/core/src/engine.rs `tree_reduce`) \
+             fixed-order pairwise tree reduction (crates/core/src/shard.rs `tree_reduce`) \
              or waive with the ordering argument: `// lint:allow(float-order): <reason>`",
         );
     }
