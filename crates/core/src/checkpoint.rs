@@ -33,15 +33,15 @@
 //! interleave a cross-shard SAM aggregation between them: every shard's
 //! `s_t` record is summed into the network-wide statistic *before* the SST
 //! percentile is formed, keeping skip decisions global (paper semantics)
-//! rather than per-shard. [`checkpointed_step`] chains the phases for the
-//! unsharded reference path.
+//! rather than per-shard. [`checkpointed_step_with`] chains the phases for
+//! the unsharded reference path.
 
-use crate::bptt::StepResult;
 use crate::method::segment_bounds;
 use crate::sam::{
     decide_skips, emit_skip_trace, SamMetric, SkipDecisions, SkipPolicy, SpikeActivityMonitor,
 };
 use crate::shard::{GradSink, ShardCtx};
+use crate::windowed::{combine_loss_groups, StepResult};
 use skipper_autograd::Graph;
 use skipper_memprof::{Category, CategoryGuard};
 use skipper_snn::{
@@ -65,34 +65,13 @@ pub(crate) struct PhaseAOut {
     pub per_step_grad: Tensor,
 }
 
-/// One checkpointed (or, with `percentile > 0`, Skipper) iteration using
-/// the paper's spike-activity policy and metric.
+/// One checkpointed (or, with `percentile > 0`, Skipper) iteration over the
+/// whole batch under the given activity metric and skip policy (see
+/// [`crate::sam`]).
 ///
 /// # Panics
 ///
 /// Panics if `checkpoints` is zero or exceeds `inputs.len()`.
-pub(crate) fn checkpointed_step(
-    net: &mut SpikingNetwork,
-    inputs: &[Tensor],
-    labels: &[usize],
-    iter_seed: u64,
-    checkpoints: usize,
-    percentile: f32,
-) -> StepResult {
-    checkpointed_step_with(
-        net,
-        inputs,
-        labels,
-        iter_seed,
-        checkpoints,
-        percentile,
-        SamMetric::SpikeSum,
-        SkipPolicy::SpikeActivity,
-    )
-}
-
-/// [`checkpointed_step`] with an explicit activity metric and skip policy
-/// (used by the SAM ablations; see [`crate::sam`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn checkpointed_step_with(
     net: &mut SpikingNetwork,
@@ -126,7 +105,7 @@ pub(crate) fn checkpointed_step_with(
     skipper_obs::counter_add("skipper.steps_recomputed", recomputed as f64);
     let groups = vec![a.per_sample_loss];
     StepResult {
-        loss: crate::bptt::combine_loss_groups(&groups, shard.global_batch),
+        loss: combine_loss_groups(&groups, shard.global_batch),
         correct: a.correct,
         recomputed_steps: recomputed,
         skipped_steps: skipped,
@@ -276,7 +255,25 @@ pub(crate) fn checkpoint_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bptt::bptt_step;
+    use crate::method::Method;
+    use crate::shard::reference_step;
+
+    /// One unsharded iteration with `C` checkpoints and skip percentile `p`
+    /// under the paper's metric and policy, through the one entry point.
+    fn checkpointed_step(
+        net: &mut SpikingNetwork,
+        inputs: &[Tensor],
+        labels: &[usize],
+        seed: u64,
+        checkpoints: usize,
+        percentile: f32,
+    ) -> StepResult {
+        let method = Method::Skipper {
+            checkpoints,
+            percentile,
+        };
+        reference_step(net, &method, inputs, labels, seed)
+    }
     use skipper_snn::{custom_net, lenet5, ModelConfig};
     use skipper_tensor::XorShiftRng;
 
@@ -299,7 +296,7 @@ mod tests {
     fn checkpointed_gradients_match_bptt() {
         let (mut a, inputs, labels) = setup(80);
         let (mut b, _, _) = setup(80);
-        let ra = bptt_step(&mut a, &inputs, &labels, 3);
+        let ra = reference_step(&mut a, &Method::Bptt, &inputs, &labels, 3);
         for c in [1usize, 2, 3, 4] {
             let (mut bc, _, _) = setup(80);
             let rc = checkpointed_step(&mut bc, &inputs, &labels, 3, c, 0.0);
@@ -335,7 +332,7 @@ mod tests {
         // comes from the full first forward pass and must match baseline.
         let (mut a, inputs, labels) = setup(83);
         let (mut b, _, _) = setup(83);
-        let ra = bptt_step(&mut a, &inputs, &labels, 9);
+        let ra = reference_step(&mut a, &Method::Bptt, &inputs, &labels, 9);
         let rb = checkpointed_step(&mut b, &inputs, &labels, 9, 2, 60.0);
         assert!((ra.loss - rb.loss).abs() < 1e-9);
         assert_eq!(ra.correct, rb.correct);
@@ -346,7 +343,7 @@ mod tests {
         use skipper_memprof as mp;
         let (mut net, inputs, labels) = setup(84);
         mp::reset_peaks();
-        let _ = bptt_step(&mut net, &inputs, &labels, 1);
+        let _ = reference_step(&mut net, &Method::Bptt, &inputs, &labels, 1);
         let base = mp::snapshot().peak(mp::Category::Activations);
         mp::reset_peaks();
         let _ = checkpointed_step(&mut net, &inputs, &labels, 1, 4, 0.0);

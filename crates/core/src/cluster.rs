@@ -29,7 +29,6 @@
 //! with a typed [`SkipperError::WorkerLost`] — the driver can then
 //! replay the epoch from its last `.sksn` snapshot.
 
-use crate::bptt::StepResult;
 use crate::error::SkipperError;
 use crate::shard::{self, Executor, Iteration, Request, ShardInput, ShardWorker};
 use crate::transport::{
@@ -37,6 +36,7 @@ use crate::transport::{
     InProcConnector, Message, MetricsDelta, ResultPayload, TcpListenerLink, TraceCtx,
     TransportError, WireReader,
 };
+use crate::windowed::StepResult;
 use skipper_autograd::Surrogate;
 use skipper_snn::serialize::{apply_records, read_params, write_records};
 use skipper_snn::{custom_net, ModelConfig, ParamStore, SpikingNetwork};

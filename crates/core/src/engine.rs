@@ -20,11 +20,11 @@
 //!   thread-local; each worker's peak snapshot and op log are returned for
 //!   per-worker attribution ([`EngineOutcome::worker_mem`]).
 
-use crate::bptt::StepResult;
 use crate::error::SkipperError;
 use crate::lbp::LocalClassifiers;
 use crate::shard::{self, Executor, Iteration, Request, ShardWorker};
 use crate::transport::ResultPayload;
+use crate::windowed::StepResult;
 use skipper_memprof::{self as mp, MemorySnapshot, OpLog};
 use skipper_snn::SpikingNetwork;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -390,10 +390,9 @@ fn record_shard_walls(phase: &str, walls: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bptt::bptt_step;
-    use crate::checkpoint::checkpointed_step;
     use crate::method::Method;
     use crate::sam::{SamMetric, SkipPolicy};
+    use crate::shard::reference_step;
     use skipper_snn::{custom_net, ModelConfig};
     use skipper_tensor::{Tensor, XorShiftRng};
 
@@ -453,7 +452,7 @@ mod tests {
     #[test]
     fn engine_bptt_matches_unsharded_loss_sam_and_gradients() {
         let (mut reference, inputs, labels) = setup(11, 6);
-        let r = bptt_step(&mut reference, &inputs, &labels, 3);
+        let r = reference_step(&mut reference, &Method::Bptt, &inputs, &labels, 3);
         let engine = Engine::new(2).unwrap();
         let (mut sharded, _, _) = setup(11, 6);
         let e = run(&engine, &mut sharded, &Method::Bptt, &inputs, &labels, 3);
@@ -496,13 +495,13 @@ mod tests {
     #[test]
     fn engine_skipper_matches_unsharded_skip_schedule() {
         let (mut reference, inputs, labels) = setup(13, 5);
-        let r = checkpointed_step(&mut reference, &inputs, &labels, 9, 2, 40.0);
-        let engine = Engine::new(3).unwrap();
-        let (mut sharded, _, _) = setup(13, 5);
         let method = Method::Skipper {
             checkpoints: 2,
             percentile: 40.0,
         };
+        let r = reference_step(&mut reference, &method, &inputs, &labels, 9);
+        let engine = Engine::new(3).unwrap();
+        let (mut sharded, _, _) = setup(13, 5);
         let e = run(&engine, &mut sharded, &method, &inputs, &labels, 9);
         assert_eq!(r.skipped_steps, e.step.skipped_steps);
         assert_eq!(r.recomputed_steps, e.step.recomputed_steps);

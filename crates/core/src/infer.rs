@@ -216,7 +216,7 @@ impl InferSession {
         // lint:allow(panic): skip_schedule keeps ≥ 1 step, so the loop set logits
         let mut logits = logits.expect("at least one evaluated step");
         logits.scale_assign(1.0 / evaluated as f32); // time-averaged readout
-        let classes = argmax_rows(&logits);
+        let classes = logits.argmax_rows();
         Ok(Prediction {
             logits,
             classes,
@@ -252,25 +252,6 @@ impl InferSession {
     }
 }
 
-/// Argmax per row of a `[B, classes]` tensor (first maximum wins,
-/// matching the loss layer's correctness count).
-fn argmax_rows(logits: &Tensor) -> Vec<usize> {
-    let classes = logits.shape()[1];
-    logits
-        .data()
-        .chunks_exact(classes)
-        .map(|row| {
-            let mut best = 0usize;
-            for (i, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = i;
-                }
-            }
-            best
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,6 +285,18 @@ mod tests {
         for (row, &class) in p.logits.data().chunks_exact(10).zip(&p.classes) {
             assert!(row.iter().all(|&v| v <= row[class]));
         }
+    }
+
+    #[test]
+    fn predict_and_eval_break_ties_the_same_way() {
+        // A silent input leaves every logit at 0.0: the served class and
+        // the scored class must be the same one (the lowest index).
+        let session = InferSession::new(net());
+        let silent = vec![Tensor::zeros([1, 3, 8, 8]); 4];
+        let p = session.predict(&silent).unwrap();
+        assert!(p.logits.data().iter().all(|&v| v == 0.0));
+        assert_eq!(p.classes, [0]);
+        assert_eq!(session.eval(&silent, &[0]).unwrap().correct, 1);
     }
 
     #[test]

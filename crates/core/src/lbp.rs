@@ -1,29 +1,17 @@
-//! TBPTT with locally supervised blocks — the TBPTT-LBP baseline of Guo et
-//! al. \[28\], compared against in the paper's Table II and Fig. 16.
+//! The auxiliary classifiers of TBPTT with locally supervised blocks — the
+//! TBPTT-LBP baseline of Guo et al. \[28\], compared against in the paper's
+//! Table II and Fig. 16.
 //!
-//! The network is cut at `taps` into gradient-isolated blocks. Within each
-//! truncation window, every block runs on its **own** tape: spikes cross
-//! block boundaries as detached values (that is the "local" part — no
-//! global backpropagation across layers), and each non-final block is
-//! supervised by an auxiliary classifier (global-average-pool + linear)
-//! attached to its output, while the final block uses the network's own
-//! readout. Temporal truncation works exactly as in [`crate::tbptt`].
-//!
-//! Note the memory character the paper points out: the block tapes are
-//! smaller than a full-network tape, but the per-timestep boundary spikes
-//! of every window must be materialised, and the local classifiers carry
-//! their own (small) weights.
+//! The network is cut at `taps` into gradient-isolated blocks; each
+//! non-final block is supervised by an auxiliary classifier
+//! (global-average-pool + linear) attached to its output, while the final
+//! block uses the network's own readout. The training loop over those
+//! blocks is the crate's windowed core (`windowed.rs`).
 
-use crate::bptt::{combine_loss_groups, StepResult};
-use crate::sam::SpikeActivityMonitor;
-use crate::shard::{GradSink, ShardCtx};
-use skipper_autograd::Graph;
-use skipper_memprof::{Category, CategoryGuard};
-use skipper_snn::{
-    softmax_cross_entropy_scaled, LinearLayer, ParamBinder, ParamStore, SpikingNetwork, StepCtx,
-    TapedState,
-};
+use skipper_autograd::{Graph, Var};
+use skipper_snn::{LinearLayer, ParamBinder, ParamStore, SpikingNetwork, StepCtx};
 use skipper_tensor::{Tensor, XorShiftRng};
+use std::ops::Range;
 
 /// An auxiliary classifier head on one block boundary.
 #[derive(Debug, Clone)]
@@ -125,169 +113,55 @@ impl LocalClassifiers {
             heads: self.heads.clone(),
         }
     }
-}
 
-/// One TBPTT-LBP iteration.
-///
-/// # Panics
-///
-/// Panics if `aux` was built for different taps.
-pub(crate) fn lbp_step(
-    net: &mut SpikingNetwork,
-    aux: &mut LocalClassifiers,
-    inputs: &[Tensor],
-    labels: &[usize],
-    iter_seed: u64,
-    window: usize,
-) -> StepResult {
-    let batch = inputs[0].shape()[0];
-    lbp_core(
-        net,
-        aux,
-        inputs,
-        labels,
-        iter_seed,
-        window,
-        ShardCtx::full(batch),
-        &mut GradSink::Direct,
-        &mut GradSink::Direct,
-    )
-}
-
-/// Shard-aware TBPTT-LBP over one slice of the batch. Main-network and
-/// auxiliary-classifier gradients flow to separate sinks, mirroring their
-/// separate optimizers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn lbp_core(
-    net: &mut SpikingNetwork,
-    aux: &mut LocalClassifiers,
-    inputs: &[Tensor],
-    labels: &[usize],
-    iter_seed: u64,
-    window: usize,
-    shard: ShardCtx,
-    sink: &mut GradSink<'_>,
-    aux_sink: &mut GradSink<'_>,
-) -> StepResult {
-    let timesteps = inputs.len();
-    let batch = inputs[0].shape()[0];
-    let taps = aux.taps.clone();
-    let n_modules = net.modules().len();
-    // Block ranges: [0, taps[0]), [taps[0], taps[1]), …, [last, n).
-    let mut blocks = Vec::with_capacity(taps.len() + 1);
-    let mut prev = 0usize;
-    for &t in &taps {
-        blocks.push(prev..t);
-        prev = t;
-    }
-    blocks.push(prev..n_modules);
-
-    let mut carried = net.init_state(batch);
-    let mut sam_sums = vec![0.0f64; timesteps];
-    let mut loss_groups: Vec<Vec<f64>> = Vec::new();
-    let mut total_logits: Option<Tensor> = None;
-    let mut start = 0usize;
-    while start < timesteps {
-        let end = (start + window).min(timesteps);
-        let _win = skipper_obs::span!("lbp_window", start = start, end = end);
-        // Per-timestep inputs of the current block (detached values).
-        let mut block_inputs: Vec<Tensor> = inputs[start..end].to_vec();
-        for (bi, range) in blocks.iter().enumerate() {
-            let is_final = bi == blocks.len() - 1;
-            let mut g = Graph::new();
-            let mut binder = ParamBinder::new(net.params());
-            let mut aux_binder = ParamBinder::new(&aux.store);
-            let mut tstate = TapedState::from_state(&mut g, &carried, false);
-            let mut logit_vars = Vec::with_capacity(end - start);
-            let mut outputs: Vec<Tensor> = Vec::with_capacity(end - start);
-            for (wi, t) in (start..end).enumerate() {
-                let ctx = StepCtx::train_shard(iter_seed, t, shard.batch_offset);
-                let xv = g.leaf(block_inputs[wi].clone(), false);
-                let (out, logits, ssum) = net.step_taped_modules(
-                    &mut g,
-                    &mut binder,
-                    xv,
-                    &mut tstate,
-                    &ctx,
-                    range.clone(),
-                );
-                sam_sums[t] += ssum;
-                if is_final {
-                    // lint:allow(panic): method validation guarantees the final block emits the readout logits
-                    logit_vars.push(logits.expect("final block holds the readout"));
-                } else {
-                    let head = &aux.heads[bi];
-                    let flat = match head.pool {
-                        Some(k) => {
-                            let pooled = g.avg_pool2d(out, k);
-                            let features = g.value(pooled).numel() / batch;
-                            g.reshape(pooled, [batch, features])
-                        }
-                        None => out,
-                    };
-                    logit_vars.push(head.linear.forward_taped(
-                        &mut g,
-                        &mut aux_binder,
-                        &aux.store,
-                        flat,
-                    ));
-                    // Detach: the next block consumes values, not vars.
-                    let _cat = CategoryGuard::new(Category::Activations);
-                    outputs.push(g.value(out).deep_clone());
-                }
-            }
-            let window_len = logit_vars.len() as f32;
-            let mut logits = g.value(logit_vars[0]).clone();
-            for &v in &logit_vars[1..] {
-                logits.add_assign(g.value(v));
-            }
-            logits.scale_assign(1.0 / window_len); // time-averaged readout
-            let loss = softmax_cross_entropy_scaled(&logits, labels, shard.global_batch);
-            let per_step_grad = loss.dlogits.scale(1.0 / window_len);
-            for &v in &logit_vars {
-                g.seed_grad(v, per_step_grad.clone());
-            }
-            g.backward();
-            sink.harvest(&binder, &mut g, net.params_mut());
-            aux_sink.harvest(&aux_binder, &mut g, &mut aux.store);
-            carried = tstate.to_state(&g);
-            if is_final {
-                loss_groups.push(loss.per_sample);
-                match total_logits.as_mut() {
-                    Some(l) => l.add_assign(&logits),
-                    None => total_logits = Some(logits),
-                }
-            } else {
-                block_inputs = outputs;
-            }
+    /// No taps and no heads: the whole network is one block supervised by
+    /// its own readout, which is plain BPTT/TBPTT. Crate-private —
+    /// [`LocalClassifiers::new`] keeps rejecting an empty tap list.
+    pub(crate) fn none() -> LocalClassifiers {
+        LocalClassifiers {
+            taps: Vec::new(),
+            store: ParamStore::new(),
+            heads: Vec::new(),
         }
-        start = end;
     }
-    // lint:allow(panic): T >= 1 is validated at session build, so at least one window ran
-    let total = total_logits.expect("at least one window");
-    let correct = total
-        .argmax_rows()
-        .iter()
-        .zip(labels)
-        .filter(|(p, l)| *p == *l)
-        .count();
-    let mut sam = SpikeActivityMonitor::new(timesteps);
-    for s in sam_sums {
-        sam.record(s);
+
+    /// The gradient-isolated module ranges of a network of `n_modules`:
+    /// `[0, taps[0]), [taps[0], taps[1]), …, [last, n)`.
+    pub(crate) fn blocks(&self, n_modules: usize) -> Vec<Range<usize>> {
+        let starts = std::iter::once(0).chain(self.taps.iter().copied());
+        let ends = self.taps.iter().copied().chain([n_modules]);
+        starts.zip(ends).map(|(a, b)| a..b).collect()
     }
-    StepResult {
-        loss: combine_loss_groups(&loss_groups, shard.global_batch),
-        correct,
-        recomputed_steps: timesteps,
-        skipped_steps: 0,
-        sam,
-        loss_groups,
+
+    /// The local logits of non-final block `block` from its output `out`.
+    pub(crate) fn head_logits(
+        &self,
+        block: usize,
+        g: &mut Graph,
+        binder: &mut ParamBinder,
+        out: Var,
+    ) -> Var {
+        let head = &self.heads[block];
+        let flat = match head.pool {
+            Some(k) => {
+                let pooled = g.avg_pool2d(out, k);
+                let batch = g.value(pooled).shape()[0];
+                let features = g.value(pooled).numel() / batch;
+                g.reshape(pooled, [batch, features])
+            }
+            None => out,
+        };
+        head.linear.forward_taped(g, binder, &self.store, flat)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::Method;
+    use crate::sam::{SamMetric, SkipPolicy};
+    use crate::shard::{reference_step, run_unsharded, Iteration};
+    use crate::windowed::StepResult;
     use skipper_snn::{alexnet, custom_net, ModelConfig};
 
     fn setup(seed: u64) -> (SpikingNetwork, Vec<Tensor>, Vec<usize>) {
@@ -303,6 +177,29 @@ mod tests {
         (net, inputs, vec![3, 8])
     }
 
+    /// One unsharded TBPTT-LBP iteration; `aux` is `None` for a session
+    /// that lost its classifiers.
+    fn lbp_step(
+        net: &mut SpikingNetwork,
+        aux: Option<&mut LocalClassifiers>,
+        inputs: &[Tensor],
+        labels: &[usize],
+        seed: u64,
+        window: usize,
+    ) -> Result<StepResult, String> {
+        let taps = aux.as_ref().map_or(vec![1], |aux| aux.taps().to_vec());
+        let method = Method::TbpttLbp { window, taps };
+        let it = Iteration {
+            method: &method,
+            inputs,
+            labels,
+            seed,
+            metric: SamMetric::SpikeSum,
+            policy: SkipPolicy::SpikeActivity,
+        };
+        run_unsharded(net, aux, &it)
+    }
+
     #[test]
     fn builds_heads_with_probed_shapes() {
         let (net, _, _) = setup(100);
@@ -311,13 +208,15 @@ mod tests {
         assert_eq!(aux.heads.len(), 2);
         assert!(aux.byte_cost() > 0);
         assert!(aux.heads[0].pool.is_some(), "conv block output is spatial");
+        assert_eq!(aux.blocks(5), vec![0..1, 1..2, 2..5]);
+        assert_eq!(LocalClassifiers::none().blocks(5), vec![0..5]);
     }
 
     #[test]
     fn trains_with_local_losses() {
         let (mut net, inputs, labels) = setup(101);
         let mut aux = LocalClassifiers::new(&net, &[1, 2], net.num_classes(), 2);
-        let r = lbp_step(&mut net, &mut aux, &inputs, &labels, 3, 4);
+        let r = lbp_step(&mut net, Some(&mut aux), &inputs, &labels, 3, 4).unwrap();
         assert!(r.loss.is_finite());
         let main_grads: f64 = net
             .params()
@@ -331,6 +230,8 @@ mod tests {
             .sum();
         assert!(main_grads > 0.0, "main network receives local gradients");
         assert!(aux_grads > 0.0, "aux classifiers receive gradients");
+        // Without its classifiers the method is refused, not run.
+        assert!(lbp_step(&mut net, None, &inputs, &labels, 3, 4).is_err());
     }
 
     #[test]
@@ -342,8 +243,8 @@ mod tests {
         let (mut a, inputs, labels) = setup(102);
         let (mut b, _, _) = setup(102);
         let mut aux = LocalClassifiers::new(&a, &[2], a.num_classes(), 3);
-        let _ = lbp_step(&mut a, &mut aux, &inputs, &labels, 4, 8);
-        let _ = crate::bptt::bptt_step(&mut b, &inputs, &labels, 4);
+        let _ = lbp_step(&mut a, Some(&mut aux), &inputs, &labels, 4, 8).unwrap();
+        let _ = reference_step(&mut b, &Method::Bptt, &inputs, &labels, 4);
         let first_param_diff = a
             .params()
             .iter()
@@ -372,7 +273,7 @@ mod tests {
         let inputs: Vec<Tensor> = (0..6)
             .map(|_| Tensor::rand([2, 3, 16, 16], &mut rng).map(|x| (x > 0.6) as i32 as f32))
             .collect();
-        let r = lbp_step(&mut net, &mut aux, &inputs, &[0, 5], 9, 3);
+        let r = lbp_step(&mut net, Some(&mut aux), &inputs, &[0, 5], 9, 3).unwrap();
         assert!(r.loss.is_finite());
     }
 }

@@ -1,28 +1,34 @@
 //! The Skipper paper's contribution: memory-efficient SNN-BPTT training.
 //!
 //! This crate implements, on top of the `skipper-snn` substrate, every
-//! training regime the paper evaluates (Sections V–VII):
+//! training regime the paper evaluates (Sections V–VII). They differ in
+//! one thing that matters to the code — whether the first forward pass is
+//! taped — so there are two cores:
 //!
-//! * [`bptt`] — **baseline SNN-BPTT**: one autodiff graph spans all `T`
-//!   timesteps; activation memory grows as `O(T)`.
-//! * [`checkpoint`] — **temporal activation checkpointing** (Section V):
-//!   a gradient-free first forward pass saves the neuron state at `C`
+//! * **Taped first pass** (the private `windowed` module): windows of
+//!   `trW` timesteps over gradient-isolated module blocks, one autodiff
+//!   graph per (window, block), state carried across as detached values.
+//!   The three baselines are window × block choices of that one loop:
+//!   **baseline SNN-BPTT** ([`Method::Bptt`], Section III-B) is one window
+//!   of `T` over one block, so its activation memory grows as `O(T)`;
+//!   **truncated BPTT** ([`Method::Tbptt`], Section III-C) shortens the
+//!   window; **TBPTT-LBP** ([`Method::TbpttLbp`], Guo et al. \[28\], the
+//!   related-work baseline of Table II / Fig. 16) also cuts the network at
+//!   the taps of its auxiliary classifiers ([`lbp`]).
+//! * **Untaped first pass + recompute** ([`checkpoint`]): **temporal
+//!   activation checkpointing** ([`Method::Checkpointed`], Section V) runs
+//!   a gradient-free first forward pass that saves the neuron state at `C`
 //!   boundaries; the backward pass re-executes one `T/C` segment at a time
 //!   on a short-lived tape, handing `∂L/∂U` across boundaries. Memory is
 //!   `O(T/C) + O(C)`, minimised at `C = √T` (Eq. 3), at the price of one
-//!   extra forward pass (~33 %).
-//! * also in [`checkpoint`] — **Skipper** (Section VI): the Spike Activity
-//!   Monitor ([`sam`]) records `s_t = Σ_l sum(o_t^l)` during the first
-//!   pass; before re-executing a segment, the Spike-Sum-Threshold
-//!   `SST_c = percentile({s_t}_c, p)` is formed and every timestep with
-//!   `s_t < SST_c` is skipped outright — a shallower recomputed graph that
-//!   removes the checkpointing overhead *and* shrinks memory further
-//!   (Eq. 6), with the `(1 − p/100)·T/C ≥ L_n` bound of Eq. 7.
-//! * [`tbptt`] — **truncated BPTT** (Section III-C): per-window graphs with
-//!   detached boundaries, the classic comparison point.
-//! * [`lbp`] — **TBPTT-LBP** (Guo et al. \[28\]): temporal truncation plus
-//!   locally supervised blocks with auxiliary classifiers, the related-work
-//!   baseline of Table II / Fig. 16.
+//!   extra forward pass (~33 %). **Skipper** ([`Method::Skipper`], Section
+//!   VI) adds time-skipping: the Spike Activity Monitor ([`sam`]) records
+//!   `s_t = Σ_l sum(o_t^l)` during the first pass; before re-executing a
+//!   segment, the Spike-Sum-Threshold `SST_c = percentile({s_t}_c, p)` is
+//!   formed and every timestep with `s_t < SST_c` is skipped outright — a
+//!   shallower recomputed graph that removes the checkpointing overhead
+//!   *and* shrinks memory further (Eq. 6), with the
+//!   `(1 − p/100)·T/C ≥ L_n` bound of Eq. 7.
 //!
 //! [`runner::TrainSession`] wraps any of these behind one API and measures
 //! what the paper measures: per-category peak tensor bytes, allocator
@@ -59,7 +65,6 @@
 //! ```
 
 pub mod analytic;
-pub mod bptt;
 pub mod builder;
 pub mod checkpoint;
 pub mod cluster;
@@ -75,8 +80,8 @@ pub mod runner;
 pub mod sam;
 mod shard;
 pub mod stats;
-pub mod tbptt;
 pub mod transport;
+mod windowed;
 
 pub use analytic::{AnalyticBreakdown, AnalyticModel};
 pub use builder::{SessionBuilder, WORKERS_ENV};

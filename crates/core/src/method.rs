@@ -128,62 +128,37 @@ impl Method {
     }
 
     /// Check the paper's validity constraints for training `net` over
-    /// `timesteps`.
+    /// `timesteps`: everything [`Method::validate_structure`] checks, then
+    /// the semantic bounds `T/C ≥ L_n` (Section V-A) and Eq. 7.
     ///
     /// # Errors
     ///
     /// Returns the first violated constraint (see [`MethodError`]).
     pub fn validate(&self, net: &SpikingNetwork, timesteps: usize) -> Result<(), MethodError> {
-        let layers = net.spiking_layer_count();
-        match self {
-            Method::Bptt => Ok(()),
-            Method::Checkpointed { checkpoints } => {
-                Self::validate_segments(*checkpoints, timesteps, layers)
-            }
+        self.validate_structure(net, timesteps)?;
+        let (checkpoints, percentile) = match self {
+            Method::Checkpointed { checkpoints } => (*checkpoints, 0.0),
             Method::Skipper {
                 checkpoints,
                 percentile,
-            } => {
-                Self::validate_segments(*checkpoints, timesteps, layers)?;
-                if !(0.0..100.0).contains(percentile) {
-                    return Err(MethodError::BadPercentile {
-                        percentile: *percentile,
-                    });
-                }
-                let bound = max_skippable_percentile(timesteps, *checkpoints, layers);
-                if *percentile > bound {
-                    return Err(MethodError::TooManySkips {
-                        percentile: *percentile,
-                        max_percentile: bound,
-                    });
-                }
-                Ok(())
-            }
-            Method::Tbptt { window } => {
-                if *window == 0 || *window > timesteps {
-                    Err(MethodError::BadWindow {
-                        window: *window,
-                        timesteps,
-                    })
-                } else {
-                    Ok(())
-                }
-            }
-            Method::TbpttLbp { window, taps } => {
-                if *window == 0 || *window > timesteps {
-                    return Err(MethodError::BadWindow {
-                        window: *window,
-                        timesteps,
-                    });
-                }
-                let modules = net.modules().len();
-                let ascending = taps.windows(2).all(|w| w[0] < w[1]);
-                if taps.is_empty() || !ascending || taps.iter().any(|&t| t == 0 || t >= modules) {
-                    return Err(MethodError::BadTaps);
-                }
-                Ok(())
-            }
+            } => (*checkpoints, *percentile),
+            _ => return Ok(()),
+        };
+        let layers = net.spiking_layer_count();
+        if checkpoints > max_checkpoints(timesteps, layers) {
+            return Err(MethodError::SegmentShorterThanDepth {
+                segment: timesteps / checkpoints,
+                layers,
+            });
         }
+        let max_percentile = max_skippable_percentile(timesteps, checkpoints, layers);
+        if percentile > max_percentile {
+            return Err(MethodError::TooManySkips {
+                percentile,
+                max_percentile,
+            });
+        }
+        Ok(())
     }
 
     /// The structural subset of [`Method::validate`]: only the conditions
@@ -248,26 +223,6 @@ impl Method {
                 Ok(())
             }
         }
-    }
-
-    fn validate_segments(
-        checkpoints: usize,
-        timesteps: usize,
-        layers: usize,
-    ) -> Result<(), MethodError> {
-        if checkpoints == 0 || checkpoints > timesteps {
-            return Err(MethodError::BadCheckpointCount {
-                checkpoints,
-                timesteps,
-            });
-        }
-        if checkpoints > max_checkpoints(timesteps, layers) {
-            return Err(MethodError::SegmentShorterThanDepth {
-                segment: timesteps / checkpoints,
-                layers,
-            });
-        }
-        Ok(())
     }
 }
 

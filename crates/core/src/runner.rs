@@ -1,20 +1,17 @@
 //! [`TrainSession`]: one façade over all training methods, with the
 //! measurement harness wrapped around every iteration.
 
-use crate::bptt::bptt_step;
 use crate::builder::SessionBuilder;
-use crate::checkpoint::{checkpointed_step, checkpointed_step_with};
 use crate::cluster::Coordinator;
 use crate::engine::Engine;
 use crate::error::SkipperError;
 use crate::governor::{relieve_pressure, GovernorAction};
-use crate::lbp::{lbp_step, LocalClassifiers};
+use crate::lbp::LocalClassifiers;
 use crate::method::Method;
 use crate::resume::SessionState;
 use crate::sam::{SamMetric, SkipPolicy};
-use crate::shard::Iteration;
+use crate::shard::{run_unsharded, Iteration};
 use crate::stats::{BatchStats, EvalStats};
-use crate::tbptt::tbptt_step;
 use skipper_memprof::{reset_peaks, snapshot, take_op_log, MemorySnapshot, OpLog};
 use skipper_snn::serialize::{apply_records, ParamRecord};
 use skipper_snn::{Optimizer, OptimizerState, SpikingNetwork};
@@ -369,41 +366,8 @@ impl TrainSession {
                 engine_ops = outcome.ops;
                 outcome.step
             } else {
-                match self.method.clone() {
-                    Method::Bptt => bptt_step(&mut self.net, inputs, labels, iter_seed),
-                    Method::Checkpointed { checkpoints } => checkpointed_step(
-                        &mut self.net,
-                        inputs,
-                        labels,
-                        iter_seed,
-                        checkpoints,
-                        0.0,
-                    ),
-                    Method::Skipper {
-                        checkpoints,
-                        percentile,
-                    } => checkpointed_step_with(
-                        &mut self.net,
-                        inputs,
-                        labels,
-                        iter_seed,
-                        checkpoints,
-                        percentile,
-                        self.sam_metric,
-                        self.skip_policy,
-                    ),
-                    Method::Tbptt { window } => {
-                        tbptt_step(&mut self.net, inputs, labels, iter_seed, window)
-                    }
-                    Method::TbpttLbp { window, .. } => {
-                        let aux = self
-                            .aux
-                            .as_mut()
-                            // lint:allow(panic): aux classifiers are built at construction for TbpttLbp (method validation)
-                            .expect("aux classifiers built at construction");
-                        lbp_step(&mut self.net, aux, inputs, labels, iter_seed, window)
-                    }
-                }
+                run_unsharded(&mut self.net, self.aux.as_mut(), &sharded)
+                    .map_err(SkipperError::Config)?
             };
             if self.poison_loss_at == Some(self.iteration) {
                 result.loss = f64::NAN;

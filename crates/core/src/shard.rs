@@ -16,7 +16,10 @@
 //! plan, the cross-shard SAM sum formed *before* the SST percentile (paper
 //! Section VI, Eq. 5: skip decisions are network-wide), the fixed-order
 //! [`tree_reduce`] and the loss fold. [`ShardWorker::handle`] is the worker
-//! side: the only caller of the shard-aware cores.
+//! side. It and [`run_unsharded`] — the `workers(1)` reference, the whole
+//! batch as one shard harvested straight into the stores — are the only
+//! callers of the two shard-aware cores ([`crate::windowed`],
+//! [`crate::checkpoint`]), and [`two_round`] is what picks between them.
 //!
 //! # Determinism
 //!
@@ -31,7 +34,7 @@
 //!   the shard index, never by arrival order;
 //! * per-sample losses are concatenated in global row order and folded
 //!   exactly like the unsharded accumulation
-//!   ([`combine_loss_groups`](crate::bptt::combine_loss_groups));
+//!   ([`combine_loss_groups`]);
 //! * SAM spike sums are exact integers in `f64`, so their cross-shard sum
 //!   is grouping-invariant and the schedule is bit-identical to the
 //!   unsharded monitor's.
@@ -55,14 +58,15 @@
 //! * TBPTT-LBP needs the session's auxiliary classifiers on the worker,
 //!   and a wire worker has none: [`reject_lbp_over_wire`].
 
-use crate::bptt::{bptt_core, combine_loss_groups, StepResult};
-use crate::checkpoint::{checkpoint_backward, checkpoint_forward, PhaseAOut};
+use crate::checkpoint::{
+    checkpoint_backward, checkpoint_forward, checkpointed_step_with, PhaseAOut,
+};
 use crate::error::SkipperError;
-use crate::lbp::{lbp_core, LocalClassifiers};
+use crate::lbp::LocalClassifiers;
 use crate::method::{segment_bounds, Method};
 use crate::sam::{decide_skips, emit_skip_trace, SamMetric, SkipPolicy, SpikeActivityMonitor};
-use crate::tbptt::tbptt_core;
 use crate::transport::{ResultPayload, WireGrads, WorkCtx};
+use crate::windowed::{combine_loss_groups, windowed_core, StepResult};
 use skipper_autograd::Graph;
 use skipper_memprof::{Category, CategoryGuard};
 use skipper_snn::{ParamBinder, ParamStore, ShardGrads, SpikingNetwork};
@@ -191,8 +195,9 @@ fn slice_rows(inputs: &[Tensor], range: &Range<usize>) -> Vec<Tensor> {
         .collect()
 }
 
-/// `(checkpoints, percentile)` of the two-round methods; `None` for the
-/// methods whose whole step is one `Single` round.
+/// Picks the core: `(checkpoints, percentile)` of the two-round methods
+/// (untaped first pass + recompute); `None` for the methods whose whole
+/// step is one `Single` round of the taped core (see [`window_and_heads`]).
 fn two_round(method: &Method) -> Option<(usize, f32)> {
     match method {
         Method::Checkpointed { checkpoints } => Some((*checkpoints, 0.0)),
@@ -202,6 +207,64 @@ fn two_round(method: &Method) -> Option<(usize, f32)> {
         } => Some((*checkpoints, *percentile)),
         Method::Bptt | Method::Tbptt { .. } | Method::TbpttLbp { .. } => None,
     }
+}
+
+/// A one-round method as the taped core runs it: its window and its heads.
+/// BPTT is one window of `T` with no taps, TBPTT shortens the window, and
+/// TBPTT-LBP brings the session's auxiliary classifiers.
+fn window_and_heads<'a>(
+    method: &Method,
+    timesteps: usize,
+    aux: Option<&'a mut LocalClassifiers>,
+    no_taps: &'a mut LocalClassifiers,
+) -> Result<(usize, &'a mut LocalClassifiers), String> {
+    match method {
+        Method::Bptt => Ok((timesteps, no_taps)),
+        Method::Tbptt { window } => Ok((*window, no_taps)),
+        Method::TbpttLbp { window, .. } => aux
+            .map(|aux| (*window, aux))
+            .ok_or_else(|| "TBPTT-LBP needs auxiliary classifiers on the worker".into()),
+        other => Err(format!("{other} is not a single-dispatch method")),
+    }
+}
+
+/// The unsharded reference (`workers(1)`): the whole batch as one shard of
+/// the core [`two_round`] picks, harvested straight into the parameter
+/// stores.
+///
+/// # Errors
+///
+/// TBPTT-LBP without auxiliary classifiers.
+pub(crate) fn run_unsharded(
+    net: &mut SpikingNetwork,
+    aux: Option<&mut LocalClassifiers>,
+    it: &Iteration<'_>,
+) -> Result<StepResult, String> {
+    if let Some((checkpoints, percentile)) = two_round(it.method) {
+        return Ok(checkpointed_step_with(
+            net,
+            it.inputs,
+            it.labels,
+            it.seed,
+            checkpoints,
+            percentile,
+            it.metric,
+            it.policy,
+        ));
+    }
+    let mut no_taps = LocalClassifiers::none();
+    let (window, aux) = window_and_heads(it.method, it.inputs.len(), aux, &mut no_taps)?;
+    Ok(windowed_core(
+        net,
+        aux,
+        it.inputs,
+        it.labels,
+        it.seed,
+        window,
+        ShardCtx::full(it.inputs[0].shape()[0]),
+        &mut GradSink::Direct,
+        &mut GradSink::Direct,
+    ))
 }
 
 /// A wire worker rebuilds the network from the model spec alone and has no
@@ -497,47 +560,24 @@ impl ShardWorker {
                     start = ctx.batch_offset,
                     rows = labels.len()
                 );
-                let shard = shard_ctx(&ctx);
+                let mut no_taps = LocalClassifiers::none();
+                let (window, aux) =
+                    window_and_heads(&ctx.method, inputs.len(), self.aux.as_mut(), &mut no_taps)?;
                 let mut grads = ShardGrads::for_store(self.net.params());
-                let mut sink = GradSink::Shard(&mut grads);
-                let mut aux_grads = Vec::new();
-                let step = match &ctx.method {
-                    Method::Bptt => {
-                        bptt_core(&mut self.net, &inputs, &labels, ctx.seed, shard, &mut sink)
-                    }
-                    Method::Tbptt { window } => tbptt_core(
-                        &mut self.net,
-                        &inputs,
-                        &labels,
-                        ctx.seed,
-                        *window,
-                        shard,
-                        &mut sink,
-                    ),
-                    Method::TbpttLbp { window, .. } => {
-                        let aux = self
-                            .aux
-                            .as_mut()
-                            .ok_or("TBPTT-LBP needs auxiliary classifiers on the worker")?;
-                        let mut aux_buf = ShardGrads::for_store(aux.store());
-                        let step = lbp_core(
-                            &mut self.net,
-                            aux,
-                            &inputs,
-                            &labels,
-                            ctx.seed,
-                            *window,
-                            shard,
-                            &mut sink,
-                            &mut GradSink::Shard(&mut aux_buf),
-                        );
-                        aux_grads = aux_buf.into_raw();
-                        step
-                    }
-                    other => return Err(format!("{other} is not a single-dispatch method")),
-                };
+                let mut aux_grads = ShardGrads::for_store(aux.store());
+                let step = windowed_core(
+                    &mut self.net,
+                    aux,
+                    &inputs,
+                    &labels,
+                    ctx.seed,
+                    window,
+                    shard_ctx(&ctx),
+                    &mut GradSink::Shard(&mut grads),
+                    &mut GradSink::Shard(&mut aux_grads),
+                );
                 let mut grads = grads.into_raw();
-                grads.extend(aux_grads);
+                grads.extend(aux_grads.into_raw());
                 Ok(ResultPayload::Single {
                     loss_groups: step.loss_groups,
                     correct: step.correct as u32,
@@ -637,6 +677,27 @@ fn shard_ctx(ctx: &WorkCtx) -> ShardCtx {
         global_batch: ctx.global_batch as usize,
         batch_offset: ctx.batch_offset as usize,
     }
+}
+
+/// [`run_unsharded`] under the paper's spike-sum metric and spike-activity
+/// policy, for methods that need no auxiliary classifiers.
+#[cfg(test)]
+pub(crate) fn reference_step(
+    net: &mut SpikingNetwork,
+    method: &Method,
+    inputs: &[Tensor],
+    labels: &[usize],
+    seed: u64,
+) -> StepResult {
+    let it = Iteration {
+        method,
+        inputs,
+        labels,
+        seed,
+        metric: SamMetric::SpikeSum,
+        policy: SkipPolicy::SpikeActivity,
+    };
+    run_unsharded(net, None, &it).expect("no auxiliary classifiers needed")
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 const D1: &str = "\
 D1 · determinism — no nondeterminism sources in the numeric core
 
-Scope: crates/core/src/{engine,shard,checkpoint,sam,bptt,tbptt,lbp}.rs,
+Scope: crates/core/src/{engine,shard,checkpoint,sam,windowed,lbp}.rs,
        crates/autograd/src/**, crates/snn/src/**  (non-test code)
 
 Forbidden: HashMap / HashSet (iteration order varies per process),

@@ -59,13 +59,12 @@ pub const LIB_CRATES: [&str; 9] = [
 
 /// `crates/core/src` files that are part of the numeric core (D1/D2), in
 /// addition to all of `crates/autograd/src` and `crates/snn/src`.
-pub const CORE_NUMERIC_FILES: [&str; 7] = [
+pub const CORE_NUMERIC_FILES: [&str; 6] = [
     "engine.rs",
     "shard.rs",
     "checkpoint.rs",
     "sam.rs",
-    "bptt.rs",
-    "tbptt.rs",
+    "windowed.rs",
     "lbp.rs",
 ];
 

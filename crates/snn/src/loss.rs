@@ -79,7 +79,8 @@ pub fn softmax_cross_entropy_scaled(
     );
     let mut dlogits = Tensor::zeros([b, k]);
     let mut per_sample = Vec::with_capacity(b);
-    let mut correct = 0usize;
+    let predicted = logits.argmax_rows();
+    let correct = predicted.iter().zip(labels).filter(|(p, l)| p == l).count();
     {
         let dl = dlogits.data_mut();
         for (r, &label) in labels.iter().enumerate() {
@@ -90,15 +91,6 @@ pub fn softmax_cross_entropy_scaled(
             let denom: f64 = exps.iter().sum();
             let log_p = (exps[label] / denom).ln();
             per_sample.push(-log_p);
-            let argmax = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            if argmax == label {
-                correct += 1;
-            }
             for (c, &e) in exps.iter().enumerate() {
                 let softmax = (e / denom) as f32;
                 let one_hot = if c == label { 1.0 } else { 0.0 };

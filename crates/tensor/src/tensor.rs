@@ -348,7 +348,8 @@ impl Tensor {
             .fold(f32::NEG_INFINITY, f32::max)
     }
 
-    /// Index of the maximum element in each row of a rank-2 tensor.
+    /// Index of the maximum element in each row of a rank-2 tensor; ties
+    /// resolve to the lowest index (and so does a row without columns).
     ///
     /// # Panics
     ///
@@ -359,11 +360,13 @@ impl Tensor {
         (0..rows)
             .map(|r| {
                 let row = &data[r * cols..(r + 1) * cols];
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
+                let mut best = 0usize;
+                for (i, &v) in row.iter().enumerate() {
+                    if v > row[best] {
+                        best = i;
+                    }
+                }
+                best
             })
             .collect()
     }
@@ -484,6 +487,12 @@ mod tests {
         assert_eq!(t.argmax_rows(), vec![0, 0]);
         let u = Tensor::from_vec(vec![-1.0, 2.0, 5.0, 0.5], [2, 2]);
         assert_eq!(u.argmax_rows(), vec![1, 0]);
+        let ties = Tensor::from_vec(vec![0.0, 0.0, 0.0, 1.0, 2.0, 2.0], [2, 3]);
+        assert_eq!(
+            ties.argmax_rows(),
+            vec![0, 1],
+            "ties go to the lowest index"
+        );
     }
 
     #[test]

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# Size trend of the workspace (ROADMAP item 6): non-test lines per crate
-# and the number of lint waivers outside the lint crate. Fails when the two
-# numbers this repo has committed to are exceeded, so growth is a decision
-# made by editing this file, not an accident.
+# Size trend of the workspace (ROADMAP item 6): non-test lines and `pub`
+# items per crate, and the number of lint waivers outside the lint crate.
+# Fails when the two numbers this repo has committed to (core lines,
+# waivers) are exceeded, so growth is a decision made by editing this file,
+# not an accident; the `pub` count is reported only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Ceilings: the values at the commit that last edited them. Lower them when
 # a PR shrinks the code; raise them only with a reason in the PR.
-MAX_CORE_LINES=8016
-MAX_WAIVERS=42
+MAX_CORE_LINES=7743
+MAX_WAIVERS=40
 
 # Lines of each src file up to its first `#[cfg(test)]` (all of it if none).
 non_test_lines() {
@@ -18,10 +19,18 @@ non_test_lines() {
         awk '{ sum += $1 } END { print sum + 0 }'
 }
 
-printf '%-10s %s\n' crate non-test-lines
+# `pub` items (fn, struct, enum, trait, mod, const, type) in the same lines.
+pub_items() {
+    find "$1" -name '*.rs' -print0 |
+        xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+            !test && /^[[:space:]]*pub (fn|struct|enum|trait|mod|const|type)/ { n++ } END { print n + 0 }' |
+        awk '{ sum += $1 } END { print sum + 0 }'
+}
+
+printf '%-10s %-14s %s\n' crate non-test-lines pub-items
 for src in crates/*/src; do
     crate=$(basename "$(dirname "$src")")
-    printf '%-10s %s\n' "$crate" "$(non_test_lines "$src")"
+    printf '%-10s %-14s %s\n' "$crate" "$(non_test_lines "$src")" "$(pub_items "$src")"
 done
 
 core_lines=$(non_test_lines crates/core/src)
