@@ -6,7 +6,7 @@
 //! loopback port, so they parallelize freely; metric assertions use
 //! before/after deltas because the obs registry is process-global.
 
-use skipper_core::InferSession;
+use skipper_core::{InferSession, InferSkip};
 use skipper_serve::{
     Gateway, GatewayConfig, ModelPool, PredictRequest, PredictResponse, SloConfig, SloStatus,
     TenantConfig, TenantsResponse,
@@ -39,6 +39,24 @@ fn encode(seed: u64) -> Vec<f32> {
         out.extend_from_slice(frame.data());
     }
     out
+}
+
+/// [`encode`] with every odd timestep silenced, so that half of the
+/// train lies strictly below any spike-sum threshold taken from the
+/// other half.
+fn encode_quiet_odd(seed: u64) -> Vec<f32> {
+    let mut out = encode(seed);
+    for step in out.chunks_exact_mut(PER_STEP).skip(1).step_by(2) {
+        step.fill(0.0);
+    }
+    out
+}
+
+fn to_steps(inputs: &[f32]) -> Vec<Tensor> {
+    inputs
+        .chunks_exact(PER_STEP)
+        .map(|s| Tensor::from_vec(s.to_vec(), [1, 3, 8, 8]))
+        .collect()
 }
 
 fn request_body(tenant: &str, inputs: &[f32], deadline_ms: Option<u64>) -> String {
@@ -89,10 +107,7 @@ fn parse_response(raw: &str) -> (u16, String) {
 
 /// Direct (no gateway) reference prediction for one encoded sample.
 fn solo_predict(session: &InferSession, inputs: &[f32]) -> Vec<f32> {
-    let steps: Vec<Tensor> = inputs
-        .chunks_exact(PER_STEP)
-        .map(|s| Tensor::from_vec(s.to_vec(), [1, 3, 8, 8]))
-        .collect();
+    let steps = to_steps(inputs);
     session.predict(&steps).unwrap().logits.data().to_vec()
 }
 
@@ -101,6 +116,22 @@ fn start_gateway(cfg: GatewayConfig, pool: ModelPool) -> (Gateway, SocketAddr) {
     let mut gateway = Gateway::start(cfg, pool, router).unwrap();
     let addr = gateway.bind("127.0.0.1:0").unwrap();
     (gateway, addr)
+}
+
+/// `GET /slo` until the engine (evaluating every 20 ms) has reported
+/// both of its windows.
+fn wait_for_slo_windows(addr: SocketAddr) -> SloStatus {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (status, body) = get(addr, "/slo");
+        assert_eq!(status, 200, "body: {body}");
+        let slo: SloStatus = serde_json::from_str(&body).expect("/slo body parses");
+        if slo.windows.len() == 2 {
+            return slo;
+        }
+        assert!(Instant::now() < deadline, "engine never evaluated: {slo:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 fn counter(name: &str) -> f64 {
@@ -223,6 +254,15 @@ fn deadline_budget_cuts_the_coalescing_window_short() {
 fn tenant_overload_sheds_with_typed_429_and_spares_other_tenants() {
     let sink = skipper_obs::add_sink(Box::new(skipper_obs::NullSink));
     let shed_before = counter("serve.shed{reason=rate_limited}");
+    // The sheds that do spend availability budget; other tests of this
+    // process cause some, and the registry is shared.
+    let involuntary = || -> f64 {
+        ["queue_full", "deadline", "shutdown"]
+            .iter()
+            .map(|reason| counter(&format!("serve.shed{{reason={reason}}}")))
+            .sum()
+    };
+    let involuntary_before = involuntary();
     let cfg = GatewayConfig {
         tenants: vec![
             // Effectively no refill within the test's lifetime.
@@ -230,6 +270,10 @@ fn tenant_overload_sheds_with_typed_429_and_spares_other_tenants() {
             TenantConfig::new("big", 1000.0, 1000.0),
         ],
         max_delay: Duration::from_millis(2),
+        slo: Some(SloConfig {
+            eval_period: Duration::from_millis(20),
+            ..SloConfig::default()
+        }),
         ..GatewayConfig::default()
     };
     let (_gateway, addr) = start_gateway(cfg, ModelPool::fixed(InferSession::new(small_net())));
@@ -259,6 +303,13 @@ fn tenant_overload_sheds_with_typed_429_and_spares_other_tenants() {
     assert_eq!(status, 400, "body: {body}");
 
     assert!(counter("serve.shed{reason=rate_limited}") >= shed_before + 4.0);
+
+    // A typed 429 is policy, not failure: the SLO engine counts none of
+    // the four as a shed, so on its own this traffic burns no budget.
+    let slo = wait_for_slo_windows(addr);
+    let elsewhere = involuntary() - involuntary_before;
+    assert!(slo.windows.iter().all(|w| w.shed <= elsewhere), "{slo:?}");
+    assert!(slo.healthy || elsewhere > 0.0, "{slo:?}");
     skipper_obs::remove_sink(sink);
 }
 
@@ -346,10 +397,7 @@ fn hot_reload_swaps_weights_mid_traffic_without_failing_requests() {
             .workers(1)
             .build()
             .unwrap();
-    let train_inputs: Vec<Tensor> = encode(5)
-        .chunks_exact(PER_STEP)
-        .map(|s| Tensor::from_vec(s.to_vec(), [1, 3, 8, 8]))
-        .collect();
+    let train_inputs = to_steps(&encode(5));
     for _ in 0..3 {
         trainer.train_batch(&train_inputs, &[3]);
     }
@@ -430,18 +478,7 @@ fn slo_endpoint_evaluates_and_phases_attribute_request_time() {
     let (status, body) = post(addr, "/v1/predict", &request_body("slo", &encode(91), None));
     assert_eq!(status, 200, "body: {body}");
 
-    // The engine evaluates every 20 ms; wait until both windows appear.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let slo: SloStatus = loop {
-        let (status, body) = get(addr, "/slo");
-        assert_eq!(status, 200, "body: {body}");
-        let parsed: SloStatus = serde_json::from_str(&body).expect("/slo body parses");
-        if parsed.windows.len() == 2 || Instant::now() >= deadline {
-            break parsed;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    assert_eq!(slo.windows.len(), 2, "engine never evaluated: {slo:?}");
+    let slo = wait_for_slo_windows(addr);
     assert_eq!(slo.windows[0].window, "short");
     assert_eq!(slo.windows[1].window, "long");
     assert!(slo.healthy, "one fast request must not breach: {slo:?}");
@@ -464,5 +501,70 @@ fn slo_endpoint_evaluates_and_phases_attribute_request_time() {
             "{name} recorded no exemplar"
         );
     }
+    skipper_obs::remove_sink(sink);
+}
+
+#[test]
+fn inference_time_skipping_early_exits_quiet_steps_like_a_direct_session() {
+    // Percentile 55, not 50: the nearest-rank threshold over an even
+    // quiet/dense split then lands on a dense step, and every quiet step
+    // is strictly below it (p50 would land on a quiet step and the strict
+    // `<` would skip nothing).
+    let skip = InferSkip {
+        percentile: 55.0,
+        min_steps: 1,
+    };
+    let sink = skipper_obs::add_sink(Box::new(skipper_obs::NullSink));
+    let skipped_before = counter("serve.steps_skipped");
+    let cfg = GatewayConfig {
+        tenants: vec![TenantConfig::new("acme", 1000.0, 1000.0)],
+        max_delay: Duration::from_millis(2),
+        skip: Some(skip),
+        ..GatewayConfig::default()
+    };
+    let pool = ModelPool::fixed(InferSession::new(small_net()).with_skip(skip));
+    let (_gateway, addr) = start_gateway(cfg, pool);
+
+    let inputs = encode_quiet_odd(1);
+    let (status, body) = post(addr, "/v1/predict", &request_body("acme", &inputs, None));
+    assert_eq!(status, 200, "body: {body}");
+    let resp: PredictResponse = serde_json::from_str(&body).unwrap();
+    assert!(resp.skipped_steps > 0, "nothing early-exited: {resp:?}");
+    assert_eq!(resp.skipped_steps + resp.evaluated_steps, T);
+
+    let direct = InferSession::new(small_net())
+        .with_skip(skip)
+        .predict(&to_steps(&inputs))
+        .unwrap();
+    assert_eq!(resp.skipped_steps, direct.skipped_steps);
+    assert!(counter("serve.steps_skipped") >= skipped_before + resp.skipped_steps as f64);
+    skipper_obs::remove_sink(sink);
+}
+
+#[test]
+fn sampled_profile_nests_the_forward_pass_under_the_batcher() {
+    let sink = skipper_obs::add_sink(Box::new(skipper_obs::NullSink));
+    let cfg = GatewayConfig {
+        tenants: vec![TenantConfig::new("acme", 100_000.0, 100_000.0)],
+        max_delay: Duration::from_millis(1),
+        ..GatewayConfig::default()
+    };
+    let (_gateway, addr) = start_gateway(cfg, ModelPool::fixed(InferSession::new(small_net())));
+
+    // A forward pass of this net is far shorter than a sampling period:
+    // keep serving until a sample falls inside one.
+    let profiler = skipper_obs::Profiler::start(1999.0);
+    let body = request_body("acme", &encode(1), None);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !skipper_obs::profile::folded_text().contains("gateway_batch;execute") {
+        assert!(
+            Instant::now() < deadline,
+            "no sample with execute under gateway_batch:\n{}",
+            skipper_obs::profile::folded_text()
+        );
+        let (status, text) = post(addr, "/v1/predict", &body);
+        assert_eq!(status, 200, "body: {text}");
+    }
+    drop(profiler);
     skipper_obs::remove_sink(sink);
 }
