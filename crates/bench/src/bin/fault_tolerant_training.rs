@@ -80,8 +80,8 @@ fn parse_args() -> Args {
 
 fn main() {
     // Installs the env-driven sinks, serves SKIPPER_OBS_ADDR and flushes
-    // everything on exit (this bin can also exit via process::exit in the
-    // crash injection path — the manifest then covers the surviving run).
+    // everything on a normal exit (the crash-injection path leaves through
+    // process::exit, as a crash would).
     let _run = skipper_bench::BenchRun::start("fault_tolerant_training");
     let args = parse_args();
     let w = Workload::build_for_measurement(WorkloadKind::CustomNetNmnist);

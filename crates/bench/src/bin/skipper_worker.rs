@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! # terminal 1 — any trainer built with .cluster(Coordinator::listen_tcp(..))
-//! dist_loopback --serve 127.0.0.1:7177
+//! SKIPPER_CLUSTER_ADDR=127.0.0.1:7177 cluster_host
 //!
 //! # terminals 2..n — one worker each
 //! SKIPPER_CLUSTER_ADDR=127.0.0.1:7177 skipper_worker --id 1
@@ -54,9 +54,8 @@ fn parse_args() -> Args {
 fn main() {
     // `std::process::exit` skips destructors, so all exit codes funnel
     // through `real_main`'s return value: the `BenchRun` guard (which
-    // flushes obs sinks — JSONL streams, the flight-recorder's instants —
-    // and saves the manifest) drops on every path, including
-    // disconnect/kill failures.
+    // flushes obs sinks — JSONL streams, the flight-recorder's instants)
+    // drops on every path, including disconnect/kill failures.
     std::process::exit(real_main());
 }
 

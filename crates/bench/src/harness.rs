@@ -1,91 +1,58 @@
-//! Per-binary observability harness: one RAII guard that standardizes how
-//! every bench bin starts and ends its instrumented life.
+//! Per-run observability harness: one RAII guard that standardizes how
+//! a bench bin (or one figure of `figures`) starts and ends its
+//! instrumented life.
 //!
 //! [`BenchRun::start`] clears the metrics registry, installs a
 //! [`NullSink`](skipper_obs::NullSink) (so the registry aggregates even
-//! with no other sink), honors the `SKIPPER_OBS`, `SKIPPER_OBS_ADDR` and
-//! `SKIPPER_OBS_JSONL` environment knobs, and starts the wall clock. Dropping the guard —
-//! including on early return — collects a
-//! [`RunManifest`](skipper_report::RunManifest) from the registry, saves
-//! it as `results/BENCH_<name>.json`, stops the metrics endpoint and calls
+//! with no other sink) and honors the `SKIPPER_OBS`, `SKIPPER_OBS_ADDR`
+//! and `SKIPPER_OBS_JSONL` environment knobs. Dropping the guard —
+//! including on early return — stops the metrics endpoint and calls
 //! [`skipper_obs::shutdown`] so file-backed sinks (JSONL, Chrome traces)
 //! are never left truncated.
 //!
 //! The harness also owns the continuous profiler: `SKIPPER_PROF_HZ`
-//! starts the span-stack sampler for any bench (`=0` forces it off even
-//! for benches that profile by default via
-//! [`BenchRun::start_profiled`]), and a profiled run writes its folded
-//! stacks to `results/profile_<name>.folded` — ready for
-//! `flamegraph.pl` or any collapsed-stack viewer.
+//! starts the span-stack sampler, and a profiled run writes its folded
+//! stacks to `results/profile_<name>.folded` — ready for `flamegraph.pl`
+//! or any collapsed-stack viewer.
+//!
+//! It records no timings: how fast the code is, is `benchmark/`'s
+//! question.
 
-use skipper_report::RunManifest;
-use std::time::Instant;
-
-/// RAII harness for one bench binary; see the module docs.
+/// RAII harness for one instrumented run; see the module docs.
 #[derive(Debug)]
 pub struct BenchRun {
     name: &'static str,
-    started: Instant,
     server: Option<skipper_obs::MetricsServer>,
     profiler: Option<skipper_obs::Profiler>,
 }
 
 impl BenchRun {
-    /// Start the harness. Call first thing in `main` and keep the guard
-    /// alive to the end:
+    /// Start the harness. Call first thing and keep the guard alive to
+    /// the end:
     ///
     /// ```no_run
     /// let _run = skipper_bench::BenchRun::start("fig03_time_vs_batch");
     /// // ... benchmark ...
     /// ```
     pub fn start(name: &'static str) -> BenchRun {
-        Self::start_with_profile(name, None)
-    }
-
-    /// [`start`](BenchRun::start), but with the span-stack sampler on at
-    /// `default_hz` when `SKIPPER_PROF_HZ` is unset. The environment
-    /// always wins: an explicit `SKIPPER_PROF_HZ=0` turns the profiler
-    /// off even for a bench that defaults it on.
-    pub fn start_profiled(name: &'static str, default_hz: f64) -> BenchRun {
-        Self::start_with_profile(name, Some(default_hz))
-    }
-
-    fn start_with_profile(name: &'static str, default_hz: Option<f64>) -> BenchRun {
         skipper_obs::registry().clear();
         skipper_obs::add_sink(Box::new(skipper_obs::NullSink::new()));
         skipper_obs::init_from_env();
         skipper_obs::jsonl_from_env();
         let server = skipper_obs::serve_from_env();
         skipper_obs::profile::reset();
-        let profiler = if std::env::var(skipper_obs::profile::HZ_ENV).is_ok() {
-            skipper_obs::Profiler::from_env()
-        } else {
-            default_hz.map(skipper_obs::Profiler::start)
-        };
         BenchRun {
             name,
-            started: Instant::now(),
             server,
-            profiler,
+            profiler: skipper_obs::Profiler::from_env(),
         }
-    }
-
-    /// Worker threads the session builder will default to
-    /// (`SKIPPER_WORKERS`, 1 when unset/invalid).
-    pub fn workers() -> usize {
-        std::env::var("SKIPPER_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1)
     }
 }
 
 impl Drop for BenchRun {
     fn drop(&mut self) {
-        // Stop the sampler first so the folded export is final, then
-        // write the flame-graph artifact next to the manifest.
-        let profiled = self.profiler.take().is_some();
-        if profiled {
+        // Stop the sampler first so the folded export is final.
+        if self.profiler.take().is_some() {
             let folded = skipper_obs::profile::folded_text();
             if !folded.is_empty() {
                 let dir = skipper_report::results_dir();
@@ -100,16 +67,6 @@ impl Drop for BenchRun {
                     ),
                 }
             }
-        }
-        let manifest = RunManifest::collect(
-            self.name,
-            self.started.elapsed().as_secs_f64(),
-            crate::quick_mode(),
-            Self::workers(),
-        );
-        match manifest.save(&skipper_report::results_dir()) {
-            Ok(path) => println!("manifest: {}", path.display()),
-            Err(err) => eprintln!("manifest: failed to save BENCH_{}.json: {err}", self.name),
         }
         // Stop the endpoint before tearing the sinks down: its NullSink
         // keeps `enabled()` true until the very end of the run.

@@ -4,7 +4,7 @@ use skipper_core::{BatchStats, TrainSession};
 use skipper_data::{event_batch, BatchIter, EventDataset, ImageDataset};
 use skipper_memprof::{
     enable_event_log, reset_peaks, take_events, AllocStats, CachingAllocator, Category,
-    DeviceModel, LatencyModel,
+    DeviceModel, LatencyModel, MemorySnapshot, OpLog,
 };
 use skipper_snn::{Encoder, PoissonEncoder};
 use skipper_tensor::{Tensor, XorShiftRng};
@@ -105,66 +105,50 @@ pub struct MeasureConfig {
     pub timesteps: usize,
 }
 
-impl Default for MeasureConfig {
-    fn default() -> Self {
-        MeasureConfig {
-            iterations: 3,
-            warmup: 1,
-            batch: 8,
-            timesteps: 20,
-        }
-    }
-}
-
-/// What one measurement run produced (means over the instrumented
-/// iterations; peaks are maxima).
+/// What one measurement run produced. Everything in it is a count the
+/// run repeats exactly; what depends on a device model
+/// ([`modeled_s`](Measurement::modeled_s),
+/// [`overall_bytes`](Measurement::overall_bytes)) is derived on demand, so
+/// one run serves every device.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    /// Mean wall-clock seconds per iteration (real CPU execution).
-    pub wall_s: f64,
-    /// Mean modeled device seconds per iteration.
-    pub modeled_s: f64,
+    /// Kernel log of each instrumented iteration.
+    ops: Vec<OpLog>,
+    /// Per-category peaks of the last instrumented iteration.
+    mem: MemorySnapshot,
     /// Peak coincident tensor bytes.
     pub tensor_peak: u64,
-    /// Peak bytes per category.
-    pub peaks: Vec<(Category, u64)>,
     /// Caching-allocator statistics over the instrumented window.
     pub alloc: AllocStats,
-    /// `nvidia-smi`-style overall bytes: context + reserved.
-    pub overall_bytes: u64,
-    /// Mean loss.
-    pub loss: f64,
-    /// Mean accuracy over the instrumented iterations.
-    pub accuracy: f64,
-    /// Total timesteps skipped.
-    pub skipped: usize,
-    /// Total timesteps recomputed.
-    pub recomputed: usize,
-    /// Mean kernel FLOPs per iteration.
-    pub flops: f64,
 }
 
 impl Measurement {
     /// Peak bytes of one category.
     pub fn peak(&self, category: Category) -> u64 {
-        self.peaks
-            .iter()
-            .find(|(c, _)| *c == category)
-            .map(|(_, b)| *b)
-            .unwrap_or(0)
+        self.mem.peak(category)
+    }
+
+    /// Mean modeled seconds per iteration on `device` (its roofline over
+    /// the logged kernels).
+    pub fn modeled_s(&self, device: &DeviceModel) -> f64 {
+        let latency = LatencyModel::new(device.clone());
+        self.ops.iter().map(|ops| latency.time_s(ops)).sum::<f64>() / self.ops.len() as f64
+    }
+
+    /// `nvidia-smi`-style overall bytes on `device`: its context plus what
+    /// the caching allocator reserved.
+    pub fn overall_bytes(&self, device: &DeviceModel) -> u64 {
+        device.overall_bytes(self.alloc.reserved)
     }
 }
 
 /// Run `cfg.warmup + cfg.iterations` training iterations of `session` on
-/// repeated batches from `source`, measuring under `device`'s latency and
-/// context models.
+/// repeated batches from `source`.
 pub fn measure(
     session: &mut TrainSession,
     source: &DataSource,
     cfg: &MeasureConfig,
-    device: &DeviceModel,
 ) -> Measurement {
-    let latency = LatencyModel::new(device.clone());
     let mut rng = XorShiftRng::new(0xBEEF);
     // Warm-up (not instrumented).
     for _ in 0..cfg.warmup {
@@ -178,32 +162,11 @@ pub fn measure(
         let (inputs, labels) = source.first_batch(cfg.batch, cfg.timesteps, &mut rng);
         batches.push(session.train_batch(&inputs, &labels));
     }
-    let events = take_events();
-    let alloc = CachingAllocator::replay(&events);
-    let n = cfg.iterations as f64;
-    let snap = batches
-        .last()
-        .map(|b| b.mem)
-        .expect("at least one iteration");
-    // Persistent bytes (weights, grads, optimizer) + per-iteration peak
-    // reserve drive the nvidia-smi number.
-    let overall = device.overall_bytes(alloc.reserved);
     Measurement {
-        wall_s: batches.iter().map(|b| b.wall.as_secs_f64()).sum::<f64>() / n,
-        modeled_s: batches
-            .iter()
-            .map(|b| b.modeled_time_s(&latency))
-            .sum::<f64>()
-            / n,
+        mem: batches.last().expect("at least one iteration").mem,
         tensor_peak: batches.iter().map(|b| b.peak_bytes()).max().unwrap_or(0),
-        peaks: Category::ALL.iter().map(|&c| (c, snap.peak(c))).collect(),
-        alloc,
-        overall_bytes: overall,
-        loss: batches.iter().map(|b| b.loss).sum::<f64>() / n,
-        accuracy: batches.iter().map(|b| b.accuracy()).sum::<f64>() / n,
-        skipped: batches.iter().map(|b| b.skipped_steps).sum(),
-        recomputed: batches.iter().map(|b| b.recomputed_steps).sum(),
-        flops: batches.iter().map(|b| b.ops.total_flops()).sum::<f64>() / n,
+        alloc: CachingAllocator::replay(&take_events()),
+        ops: batches.into_iter().map(|b| b.ops).collect(),
     }
 }
 
@@ -238,14 +201,17 @@ mod tests {
             batch: 4,
             timesteps: 12,
         };
-        let m = measure(&mut session, &w.train, &cfg, &DeviceModel::a100_80gb());
-        assert!(m.wall_s > 0.0);
-        assert!(m.modeled_s > 0.0);
+        let m = measure(&mut session, &w.train, &cfg);
         assert!(m.tensor_peak > 0);
         assert!(m.alloc.reserved >= m.alloc.peak_allocated);
-        assert!(m.overall_bytes > m.alloc.reserved);
         assert!(m.peak(Category::Activations) > 0);
-        assert!(m.flops > 0.0);
+        // One run, two devices: the slower device models more time and
+        // the larger context more bytes.
+        let (a100, nano) = (DeviceModel::a100_80gb(), DeviceModel::jetson_nano());
+        assert!(m.modeled_s(&a100) > 0.0);
+        assert!(m.modeled_s(&nano) > m.modeled_s(&a100));
+        assert!(m.overall_bytes(&a100) > m.alloc.reserved);
+        assert!(m.overall_bytes(&nano) > m.overall_bytes(&a100));
     }
 
     #[test]

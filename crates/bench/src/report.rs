@@ -1,8 +1,9 @@
-//! Uniform reporting: print to stdout and persist under `results/`.
+//! Uniform reporting: print to stdout and persist as `<name>.txt` and
+//! `<name>.json`.
 
 use serde::Serialize;
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 
 /// A figure/table report being assembled.
 #[derive(Debug, Default)]
@@ -13,8 +14,7 @@ pub struct Report {
 }
 
 impl Report {
-    /// Start a report for `<name>` (e.g. `"fig07"`); output lands in
-    /// `results/<name>.txt` and `results/<name>.json`.
+    /// Start a report for `<name>` (e.g. `"fig07_memory_vs_checkpoints"`).
     pub fn new(name: impl Into<String>) -> Report {
         Report {
             name: name.into(),
@@ -41,23 +41,10 @@ impl Report {
         self.json.insert(key.into(), v);
     }
 
-    /// Directory the reports are written to (created on demand):
-    /// `results/` next to the workspace root, or the current directory's
-    /// `results/` when run elsewhere.
-    fn results_dir() -> PathBuf {
-        let here = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        let root = here
-            .parent()
-            .and_then(|p| p.parent())
-            .map(|p| p.to_path_buf())
-            .unwrap_or(here);
-        root.join("results")
-    }
-
-    /// Write both artifacts and report their paths.
-    pub fn save(&self) {
-        let dir = Self::results_dir();
-        if let Err(e) = fs::create_dir_all(&dir) {
+    /// Write `<name>.txt` and `<name>.json` into `dir` (created on
+    /// demand) and report their paths.
+    pub fn save(&self, dir: &Path) {
+        if let Err(e) = fs::create_dir_all(dir) {
             eprintln!("warning: cannot create {}: {e}", dir.display());
             return;
         }
@@ -80,11 +67,11 @@ mod tests {
 
     #[test]
     fn report_accumulates_and_saves() {
+        let dir = std::env::temp_dir().join(format!("skipper_report_{}", std::process::id()));
         let mut r = Report::new("unit_test_report");
         r.line("hello");
         r.json("series", vec![1, 2, 3]);
-        r.save();
-        let dir = Report::results_dir();
+        r.save(&dir);
         let txt = std::fs::read_to_string(dir.join("unit_test_report.txt")).unwrap();
         assert!(txt.contains("hello"));
         let json: serde_json::Value = serde_json::from_str(
@@ -92,7 +79,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(json["series"][2], 3);
-        let _ = std::fs::remove_file(dir.join("unit_test_report.txt"));
-        let _ = std::fs::remove_file(dir.join("unit_test_report.json"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -84,11 +84,6 @@ pub fn fit(
     result
 }
 
-/// `--quick` on the command line shrinks a sweep for smoke runs.
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

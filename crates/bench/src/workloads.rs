@@ -94,15 +94,10 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Build a workload at the default laptop scale.
+    /// Build a workload at the default laptop scale, ready to train for
+    /// accuracy.
     pub fn build(kind: WorkloadKind) -> Workload {
-        Workload::build_scaled(kind, 1.0)
-    }
-
-    /// Build with an extra multiplier on the default width (sweeps that
-    /// need something even smaller/larger).
-    pub fn build_scaled(kind: WorkloadKind, extra_width: f32) -> Workload {
-        let mut w = Workload::build_uncalibrated(kind, extra_width);
+        let mut w = Workload::build_raw(kind);
         // The paper's hybrid recipe (Section VII, ref. [37]): frame-based
         // SNNs are pre-initialised from an ANN trained on the same data,
         // then converted (threshold balancing, Diehl et al. [18]) and
@@ -118,19 +113,8 @@ impl Workload {
                 }
             }
         }
-        let mut rng = skipper_tensor::XorShiftRng::new(0xCA11B);
-        let (inputs, _) = w
-            .train
-            .first_batch(8.min(w.train.len()), w.timesteps, &mut rng);
-        let _ = skipper_snn::calibrate_thresholds(&mut w.net, &inputs, 0.08);
+        w.calibrate();
         w
-    }
-
-    /// Build without the hybrid ANN pre-training and threshold calibration
-    /// — raw Kaiming initialisation, for ablations and cost measurements
-    /// that must not pay the pre-training time.
-    pub fn build_raw(kind: WorkloadKind) -> Workload {
-        Workload::build_uncalibrated(kind, 1.0)
     }
 
     /// Build for memory/time measurement: thresholds are calibrated (so
@@ -138,192 +122,155 @@ impl Workload {
     /// the ANN pre-training is skipped (weight values do not affect the
     /// cost measurements).
     pub fn build_for_measurement(kind: WorkloadKind) -> Workload {
-        let mut w = Workload::build_uncalibrated(kind, 1.0);
-        let mut rng = skipper_tensor::XorShiftRng::new(0xCA11B);
-        let (inputs, _) = w
-            .train
-            .first_batch(8.min(w.train.len()), w.timesteps, &mut rng);
-        let _ = skipper_snn::calibrate_thresholds(&mut w.net, &inputs, 0.08);
+        let mut w = Workload::build_raw(kind);
+        w.calibrate();
         w
     }
 
-    fn build_uncalibrated(kind: WorkloadKind, extra_width: f32) -> Workload {
-        let image_cfg = |hw: usize, classes: usize| SynthImageConfig {
-            hw,
+    /// Balance the firing thresholds on the first eight training samples.
+    fn calibrate(&mut self) {
+        let mut rng = skipper_tensor::XorShiftRng::new(0xCA11B);
+        let n = 8.min(self.train.len());
+        let (inputs, _) = self.train.first_batch(n, self.timesteps, &mut rng);
+        let _ = skipper_snn::calibrate_thresholds(&mut self.net, &inputs, 0.08);
+    }
+
+    /// Build without the hybrid ANN pre-training and threshold calibration
+    /// — raw Kaiming initialisation. Cheap: for reading a workload's shape
+    /// (name, scaled defaults, depth) without paying for either.
+    pub fn build_raw(kind: WorkloadKind) -> Workload {
+        use WorkloadKind::*;
+        let params = |timesteps, batch, checkpoints, percentile, trw| PaperParams {
+            timesteps,
+            batch,
+            checkpoints,
+            percentile,
+            trw,
+        };
+        // One row per pairing: name, topology, width multiplier, then
+        // (T, B, C, p, trW) at laptop scale and in the paper.
+        type Topology = fn(&ModelConfig) -> SpikingNetwork;
+        let (name, topology, width_mult, scaled, paper): (_, Topology, _, _, _) = match kind {
+            Vgg5Cifar10 => (
+                "VGG5+CIFAR10",
+                vgg5,
+                0.25,
+                params(40, 8, 2, 70.0, 10),
+                params(100, 128, 4, 70.0, 25),
+            ),
+            Vgg11Cifar100 => (
+                "VGG11+CIFAR100",
+                vgg11,
+                0.25,
+                params(44, 8, 2, 50.0, 11),
+                params(125, 128, 5, 50.0, 25),
+            ),
+            Resnet20Cifar10 => (
+                "ResNet20+CIFAR10",
+                resnet20,
+                0.25,
+                params(60, 4, 2, 30.0, 12),
+                params(250, 128, 5, 52.0, 50),
+            ),
+            LenetDvsGesture => (
+                "LeNet+DVS-gesture",
+                lenet5,
+                0.25,
+                params(40, 4, 4, 50.0, 8),
+                params(400, 32, 10, 70.0, 40),
+            ),
+            CustomNetNmnist => (
+                "custom-Net+N-MNIST",
+                custom_net,
+                0.25,
+                params(30, 8, 3, 70.0, 6),
+                params(300, 256, 4, 70.0, 0),
+            ),
+            AlexnetCifar10 => (
+                "AlexNet+CIFAR10",
+                alexnet,
+                0.0625,
+                params(20, 8, 2, 20.0, 10),
+                params(20, 256, 2, 20.0, 10),
+            ),
+        };
+
+        let images = |classes: usize| SynthImageConfig {
+            hw: 16,
             num_classes: classes,
             train_per_class: (480 / classes.max(8)).max(16),
             test_per_class: (120 / classes.max(8)).max(4),
             ..SynthImageConfig::default()
         };
-        let event_cfg = |hw: usize| SynthEventConfig {
-            hw,
+        let events = SynthEventConfig {
+            hw: 16,
             train_per_class: 8,
             test_per_class: 2,
             ..SynthEventConfig::default()
         };
-        let model = |hw: usize, in_ch: usize, classes: usize, width: f32| ModelConfig {
-            input_hw: hw,
-            in_channels: in_ch,
-            num_classes: classes,
-            width_mult: width * extra_width,
+        let (in_channels, (train, test)) = match kind {
+            // 20 classes on a deep stack from scratch is the hardest
+            // scaled workload; keep the class patterns crisp (no shift,
+            // low noise) so few-epoch training is meaningful.
+            Vgg11Cifar100 => (
+                3,
+                split(
+                    DataSource::images,
+                    synth_cifar(&SynthImageConfig {
+                        noise: 0.04,
+                        max_shift: 0,
+                        ..images(20)
+                    }),
+                ),
+            ),
+            Vgg5Cifar10 | Resnet20Cifar10 | AlexnetCifar10 => {
+                (3, split(DataSource::images, synth_cifar(&images(10))))
+            }
+            LenetDvsGesture => (2, split(DataSource::events, synth_dvs_gesture(&events))),
+            CustomNetNmnist => (2, split(DataSource::events, synth_nmnist(&events))),
+        };
+        let net = topology(&ModelConfig {
+            input_hw: 16,
+            in_channels,
+            num_classes: train.num_classes(),
+            width_mult,
             lif: LifConfig::default(),
             ..ModelConfig::default()
-        };
-        match kind {
-            WorkloadKind::Vgg5Cifar10 => {
-                let (train, test) = synth_cifar(&image_cfg(16, 10));
-                Workload {
-                    name: "VGG5+CIFAR10",
-                    net: vgg5(&model(16, 3, 10, 0.25)),
-                    train: DataSource::images(train),
-                    test: DataSource::images(test),
-                    timesteps: 40,
-                    batch: 8,
-                    checkpoints: 2,
-                    percentile: 70.0,
-                    trw: 10,
-                    paper: PaperParams {
-                        timesteps: 100,
-                        batch: 128,
-                        checkpoints: 4,
-                        percentile: 70.0,
-                        trw: 25,
-                    },
-                }
-            }
-            WorkloadKind::Vgg11Cifar100 => {
-                // 20 classes on a deep stack from scratch is the hardest
-                // scaled workload; keep the class patterns crisp (no shift,
-                // low noise) so few-epoch training is meaningful.
-                let (train, test) = synth_cifar(&SynthImageConfig {
-                    noise: 0.04,
-                    max_shift: 0,
-                    ..image_cfg(16, 20)
-                });
-                Workload {
-                    name: "VGG11+CIFAR100",
-                    net: vgg11(&model(16, 3, 20, 0.25)),
-                    train: DataSource::images(train),
-                    test: DataSource::images(test),
-                    timesteps: 44,
-                    batch: 8,
-                    checkpoints: 2,
-                    percentile: 50.0,
-                    trw: 11,
-                    paper: PaperParams {
-                        timesteps: 125,
-                        batch: 128,
-                        checkpoints: 5,
-                        percentile: 50.0,
-                        trw: 25,
-                    },
-                }
-            }
-            WorkloadKind::Resnet20Cifar10 => {
-                let (train, test) = synth_cifar(&image_cfg(16, 10));
-                Workload {
-                    name: "ResNet20+CIFAR10",
-                    net: resnet20(&model(16, 3, 10, 0.25)),
-                    train: DataSource::images(train),
-                    test: DataSource::images(test),
-                    timesteps: 60,
-                    batch: 4,
-                    checkpoints: 2,
-                    percentile: 30.0,
-                    trw: 12,
-                    paper: PaperParams {
-                        timesteps: 250,
-                        batch: 128,
-                        checkpoints: 5,
-                        percentile: 52.0,
-                        trw: 50,
-                    },
-                }
-            }
-            WorkloadKind::LenetDvsGesture => {
-                let (train, test) = synth_dvs_gesture(&event_cfg(16));
-                Workload {
-                    name: "LeNet+DVS-gesture",
-                    net: lenet5(&model(16, 2, 11, 0.25)),
-                    train: DataSource::events(train),
-                    test: DataSource::events(test),
-                    timesteps: 40,
-                    batch: 4,
-                    checkpoints: 4,
-                    percentile: 50.0,
-                    trw: 8,
-                    paper: PaperParams {
-                        timesteps: 400,
-                        batch: 32,
-                        checkpoints: 10,
-                        percentile: 70.0,
-                        trw: 40,
-                    },
-                }
-            }
-            WorkloadKind::CustomNetNmnist => {
-                let (train, test) = synth_nmnist(&event_cfg(16));
-                Workload {
-                    name: "custom-Net+N-MNIST",
-                    net: custom_net(&model(16, 2, 10, 0.25)),
-                    train: DataSource::events(train),
-                    test: DataSource::events(test),
-                    timesteps: 30,
-                    batch: 8,
-                    checkpoints: 3,
-                    percentile: 70.0,
-                    trw: 6,
-                    paper: PaperParams {
-                        timesteps: 300,
-                        batch: 256,
-                        checkpoints: 4,
-                        percentile: 70.0,
-                        trw: 0,
-                    },
-                }
-            }
-            WorkloadKind::AlexnetCifar10 => {
-                let (train, test) = synth_cifar(&image_cfg(16, 10));
-                Workload {
-                    name: "AlexNet+CIFAR10",
-                    net: alexnet(&model(16, 3, 10, 0.0625)),
-                    train: DataSource::images(train),
-                    test: DataSource::images(test),
-                    timesteps: 20,
-                    batch: 8,
-                    checkpoints: 2,
-                    percentile: 20.0,
-                    trw: 10,
-                    paper: PaperParams {
-                        timesteps: 20,
-                        batch: 256,
-                        checkpoints: 2,
-                        percentile: 20.0,
-                        trw: 10,
-                    },
-                }
-            }
+        });
+        Workload {
+            name,
+            net,
+            train,
+            test,
+            timesteps: scaled.timesteps,
+            batch: scaled.batch,
+            checkpoints: scaled.checkpoints,
+            percentile: scaled.percentile,
+            trw: scaled.trw,
+            paper,
         }
     }
 
     /// The four methods the paper compares on this workload, at the scaled
-    /// defaults.
+    /// defaults: baseline, checkpointed, Skipper and TBPTT.
     pub fn methods(&self) -> Vec<Method> {
-        paper_methods(self.checkpoints, self.percentile, self.trw)
+        vec![
+            Method::Bptt,
+            Method::Checkpointed {
+                checkpoints: self.checkpoints,
+            },
+            Method::Skipper {
+                checkpoints: self.checkpoints,
+                percentile: self.percentile,
+            },
+            Method::Tbptt { window: self.trw },
+        ]
     }
 }
 
-/// Baseline, checkpointed, skipper and TBPTT with the given parameters.
-pub fn paper_methods(checkpoints: usize, percentile: f32, trw: usize) -> Vec<Method> {
-    vec![
-        Method::Bptt,
-        Method::Checkpointed { checkpoints },
-        Method::Skipper {
-            checkpoints,
-            percentile,
-        },
-        Method::Tbptt { window: trw },
-    ]
+/// Wrap a (train, test) dataset pair.
+fn split<D>(wrap: fn(D) -> DataSource, (train, test): (D, D)) -> (DataSource, DataSource) {
+    (wrap(train), wrap(test))
 }
 
 #[cfg(test)]

@@ -1,449 +1,18 @@
-//! `skipper-report`: machine-readable benchmark run manifests and the
-//! regression gate that compares them.
+//! `skipper-report`: where run artefacts go, and the cross-process trace
+//! stitcher.
 //!
-//! Every bench binary ends its run by collecting a [`RunManifest`] from
-//! the global `skipper-obs` registry — wall time, iteration latency
-//! percentiles, peak memory, skip/recompute counters, per-worker
-//! utilization, git revision — and saving it as
-//! `results/BENCH_<name>.json`. The `bench_gate` binary then diffs a
-//! fresh manifest against a committed baseline under `results/baselines/`
-//! and exits non-zero when a metric regressed past its threshold, giving
-//! CI an enforced perf trajectory instead of a pile of prose claims.
+//! * [`results_dir`] — the one definition of the workspace `results/`
+//!   directory that `figures`, the bench harness and `trace_stitch` write
+//!   into;
+//! * [`stitch`] — merge per-process obs JSONL streams into one
+//!   Perfetto-loadable Chrome trace (the `trace_stitch` binary).
+//!
+//! How fast the code is, is judged elsewhere: by the pinned repository
+//! benchmark under `benchmark/` and its `repeat.sh`.
 
-use serde::{Deserialize, Serialize};
-use skipper_obs::MetricsSnapshot;
 use std::path::{Path, PathBuf};
 
 pub mod stitch;
-
-/// Latency aggregate of the `iteration.wall_us` histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IterationStats {
-    /// Training iterations observed.
-    pub count: u64,
-    /// Mean iteration wall time, microseconds.
-    pub mean_us: f64,
-    /// Median iteration wall time, microseconds (bucket-interpolated).
-    pub p50_us: f64,
-    /// 95th-percentile iteration wall time, microseconds.
-    pub p95_us: f64,
-    /// 99th-percentile iteration wall time, microseconds.
-    pub p99_us: f64,
-}
-
-/// SLO burn rates at run end, read from the gateway's
-/// `serve.slo_burn_rate{window}` gauges. A burn of 1.0 means the run
-/// spent its error budget exactly as fast as the SLO allows; the gate
-/// fails any run that ends at or above 1.0 — an absolute check, not a
-/// baseline-relative one, because "out of budget" is bad no matter what
-/// the previous run did.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SloStats {
-    /// Short-window burn rate at exit.
-    pub short_burn: f64,
-    /// Long-window burn rate at exit.
-    pub long_burn: f64,
-}
-
-/// One benchmark run, summarized. Serialized as `BENCH_<name>.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunManifest {
-    /// Bench binary name (the `<name>` in the file name).
-    pub name: String,
-    /// `git rev-parse HEAD` equivalent, read from `.git` directly
-    /// (`"unknown"` outside a repository).
-    pub git_rev: String,
-    /// Whether the run used `--quick` (reduced workload — not comparable
-    /// to a full run).
-    pub quick: bool,
-    /// Worker threads the session was configured with.
-    pub workers: usize,
-    /// End-to-end wall time of the binary, seconds.
-    pub wall_s: f64,
-    /// Iteration latency stats, when the run trained at least once.
-    pub iteration: Option<IterationStats>,
-    /// Serving request latency stats (`serve.request_wall_us`), when the
-    /// run answered gateway traffic. Absent in older manifests and
-    /// training-only runs — the vendored deserializer maps a missing
-    /// field to `None`, so committed baselines stay loadable.
-    pub request: Option<IterationStats>,
-    /// SLO burn rates at exit, when the run hosted a gateway with the
-    /// burn-rate engine on. Absent in older manifests — missing fields
-    /// deserialize to `None`, so committed baselines stay loadable.
-    pub slo: Option<SloStats>,
-    /// Peak tracked memory over the run, bytes
-    /// (`memprof.peak_bytes{category=total}`; 0 when not recorded).
-    pub peak_bytes: f64,
-    /// Total timesteps skipped (Skipper time-skipping).
-    pub steps_skipped: f64,
-    /// Total timesteps recomputed.
-    pub steps_recomputed: f64,
-    /// `skipped / (skipped + recomputed)`, the paper's headline recompute
-    /// saving (0 when neither counter moved).
-    pub skip_ratio: f64,
-    /// `engine.worker_utilization{worker=i}` in worker order (empty for
-    /// single-threaded runs).
-    pub worker_utilization: Vec<f64>,
-    /// Every registry counter at exit, sorted by key.
-    pub counters: Vec<(String, f64)>,
-    /// Every registry gauge at exit, sorted by key.
-    pub gauges: Vec<(String, f64)>,
-}
-
-fn lookup(pairs: &[(String, f64)], key: &str) -> Option<f64> {
-    pairs.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
-}
-
-impl RunManifest {
-    /// Build a manifest from the **global** registry. `wall_s` is the
-    /// binary's measured wall time; `quick` mirrors its `--quick` flag.
-    pub fn collect(name: &str, wall_s: f64, quick: bool, workers: usize) -> RunManifest {
-        RunManifest::from_snapshot(
-            name,
-            wall_s,
-            quick,
-            workers,
-            &skipper_obs::registry().snapshot(),
-        )
-    }
-
-    /// Build a manifest from an explicit snapshot (testable without global
-    /// state).
-    pub fn from_snapshot(
-        name: &str,
-        wall_s: f64,
-        quick: bool,
-        workers: usize,
-        snap: &MetricsSnapshot,
-    ) -> RunManifest {
-        let latency_stats = |name: &str| {
-            snap.histograms
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, h)| IterationStats {
-                    count: h.count(),
-                    mean_us: h.mean(),
-                    p50_us: h.quantile(0.50),
-                    p95_us: h.quantile(0.95),
-                    p99_us: h.quantile(0.99),
-                })
-        };
-        let iteration = latency_stats("iteration.wall_us");
-        let request = latency_stats("serve.request_wall_us");
-        let slo = match (
-            lookup(&snap.gauges, "serve.slo_burn_rate{window=short}"),
-            lookup(&snap.gauges, "serve.slo_burn_rate{window=long}"),
-        ) {
-            (Some(short_burn), Some(long_burn)) => Some(SloStats {
-                short_burn,
-                long_burn,
-            }),
-            _ => None,
-        };
-        let peak_bytes = lookup(&snap.gauges, "memprof.peak_bytes{category=total}")
-            .or_else(|| {
-                snap.gauges
-                    .iter()
-                    .filter(|(k, _)| k.starts_with("memprof.peak_bytes"))
-                    .map(|&(_, v)| v)
-                    .fold(None, |acc: Option<f64>, v| {
-                        Some(acc.map_or(v, |a| a.max(v)))
-                    })
-            })
-            .unwrap_or(0.0);
-        let steps_skipped = lookup(&snap.counters, "skipper.steps_skipped").unwrap_or(0.0);
-        let steps_recomputed = lookup(&snap.counters, "skipper.steps_recomputed").unwrap_or(0.0);
-        let denominator = steps_skipped + steps_recomputed;
-        let skip_ratio = if denominator > 0.0 {
-            steps_skipped / denominator
-        } else {
-            0.0
-        };
-        // Single-threaded sessions never start the pool; absent gauges are
-        // omitted rather than reported as zero utilization.
-        let worker_utilization: Vec<f64> = (0..workers)
-            .filter_map(|w| {
-                lookup(
-                    &snap.gauges,
-                    &skipper_obs::labeled("engine.worker_utilization", "worker", w),
-                )
-            })
-            .collect();
-        RunManifest {
-            name: name.to_string(),
-            git_rev: git_rev(),
-            quick,
-            workers,
-            wall_s,
-            iteration,
-            request,
-            slo,
-            peak_bytes,
-            steps_skipped,
-            steps_recomputed,
-            skip_ratio,
-            worker_utilization,
-            counters: snap.counters.clone(),
-            gauges: snap.gauges.clone(),
-        }
-    }
-
-    /// The manifest's canonical file name, `BENCH_<name>.json`.
-    pub fn file_name(&self) -> String {
-        format!("BENCH_{}.json", self.name)
-    }
-
-    /// Serialize into `dir/BENCH_<name>.json` (pretty-printed), creating
-    /// `dir` if needed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation, serialization and write errors.
-    pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(self.file_name());
-        let json = serde_json::to_string_pretty(self)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e:?}")))?;
-        std::fs::write(&path, json + "\n")?;
-        Ok(path)
-    }
-
-    /// Load a manifest from `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates read errors; malformed JSON maps to `InvalidData`.
-    pub fn load(path: &Path) -> std::io::Result<RunManifest> {
-        let text = std::fs::read_to_string(path)?;
-        serde_json::from_str(&text).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{}: {e:?}", path.display()),
-            )
-        })
-    }
-}
-
-/// Resolve the current git commit hash without invoking `git`: follow
-/// `.git/HEAD` (and `packed-refs` for packed branches), walking up from
-/// the crate root and the current directory. Returns `"unknown"` when no
-/// repository is found.
-pub fn git_rev() -> String {
-    let mut starts: Vec<PathBuf> = Vec::new();
-    if let Ok(dir) = std::env::current_dir() {
-        starts.push(dir);
-    }
-    starts.push(PathBuf::from(env!("CARGO_MANIFEST_DIR")));
-    for start in starts {
-        let mut dir = Some(start.as_path());
-        while let Some(d) = dir {
-            let git = d.join(".git");
-            if git.is_dir() {
-                if let Some(rev) = rev_from_git_dir(&git) {
-                    return rev;
-                }
-            }
-            dir = d.parent();
-        }
-    }
-    "unknown".to_string()
-}
-
-fn rev_from_git_dir(git: &Path) -> Option<String> {
-    let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
-    let head = head.trim();
-    let Some(reference) = head.strip_prefix("ref: ") else {
-        // Detached HEAD: the hash itself.
-        return (head.len() >= 40).then(|| head.to_string());
-    };
-    if let Ok(hash) = std::fs::read_to_string(git.join(reference)) {
-        return Some(hash.trim().to_string());
-    }
-    let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
-    packed
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.starts_with('^'))
-        .find_map(|l| {
-            let (hash, name) = l.split_once(' ')?;
-            (name == reference).then(|| hash.to_string())
-        })
-}
-
-/// Thresholds for [`compare`]. Percentages are relative growth over the
-/// baseline: 50.0 means "fail if the metric got more than 50 % worse".
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GateConfig {
-    /// Allowed growth in wall time and iteration latency, percent.
-    pub max_slowdown_pct: f64,
-    /// Allowed growth in peak memory, percent.
-    pub max_memory_growth_pct: f64,
-}
-
-impl Default for GateConfig {
-    fn default() -> GateConfig {
-        GateConfig {
-            // Wall times on shared CI runners are noisy; the gate is a
-            // backstop against order-of-magnitude regressions, not a
-            // micro-benchmark.
-            max_slowdown_pct: 50.0,
-            max_memory_growth_pct: 25.0,
-        }
-    }
-}
-
-/// One gate violation: `metric` got `change_pct` worse than the baseline,
-/// past its `limit_pct`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Which metric regressed (e.g. `wall_s`, `iteration.p95_us`).
-    pub metric: String,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Current value.
-    pub current: f64,
-    /// Relative growth, percent (positive = worse).
-    pub change_pct: f64,
-    /// The threshold it violated, percent.
-    pub limit_pct: f64,
-}
-
-impl std::fmt::Display for Regression {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {:.4} -> {:.4} ({:+.1}% > {:.0}% allowed)",
-            self.metric, self.baseline, self.current, self.change_pct, self.limit_pct
-        )
-    }
-}
-
-fn check(out: &mut Vec<Regression>, metric: &str, baseline: f64, current: f64, limit_pct: f64) {
-    // A zero/absent (or NaN) baseline can't express a relative threshold;
-    // skip it rather than dividing by zero.
-    if !baseline.is_finite() || baseline <= 0.0 || !current.is_finite() {
-        return;
-    }
-    let change_pct = (current - baseline) / baseline * 100.0;
-    if change_pct > limit_pct {
-        out.push(Regression {
-            metric: metric.to_string(),
-            baseline,
-            current,
-            change_pct,
-            limit_pct,
-        });
-    }
-}
-
-fn check_latency(
-    out: &mut Vec<Regression>,
-    prefix: &str,
-    baseline: &Option<IterationStats>,
-    current: &Option<IterationStats>,
-    limit_pct: f64,
-) {
-    let (Some(b), Some(c)) = (baseline, current) else {
-        return;
-    };
-    check(
-        out,
-        &format!("{prefix}.mean_us"),
-        b.mean_us,
-        c.mean_us,
-        limit_pct,
-    );
-    check(
-        out,
-        &format!("{prefix}.p50_us"),
-        b.p50_us,
-        c.p50_us,
-        limit_pct,
-    );
-    check(
-        out,
-        &format!("{prefix}.p95_us"),
-        b.p95_us,
-        c.p95_us,
-        limit_pct,
-    );
-    check(
-        out,
-        &format!("{prefix}.p99_us"),
-        b.p99_us,
-        c.p99_us,
-        limit_pct,
-    );
-}
-
-/// Diff `current` against `baseline` under `cfg`, returning every metric
-/// that regressed (empty = gate passes). Higher is worse for every gated
-/// metric; improvements never fail the gate.
-pub fn compare(baseline: &RunManifest, current: &RunManifest, cfg: &GateConfig) -> Vec<Regression> {
-    let mut out = Vec::new();
-    if baseline.quick != current.quick {
-        // Different workloads — any timing diff would be meaningless, and
-        // silently passing would hide a misconfigured CI job.
-        out.push(Regression {
-            metric: "quick-flag mismatch (baseline vs current workload)".to_string(),
-            baseline: baseline.quick as u64 as f64,
-            current: current.quick as u64 as f64,
-            change_pct: f64::INFINITY,
-            limit_pct: 0.0,
-        });
-        return out;
-    }
-    check(
-        &mut out,
-        "wall_s",
-        baseline.wall_s,
-        current.wall_s,
-        cfg.max_slowdown_pct,
-    );
-    check_latency(
-        &mut out,
-        "iteration",
-        &baseline.iteration,
-        &current.iteration,
-        cfg.max_slowdown_pct,
-    );
-    check_latency(
-        &mut out,
-        "request",
-        &baseline.request,
-        &current.request,
-        cfg.max_slowdown_pct,
-    );
-    check(
-        &mut out,
-        "peak_bytes",
-        baseline.peak_bytes,
-        current.peak_bytes,
-        cfg.max_memory_growth_pct,
-    );
-    // SLO compliance is absolute, not baseline-relative: a run that ends
-    // with a burn rate at or above 1.0 spent its error budget faster than
-    // the SLO allows, which is a failure even if the baseline was worse.
-    if let Some(slo) = &current.slo {
-        for (window, burn) in [("short", slo.short_burn), ("long", slo.long_burn)] {
-            if burn >= 1.0 {
-                out.push(Regression {
-                    metric: format!("slo.burn_rate{{window={window}}} (absolute, must be < 1)"),
-                    baseline: baseline.slo.as_ref().map_or(0.0, |b| {
-                        if window == "short" {
-                            b.short_burn
-                        } else {
-                            b.long_burn
-                        }
-                    }),
-                    current: burn,
-                    change_pct: f64::INFINITY,
-                    limit_pct: 0.0,
-                });
-            }
-        }
-    }
-    out
-}
 
 /// The workspace `results/` directory (`<repo>/results`), resolved from
 /// this crate's position in the source tree.
@@ -454,188 +23,4 @@ pub fn results_dir() -> PathBuf {
         .and_then(Path::parent)
         .unwrap_or(manifest)
         .join("results")
-}
-
-/// The committed-baselines directory, `results/baselines/`.
-pub fn baselines_dir() -> PathBuf {
-    results_dir().join("baselines")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use skipper_obs::Registry;
-
-    fn snapshot_with(iter_walls: &[f64]) -> MetricsSnapshot {
-        let r = Registry::new();
-        r.counter_add("skipper.steps_skipped", 30.0);
-        r.counter_add("skipper.steps_recomputed", 70.0);
-        r.gauge_set("memprof.peak_bytes{category=total}", 1_000_000.0);
-        r.gauge_set("engine.worker_utilization{worker=0}", 0.9);
-        r.gauge_set("engine.worker_utilization{worker=1}", 0.8);
-        for &w in iter_walls {
-            r.observe("iteration.wall_us", w);
-        }
-        r.snapshot()
-    }
-
-    #[test]
-    fn manifest_derives_ratios_and_percentiles() {
-        let m = RunManifest::from_snapshot("t", 1.5, false, 2, &snapshot_with(&[100.0; 8]));
-        assert_eq!(m.name, "t");
-        assert_eq!(m.wall_s, 1.5);
-        assert!((m.skip_ratio - 0.3).abs() < 1e-12);
-        assert_eq!(m.peak_bytes, 1_000_000.0);
-        assert_eq!(m.worker_utilization, vec![0.9, 0.8]);
-        let iter = m.iteration.expect("iteration histogram present");
-        assert_eq!(iter.count, 8);
-        assert!((iter.mean_us - 100.0).abs() < 1e-9);
-        assert!(iter.p95_us > 0.0);
-        assert!(
-            m.request.is_none(),
-            "training run records no request latency"
-        );
-    }
-
-    #[test]
-    fn manifest_derives_request_latency_and_gate_flags_its_regressions() {
-        let snapshot = |walls: &[f64]| {
-            let r = Registry::new();
-            for &w in walls {
-                r.observe("serve.request_wall_us", w);
-            }
-            r.snapshot()
-        };
-        let base = RunManifest::from_snapshot("srv", 1.0, false, 1, &snapshot(&[200.0; 8]));
-        let req = base.request.as_ref().expect("request histogram present");
-        assert_eq!(req.count, 8);
-        assert!((req.mean_us - 200.0).abs() < 1e-9);
-        assert!(
-            base.iteration.is_none(),
-            "serving run records no iterations"
-        );
-
-        // A manifest serialized before the field existed still loads.
-        let legacy: RunManifest = serde_json::from_str(
-            &serde_json::to_string(&base)
-                .unwrap()
-                .replace("\"request\":", "\"request_unknown\":"),
-        )
-        .expect("missing request field deserializes");
-        assert!(legacy.request.is_none());
-
-        let slow = RunManifest::from_snapshot("srv", 1.0, false, 1, &snapshot(&[900.0; 8]));
-        let regressions = compare(&base, &slow, &GateConfig::default());
-        assert!(regressions.iter().any(|r| r.metric.starts_with("request.")));
-        assert!(compare(&base, &base, &GateConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn manifest_captures_slo_burn_and_gate_fails_budget_breaches_absolutely() {
-        let snapshot = |short: f64, long: f64| {
-            let r = Registry::new();
-            r.observe("serve.request_wall_us", 200.0);
-            r.gauge_set("serve.slo_burn_rate{window=short}", short);
-            r.gauge_set("serve.slo_burn_rate{window=long}", long);
-            r.snapshot()
-        };
-        let healthy = RunManifest::from_snapshot("slo", 1.0, false, 1, &snapshot(0.2, 0.1));
-        let slo = healthy.slo.as_ref().expect("burn gauges present");
-        assert_eq!(slo.short_burn, 0.2);
-        assert_eq!(slo.long_burn, 0.1);
-        assert!(
-            compare(&healthy, &healthy, &GateConfig::default()).is_empty(),
-            "burn below 1 passes"
-        );
-
-        // A breaching run fails the gate even against itself — the check
-        // is absolute (this is the "injected latency breaches the p99
-        // SLO" contract bench_gate enforces via compare()).
-        let breaching = RunManifest::from_snapshot("slo", 1.0, false, 1, &snapshot(3.2, 0.4));
-        let regressions = compare(&healthy, &breaching, &GateConfig::default());
-        assert_eq!(regressions.len(), 1, "{regressions:?}");
-        assert!(regressions[0]
-            .metric
-            .contains("slo.burn_rate{window=short}"));
-        let both = RunManifest::from_snapshot("slo", 1.0, false, 1, &snapshot(3.2, 1.4));
-        assert_eq!(compare(&healthy, &both, &GateConfig::default()).len(), 2);
-
-        // A manifest serialized before the field existed still loads.
-        let legacy: RunManifest = serde_json::from_str(
-            &serde_json::to_string(&healthy)
-                .unwrap()
-                .replace("\"slo\":", "\"slo_unknown\":"),
-        )
-        .expect("missing slo field deserializes");
-        assert!(legacy.slo.is_none());
-        assert!(
-            compare(&healthy, &legacy, &GateConfig::default()).is_empty(),
-            "runs without an SLO engine are not gated on burn"
-        );
-    }
-
-    #[test]
-    fn manifest_without_training_has_no_iteration_stats() {
-        let m = RunManifest::from_snapshot("t", 0.1, true, 1, &MetricsSnapshot::default());
-        assert!(m.iteration.is_none());
-        assert_eq!(m.skip_ratio, 0.0);
-        assert_eq!(m.peak_bytes, 0.0);
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("skipper_report_{}", std::process::id()));
-        let m = RunManifest::from_snapshot("roundtrip", 2.0, false, 2, &snapshot_with(&[50.0]));
-        let path = m.save(&dir).unwrap();
-        assert!(path.ends_with("BENCH_roundtrip.json"));
-        let loaded = RunManifest::load(&path).unwrap();
-        assert_eq!(loaded, m);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn gate_flags_synthetic_slowdown_and_passes_identical_runs() {
-        let base = RunManifest::from_snapshot("g", 1.0, false, 2, &snapshot_with(&[100.0; 4]));
-        let same = compare(&base, &base, &GateConfig::default());
-        assert!(same.is_empty(), "identical runs must pass: {same:?}");
-
-        // Synthetically slowed run: 3x wall, 3x iteration latency.
-        let slow = RunManifest::from_snapshot("g", 3.0, false, 2, &snapshot_with(&[300.0; 4]));
-        let regressions = compare(&base, &slow, &GateConfig::default());
-        assert!(!regressions.is_empty());
-        assert!(regressions.iter().any(|r| r.metric == "wall_s"));
-        assert!(regressions
-            .iter()
-            .any(|r| r.metric.starts_with("iteration.")));
-
-        // An improvement never fails the gate.
-        let fast = RunManifest::from_snapshot("g", 0.5, false, 2, &snapshot_with(&[50.0; 4]));
-        assert!(compare(&base, &fast, &GateConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn gate_rejects_quick_vs_full_comparison() {
-        let base = RunManifest::from_snapshot("q", 1.0, false, 1, &MetricsSnapshot::default());
-        let quick = RunManifest::from_snapshot("q", 0.1, true, 1, &MetricsSnapshot::default());
-        let regressions = compare(&base, &quick, &GateConfig::default());
-        assert_eq!(regressions.len(), 1);
-        assert!(regressions[0].metric.contains("quick"));
-    }
-
-    #[test]
-    fn git_rev_resolves_inside_this_repo() {
-        let rev = git_rev();
-        assert_eq!(rev.len(), 40, "expected a 40-char sha, got {rev:?}");
-        assert!(rev.chars().all(|c| c.is_ascii_hexdigit()));
-    }
-
-    #[test]
-    fn zero_baseline_metrics_are_skipped() {
-        let mut base = RunManifest::from_snapshot("z", 0.0, false, 1, &MetricsSnapshot::default());
-        base.peak_bytes = 0.0;
-        let mut cur = base.clone();
-        cur.wall_s = 100.0;
-        cur.peak_bytes = 1e9;
-        assert!(compare(&base, &cur, &GateConfig::default()).is_empty());
-    }
 }

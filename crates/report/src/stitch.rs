@@ -4,7 +4,7 @@
 //! A distributed run produces one JSONL event stream per process — the
 //! coordinator's (carrying the `iteration` spans) plus one per
 //! `skipper_worker` (captured via `SKIPPER_OBS_JSONL`). Each stream has
-//! its own clock epoch ([`skipper_obs::now_us`] counts from process
+//! its own clock epoch (`skipper_obs::now_us` counts from process
 //! start) and its own span-id space. Stitching:
 //!
 //! 1. picks the coordinator stream (the one containing `iteration`
@@ -19,7 +19,7 @@
 //!    another process — the `worker_task → iteration` dispatch edges.
 //!
 //! Span ids are globally unique across processes because cluster workers
-//! call [`skipper_obs::namespace_span_ids`] after their handshake, so a
+//! call `skipper_obs::namespace_span_ids` after their handshake, so a
 //! worker span's remote `parent` id resolves unambiguously.
 
 use serde_json::{json, Value};

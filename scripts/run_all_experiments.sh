@@ -1,41 +1,11 @@
 #!/usr/bin/env bash
 # Regenerate every table and figure of the paper (plus the supplementary
-# timeline and ablations). Outputs land in results/.
+# timeline, walkthrough, ablations and the sample trace). Outputs land in
+# results/.
 #
-# Full run takes tens of minutes; pass --quick for a fast smoke sweep.
+# Full run takes tens of minutes; pass --quick for a fast smoke sweep, or
+# figure names (see `figures --help`) to run only those.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-QUICK="${1:-}"
-
-BINARIES=(
-  fig03_accuracy_memory_vs_t
-  fig03_breakdown_vs_t
-  fig03_time_vs_batch
-  fig04_resnet34_imagenet
-  fig07_memory_vs_checkpoints
-  table1_accuracy
-  fig08_scratch_curves
-  fig09_accuracy_vs_t
-  fig10_overhead_vs_batch
-  fig11_latency_vs_batch
-  fig12_memory_vs_batch
-  fig13_memory_breakdown
-  fig14_memory_vs_timesteps
-  fig15_edge_device
-  table2_tbptt_lbp
-  fig16_tbptt_lbp_sweep
-  memory_timeline
-  walkthrough
-  ablation_sam_policy
-  ablation_surrogate
-)
-
-cargo build --release -p skipper-bench --bins
-
-for bin in "${BINARIES[@]}"; do
-  echo "=== $bin ==="
-  cargo run --release -q -p skipper-bench --bin "$bin" -- ${QUICK}
-done
-
-echo "All experiments done; see results/."
+cargo run --release -q -p skipper-bench --bin figures -- "$@"

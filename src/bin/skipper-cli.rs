@@ -262,17 +262,17 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
                 batch,
                 timesteps: t,
             },
-            &device,
         );
-        let rel = base.map_or(1.0, |b: f64| meas.modeled_s / b);
+        let modeled_s = meas.modeled_s(&device);
+        let rel = base.map_or(1.0, |b: f64| modeled_s / b);
         if base.is_none() {
-            base = Some(meas.modeled_s);
+            base = Some(modeled_s);
         }
         println!(
             "{:<16} {:>10} KiB {:>12.2}ms {:>11.2}x",
             m.label(),
             meas.tensor_peak / 1024,
-            meas.modeled_s * 1e3,
+            modeled_s * 1e3,
             rel
         );
     }
