@@ -11,16 +11,16 @@
 //! ```
 //!
 //! The worker needs no model file and no data: the coordinator's Welcome
-//! frame carries the full `WireSpec` (model config, method, horizon), and
-//! every work frame carries the input shards. Faults are survivable by
-//! construction — a torn connection is retried with bounded exponential
-//! backoff, and the coordinator replays any attempt the death of this
-//! worker invalidated.
+//! frame carries the `WireSpec` (model config and horizon), and every
+//! work message carries its method, weights and input rows. Faults are
+//! survivable by construction — a torn connection is retried with bounded
+//! exponential backoff, and the coordinator replays any attempt the death
+//! of this worker invalidated.
 //!
 //! Knobs: `--addr HOST:PORT` (overrides `SKIPPER_CLUSTER_ADDR`),
 //! `--id N` (stable worker id; 0 lets the coordinator assign one),
 //! `SKIPPER_CHAOS` (deterministic fault injection on this worker's link,
-//! e.g. `seed=7,corrupt=0.05,kill=1@3`).
+//! e.g. `seed=7,corrupt=0.02,delay=0.05,delay_us=2000,kill=1@3`).
 
 use skipper_core::{cluster_addr_from_env, run_worker, ChaosConfig, TcpConnector, WorkerOptions};
 

@@ -131,7 +131,7 @@ impl SessionBuilder {
 
     /// Run iterations over a distributed [`Coordinator`] instead of the
     /// in-process engine: shards are dispatched to connected
-    /// `skipper-worker` processes (or in-process loopback workers) with
+    /// `skipper-worker` processes (or threads dialing loopback) with
     /// results bit-identical to the local paths (see [`crate::cluster`]).
     /// Overrides [`workers`](SessionBuilder::workers).
     pub fn cluster(mut self, coordinator: Coordinator) -> SessionBuilder {

@@ -1,15 +1,16 @@
 //! Distributed data-parallel training: the shard protocol (`shard.rs`)
-//! over TCP or in-process loopback workers.
+//! over TCP workers — other processes, or threads dialing loopback.
 //!
 //! The protocol, the plan and every reduction are `shard.rs`'s, so results
 //! are bit-identical to the in-process engine by construction; this module
 //! adds what is particular to workers behind a transport. The
 //! [`Coordinator`] serializes the parameters (`.skw` v2 records) once per
-//! iteration and maps each attempt's requests onto [`crate::transport`]
-//! frames (gradients cross as exact little-endian `f32`, SAM sums as exact
-//! `f64`). Workers ([`run_worker`], usually the `skipper-worker` bin)
-//! rebuild the model from the wire spec, decode a frame back into a request
-//! and hand it to the same `ShardWorker` the engine runs.
+//! iteration, slices each round-1 request down to its shard's rows and
+//! wraps it in a [`crate::transport`] `Work` message (gradients cross as
+//! exact little-endian `f32`, SAM sums as exact `f64`). Workers
+//! ([`run_worker`], usually the `skipper-worker` bin) rebuild the model
+//! from the wire spec, take the request out of the message and hand it to
+//! the same `ShardWorker` the engine runs.
 //!
 //! # Recovery model
 //!
@@ -30,11 +31,10 @@
 //! replay the epoch from its last `.sksn` snapshot.
 
 use crate::error::SkipperError;
-use crate::shard::{self, Executor, Iteration, Request, ShardInput, ShardWorker};
+use crate::shard::{self, Executor, Iteration, Request, ResultPayload, ShardWorker};
 use crate::transport::{
-    in_proc_net, Channel, ChannelConnector, ChannelListener, ChannelStats, ChaosConfig, HistDelta,
-    InProcConnector, Message, MetricsDelta, ResultPayload, TcpListenerLink, TraceCtx,
-    TransportError, WireReader,
+    Channel, ChannelStats, ChaosConfig, HistDelta, Message, MetricsDelta, TcpConnector,
+    TcpListenerLink, TraceCtx, TransportError, WireReader,
 };
 use crate::windowed::StepResult;
 use skipper_autograd::Surrogate;
@@ -86,8 +86,7 @@ fn trace_id() -> u64 {
 
 /// The trace context a work dispatch should carry: the coordinator's trace
 /// id plus the innermost open span on this thread (the `iteration` span
-/// opened by the training runner). `None` while tracing is disabled — the
-/// frame then stays byte-identical to the pre-trace wire format.
+/// opened by the training runner). `None` while tracing is disabled.
 fn current_trace_ctx() -> Option<TraceCtx> {
     skipper_obs::current_span().map(|parent| TraceCtx {
         trace: trace_id(),
@@ -311,25 +310,13 @@ fn frame_summary(msg: &Message) -> String {
             "\"msg\":\"Heartbeat\",\"worker\":{worker},\"iteration\":{iteration},\"metrics\":{}",
             metrics.is_some()
         ),
-        Message::WorkSingle { ctx, .. } | Message::WorkForward { ctx, .. } => format!(
-            "\"msg\":\"{}\",\"iteration\":{},\"attempt\":{},\"shard\":{}",
-            if matches!(msg, Message::WorkSingle { .. }) {
-                "WorkSingle"
-            } else {
-                "WorkForward"
-            },
-            ctx.iteration,
-            ctx.attempt,
-            ctx.shard
-        ),
-        Message::WorkBackward {
-            iteration,
-            attempt,
-            shard,
-            ..
-        } => format!(
-            "\"msg\":\"WorkBackward\",\"iteration\":{iteration},\"attempt\":{attempt},\"shard\":{shard}"
-        ),
+        Message::Work { request, .. } => {
+            let (iteration, attempt, shard) = request.key();
+            format!(
+                "\"msg\":\"Work\",\"round\":\"{}\",\"iteration\":{iteration},\"attempt\":{attempt},\"shard\":{shard}",
+                request.phase()
+            )
+        }
         Message::ShardResult {
             iteration,
             attempt,
@@ -554,7 +541,7 @@ struct WorkerConn {
 /// admitted workers, and runs each attempt of an iteration as a wire
 /// executor of the shard protocol.
 pub struct Coordinator {
-    listener: Box<dyn ChannelListener>,
+    listener: TcpListenerLink,
     cfg: ClusterConfig,
     timesteps: usize,
     workers: Vec<WorkerConn>,
@@ -588,23 +575,12 @@ impl Coordinator {
     /// Propagates the bind failure.
     pub fn listen_tcp(addr: &str, cfg: ClusterConfig) -> Result<Coordinator, SkipperError> {
         let listener = TcpListenerLink::bind(addr, cfg.chaos.clone())?;
-        Ok(Coordinator::over(Box::new(listener), cfg))
-    }
-
-    /// An in-process loopback cluster: workers connect through clones of
-    /// the returned connector. Chaos (if configured) wraps both ends.
-    pub fn in_proc(cfg: ClusterConfig) -> (Coordinator, InProcConnector) {
-        let (listener, connector) = in_proc_net(cfg.chaos.clone());
-        (Coordinator::over(Box::new(listener), cfg), connector)
-    }
-
-    fn over(listener: Box<dyn ChannelListener>, cfg: ClusterConfig) -> Coordinator {
         let board: Board = Arc::new(Mutex::new(BTreeMap::new()));
         let route_board = Arc::clone(&board);
         let cluster_route = skipper_obs::global_router().register("GET", "/cluster", move |_req| {
             skipper_obs::Response::ok_json(render_cluster_json(&route_board))
         });
-        Coordinator {
+        Ok(Coordinator {
             listener,
             cfg,
             timesteps: 0,
@@ -613,7 +589,7 @@ impl Coordinator {
             ready: false,
             board,
             _cluster_route: cluster_route,
-        }
+        })
     }
 
     /// Apply `f` to worker `id`'s status row (created default-initialized
@@ -635,7 +611,7 @@ impl Coordinator {
 
     /// The address workers dial (resolved port for `:0` binds).
     pub fn addr(&self) -> String {
-        self.listener.addr()
+        self.listener.addr().to_string()
     }
 
     /// Currently admitted (live) workers.
@@ -683,7 +659,7 @@ impl Coordinator {
         };
         // Echo the worker's clock probe with our own receive timestamp so
         // it can estimate the coordinator-worker clock offset (NTP-style).
-        let pong = ping.map(|t1| (t1, skipper_obs::now_us()));
+        let pong = (ping, skipper_obs::now_us());
         let id = if worker != 0 && !self.workers.iter().any(|w| w.id == worker) {
             worker
         } else {
@@ -718,7 +694,7 @@ impl Coordinator {
         recorder.note("admitted", || {
             format!(
                 "\"worker\":{id},\"reconnect\":{reconnect},\"peer\":{}",
-                json_str(&channel.peer())
+                json_str(channel.peer())
             )
         });
         self.update_status(id, |row| {
@@ -959,7 +935,7 @@ impl Coordinator {
             self.ensure_capacity()?;
             if attempt >= self.cfg.max_attempts {
                 return Err(SkipperError::Transport {
-                    peer: self.listener.addr(),
+                    peer: self.addr(),
                     detail: format!(
                         "iteration {}: retry budget exhausted after {attempt} attempts",
                         it.seed
@@ -991,13 +967,13 @@ impl Coordinator {
 }
 
 /// One attempt of an iteration as an executor of the shard protocol: each
-/// round's requests become `Work*` frames for the assigned workers, and
+/// round's requests become `Work` messages for the assigned workers, and
 /// the first result per shard for this `(iteration, attempt)` wins. Both
 /// rounds run on one assignment — a round-1 carry lives on the worker
 /// that made it — so any loss in between fails the attempt.
 struct WireAttempt<'a> {
     coordinator: &'a mut Coordinator,
-    /// The iteration's weights, shipped with every round-1 frame.
+    /// The iteration's weights, shipped with every round-1 request.
     params: &'a [u8],
     /// The worker id per shard, fixed by the first round.
     assignment: Vec<u64>,
@@ -1016,53 +992,19 @@ impl Executor for WireAttempt<'_> {
         }
         let trace = current_trace_ctx();
         for (request, worker) in requests.into_iter().zip(&self.assignment) {
-            let msg = work_frame(request, self.params, trace);
+            // A round-1 message holds only the shard's own rows (sliced
+            // here, on the coordinator's thread) plus the weights.
+            let params = matches!(request, Request::Single(_) | Request::Forward(_))
+                .then(|| self.params.to_vec());
+            let msg = Message::Work {
+                request: request.into_rows(),
+                params,
+                trace,
+            };
             self.coordinator.send_to(*worker, &msg)?;
         }
         self.coordinator
             .collect(iteration, attempt, &self.assignment)
-    }
-}
-
-/// The frame that carries `request`. Round-1 frames hold only the shard's
-/// own rows (sliced here, on the coordinator's thread) plus the weights.
-fn work_frame(request: Request, params: &[u8], trace: Option<TraceCtx>) -> Message {
-    let single = matches!(request, Request::Single(_));
-    match request {
-        Request::Single(input) | Request::Forward(input) => {
-            let (ctx, inputs, labels) = input.into_rows();
-            let labels = labels.iter().map(|&l| l as u32).collect();
-            let params = params.to_vec();
-            if single {
-                Message::WorkSingle {
-                    ctx,
-                    params,
-                    labels,
-                    inputs,
-                    trace,
-                }
-            } else {
-                Message::WorkForward {
-                    ctx,
-                    params,
-                    labels,
-                    inputs,
-                    trace,
-                }
-            }
-        }
-        Request::Backward {
-            iteration,
-            attempt,
-            shard,
-            sums,
-        } => Message::WorkBackward {
-            iteration,
-            attempt,
-            shard,
-            sums,
-            trace,
-        },
     }
 }
 
@@ -1163,7 +1105,7 @@ pub struct WorkerReport {
 ///
 /// [`SkipperError::Transport`] when the reconnect budget is exhausted.
 pub fn run_worker(
-    connector: &mut dyn ChannelConnector,
+    connector: &mut TcpConnector,
     opts: &WorkerOptions,
 ) -> Result<WorkerReport, SkipperError> {
     let mut report = WorkerReport::default();
@@ -1192,7 +1134,7 @@ pub fn run_worker(
             recorder.dump_self();
             skipper_obs::flush();
             return Err(SkipperError::Transport {
-                peer: connector.peer(),
+                peer: connector.peer().to_string(),
                 detail: format!(
                     "reconnect budget exhausted after {} attempts",
                     connect_attempt
@@ -1210,18 +1152,12 @@ pub fn run_worker(
             continue;
         };
         // Clock probe: our send timestamp rides in Hello; the coordinator
-        // echoes it with its own receive timestamp in Welcome. Only armed
-        // while tracing is enabled so disabled runs keep the old frames.
-        let ping = if skipper_obs::enabled() {
-            Some(skipper_obs::now_us())
-        } else {
-            None
-        };
+        // echoes it with its own receive timestamp in Welcome.
         if channel
             .send(&Message::Hello {
                 worker: opts.id,
                 reconnect: was_connected,
-                ping,
+                ping: skipper_obs::now_us(),
             })
             .is_err()
         {
@@ -1231,29 +1167,27 @@ pub fn run_worker(
         let Ok(Message::Welcome {
             worker: id,
             spec,
-            pong,
+            pong: (t1, t2),
         }) = channel.recv_timeout(Duration::from_secs(10))
         else {
             connect_attempt += 1;
             continue;
         };
         let t3 = skipper_obs::now_us();
-        if let Some((t1, t2)) = pong {
-            // NTP-style: assume symmetric paths; the coordinator stamped t2
-            // between our t1 and t3, so offset = t2 - midpoint(t1, t3)
-            // estimates (coordinator clock - worker clock). The stitcher
-            // shifts this worker's timestamps by +offset.
-            let offset = t2 as i64 - ((t1 + t3) / 2) as i64;
-            let rtt = t3.saturating_sub(t1);
-            skipper_obs::gauge_set("cluster.clock_offset_us", offset as f64);
-            skipper_obs::instant!(
-                skipper_obs::Level::Info,
-                "cluster.clock_sync",
-                worker = id,
-                offset_us = offset,
-                rtt_us = rtt,
-            );
-        }
+        // NTP-style: assume symmetric paths; the coordinator stamped t2
+        // between our t1 and t3, so offset = t2 - midpoint(t1, t3)
+        // estimates (coordinator clock - worker clock). The stitcher
+        // shifts this worker's timestamps by +offset. Both emitters
+        // self-guard on enabled().
+        let offset = (t2 as i64).wrapping_sub((t1.saturating_add(t3) / 2) as i64);
+        skipper_obs::gauge_set("cluster.clock_offset_us", offset as f64);
+        skipper_obs::instant!(
+            skipper_obs::Level::Info,
+            "cluster.clock_sync",
+            worker = id,
+            offset_us = offset,
+            rtt_us = t3.saturating_sub(t1),
+        );
         // Carve a private span-id range so ids from this process never
         // collide with the coordinator's (or other workers') in a stitched
         // multi-process trace.
@@ -1392,51 +1326,13 @@ fn serve(
             Err(_) => return ServeEnd::Reconnect,
         };
         recorder.note("recv", || frame_summary(&msg));
-        let single = matches!(msg, Message::WorkSingle { .. });
         let (request, params, trace) = match msg {
             Message::Shutdown => return ServeEnd::Shutdown,
-            Message::WorkSingle {
-                ctx,
+            Message::Work {
+                request,
                 params,
-                labels,
-                inputs,
                 trace,
-            }
-            | Message::WorkForward {
-                ctx,
-                params,
-                labels,
-                inputs,
-                trace,
-            } => {
-                let input = ShardInput {
-                    ctx,
-                    inputs,
-                    labels: labels.iter().map(|&l| l as usize).collect(),
-                    rows: None,
-                };
-                let request = if single {
-                    Request::Single(input)
-                } else {
-                    Request::Forward(input)
-                };
-                (request, Some(params), trace)
-            }
-            Message::WorkBackward {
-                iteration,
-                attempt,
-                shard,
-                sums,
-                trace,
-            } => {
-                let request = Request::Backward {
-                    iteration,
-                    attempt,
-                    shard,
-                    sums,
-                };
-                (request, None, trace)
-            }
+            } => (request, params, trace),
             _ => continue,
         };
         let (iteration, attempt, shard) = request.key();

@@ -22,8 +22,7 @@
 
 use crate::error::SkipperError;
 use crate::lbp::LocalClassifiers;
-use crate::shard::{self, Executor, Iteration, Request, ShardWorker};
-use crate::transport::ResultPayload;
+use crate::shard::{self, Executor, Iteration, Request, ResultPayload, ShardWorker};
 use crate::windowed::StepResult;
 use skipper_memprof::{self as mp, MemorySnapshot, OpLog};
 use skipper_snn::SpikingNetwork;

@@ -102,4 +102,4 @@ pub use sam::{
     SkipPolicy, SpikeActivityMonitor,
 };
 pub use stats::{BatchStats, EpochStats, EvalStats};
-pub use transport::{ChannelConnector, ChaosConfig, InProcConnector, TcpConnector};
+pub use transport::{ChaosConfig, TcpConnector};

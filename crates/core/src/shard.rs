@@ -1,6 +1,9 @@
 //! The shard protocol: the one state machine behind data-parallel
 //! training, whether the shards run on the in-process worker pool
-//! ([`crate::engine`]) or behind a transport ([`crate::cluster`]).
+//! ([`crate::engine`]) or behind a transport ([`crate::cluster`]). The
+//! protocol's vocabulary — [`Request`], [`WorkCtx`], [`ResultPayload`] —
+//! lives here and knows nothing of either; the wire imports it, never the
+//! other way round.
 //!
 //! An iteration is at most two rounds of one [`Request`] per shard:
 //!
@@ -51,7 +54,7 @@
 //!   the carry round 1 parked there.
 //! * Every tensor a worker makes is created *and dropped* on its own thread
 //!   (the memory tracker is thread-local): requests bring storage-sharing
-//!   handles or decoded frames, replies are plain vectors.
+//!   handles or the rows a wire decoded, replies are plain vectors.
 //! * The parameter store is not touched until the last round has fully
 //!   succeeded, so a failed attempt leaves the gradients at zero and can be
 //!   retried bit-identically.
@@ -65,8 +68,8 @@ use crate::error::SkipperError;
 use crate::lbp::LocalClassifiers;
 use crate::method::{segment_bounds, Method};
 use crate::sam::{decide_skips, emit_skip_trace, SamMetric, SkipPolicy, SpikeActivityMonitor};
-use crate::transport::{ResultPayload, WireGrads, WorkCtx};
 use crate::windowed::{combine_loss_groups, windowed_core, StepResult};
+use serde::{Deserialize, Serialize};
 use skipper_autograd::Graph;
 use skipper_memprof::{Category, CategoryGuard};
 use skipper_snn::{ParamBinder, ParamStore, ShardGrads, SpikingNetwork};
@@ -293,34 +296,57 @@ pub(crate) struct Iteration<'a> {
     pub policy: SkipPolicy,
 }
 
+/// Per-iteration execution context carried by every round-1 request, so a
+/// worker never computes with stale knobs: the method (as possibly
+/// stepped by the memory governor), SAM metric, skip policy and the
+/// iteration seed all ride along. Serde gives it its one encoding — the
+/// one `.sksn`'s `meta` section already round-trips exactly — so a new
+/// `Method` needs teaching to nothing between the session and the worker.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct WorkCtx {
+    pub iteration: u64,
+    pub attempt: u32,
+    pub shard: u32,
+    pub batch_offset: u32,
+    pub global_batch: u32,
+    pub seed: u64,
+    pub method: Method,
+    pub metric: SamMetric,
+    pub policy: SkipPolicy,
+}
+
 /// Round-1 work for one shard.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ShardInput {
     pub ctx: WorkCtx,
     pub inputs: Vec<Tensor>,
     pub labels: Vec<usize>,
     /// The rows of `inputs` and `labels` that are this shard's; `None` when
-    /// they hold exactly those rows already (a request decoded off the
-    /// wire).
+    /// they hold exactly those rows already (a request about to cross, or
+    /// decoded off, the wire).
     pub rows: Option<Range<usize>>,
 }
 
 impl ShardInput {
-    /// This shard's rows. The copies are made on the calling thread — a
-    /// worker's own, or the coordinator's when it builds a frame — and the
-    /// full-batch handles are dropped before returning.
-    pub fn into_rows(self) -> (WorkCtx, Vec<Tensor>, Vec<usize>) {
+    /// The same work holding only this shard's rows. The copies are made on
+    /// the calling thread — a worker's own, or the coordinator's before it
+    /// wraps the request in a frame — and the full-batch handles are dropped
+    /// before returning.
+    pub fn into_rows(self) -> ShardInput {
         match self.rows {
-            Some(rows) => (
-                self.ctx,
-                slice_rows(&self.inputs, &rows),
-                self.labels[rows].to_vec(),
-            ),
-            None => (self.ctx, self.inputs, self.labels),
+            Some(rows) => ShardInput {
+                inputs: slice_rows(&self.inputs, &rows),
+                labels: self.labels[rows].to_vec(),
+                rows: None,
+                ..self
+            },
+            None => self,
         }
     }
 }
 
 /// What a worker is asked to do for one shard in one round.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Request {
     /// The whole step of a one-round method.
     Single(ShardInput),
@@ -360,6 +386,41 @@ impl Request {
             Request::Backward { .. } => "backward",
         }
     }
+
+    /// The request as it crosses a wire: round-1 work holds only its
+    /// shard's rows ([`ShardInput::into_rows`]).
+    pub fn into_rows(self) -> Request {
+        match self {
+            Request::Single(input) => Request::Single(input.into_rows()),
+            Request::Forward(input) => Request::Forward(input.into_rows()),
+            backward @ Request::Backward { .. } => backward,
+        }
+    }
+}
+
+/// Per-parameter raw gradients in store order (`None` = untouched).
+pub(crate) type WireGrads = Vec<Option<Vec<f32>>>;
+
+/// What one shard hands back for one request.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum ResultPayload {
+    /// Phase A of a checkpointed/Skipper iteration.
+    Forward {
+        sam_sums: Vec<f64>,
+        per_sample: Vec<f64>,
+        correct: u32,
+    },
+    /// Phase B gradients.
+    Grads { grads: WireGrads },
+    /// A whole single-phase (BPTT/TBPTT) shard.
+    Single {
+        loss_groups: Vec<Vec<f64>>,
+        correct: u32,
+        sam_sums: Vec<f64>,
+        recomputed: u32,
+        skipped: u32,
+        grads: WireGrads,
+    },
 }
 
 /// Runs one round of the protocol: hands every request to the worker that
@@ -553,7 +614,12 @@ impl ShardWorker {
     pub fn handle(&mut self, request: Request) -> Result<ResultPayload, String> {
         match request {
             Request::Single(input) => {
-                let (ctx, inputs, labels) = input.into_rows();
+                let ShardInput {
+                    ctx,
+                    inputs,
+                    labels,
+                    ..
+                } = input.into_rows();
                 let _span = skipper_obs::span!(
                     "shard",
                     shard = ctx.shard,
@@ -590,7 +656,12 @@ impl ShardWorker {
             Request::Forward(input) => {
                 let (checkpoints, percentile) = two_round(&input.ctx.method)
                     .ok_or_else(|| format!("{} is not a two-phase method", input.ctx.method))?;
-                let (ctx, inputs, labels) = input.into_rows();
+                let ShardInput {
+                    ctx,
+                    inputs,
+                    labels,
+                    ..
+                } = input.into_rows();
                 // A new attempt supersedes whatever an older one parked.
                 self.parked
                     .retain(|(i, a, _), _| *i == ctx.iteration && *a == ctx.attempt);

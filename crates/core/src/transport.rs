@@ -1,13 +1,15 @@
 //! Message transport between the cluster coordinator and its workers.
 //!
 //! The distributed engine (see [`crate::cluster`]) exchanges
-//! length-prefixed, CRC32-framed binary messages over an abstract
-//! [`FrameLink`]. Two links exist: a real TCP socket
-//! ([`TcpConnector`]/[`TcpListenerLink`]) for separate-process workers,
-//! and an in-process channel pair ([`in_proc_net`]) that pushes the very
-//! same encoded bytes through `mpsc` channels — so every codec path,
-//! fault mode and recovery transition is testable on loopback without
-//! sockets, and with them.
+//! length-prefixed, CRC32-framed binary messages over TCP: a `Channel`
+//! owns one socket, its read buffer, its counters and — when armed — its
+//! send-side chaos. There is one link, so every test of a codec path, fault
+//! mode or recovery transition binds `127.0.0.1:0` and meets TCP's own
+//! failure mode: a truncated frame desynchronises the stream.
+//!
+//! The arrow points wire → protocol only: a `Message::Work` carries a
+//! `shard::Request` and a `ShardResult` a `shard::ResultPayload`;
+//! `shard.rs` knows nothing of frames.
 //!
 //! # Frame format
 //!
@@ -15,7 +17,7 @@
 //! CRC32/IEEE over the payload):
 //!
 //! ```text
-//! magic  u32   "SKFR"
+//! magic  u32   "SKF2"
 //! len    u32   payload byte length (≤ 64 MiB)
 //! crc    u32   CRC32(payload)
 //! payload[len]
@@ -25,38 +27,50 @@
 //! poisons the connection: framing can no longer be trusted, so the
 //! receiver reports [`TransportError::Frame`] and the cluster layer
 //! tears the link down (the worker reconnects with backoff; the
-//! coordinator aborts and retries the in-flight iteration).
+//! coordinator aborts and retries the in-flight iteration). The wire
+//! speaks only to itself — both ends are built from one commit — so there
+//! is no mixed-version machinery: a layout change bumps the magic and a
+//! peer from before it fails closed on its first frame.
+//!
+//! # Payload conventions
+//!
+//! Fixed fields are little-endian scalars, sequences a `u32` count then the
+//! elements (every count is capped before anything is read), an optional
+//! field one presence byte then the value. What already has an exact serde
+//! encoding — the per-iteration `shard::WorkCtx` with its method, SAM
+//! metric and skip policy — crosses as a length-capped JSON document,
+//! exactly like `.sksn`'s `meta` section; parameters ride as `.skw` v2
+//! records.
 //!
 //! # Spike-compact tensor encoding
 //!
 //! Spike tensors are binary almost everywhere (the paper's premise), so
-//! [`WireTensor`] ships a tensor whose every value is bit-exactly `0.0`
-//! or `1.0` as a bitmask — 1 bit/element instead of 32 — and falls back
-//! to raw little-endian `f32` otherwise. Both encodings are bit-exact
-//! round trips.
+//! a tensor whose every value is bit-exactly `0.0` or `1.0` ships as a
+//! bitmask — 1 bit/element instead of 32 — and falls back to raw
+//! little-endian `f32` otherwise. Both encodings are bit-exact round
+//! trips.
 //!
 //! # Chaos injection
 //!
 //! [`ChaosConfig`] (parsed from the `SKIPPER_CHAOS` environment knob)
-//! arms a deterministic, seeded fault layer on a link's *send* side:
+//! arms a deterministic, seeded fault step on a channel's *send* side:
 //! frame drop, duplication, byte corruption, truncation and delay, plus
 //! a worker kill schedule consumed by [`crate::cluster::run_worker`].
 //! Every injected fault increments `engine.transport_chaos{kind}`.
 
 use crate::error::SkipperError;
-use crate::method::Method;
-use crate::sam::{SamMetric, SkipPolicy};
+use crate::shard::{Request, ResultPayload, ShardInput, WireGrads};
+use serde::{Deserialize, Serialize};
 use skipper_snn::serialize::crc32;
 use skipper_tensor::{Tensor, XorShiftRng};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Frame magic: `"SKFR"` little-endian.
-const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"SKFR");
+/// Frame magic: `"SKF2"` little-endian. Bumped with every layout change,
+/// so a peer built before it rejects the first frame instead of
+/// mis-decoding a CRC-valid one.
+const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"SKF2");
 
 /// Upper bound on a single frame payload; anything larger is treated as
 /// stream desync, not a legitimate message.
@@ -64,6 +78,14 @@ const MAX_FRAME: usize = 64 << 20;
 
 /// Frame header bytes: magic + len + crc.
 const HEADER: usize = 12;
+
+/// Upper bound on a serde document inside a payload. A real `WorkCtx` is
+/// ~200 bytes; the cap is what bounds the JSON parser's recursion on a
+/// hostile one, so it is checked before the parser sees a byte. Measured
+/// on the vendored parser at this workspace's `opt-level = 2`: a document
+/// of 1024 `[` needs between 256 and 512 KiB of stack, at most a quarter
+/// of a spawned thread's 2 MiB; 4096 of them do not fit in 1 MiB.
+const MAX_DOC: usize = 1024;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -136,18 +158,47 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_bytes(buf, s.as_bytes());
 }
 
-fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
-    put_u32(buf, vs.len() as u32);
-    for &v in vs {
-        put_f64(buf, v);
+/// A sequence: `u32` count, then each element through `put`.
+fn put_seq<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    put_u32(buf, items.len() as u32);
+    for item in items {
+        put(buf, item);
     }
 }
 
-fn put_f32s(buf: &mut Vec<u8>, vs: &[f32]) {
-    put_u32(buf, vs.len() as u32);
-    for &v in vs {
-        put_f32(buf, v);
+fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
+    put_seq(buf, vs, |b, v| put_f64(b, *v));
+}
+
+/// An optional field: one presence byte, then the value through `put`.
+/// The only way the wire spells "may be absent".
+fn put_opt<T>(buf: &mut Vec<u8>, v: &Option<T>, put: impl FnOnce(&mut Vec<u8>, &T)) {
+    match v {
+        Some(v) => {
+            buf.push(1);
+            put(buf, v);
+        }
+        None => buf.push(0),
     }
+}
+
+/// A value with an exact serde encoding, as a length-capped JSON document.
+///
+/// # Errors
+///
+/// [`TransportError::Frame`] for a document past [`MAX_DOC`]: the peer
+/// would refuse it, so it is refused before it is sent.
+fn put_doc<T: Serialize>(buf: &mut Vec<u8>, v: &T) -> Result<(), TransportError> {
+    let doc = serde_json::to_string(v)
+        .map_err(|e| TransportError::Frame(format!("encoding document: {e}")))?;
+    if doc.len() > MAX_DOC {
+        return Err(TransportError::Frame(format!(
+            "document of {} bytes exceeds the {MAX_DOC}-byte cap",
+            doc.len()
+        )));
+    }
+    put_str(buf, &doc);
+    Ok(())
 }
 
 /// Cursor over a received payload; every read is bounds-checked and
@@ -163,7 +214,9 @@ impl<'a> WireReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], TransportError> {
-        if self.at + n > self.buf.len() {
+        // `at ≤ len` always, so the subtraction cannot wrap where `at + n`
+        // could for a hostile `n`.
+        if n > self.buf.len() - self.at {
             return Err(TransportError::Frame(format!(
                 "payload truncated: wanted {n} bytes at offset {} of {}",
                 self.at,
@@ -220,29 +273,57 @@ impl<'a> WireReader<'a> {
             .map_err(|e| TransportError::Frame(format!("string is not UTF-8: {e}")))
     }
 
+    /// A [`put_seq`] sequence of at most `cap` elements named `what`. The
+    /// count is checked before the first element is read, and the vector
+    /// grows only as elements actually decode, so a hostile count cannot
+    /// allocate past what the payload holds.
+    pub fn seq<T>(
+        &mut self,
+        cap: usize,
+        what: &str,
+        mut read: impl FnMut(&mut Self) -> Result<T, TransportError>,
+    ) -> Result<Vec<T>, TransportError> {
+        let n = self.u32()? as usize;
+        if n > cap {
+            return Err(TransportError::Frame(format!(
+                "implausible {what} count {n}"
+            )));
+        }
+        (0..n).map(|_| read(self)).collect()
+    }
+
     pub fn f64s(&mut self) -> Result<Vec<f64>, TransportError> {
-        let n = self.u32()? as usize;
-        if n > MAX_FRAME / 8 {
-            return Err(TransportError::Frame(format!("implausible f64 count {n}")));
-        }
-        (0..n).map(|_| self.f64()).collect()
+        self.seq(MAX_FRAME / 8, "f64", Self::f64)
     }
 
-    pub fn f32s(&mut self) -> Result<Vec<f32>, TransportError> {
-        let n = self.u32()? as usize;
-        if n > MAX_FRAME / 4 {
-            return Err(TransportError::Frame(format!("implausible f32 count {n}")));
+    /// A [`put_opt`] field.
+    pub fn opt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, TransportError>,
+    ) -> Result<Option<T>, TransportError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => read(self).map(Some),
+            other => Err(TransportError::Frame(format!(
+                "unknown presence byte {other}"
+            ))),
         }
-        (0..n).map(|_| self.f32()).collect()
     }
 
-    /// Bytes not yet consumed. The wire format grows by appending
-    /// *optional trailing blocks* to existing messages: a decoder probes
-    /// `remaining() > 0` before [`done`](WireReader::done) (which rejects
-    /// trailing bytes), so frames from peers predating a block still parse
-    /// with the corresponding field absent.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.at
+    /// A [`put_doc`] document; one past [`MAX_DOC`] is refused before it
+    /// reaches the JSON parser.
+    pub fn doc<T: Deserialize>(&mut self) -> Result<T, TransportError> {
+        let doc = self.bytes()?;
+        if doc.len() > MAX_DOC {
+            return Err(TransportError::Frame(format!(
+                "document of {} bytes exceeds the {MAX_DOC}-byte cap",
+                doc.len()
+            )));
+        }
+        let text = std::str::from_utf8(doc)
+            .map_err(|e| TransportError::Frame(format!("document is not UTF-8: {e}")))?;
+        serde_json::from_str(text)
+            .map_err(|e| TransportError::Frame(format!("decoding document: {e}")))
     }
 
     pub fn done(&self) -> Result<(), TransportError> {
@@ -271,7 +352,7 @@ pub(crate) fn put_tensor(buf: &mut Vec<u8>, t: &Tensor) {
     let data = t.data();
     let binary = data
         .iter()
-        .all(|&v| v == 0.0 || v.to_bits() == 1.0f32.to_bits());
+        .all(|&v| v.to_bits() == 0 || v.to_bits() == 1.0f32.to_bits());
     if binary {
         buf.push(1); // bitmask encoding
         let mut byte = 0u8;
@@ -307,12 +388,13 @@ pub(crate) fn read_tensor(r: &mut WireReader<'_>) -> Result<Tensor, TransportErr
     for _ in 0..rank {
         dims.push(r.u32()? as usize);
     }
-    let numel: usize = dims.iter().product();
-    if numel > MAX_FRAME / 4 {
-        return Err(TransportError::Frame(format!(
-            "implausible tensor size {numel}"
-        )));
-    }
+    // The dims are the peer's: their product can overflow, so it is
+    // checked, and capped before anything is sized by it.
+    let numel = dims
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .filter(|&n| n <= MAX_FRAME / 4)
+        .ok_or_else(|| TransportError::Frame(format!("implausible tensor shape {dims:?}")))?;
     let encoding = r.u8()?;
     let data = match encoding {
         1 => {
@@ -343,190 +425,22 @@ pub(crate) fn read_tensor(r: &mut WireReader<'_>) -> Result<Tensor, TransportErr
 // Messages
 // ---------------------------------------------------------------------------
 
-/// Per-iteration execution context carried by every work assignment, so a
-/// worker never computes with stale knobs: the method (as possibly
-/// stepped by the memory governor), SAM metric, skip policy and the
-/// iteration seed all ride along.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct WorkCtx {
-    pub iteration: u64,
-    pub attempt: u32,
-    pub shard: u32,
-    pub batch_offset: u32,
-    pub global_batch: u32,
-    pub seed: u64,
-    pub method: Method,
-    pub metric: SamMetric,
-    pub policy: SkipPolicy,
-}
-
-fn put_method(buf: &mut Vec<u8>, m: &Method) {
-    match m {
-        Method::Bptt => buf.push(0),
-        Method::Checkpointed { checkpoints } => {
-            buf.push(1);
-            put_u32(buf, *checkpoints as u32);
-        }
-        Method::Skipper {
-            checkpoints,
-            percentile,
-        } => {
-            buf.push(2);
-            put_u32(buf, *checkpoints as u32);
-            put_f32(buf, *percentile);
-        }
-        Method::Tbptt { window } => {
-            buf.push(3);
-            put_u32(buf, *window as u32);
-        }
-        Method::TbpttLbp { window, taps } => {
-            buf.push(4);
-            put_u32(buf, *window as u32);
-            put_u32(buf, taps.len() as u32);
-            for &t in taps {
-                put_u32(buf, t as u32);
-            }
-        }
-    }
-}
-
-fn read_method(r: &mut WireReader<'_>) -> Result<Method, TransportError> {
-    Ok(match r.u8()? {
-        0 => Method::Bptt,
-        1 => Method::Checkpointed {
-            checkpoints: r.u32()? as usize,
-        },
-        2 => Method::Skipper {
-            checkpoints: r.u32()? as usize,
-            percentile: r.f32()?,
-        },
-        3 => Method::Tbptt {
-            window: r.u32()? as usize,
-        },
-        4 => {
-            let window = r.u32()? as usize;
-            let n = r.u32()? as usize;
-            if n > 1024 {
-                return Err(TransportError::Frame(format!("implausible tap count {n}")));
-            }
-            let taps = (0..n)
-                .map(|_| r.u32().map(|v| v as usize))
-                .collect::<Result<Vec<_>, _>>()?;
-            Method::TbpttLbp { window, taps }
-        }
-        other => return Err(TransportError::Frame(format!("unknown method tag {other}"))),
-    })
-}
-
-fn put_metric(buf: &mut Vec<u8>, m: SamMetric) {
-    buf.push(match m {
-        SamMetric::SpikeSum => 0,
-        SamMetric::NeuronNormalized => 1,
-        SamMetric::MembraneL2 => 2,
-    });
-}
-
-fn read_metric(r: &mut WireReader<'_>) -> Result<SamMetric, TransportError> {
-    Ok(match r.u8()? {
-        0 => SamMetric::SpikeSum,
-        1 => SamMetric::NeuronNormalized,
-        2 => SamMetric::MembraneL2,
-        other => return Err(TransportError::Frame(format!("unknown metric tag {other}"))),
-    })
-}
-
-fn put_policy(buf: &mut Vec<u8>, p: SkipPolicy) {
-    buf.push(match p {
-        SkipPolicy::SpikeActivity => 0,
-        SkipPolicy::Random => 1,
-    });
-}
-
-fn read_policy(r: &mut WireReader<'_>) -> Result<SkipPolicy, TransportError> {
-    Ok(match r.u8()? {
-        0 => SkipPolicy::SpikeActivity,
-        1 => SkipPolicy::Random,
-        other => return Err(TransportError::Frame(format!("unknown policy tag {other}"))),
-    })
-}
-
-fn put_ctx(buf: &mut Vec<u8>, c: &WorkCtx) {
-    put_u64(buf, c.iteration);
-    put_u32(buf, c.attempt);
-    put_u32(buf, c.shard);
-    put_u32(buf, c.batch_offset);
-    put_u32(buf, c.global_batch);
-    put_u64(buf, c.seed);
-    put_method(buf, &c.method);
-    put_metric(buf, c.metric);
-    put_policy(buf, c.policy);
-}
-
-fn read_ctx(r: &mut WireReader<'_>) -> Result<WorkCtx, TransportError> {
-    Ok(WorkCtx {
-        iteration: r.u64()?,
-        attempt: r.u32()?,
-        shard: r.u32()?,
-        batch_offset: r.u32()?,
-        global_batch: r.u32()?,
-        seed: r.u64()?,
-        method: read_method(r)?,
-        metric: read_metric(r)?,
-        policy: read_policy(r)?,
-    })
-}
-
-/// Per-parameter raw gradients in store order (`None` = untouched).
-pub(crate) type WireGrads = Vec<Option<Vec<f32>>>;
-
 fn put_grads(buf: &mut Vec<u8>, grads: &WireGrads) {
-    put_u32(buf, grads.len() as u32);
-    for g in grads {
-        match g {
-            Some(v) => {
-                buf.push(1);
-                put_f32s(buf, v);
-            }
-            None => buf.push(0),
-        }
-    }
+    put_seq(buf, grads, |b, slot| {
+        put_opt(b, slot, |b, g| put_seq(b, g, |b, v| put_f32(b, *v)))
+    });
 }
 
 fn read_grads(r: &mut WireReader<'_>) -> Result<WireGrads, TransportError> {
-    let n = r.u32()? as usize;
-    if n > 1 << 20 {
-        return Err(TransportError::Frame(format!(
-            "implausible gradient slot count {n}"
-        )));
-    }
-    (0..n)
-        .map(|_| {
-            Ok(match r.u8()? {
-                0 => None,
-                1 => Some(r.f32s()?),
-                other => {
-                    return Err(TransportError::Frame(format!(
-                        "unknown gradient slot tag {other}"
-                    )))
-                }
-            })
-        })
-        .collect()
+    r.seq(1 << 20, "gradient slot", |r| {
+        r.opt(|r| r.seq(MAX_FRAME / 4, "f32", WireReader::f32))
+    })
 }
-
-// ---------------------------------------------------------------------------
-// Optional trailing blocks: trace context + metric deltas
-// ---------------------------------------------------------------------------
-
-/// Version tag opening every optional trailing block, so a future format
-/// revision can be told apart from a truncation or garbage.
-const BLOCK_V1: u8 = 1;
 
 /// Distributed trace context riding on work dispatches: the coordinator's
 /// run-level trace id and the span (the open `iteration` span) that the
-/// worker's `worker_task` span should nest under. Ships as an optional
-/// trailing block — frames from coordinators predating it decode with the
-/// field `None` and workers simply open unparented spans, as before.
+/// worker's `worker_task` span should nest under. Absent while the
+/// coordinator is not tracing; workers then open unparented spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct TraceCtx {
     /// Process-stable id of the coordinator's trace (groups every span of
@@ -534,30 +448,6 @@ pub(crate) struct TraceCtx {
     pub trace: u64,
     /// Span id the receiving worker adopts as its remote parent.
     pub parent: u64,
-}
-
-fn put_trace(buf: &mut Vec<u8>, t: &Option<TraceCtx>) {
-    if let Some(t) = t {
-        buf.push(BLOCK_V1);
-        put_u64(buf, t.trace);
-        put_u64(buf, t.parent);
-    }
-}
-
-fn read_trace(r: &mut WireReader<'_>) -> Result<Option<TraceCtx>, TransportError> {
-    if r.remaining() == 0 {
-        return Ok(None);
-    }
-    let v = r.u8()?;
-    if v != BLOCK_V1 {
-        return Err(TransportError::Frame(format!(
-            "unknown trace-context block version {v}"
-        )));
-    }
-    Ok(Some(TraceCtx {
-        trace: r.u64()?,
-        parent: r.u64()?,
-    }))
 }
 
 /// One histogram's federated state: bucket-count deltas since the last
@@ -593,121 +483,102 @@ impl MetricsDelta {
 /// is a mis-encoded frame, not telemetry.
 const MAX_DELTA_SERIES: usize = 1 << 16;
 
-fn put_metrics_delta(buf: &mut Vec<u8>, d: &Option<MetricsDelta>) {
-    let Some(d) = d else { return };
-    buf.push(BLOCK_V1);
-    put_u32(buf, d.counters.len() as u32);
-    for (name, v) in &d.counters {
+fn put_delta(buf: &mut Vec<u8>, d: &MetricsDelta) {
+    let series = |buf: &mut Vec<u8>, (name, v): &(String, f64)| {
         put_str(buf, name);
         put_f64(buf, *v);
-    }
-    put_u32(buf, d.gauges.len() as u32);
-    for (name, v) in &d.gauges {
-        put_str(buf, name);
-        put_f64(buf, *v);
-    }
-    put_u32(buf, d.histograms.len() as u32);
-    for (name, h) in &d.histograms {
+    };
+    put_seq(buf, &d.counters, series);
+    put_seq(buf, &d.gauges, series);
+    put_seq(buf, &d.histograms, |buf, (name, h)| {
         put_str(buf, name);
         put_f64s(buf, &h.bounds);
-        put_u32(buf, h.counts.len() as u32);
-        for &c in &h.counts {
-            put_u64(buf, c);
-        }
+        put_seq(buf, &h.counts, |b, c| put_u64(b, *c));
         put_f64(buf, h.sum);
         put_u64(buf, h.count);
         put_f64(buf, h.min);
         put_f64(buf, h.max);
-    }
+    });
 }
 
-fn read_metrics_delta(r: &mut WireReader<'_>) -> Result<Option<MetricsDelta>, TransportError> {
-    if r.remaining() == 0 {
-        return Ok(None);
-    }
-    let v = r.u8()?;
-    if v != BLOCK_V1 {
-        return Err(TransportError::Frame(format!(
-            "unknown metrics-delta block version {v}"
-        )));
-    }
-    let series = |r: &mut WireReader<'_>| -> Result<Vec<(String, f64)>, TransportError> {
-        let n = r.u32()? as usize;
-        if n > MAX_DELTA_SERIES {
-            return Err(TransportError::Frame(format!(
-                "implausible metric-series count {n}"
-            )));
-        }
-        (0..n).map(|_| Ok((r.string()?, r.f64()?))).collect()
-    };
-    let counters = series(r)?;
-    let gauges = series(r)?;
-    let n = r.u32()? as usize;
-    if n > MAX_DELTA_SERIES {
-        return Err(TransportError::Frame(format!(
-            "implausible histogram-series count {n}"
-        )));
-    }
-    let mut histograms = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.string()?;
-        let bounds = r.f64s()?;
-        let buckets = r.u32()? as usize;
-        if buckets > 1 << 16 {
-            return Err(TransportError::Frame(format!(
-                "implausible bucket count {buckets}"
-            )));
-        }
-        let counts = (0..buckets)
-            .map(|_| r.u64())
-            .collect::<Result<Vec<_>, _>>()?;
-        histograms.push((
-            name,
-            HistDelta {
-                bounds,
-                counts,
-                sum: r.f64()?,
-                count: r.u64()?,
-                min: r.f64()?,
-                max: r.f64()?,
-            },
-        ));
-    }
-    Ok(Some(MetricsDelta {
-        counters,
-        gauges,
-        histograms,
-    }))
+fn read_delta(r: &mut WireReader<'_>) -> Result<MetricsDelta, TransportError> {
+    let series = |r: &mut WireReader<'_>| Ok((r.string()?, r.f64()?));
+    Ok(MetricsDelta {
+        counters: r.seq(MAX_DELTA_SERIES, "metric-series", series)?,
+        gauges: r.seq(MAX_DELTA_SERIES, "metric-series", series)?,
+        histograms: r.seq(MAX_DELTA_SERIES, "histogram-series", |r| {
+            Ok((
+                r.string()?,
+                HistDelta {
+                    bounds: r.f64s()?,
+                    counts: r.seq(1 << 16, "bucket", WireReader::u64)?,
+                    sum: r.f64()?,
+                    count: r.u64()?,
+                    min: r.f64()?,
+                    max: r.f64()?,
+                },
+            ))
+        })?,
+    })
 }
 
-/// What one shard hands back for one dispatch.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum ResultPayload {
-    /// Phase A of a checkpointed/Skipper iteration.
-    Forward {
-        sam_sums: Vec<f64>,
-        per_sample: Vec<f64>,
-        correct: u32,
-    },
-    /// Phase B gradients.
-    Grads { grads: WireGrads },
-    /// A whole single-phase (BPTT/TBPTT) shard.
-    Single {
-        loss_groups: Vec<Vec<f64>>,
-        correct: u32,
-        sam_sums: Vec<f64>,
-        recomputed: u32,
-        skipped: u32,
-        grads: WireGrads,
-    },
+/// One shard's work for one round. Round-1 requests hold exactly their
+/// shard's rows (the coordinator slices before it wraps), so `rows` never
+/// crosses; the context is the serde document `.sksn`'s `meta` would hold.
+fn put_request(buf: &mut Vec<u8>, request: &Request) -> Result<(), TransportError> {
+    match request {
+        Request::Single(input) | Request::Forward(input) => {
+            debug_assert!(input.rows.is_none(), "a wire request is already sliced");
+            buf.push(u8::from(matches!(request, Request::Forward(_))));
+            put_doc(buf, &input.ctx)?;
+            put_seq(buf, &input.labels, |b, l| put_u32(b, *l as u32));
+            put_seq(buf, &input.inputs, put_tensor);
+        }
+        Request::Backward {
+            iteration,
+            attempt,
+            shard,
+            sums,
+        } => {
+            buf.push(2);
+            put_u64(buf, *iteration);
+            put_u32(buf, *attempt);
+            put_u32(buf, *shard);
+            put_f64s(buf, sums);
+        }
+    }
+    Ok(())
+}
+
+fn read_request(r: &mut WireReader<'_>) -> Result<Request, TransportError> {
+    let kind = r.u8()?;
+    match kind {
+        0 | 1 => {
+            let input = ShardInput {
+                ctx: r.doc()?,
+                labels: r.seq(1 << 24, "label", |r| Ok(r.u32()? as usize))?,
+                inputs: r.seq(1 << 16, "timestep", read_tensor)?,
+                rows: None,
+            };
+            Ok(if kind == 0 {
+                Request::Single(input)
+            } else {
+                Request::Forward(input)
+            })
+        }
+        2 => Ok(Request::Backward {
+            iteration: r.u64()?,
+            attempt: r.u32()?,
+            shard: r.u32()?,
+            sums: r.f64s()?,
+        }),
+        other => Err(TransportError::Frame(format!(
+            "unknown request kind {other}"
+        ))),
+    }
 }
 
 /// Every message the coordinator/worker protocol exchanges.
-///
-/// Fields typed `Option<...>` ride as optional trailing blocks after the
-/// original fixed layout: `None` encodes to byte-identical old frames, and
-/// a decoder finding no trailing bytes yields `None` — so mixed-version
-/// clusters (old worker, new coordinator) keep interoperating.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Message {
     /// Worker → coordinator on (re)connect. `ping` is the worker's local
@@ -716,7 +587,7 @@ pub(crate) enum Message {
     Hello {
         worker: u64,
         reconnect: bool,
-        ping: Option<u64>,
+        ping: u64,
     },
     /// Coordinator → worker: assigned id + model spec bytes
     /// (see [`crate::cluster::WireSpec`]). `pong` is `(t1_echo, t2)`:
@@ -725,38 +596,22 @@ pub(crate) enum Message {
     Welcome {
         worker: u64,
         spec: Vec<u8>,
-        pong: Option<(u64, u64)>,
+        pong: (u64, u64),
     },
-    /// Worker → coordinator liveness beacon (sent while idle), optionally
-    /// carrying the worker's metric-registry delta for federation.
+    /// Worker → coordinator liveness beacon (sent while idle), carrying
+    /// the worker's metric-registry delta for federation when it has one.
     Heartbeat {
         worker: u64,
         iteration: u64,
         metrics: Option<MetricsDelta>,
     },
-    /// One whole single-phase shard: params + sliced inputs + labels.
-    WorkSingle {
-        ctx: WorkCtx,
-        params: Vec<u8>,
-        labels: Vec<u32>,
-        inputs: Vec<Tensor>,
-        trace: Option<TraceCtx>,
-    },
-    /// Phase A of a two-phase shard (same payload shape as `WorkSingle`).
-    WorkForward {
-        ctx: WorkCtx,
-        params: Vec<u8>,
-        labels: Vec<u32>,
-        inputs: Vec<Tensor>,
-        trace: Option<TraceCtx>,
-    },
-    /// Phase B go: globally aggregated SAM sums (the worker re-derives
-    /// the skip schedule bit-identically with `decide_skips`).
-    WorkBackward {
-        iteration: u64,
-        attempt: u32,
-        shard: u32,
-        sums: Vec<f64>,
+    /// Coordinator → worker: one shard's request for one round. Round-1
+    /// requests bring the iteration's weights (`.skw` v2 records), so a
+    /// worker that was away never computes with stale ones; round 2 ships
+    /// only the globally aggregated SAM sums.
+    Work {
+        request: Request,
+        params: Option<Vec<u8>>,
         trace: Option<TraceCtx>,
     },
     /// Worker → coordinator shard result.
@@ -775,7 +630,12 @@ pub(crate) enum Message {
 
 impl Message {
     /// Encode to a payload (no frame header).
-    pub fn encode(&self) -> Vec<u8> {
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::Frame`] when a work context does not fit its
+    /// document cap (see [`put_doc`]).
+    pub fn encode(&self) -> Result<Vec<u8>, TransportError> {
         let mut buf = Vec::new();
         match self {
             Message::Hello {
@@ -786,20 +646,14 @@ impl Message {
                 buf.push(1);
                 put_u64(&mut buf, *worker);
                 buf.push(u8::from(*reconnect));
-                if let Some(t1) = ping {
-                    buf.push(BLOCK_V1);
-                    put_u64(&mut buf, *t1);
-                }
+                put_u64(&mut buf, *ping);
             }
             Message::Welcome { worker, spec, pong } => {
                 buf.push(2);
                 put_u64(&mut buf, *worker);
                 put_bytes(&mut buf, spec);
-                if let Some((t1, t2)) = pong {
-                    buf.push(BLOCK_V1);
-                    put_u64(&mut buf, *t1);
-                    put_u64(&mut buf, *t2);
-                }
+                put_u64(&mut buf, pong.0);
+                put_u64(&mut buf, pong.1);
             }
             Message::Heartbeat {
                 worker,
@@ -809,52 +663,20 @@ impl Message {
                 buf.push(3);
                 put_u64(&mut buf, *worker);
                 put_u64(&mut buf, *iteration);
-                put_metrics_delta(&mut buf, metrics);
+                put_opt(&mut buf, metrics, put_delta);
             }
-            Message::WorkSingle {
-                ctx,
+            Message::Work {
+                request,
                 params,
-                labels,
-                inputs,
-                trace,
-            }
-            | Message::WorkForward {
-                ctx,
-                params,
-                labels,
-                inputs,
                 trace,
             } => {
-                buf.push(if matches!(self, Message::WorkSingle { .. }) {
-                    4
-                } else {
-                    5
+                buf.push(4);
+                put_request(&mut buf, request)?;
+                put_opt(&mut buf, params, |b, p| put_bytes(b, p));
+                put_opt(&mut buf, trace, |b, t| {
+                    put_u64(b, t.trace);
+                    put_u64(b, t.parent);
                 });
-                put_ctx(&mut buf, ctx);
-                put_bytes(&mut buf, params);
-                put_u32(&mut buf, labels.len() as u32);
-                for &l in labels {
-                    put_u32(&mut buf, l);
-                }
-                put_u32(&mut buf, inputs.len() as u32);
-                for t in inputs {
-                    put_tensor(&mut buf, t);
-                }
-                put_trace(&mut buf, trace);
-            }
-            Message::WorkBackward {
-                iteration,
-                attempt,
-                shard,
-                sums,
-                trace,
-            } => {
-                buf.push(6);
-                put_u64(&mut buf, *iteration);
-                put_u32(&mut buf, *attempt);
-                put_u32(&mut buf, *shard);
-                put_f64s(&mut buf, sums);
-                put_trace(&mut buf, trace);
             }
             Message::ShardResult {
                 iteration,
@@ -862,7 +684,7 @@ impl Message {
                 shard,
                 payload,
             } => {
-                buf.push(7);
+                buf.push(5);
                 put_u64(&mut buf, *iteration);
                 put_u32(&mut buf, *attempt);
                 put_u32(&mut buf, *shard);
@@ -890,10 +712,7 @@ impl Message {
                         grads,
                     } => {
                         buf.push(2);
-                        put_u32(&mut buf, loss_groups.len() as u32);
-                        for g in loss_groups {
-                            put_f64s(&mut buf, g);
-                        }
+                        put_seq(&mut buf, loss_groups, |b, g| put_f64s(b, g));
                         put_u32(&mut buf, *correct);
                         put_f64s(&mut buf, sam_sums);
                         put_u32(&mut buf, *recomputed);
@@ -903,111 +722,45 @@ impl Message {
                 }
             }
             Message::Fault { worker, detail } => {
-                buf.push(8);
+                buf.push(6);
                 put_u64(&mut buf, *worker);
                 put_str(&mut buf, detail);
             }
-            Message::Shutdown => buf.push(9),
+            Message::Shutdown => buf.push(7),
         }
-        buf
+        Ok(buf)
     }
 
     /// Decode a payload produced by [`Message::encode`].
     pub fn decode(payload: &[u8]) -> Result<Message, TransportError> {
         let mut r = WireReader::new(payload);
         let msg = match r.u8()? {
-            1 => {
-                let worker = r.u64()?;
-                let reconnect = r.u8()? != 0;
-                let ping = if r.remaining() > 0 {
-                    let v = r.u8()?;
-                    if v != BLOCK_V1 {
-                        return Err(TransportError::Frame(format!(
-                            "unknown hello-ping block version {v}"
-                        )));
-                    }
-                    Some(r.u64()?)
-                } else {
-                    None
-                };
-                Message::Hello {
-                    worker,
-                    reconnect,
-                    ping,
-                }
-            }
-            2 => {
-                let worker = r.u64()?;
-                let spec = r.bytes()?.to_vec();
-                let pong = if r.remaining() > 0 {
-                    let v = r.u8()?;
-                    if v != BLOCK_V1 {
-                        return Err(TransportError::Frame(format!(
-                            "unknown welcome-pong block version {v}"
-                        )));
-                    }
-                    Some((r.u64()?, r.u64()?))
-                } else {
-                    None
-                };
-                Message::Welcome { worker, spec, pong }
-            }
-            3 => {
-                let worker = r.u64()?;
-                let iteration = r.u64()?;
-                let metrics = read_metrics_delta(&mut r)?;
-                Message::Heartbeat {
-                    worker,
-                    iteration,
-                    metrics,
-                }
-            }
-            tag @ (4 | 5) => {
-                let ctx = read_ctx(&mut r)?;
-                let params = r.bytes()?.to_vec();
-                let n = r.u32()? as usize;
-                if n > 1 << 24 {
-                    return Err(TransportError::Frame(format!(
-                        "implausible label count {n}"
-                    )));
-                }
-                let labels = (0..n).map(|_| r.u32()).collect::<Result<Vec<_>, _>>()?;
-                let t = r.u32()? as usize;
-                if t > 1 << 16 {
-                    return Err(TransportError::Frame(format!(
-                        "implausible timestep count {t}"
-                    )));
-                }
-                let inputs = (0..t)
-                    .map(|_| read_tensor(&mut r))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let trace = read_trace(&mut r)?;
-                if tag == 4 {
-                    Message::WorkSingle {
-                        ctx,
-                        params,
-                        labels,
-                        inputs,
-                        trace,
-                    }
-                } else {
-                    Message::WorkForward {
-                        ctx,
-                        params,
-                        labels,
-                        inputs,
-                        trace,
-                    }
-                }
-            }
-            6 => Message::WorkBackward {
-                iteration: r.u64()?,
-                attempt: r.u32()?,
-                shard: r.u32()?,
-                sums: r.f64s()?,
-                trace: read_trace(&mut r)?,
+            1 => Message::Hello {
+                worker: r.u64()?,
+                reconnect: r.u8()? != 0,
+                ping: r.u64()?,
             },
-            7 => {
+            2 => Message::Welcome {
+                worker: r.u64()?,
+                spec: r.bytes()?.to_vec(),
+                pong: (r.u64()?, r.u64()?),
+            },
+            3 => Message::Heartbeat {
+                worker: r.u64()?,
+                iteration: r.u64()?,
+                metrics: r.opt(read_delta)?,
+            },
+            4 => Message::Work {
+                request: read_request(&mut r)?,
+                params: r.opt(|r| Ok(r.bytes()?.to_vec()))?,
+                trace: r.opt(|r| {
+                    Ok(TraceCtx {
+                        trace: r.u64()?,
+                        parent: r.u64()?,
+                    })
+                })?,
+            },
+            5 => {
                 let iteration = r.u64()?;
                 let attempt = r.u32()?;
                 let shard = r.u32()?;
@@ -1020,24 +773,14 @@ impl Message {
                     1 => ResultPayload::Grads {
                         grads: read_grads(&mut r)?,
                     },
-                    2 => {
-                        let n = r.u32()? as usize;
-                        if n > 1 << 16 {
-                            return Err(TransportError::Frame(format!(
-                                "implausible loss-group count {n}"
-                            )));
-                        }
-                        let loss_groups =
-                            (0..n).map(|_| r.f64s()).collect::<Result<Vec<_>, _>>()?;
-                        ResultPayload::Single {
-                            loss_groups,
-                            correct: r.u32()?,
-                            sam_sums: r.f64s()?,
-                            recomputed: r.u32()?,
-                            skipped: r.u32()?,
-                            grads: read_grads(&mut r)?,
-                        }
-                    }
+                    2 => ResultPayload::Single {
+                        loss_groups: r.seq(1 << 16, "loss-group", WireReader::f64s)?,
+                        correct: r.u32()?,
+                        sam_sums: r.f64s()?,
+                        recomputed: r.u32()?,
+                        skipped: r.u32()?,
+                        grads: read_grads(&mut r)?,
+                    },
                     other => {
                         return Err(TransportError::Frame(format!(
                             "unknown result payload tag {other}"
@@ -1051,11 +794,11 @@ impl Message {
                     payload,
                 }
             }
-            8 => Message::Fault {
+            6 => Message::Fault {
                 worker: r.u64()?,
                 detail: r.string()?,
             },
-            9 => Message::Shutdown,
+            7 => Message::Shutdown,
             other => {
                 return Err(TransportError::Frame(format!(
                     "unknown message tag {other}"
@@ -1068,20 +811,8 @@ impl Message {
 }
 
 // ---------------------------------------------------------------------------
-// Frame links
+// Frames
 // ---------------------------------------------------------------------------
-
-/// One byte-level duplex link carrying whole frames. Implementations:
-/// TCP sockets and in-process channels.
-pub(crate) trait FrameLink: Send {
-    /// Ship one already-framed byte run.
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), TransportError>;
-    /// Receive and verify one frame, returning its payload. Waits at most
-    /// `timeout`.
-    fn recv_frame(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError>;
-    /// Peer label for diagnostics.
-    fn peer(&self) -> String;
-}
 
 /// Build the framed bytes for `payload`.
 fn frame_bytes(payload: &[u8]) -> Vec<u8> {
@@ -1093,173 +824,41 @@ fn frame_bytes(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Parse a whole frame from `bytes`; `bytes` must contain exactly one
-/// frame (the in-process link's delivery unit).
-fn unframe(bytes: &[u8]) -> Result<Vec<u8>, TransportError> {
-    if bytes.len() < HEADER {
-        return Err(TransportError::Frame(format!(
-            "short frame ({} bytes)",
-            bytes.len()
-        )));
+/// The one header/CRC check. If `rbuf` starts with a complete frame, pop
+/// it and return its verified payload; `Ok(None)` means more bytes are
+/// needed. A frame cut short is therefore not an error by itself — the
+/// bytes that follow it are read as its tail, and the CRC (or the next
+/// magic) reports the desync.
+fn pop_frame(rbuf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, TransportError> {
+    if rbuf.len() < HEADER {
+        return Ok(None);
     }
-    let mut r = WireReader::new(bytes);
+    let mut r = WireReader::new(rbuf);
     let magic = r.u32()?;
     if magic != FRAME_MAGIC {
-        return Err(TransportError::Frame(format!("bad magic {magic:#010x}")));
+        return Err(TransportError::Frame(format!(
+            "bad magic {magic:#010x} (stream desync)"
+        )));
     }
     let len = r.u32()? as usize;
     if len > MAX_FRAME {
         return Err(TransportError::Frame(format!(
-            "implausible frame length {len}"
+            "implausible frame length {len} (stream desync)"
         )));
     }
     let stored = r.u32()?;
-    let payload = r.take(len)?;
-    if bytes.len() != HEADER + len {
-        return Err(TransportError::Frame(format!(
-            "frame length {} disagrees with delivery size {}",
-            HEADER + len,
-            bytes.len()
-        )));
+    if rbuf.len() < HEADER + len {
+        return Ok(None);
     }
-    let computed = crc32(payload);
+    let payload = rbuf[HEADER..HEADER + len].to_vec();
+    rbuf.drain(..HEADER + len);
+    let computed = crc32(&payload);
     if stored != computed {
         return Err(TransportError::Frame(format!(
             "payload CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"
         )));
     }
-    Ok(payload.to_vec())
-}
-
-// --- TCP -------------------------------------------------------------------
-
-/// A TCP stream carrying frames, with partial-read buffering so a frame
-/// split across reads (or across `recv` timeouts) reassembles correctly.
-pub(crate) struct TcpLink {
-    stream: TcpStream,
-    peer: String,
-    rbuf: Vec<u8>,
-}
-
-impl TcpLink {
-    pub fn new(stream: TcpStream) -> TcpLink {
-        let peer = stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "tcp-peer".to_string());
-        TcpLink {
-            stream,
-            peer,
-            rbuf: Vec::new(),
-        }
-    }
-
-    /// If `rbuf` holds a complete frame, pop and verify it.
-    fn try_pop_frame(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        if self.rbuf.len() < HEADER {
-            return Ok(None);
-        }
-        let magic = u32::from_le_bytes([self.rbuf[0], self.rbuf[1], self.rbuf[2], self.rbuf[3]]);
-        if magic != FRAME_MAGIC {
-            return Err(TransportError::Frame(format!(
-                "bad magic {magic:#010x} (stream desync)"
-            )));
-        }
-        let len =
-            u32::from_le_bytes([self.rbuf[4], self.rbuf[5], self.rbuf[6], self.rbuf[7]]) as usize;
-        if len > MAX_FRAME {
-            return Err(TransportError::Frame(format!(
-                "implausible frame length {len} (stream desync)"
-            )));
-        }
-        if self.rbuf.len() < HEADER + len {
-            return Ok(None);
-        }
-        let frame: Vec<u8> = self.rbuf.drain(..HEADER + len).collect();
-        unframe(&frame).map(Some)
-    }
-}
-
-impl FrameLink for TcpLink {
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        self.stream
-            .write_all(frame)
-            .and_then(|_| self.stream.flush())
-            .map_err(|e| match e.kind() {
-                std::io::ErrorKind::BrokenPipe
-                | std::io::ErrorKind::ConnectionReset
-                | std::io::ErrorKind::ConnectionAborted
-                | std::io::ErrorKind::UnexpectedEof => TransportError::Closed(e.to_string()),
-                _ => TransportError::Io(e.to_string()),
-            })
-    }
-
-    fn recv_frame(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        let deadline = Instant::now() + timeout;
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if let Some(payload) = self.try_pop_frame()? {
-                return Ok(payload);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(TransportError::Timeout);
-            }
-            let remaining = (deadline - now).max(Duration::from_millis(1));
-            self.stream
-                .set_read_timeout(Some(remaining))
-                .map_err(|e| TransportError::Io(e.to_string()))?;
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(TransportError::Closed("peer hung up".into())),
-                Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Err(TransportError::Timeout);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(TransportError::Io(e.to_string())),
-            }
-        }
-    }
-
-    fn peer(&self) -> String {
-        self.peer.clone()
-    }
-}
-
-// --- In-process ------------------------------------------------------------
-
-/// Channel-backed link: every `Vec<u8>` is one frame, pushed through the
-/// same encode/verify path as TCP so chaos and codec faults behave
-/// identically on loopback tests.
-pub(crate) struct InProcLink {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
-    label: String,
-}
-
-impl FrameLink for InProcLink {
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        self.tx
-            .send(frame.to_vec())
-            .map_err(|_| TransportError::Closed("in-proc peer dropped".into()))
-    }
-
-    fn recv_frame(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(bytes) => unframe(&bytes),
-            Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(TransportError::Closed("in-proc peer dropped".into()))
-            }
-        }
-    }
-
-    fn peer(&self) -> String {
-        self.label.clone()
-    }
+    Ok(Some(payload))
 }
 
 // ---------------------------------------------------------------------------
@@ -1267,10 +866,20 @@ impl FrameLink for InProcLink {
 // ---------------------------------------------------------------------------
 
 /// Deterministic fault plan, usually parsed from the `SKIPPER_CHAOS`
-/// environment knob:
+/// environment knob. The grammar is comma-separated `key=value` with keys
+/// `seed`, `drop`, `dup`, `corrupt`, `truncate`, `delay`, `delay_us` and
+/// `kill` — here the README's worker example, parsed:
 ///
-/// ```text
-/// SKIPPER_CHAOS="seed=7,drop=0.02,dup=0.01,corrupt=0.01,truncate=0.01,delay=0.05,delay_us=500,kill=1@5"
+/// ```
+/// use skipper_core::ChaosConfig;
+///
+/// // 2% corrupted frames, 5% of frames delayed 2 ms, worker 3 dies at iteration 2
+/// let chaos = ChaosConfig::parse("seed=7,corrupt=0.02,delay=0.05,delay_us=2000,kill=3@2")?;
+/// assert_eq!((chaos.seed, chaos.corrupt), (7, 0.02));
+/// assert_eq!((chaos.delay, chaos.delay_us), (0.05, 2000));
+/// assert_eq!(chaos.kill, Some((3, 2)));
+/// assert_eq!((chaos.drop, chaos.dup, chaos.truncate), (0.0, 0.0, 0.0));
+/// # Ok::<(), String>(())
 /// ```
 ///
 /// `drop`/`dup`/`corrupt`/`truncate`/`delay` are per-frame probabilities
@@ -1394,36 +1003,30 @@ impl ChaosConfig {
     }
 }
 
-/// Send-side fault injector around any [`FrameLink`]. All decisions come
-/// from a seeded xorshift stream, so a chaos run is exactly reproducible
-/// from `(config, connection salt)`.
-pub(crate) struct FaultyLink<L: FrameLink> {
-    inner: L,
+/// The send-side fault step: one frame in, zero, one or two frames out.
+/// All decisions come from a seeded xorshift stream, so a chaos run is
+/// exactly reproducible from `(config, connection salt)` — and the step
+/// needs no link to be tested.
+struct Chaos {
     cfg: ChaosConfig,
     rng: XorShiftRng,
-    injected: Arc<AtomicU64>,
+    /// Faults injected so far (the `/cluster` status table reports it per
+    /// connection).
+    injected: u64,
 }
 
-impl<L: FrameLink> FaultyLink<L> {
-    pub fn new(inner: L, cfg: ChaosConfig, salt: u64) -> FaultyLink<L> {
+impl Chaos {
+    fn new(cfg: ChaosConfig, salt: u64) -> Chaos {
         let rng = XorShiftRng::new(cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt);
-        FaultyLink {
-            inner,
+        Chaos {
             cfg,
             rng,
-            injected: Arc::new(AtomicU64::new(0)),
+            injected: 0,
         }
     }
 
-    /// Live count of faults injected on this link, readable after the
-    /// link is boxed away inside a [`Channel`] (the `/cluster` status
-    /// table reports it per connection).
-    pub fn injected_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.injected)
-    }
-
-    fn chaos_event(&self, kind: &str) {
-        self.injected.fetch_add(1, Ordering::Relaxed);
+    fn event(&mut self, kind: &str) {
+        self.injected += 1;
         if skipper_obs::enabled() {
             skipper_obs::counter_add(
                 &skipper_obs::labeled("engine.transport_chaos", "kind", kind),
@@ -1431,53 +1034,39 @@ impl<L: FrameLink> FaultyLink<L> {
             );
         }
     }
-}
 
-impl<L: FrameLink> FrameLink for FaultyLink<L> {
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+    /// What reaches the wire in place of `frame`.
+    fn apply(&mut self, mut frame: Vec<u8>) -> Vec<Vec<u8>> {
         if self.cfg.delay > 0.0 && self.rng.next_f64() < self.cfg.delay {
-            self.chaos_event("delay");
+            self.event("delay");
             std::thread::sleep(Duration::from_micros(self.cfg.delay_us));
         }
         if self.cfg.drop > 0.0 && self.rng.next_f64() < self.cfg.drop {
-            self.chaos_event("drop");
-            return Ok(()); // silently lost on the wire
+            self.event("drop");
+            return Vec::new(); // silently lost on the wire
         }
-        let mutated: Option<Vec<u8>> =
-            if self.cfg.corrupt > 0.0 && self.rng.next_f64() < self.cfg.corrupt {
-                self.chaos_event("corrupt");
-                let mut bytes = frame.to_vec();
-                let at = (self.rng.next_u64() as usize) % bytes.len().max(1);
-                let bit = 1u8 << (self.rng.next_u64() % 8);
-                bytes[at] ^= bit;
-                Some(bytes)
-            } else if self.cfg.truncate > 0.0 && self.rng.next_f64() < self.cfg.truncate {
-                self.chaos_event("truncate");
-                let keep = (self.rng.next_u64() as usize) % frame.len().max(1);
-                Some(frame[..keep].to_vec())
-            } else {
-                None
-            };
-        let bytes = mutated.as_deref().unwrap_or(frame);
-        self.inner.send_frame(bytes)?;
+        if self.cfg.corrupt > 0.0 && self.rng.next_f64() < self.cfg.corrupt {
+            self.event("corrupt");
+            let at = (self.rng.next_u64() as usize) % frame.len().max(1);
+            let bit = 1u8 << (self.rng.next_u64() % 8);
+            if let Some(byte) = frame.get_mut(at) {
+                *byte ^= bit;
+            }
+        } else if self.cfg.truncate > 0.0 && self.rng.next_f64() < self.cfg.truncate {
+            self.event("truncate");
+            let keep = (self.rng.next_u64() as usize) % frame.len().max(1);
+            frame.truncate(keep);
+        }
         if self.cfg.dup > 0.0 && self.rng.next_f64() < self.cfg.dup {
-            self.chaos_event("dup");
-            self.inner.send_frame(bytes)?;
+            self.event("dup");
+            return vec![frame.clone(), frame];
         }
-        Ok(())
-    }
-
-    fn recv_frame(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        self.inner.recv_frame(timeout)
-    }
-
-    fn peer(&self) -> String {
-        self.inner.peer()
+        vec![frame]
     }
 }
 
 // ---------------------------------------------------------------------------
-// Channel: the message-level API
+// Channel: one TCP connection carrying messages
 // ---------------------------------------------------------------------------
 
 /// Per-connection transport counters, kept as plain `u64`s on the
@@ -1492,53 +1081,47 @@ pub(crate) struct ChannelStats {
     pub frame_errors: u64,
 }
 
-/// A duplex message channel over some [`FrameLink`]; this is what the
-/// cluster layer holds per connection. Public only because
-/// [`ChannelConnector`] returns it — its message API is crate-internal.
-pub struct Channel {
-    link: Box<dyn FrameLink>,
+/// A duplex message channel over one TCP stream, with partial-read
+/// buffering so a frame split across reads (or across `recv` timeouts)
+/// reassembles correctly; this is what the cluster layer holds per
+/// connection.
+pub(crate) struct Channel {
+    stream: TcpStream,
+    peer: String,
+    rbuf: Vec<u8>,
     stats: ChannelStats,
-    chaos_injected: Option<Arc<AtomicU64>>,
-}
-
-impl std::fmt::Debug for Channel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Channel")
-            .field("peer", &self.peer())
-            .finish()
-    }
+    chaos: Option<Chaos>,
 }
 
 impl Channel {
-    pub(crate) fn over(link: impl FrameLink + 'static) -> Channel {
-        Channel {
-            link: Box::new(link),
-            stats: ChannelStats::default(),
-            chaos_injected: None,
-        }
-    }
-
-    /// Wrap `link` with send-side chaos when `chaos` has frame faults.
-    pub(crate) fn over_with_chaos(
-        link: impl FrameLink + 'static,
+    /// Take over a connected `stream`, with send-side chaos when `chaos`
+    /// has frame faults.
+    fn new(
+        stream: TcpStream,
         chaos: Option<&ChaosConfig>,
         salt: u64,
-    ) -> Channel {
-        match chaos {
-            Some(cfg) if cfg.frame_faults() => {
-                let faulty = FaultyLink::new(link, cfg.clone(), salt);
-                let injected = faulty.injected_handle();
-                let mut ch = Channel::over(faulty);
-                ch.chaos_injected = Some(injected);
-                ch
-            }
-            _ => Channel::over(link),
-        }
+    ) -> Result<Channel, TransportError> {
+        stream
+            .set_nodelay(true)
+            .map_err(|e| TransportError::Io(e.to_string()))?;
+        let peer = stream
+            .peer_addr()
+            .map(|a| a.to_string())
+            .unwrap_or_else(|_| "tcp-peer".to_string());
+        Ok(Channel {
+            stream,
+            peer,
+            rbuf: Vec::new(),
+            stats: ChannelStats::default(),
+            chaos: chaos
+                .filter(|cfg| cfg.frame_faults())
+                .map(|cfg| Chaos::new(cfg.clone(), salt)),
+        })
     }
 
     /// Encode and ship one message.
     pub(crate) fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
-        let frame = frame_bytes(&msg.encode());
+        let frame = frame_bytes(&msg.encode()?);
         self.stats.frames_sent += 1;
         self.stats.bytes_sent += frame.len() as u64;
         if skipper_obs::enabled() {
@@ -1551,43 +1134,82 @@ impl Channel {
                 frame.len() as f64,
             );
         }
-        self.link.send_frame(&frame)
+        let frames = match &mut self.chaos {
+            Some(chaos) => chaos.apply(frame),
+            None => vec![frame],
+        };
+        frames
+            .iter()
+            .try_for_each(|f| self.stream.write_all(f))
+            .and_then(|()| self.stream.flush())
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::BrokenPipe
+                | std::io::ErrorKind::ConnectionReset
+                | std::io::ErrorKind::ConnectionAborted
+                | std::io::ErrorKind::UnexpectedEof => TransportError::Closed(e.to_string()),
+                _ => TransportError::Io(e.to_string()),
+            })
+    }
+
+    /// Read until one whole frame is buffered and verified, waiting at
+    /// most `timeout`.
+    fn recv_frame(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
+        let deadline = Instant::now() + timeout;
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            if let Some(payload) = pop_frame(&mut self.rbuf)? {
+                return Ok(payload);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(TransportError::Timeout);
+            }
+            let remaining = (deadline - now).max(Duration::from_millis(1));
+            self.stream
+                .set_read_timeout(Some(remaining))
+                .map_err(|e| TransportError::Io(e.to_string()))?;
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return Err(TransportError::Closed("peer hung up".into())),
+                Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    return Err(TransportError::Timeout);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(TransportError::Io(e.to_string())),
+            }
+        }
     }
 
     /// Receive one message, waiting at most `timeout`. Frame and decode
     /// failures increment `engine.transport_frame_errors` and poison the
     /// connection.
     pub(crate) fn recv_timeout(&mut self, timeout: Duration) -> Result<Message, TransportError> {
-        let payload = match self.link.recv_frame(timeout) {
-            Ok(payload) => payload,
-            Err(e) => {
-                if matches!(e, TransportError::Frame(_)) {
-                    self.stats.frame_errors += 1;
-                    if skipper_obs::enabled() {
-                        skipper_obs::counter_add("engine.transport_frame_errors", 1.0);
-                    }
-                }
-                return Err(e);
+        let received = self.recv_frame(timeout).and_then(|payload| {
+            let bytes = (payload.len() + HEADER) as u64;
+            self.stats.frames_received += 1;
+            self.stats.bytes_received += bytes;
+            if skipper_obs::enabled() {
+                skipper_obs::counter_add(
+                    &skipper_obs::labeled("engine.transport_frames", "dir", "received"),
+                    1.0,
+                );
+                skipper_obs::counter_add(
+                    &skipper_obs::labeled("engine.transport_bytes", "dir", "received"),
+                    bytes as f64,
+                );
             }
-        };
-        self.stats.frames_received += 1;
-        self.stats.bytes_received += (payload.len() + HEADER) as u64;
-        if skipper_obs::enabled() {
-            skipper_obs::counter_add(
-                &skipper_obs::labeled("engine.transport_frames", "dir", "received"),
-                1.0,
-            );
-            skipper_obs::counter_add(
-                &skipper_obs::labeled("engine.transport_bytes", "dir", "received"),
-                (payload.len() + HEADER) as f64,
-            );
-        }
-        Message::decode(&payload).inspect_err(|_| {
+            Message::decode(&payload)
+        });
+        if matches!(received, Err(TransportError::Frame(_))) {
             self.stats.frame_errors += 1;
             if skipper_obs::enabled() {
                 skipper_obs::counter_add("engine.transport_frame_errors", 1.0);
             }
-        })
+        }
+        received
     }
 
     /// Snapshot of this connection's frame/byte/error counters.
@@ -1598,40 +1220,18 @@ impl Channel {
     /// Faults injected on this connection's send side (0 when chaos is
     /// not armed).
     pub(crate) fn chaos_injected(&self) -> u64 {
-        self.chaos_injected
-            .as_ref()
-            .map(|c| c.load(Ordering::Relaxed))
-            .unwrap_or(0)
+        self.chaos.as_ref().map_or(0, |c| c.injected)
     }
 
     /// Peer label for diagnostics.
-    pub fn peer(&self) -> String {
-        self.link.peer()
+    pub(crate) fn peer(&self) -> &str {
+        &self.peer
     }
 }
 
 // ---------------------------------------------------------------------------
-// Listeners and connectors
+// Listener and connector
 // ---------------------------------------------------------------------------
-
-/// Accept side of a transport: yields one [`Channel`] per joining worker.
-pub(crate) trait ChannelListener: Send {
-    /// Accept a pending connection, waiting at most `timeout`.
-    fn accept(&mut self, timeout: Duration) -> Result<Channel, TransportError>;
-    /// The address workers connect to.
-    fn addr(&self) -> String;
-}
-
-/// Connect side of a transport: a worker's (re)connection factory.
-pub trait ChannelConnector: Send {
-    /// Open a fresh connection to the coordinator.
-    #[doc(hidden)]
-    fn connect_channel(&mut self) -> Result<Channel, TransportError>;
-    /// Where this connector dials.
-    fn peer(&self) -> String;
-}
-
-// --- TCP -------------------------------------------------------------------
 
 /// TCP accept side, used by the coordinator. Non-blocking accept polled
 /// under a deadline so the coordinator thread can interleave accepts
@@ -1658,23 +1258,15 @@ impl TcpListenerLink {
             accepted: 0,
         })
     }
-}
 
-impl ChannelListener for TcpListenerLink {
-    fn accept(&mut self, timeout: Duration) -> Result<Channel, TransportError> {
+    /// Accept a pending connection, waiting at most `timeout`.
+    pub fn accept(&mut self, timeout: Duration) -> Result<Channel, TransportError> {
         let deadline = Instant::now() + timeout;
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    stream
-                        .set_nodelay(true)
-                        .map_err(|e| TransportError::Io(e.to_string()))?;
                     self.accepted += 1;
-                    return Ok(Channel::over_with_chaos(
-                        TcpLink::new(stream),
-                        self.chaos.as_ref(),
-                        0xC0_0D ^ self.accepted,
-                    ));
+                    return Channel::new(stream, self.chaos.as_ref(), 0xC0_0D ^ self.accepted);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if Instant::now() >= deadline {
@@ -1687,8 +1279,9 @@ impl ChannelListener for TcpListenerLink {
         }
     }
 
-    fn addr(&self) -> String {
-        self.addr.clone()
+    /// The address workers connect to (resolved port for `:0` binds).
+    pub fn addr(&self) -> &str {
+        &self.addr
     }
 }
 
@@ -1709,354 +1302,376 @@ impl TcpConnector {
             attempts: 0,
         }
     }
-}
 
-impl ChannelConnector for TcpConnector {
-    fn connect_channel(&mut self) -> Result<Channel, TransportError> {
+    /// Open a fresh connection to the coordinator.
+    pub(crate) fn connect_channel(&mut self) -> Result<Channel, TransportError> {
         self.attempts += 1;
         let stream =
             TcpStream::connect(&self.addr).map_err(|e| TransportError::Io(e.to_string()))?;
-        stream
-            .set_nodelay(true)
-            .map_err(|e| TransportError::Io(e.to_string()))?;
-        Ok(Channel::over_with_chaos(
-            TcpLink::new(stream),
-            self.chaos.as_ref(),
-            0x0F0F ^ self.attempts,
-        ))
+        Channel::new(stream, self.chaos.as_ref(), 0x0F0F ^ self.attempts)
     }
 
-    fn peer(&self) -> String {
-        self.addr.clone()
-    }
-}
-
-// --- In-process ------------------------------------------------------------
-
-/// In-process "network": a connector handing out channel pairs whose far
-/// ends appear on the listener, byte-framed exactly like TCP.
-pub(crate) struct InProcListener {
-    rx: Receiver<Channel>,
-    accepted: u64,
-}
-
-/// Dial side of [`in_proc_net`]; clone one per worker thread.
-#[derive(Clone)]
-pub struct InProcConnector {
-    tx: Sender<Channel>,
-    chaos: Option<ChaosConfig>,
-    label: String,
-}
-
-/// A loopback transport living entirely inside the process. `chaos`
-/// applies to *both* directions (each side's sends are wrapped).
-pub(crate) fn in_proc_net(chaos: Option<ChaosConfig>) -> (InProcListener, InProcConnector) {
-    let (tx, rx) = channel();
-    (
-        InProcListener { rx, accepted: 0 },
-        InProcConnector {
-            tx,
-            chaos,
-            label: "in-proc".to_string(),
-        },
-    )
-}
-
-impl ChannelListener for InProcListener {
-    fn accept(&mut self, timeout: Duration) -> Result<Channel, TransportError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(link) => {
-                self.accepted += 1;
-                // The queued channel is the coordinator's raw end; chaos
-                // wrapping happened at pair construction time.
-                let _ = self.accepted;
-                Ok(link)
-            }
-            Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Closed(
-                "all in-proc connectors dropped".into(),
-            )),
-        }
-    }
-
-    fn addr(&self) -> String {
-        "in-proc".to_string()
-    }
-}
-
-static INPROC_CONN_SALT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-impl ChannelConnector for InProcConnector {
-    fn connect_channel(&mut self) -> Result<Channel, TransportError> {
-        let salt = INPROC_CONN_SALT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let (to_worker_tx, to_worker_rx) = channel::<Vec<u8>>();
-        let (to_coord_tx, to_coord_rx) = channel::<Vec<u8>>();
-        let coord_end = InProcLink {
-            tx: to_worker_tx,
-            rx: to_coord_rx,
-            label: format!("in-proc-worker#{salt}"),
-        };
-        let worker_end = InProcLink {
-            tx: to_coord_tx,
-            rx: to_worker_rx,
-            label: format!("in-proc-coord#{salt}"),
-        };
-        let coord_channel =
-            Channel::over_with_chaos(coord_end, self.chaos.as_ref(), 0xC0_0D ^ salt);
-        self.tx
-            .send(coord_channel)
-            .map_err(|_| TransportError::Closed("in-proc listener dropped".into()))?;
-        Ok(Channel::over_with_chaos(
-            worker_end,
-            self.chaos.as_ref(),
-            0x0F0F ^ salt,
-        ))
-    }
-
-    fn peer(&self) -> String {
-        self.label.clone()
+    /// Where this connector dials.
+    pub(crate) fn peer(&self) -> &str {
+        &self.addr
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::Method;
+    use crate::sam::{SamMetric, SkipPolicy};
+    use crate::shard::WorkCtx;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    fn work_ctx(method: Method) -> WorkCtx {
+        WorkCtx {
+            iteration: 7,
+            attempt: 1,
+            shard: 3,
+            batch_offset: 6,
+            global_batch: 16,
+            seed: 7,
+            method,
+            metric: SamMetric::SpikeSum,
+            policy: SkipPolicy::SpikeActivity,
+        }
+    }
 
     fn work_msg() -> Message {
-        Message::WorkForward {
-            ctx: WorkCtx {
-                iteration: 7,
-                attempt: 1,
-                shard: 3,
-                batch_offset: 6,
-                global_batch: 16,
-                seed: 7,
-                method: Method::Skipper {
+        Message::Work {
+            request: Request::Forward(ShardInput {
+                ctx: work_ctx(Method::Skipper {
                     checkpoints: 2,
                     percentile: 30.0,
-                },
-                metric: SamMetric::SpikeSum,
-                policy: SkipPolicy::SpikeActivity,
-            },
-            params: vec![1, 2, 3, 4],
-            labels: vec![0, 9, 4],
-            inputs: vec![
-                Tensor::from_vec(vec![0.0, 1.0, 1.0, 0.0, 1.0], [5]),
-                Tensor::from_vec(vec![0.25, -1.5, 3.0], [3]),
-            ],
+                }),
+                inputs: vec![
+                    Tensor::from_vec(vec![0.0, 1.0, 1.0, 0.0, 1.0], [5]),
+                    Tensor::from_vec(vec![0.25, -1.5, 3.0], [3]),
+                ],
+                labels: vec![0, 9, 4],
+                rows: None,
+            }),
+            params: Some(vec![1, 2, 3, 4]),
             trace: None,
         }
     }
 
-    #[test]
-    fn every_message_roundtrips() {
-        let messages = vec![
-            Message::Hello {
-                worker: 3,
-                reconnect: true,
-                ping: None,
+    /// A connected loopback pair: `(coordinator end, worker end)`, chaos on
+    /// both send sides like a cluster configured with it.
+    fn tcp_pair(chaos: Option<ChaosConfig>) -> (Channel, Channel) {
+        let mut listener = TcpListenerLink::bind("127.0.0.1:0", chaos.clone()).unwrap();
+        let mut connector = TcpConnector::new(listener.addr(), chaos);
+        let worker_end = connector.connect_channel().unwrap();
+        let coord_end = listener.accept(Duration::from_secs(2)).unwrap();
+        (coord_end, worker_end)
+    }
+
+    // --- The message fuzzer -------------------------------------------------
+
+    /// Every shape a [`Message`] can take: all variants, both tensor
+    /// encodings, `Some`/`None` of every optional field, all five methods.
+    struct AnyMessage;
+
+    fn below(rng: &mut TestRng, n: usize) -> usize {
+        rng.below(n as u64) as usize
+    }
+
+    fn coin(rng: &mut TestRng) -> bool {
+        rng.below(2) == 1
+    }
+
+    /// Any non-NaN `f64`, drawn from the bit patterns (NaN is not equal to
+    /// itself, and every field that carries floats carries them as raw
+    /// little-endian bits anyway).
+    fn any_f64(rng: &mut TestRng) -> f64 {
+        let v = f64::from_bits(rng.next_u64());
+        if v.is_nan() {
+            0.5
+        } else {
+            v
+        }
+    }
+
+    fn vec_of<T>(rng: &mut TestRng, max: usize, mut f: impl FnMut(&mut TestRng) -> T) -> Vec<T> {
+        (0..below(rng, max + 1)).map(|_| f(rng)).collect()
+    }
+
+    fn any_tensor(rng: &mut TestRng) -> Tensor {
+        // 1–3 dims of 1–5: element counts on both sides of a byte boundary.
+        let dims: Vec<usize> = (0..1 + below(rng, 3)).map(|_| 1 + below(rng, 5)).collect();
+        let spikes = coin(rng);
+        let data = (0..dims.iter().product())
+            .map(|_| match (spikes, below(rng, 4)) {
+                (true, k) => (k == 0) as i32 as f32,
+                (false, 0) => -0.0,
+                (false, 1) => 1.0,
+                (false, _) => any_f64(rng) as f32,
+            })
+            .collect();
+        Tensor::from_vec(data, dims)
+    }
+
+    fn any_method(rng: &mut TestRng) -> Method {
+        // Percentiles include values with no short binary expansion: the
+        // document must carry them to the exact `f32`.
+        let percentile = match below(rng, 3) {
+            0 => 33.3,
+            1 => 0.0,
+            _ => (rng.unit_f64() * 100.0) as f32,
+        };
+        match below(rng, 5) {
+            0 => Method::Bptt,
+            1 => Method::Checkpointed {
+                checkpoints: 1 + below(rng, 16),
             },
-            Message::Hello {
-                worker: 3,
-                reconnect: false,
-                ping: Some(123_456),
+            2 => Method::Skipper {
+                checkpoints: 1 + below(rng, 16),
+                percentile,
             },
-            Message::Welcome {
-                worker: 1,
-                spec: vec![9, 9, 9],
-                pong: None,
+            3 => Method::Tbptt {
+                window: 1 + below(rng, 64),
             },
-            Message::Welcome {
-                worker: 1,
-                spec: vec![9, 9, 9],
-                pong: Some((123_456, 789_000)),
+            _ => Method::TbpttLbp {
+                window: 1 + below(rng, 64),
+                taps: vec_of(rng, 6, |rng| below(rng, 12)),
             },
-            Message::Heartbeat {
-                worker: 2,
-                iteration: 40,
-                metrics: None,
-            },
-            Message::Heartbeat {
-                worker: 2,
-                iteration: 41,
-                metrics: Some(MetricsDelta {
-                    counters: vec![("engine.recomputed_segments".into(), 12.0)],
-                    gauges: vec![("cluster.clock_offset_us".into(), -42.5)],
-                    histograms: vec![(
-                        "iteration.wall_us".into(),
-                        HistDelta {
-                            bounds: vec![10.0, 100.0, 1000.0],
-                            counts: vec![0, 2, 1, 0],
-                            sum: 350.0,
-                            count: 3,
-                            min: 40.0,
-                            max: 250.0,
-                        },
-                    )],
-                }),
-            },
-            work_msg(),
-            {
-                let mut traced = work_msg();
-                if let Message::WorkForward { trace, .. } = &mut traced {
-                    *trace = Some(TraceCtx {
-                        trace: 0xDEAD_BEEF,
-                        parent: 77,
-                    });
-                }
-                traced
-            },
-            Message::WorkBackward {
-                iteration: 7,
-                attempt: 0,
-                shard: 2,
-                sums: vec![1.5, 0.0, 144.0],
-                trace: None,
-            },
-            Message::WorkBackward {
-                iteration: 7,
-                attempt: 1,
-                shard: 2,
-                sums: vec![1.5, 0.0, 144.0],
-                trace: Some(TraceCtx {
-                    trace: 1,
-                    parent: u64::MAX,
-                }),
-            },
-            Message::ShardResult {
-                iteration: 7,
-                attempt: 0,
-                shard: 2,
-                payload: ResultPayload::Single {
-                    loss_groups: vec![vec![0.5, 0.25], vec![1.5]],
-                    correct: 2,
-                    sam_sums: vec![3.0, 4.0],
-                    recomputed: 5,
-                    skipped: 3,
-                    grads: vec![None, Some(vec![0.125, -2.0])],
+        }
+    }
+
+    fn any_grads(rng: &mut TestRng) -> WireGrads {
+        vec_of(rng, 4, |rng| {
+            coin(rng).then(|| vec_of(rng, 6, |rng| any_f64(rng) as f32))
+        })
+    }
+
+    fn any_metrics(rng: &mut TestRng) -> MetricsDelta {
+        let series = |rng: &mut TestRng| {
+            vec_of(rng, 3, |rng| {
+                (format!("engine.x{{k={}}}", rng.below(9)), any_f64(rng))
+            })
+        };
+        MetricsDelta {
+            counters: series(rng),
+            gauges: series(rng),
+            histograms: vec_of(rng, 2, |rng| {
+                let hist = HistDelta {
+                    bounds: vec_of(rng, 4, any_f64),
+                    counts: vec_of(rng, 5, TestRng::next_u64),
+                    sum: any_f64(rng),
+                    count: rng.next_u64(),
+                    min: any_f64(rng),
+                    max: any_f64(rng),
+                };
+                ("iteration.wall_us".to_string(), hist)
+            }),
+        }
+    }
+
+    impl Strategy for AnyMessage {
+        type Value = Message;
+
+        fn generate(&self, rng: &mut TestRng) -> Message {
+            let (iteration, attempt, shard) =
+                (rng.next_u64(), rng.next_u64() as u32, below(rng, 8) as u32);
+            match below(rng, 9) {
+                0 => Message::Hello {
+                    worker: rng.next_u64(),
+                    reconnect: coin(rng),
+                    ping: rng.next_u64(),
                 },
-            },
-            Message::Fault {
-                worker: 4,
-                detail: "missing carry".into(),
-            },
-            Message::Shutdown,
-        ];
-        for msg in messages {
-            let bytes = msg.encode();
+                1 => Message::Welcome {
+                    worker: rng.next_u64(),
+                    spec: vec_of(rng, 40, |rng| rng.next_u64() as u8),
+                    pong: (rng.next_u64(), rng.next_u64()),
+                },
+                2 => Message::Heartbeat {
+                    worker: rng.next_u64(),
+                    iteration,
+                    metrics: coin(rng).then(|| any_metrics(rng)),
+                },
+                kind @ (3 | 4) => {
+                    let input = ShardInput {
+                        ctx: WorkCtx {
+                            iteration,
+                            attempt,
+                            shard,
+                            batch_offset: rng.next_u64() as u32,
+                            global_batch: rng.next_u64() as u32,
+                            seed: rng.next_u64(),
+                            method: any_method(rng),
+                            metric: [
+                                SamMetric::SpikeSum,
+                                SamMetric::NeuronNormalized,
+                                SamMetric::MembraneL2,
+                            ][below(rng, 3)],
+                            policy: [SkipPolicy::SpikeActivity, SkipPolicy::Random][below(rng, 2)],
+                        },
+                        inputs: vec_of(rng, 3, any_tensor),
+                        labels: vec_of(rng, 5, |rng| below(rng, 10)),
+                        rows: None,
+                    };
+                    Message::Work {
+                        request: if kind == 3 {
+                            Request::Single(input)
+                        } else {
+                            Request::Forward(input)
+                        },
+                        params: coin(rng).then(|| vec_of(rng, 40, |rng| rng.next_u64() as u8)),
+                        trace: coin(rng).then(|| TraceCtx {
+                            trace: rng.next_u64(),
+                            parent: rng.next_u64(),
+                        }),
+                    }
+                }
+                5 => Message::Work {
+                    request: Request::Backward {
+                        iteration,
+                        attempt,
+                        shard,
+                        sums: vec_of(rng, 12, any_f64),
+                    },
+                    params: None,
+                    trace: coin(rng).then(|| TraceCtx {
+                        trace: rng.next_u64(),
+                        parent: rng.next_u64(),
+                    }),
+                },
+                6 => Message::ShardResult {
+                    iteration,
+                    attempt,
+                    shard,
+                    payload: match below(rng, 3) {
+                        0 => ResultPayload::Forward {
+                            sam_sums: vec_of(rng, 12, any_f64),
+                            per_sample: vec_of(rng, 5, any_f64),
+                            correct: rng.next_u64() as u32,
+                        },
+                        1 => ResultPayload::Grads {
+                            grads: any_grads(rng),
+                        },
+                        _ => ResultPayload::Single {
+                            loss_groups: vec_of(rng, 3, |rng| vec_of(rng, 5, any_f64)),
+                            correct: rng.next_u64() as u32,
+                            sam_sums: vec_of(rng, 12, any_f64),
+                            recomputed: rng.next_u64() as u32,
+                            skipped: rng.next_u64() as u32,
+                            grads: any_grads(rng),
+                        },
+                    },
+                },
+                7 => Message::Fault {
+                    worker: rng.next_u64(),
+                    detail: format!("missing carry \"{}\"\n", rng.below(100)),
+                },
+                _ => Message::Shutdown,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// What is sent is what arrives, and re-encoding it gives the same
+        /// bytes; every strict prefix of a payload is a typed frame error.
+        #[test]
+        fn every_message_roundtrips(msg in AnyMessage) {
+            let bytes = msg.encode().unwrap();
             let back = Message::decode(&bytes).unwrap();
-            assert_eq!(msg, back);
+            prop_assert_eq!(&back, &msg);
+            prop_assert_eq!(back.encode().unwrap(), bytes.clone());
+            for cut in 0..bytes.len() {
+                prop_assert!(
+                    matches!(Message::decode(&bytes[..cut]), Err(TransportError::Frame(_))),
+                    "prefix of {cut}/{} bytes of {msg:?} did not fail as a frame error",
+                    bytes.len()
+                );
+            }
+        }
+
+        /// A payload with one byte changed (what a CRC collision or a
+        /// hostile peer delivers) decodes to a message or to a typed
+        /// error — never a panic, never an allocation the payload does not
+        /// back.
+        #[test]
+        fn mutated_payloads_decode_or_fail_typed(
+            msg in AnyMessage,
+            at in 0usize..1 << 16,
+            flip in 0u8..255,
+        ) {
+            let mut bytes = msg.encode().unwrap();
+            let at = at % bytes.len();
+            bytes[at] ^= flip + 1;
+            if let Err(e) = Message::decode(&bytes) {
+                prop_assert!(matches!(e, TransportError::Frame(_)), "{e}");
+            }
         }
     }
 
     #[test]
-    fn frames_without_trailing_blocks_still_parse() {
-        // Hand-built frames in the pre-trace/pre-federation layout: tag +
-        // fixed fields only, no trailing block. An old worker emits
-        // exactly these bytes; they must decode with the optional fields
-        // absent — and encoding with `None` must reproduce them exactly,
-        // so a new worker talking to an old coordinator is also safe.
-        let mut old_hello = vec![1u8];
-        put_u64(&mut old_hello, 3);
-        old_hello.push(1);
-        assert_eq!(
-            Message::decode(&old_hello).unwrap(),
-            Message::Hello {
-                worker: 3,
-                reconnect: true,
-                ping: None,
-            }
-        );
-        assert_eq!(
-            Message::Hello {
-                worker: 3,
-                reconnect: true,
-                ping: None,
-            }
-            .encode(),
-            old_hello
-        );
+    fn a_work_context_past_the_document_cap_is_refused_unparsed() {
+        // On the way out: a context that cannot be sent is an error at the
+        // sender, not a poisoned connection at the receiver.
+        let long = Message::Work {
+            request: Request::Single(ShardInput {
+                ctx: work_ctx(Method::TbpttLbp {
+                    window: 4,
+                    taps: vec![7; MAX_DOC],
+                }),
+                inputs: vec![],
+                labels: vec![],
+                rows: None,
+            }),
+            params: None,
+            trace: None,
+        };
+        assert!(matches!(long.encode(), Err(TransportError::Frame(_))));
 
-        let mut old_welcome = vec![2u8];
-        put_u64(&mut old_welcome, 7);
-        put_bytes(&mut old_welcome, &[9, 9]);
-        assert_eq!(
-            Message::decode(&old_welcome).unwrap(),
-            Message::Welcome {
-                worker: 7,
-                spec: vec![9, 9],
-                pong: None,
+        // On the way in: swap the document of a valid frame for one byte
+        // more than the cap of `[`. Parsed, that is MAX_DOC + 1 levels of
+        // recursion; it must be refused by its length alone, and a document
+        // of exactly the cap must come back as a (parse) error, not as a
+        // stack overflow on this 2 MiB test thread.
+        let valid = work_msg().encode().unwrap();
+        let doc_len = u32::from_le_bytes([valid[2], valid[3], valid[4], valid[5]]) as usize;
+        for (nesting, why) in [(MAX_DOC + 1, "exceeds"), (MAX_DOC, "decoding document")] {
+            let mut hostile = valid[..2].to_vec();
+            put_bytes(&mut hostile, &vec![b'['; nesting]);
+            hostile.extend_from_slice(&valid[6 + doc_len..]);
+            match Message::decode(&hostile) {
+                Err(TransportError::Frame(detail)) => assert!(detail.contains(why), "{detail}"),
+                other => panic!("{nesting} levels of nesting: {other:?}"),
             }
-        );
+        }
+    }
 
-        let mut old_heartbeat = vec![3u8];
-        put_u64(&mut old_heartbeat, 2);
-        put_u64(&mut old_heartbeat, 40);
-        assert_eq!(
-            Message::decode(&old_heartbeat).unwrap(),
-            Message::Heartbeat {
-                worker: 2,
-                iteration: 40,
-                metrics: None,
-            }
-        );
-        assert_eq!(
-            Message::Heartbeat {
-                worker: 2,
-                iteration: 40,
-                metrics: None,
-            }
-            .encode(),
-            old_heartbeat
-        );
-
-        let mut old_backward = vec![6u8];
-        put_u64(&mut old_backward, 11);
-        put_u32(&mut old_backward, 1);
-        put_u32(&mut old_backward, 0);
-        put_f64s(&mut old_backward, &[0.5, 2.0]);
-        assert_eq!(
-            Message::decode(&old_backward).unwrap(),
-            Message::WorkBackward {
-                iteration: 11,
-                attempt: 1,
-                shard: 0,
-                sums: vec![0.5, 2.0],
-                trace: None,
-            }
-        );
-        assert_eq!(
-            Message::WorkBackward {
-                iteration: 11,
-                attempt: 1,
-                shard: 0,
-                sums: vec![0.5, 2.0],
-                trace: None,
-            }
-            .encode(),
-            old_backward
-        );
-
-        // An unknown trailing-block version must be a frame error, not a
-        // silent misparse.
-        let mut bad = old_backward.clone();
-        bad.push(9); // bogus version byte
-        bad.extend_from_slice(&[0; 16]);
-        assert!(matches!(
-            Message::decode(&bad),
-            Err(TransportError::Frame(_))
-        ));
+    #[test]
+    fn hostile_tensor_dims_are_a_frame_error_not_an_overflow() {
+        // Rank 4, 65536 per dim: the product is 2^64. Unchecked, that is an
+        // overflow panic in a debug build and in release wraps to 0 — an
+        // `Ok` tensor whose shape and data disagree.
+        let mut hostile = vec![4u8];
+        for _ in 0..4 {
+            put_u32(&mut hostile, 65536);
+        }
+        hostile.push(1); // bitmask flag
+        let err = read_tensor(&mut WireReader::new(&hostile)).unwrap_err();
+        assert!(matches!(err, TransportError::Frame(_)), "{err}");
+        // A hostile length cannot wrap the cursor either.
+        let mut r = WireReader::new(&hostile);
+        r.u8().unwrap();
+        assert!(matches!(r.take(usize::MAX), Err(TransportError::Frame(_))));
     }
 
     #[test]
     fn channel_stats_track_frames_bytes_and_chaos() {
-        let (mut listener, mut connector) = in_proc_net(None);
-        let mut worker_end = connector.connect_channel().unwrap();
-        let mut coord_end = listener.accept(Duration::from_millis(200)).unwrap();
+        let (mut coord_end, mut worker_end) = tcp_pair(None);
         assert_eq!(worker_end.stats(), ChannelStats::default());
         worker_end.send(&Message::Shutdown).unwrap();
         worker_end.send(&Message::Shutdown).unwrap();
-        let _ = coord_end.recv_timeout(Duration::from_millis(200)).unwrap();
+        let _ = coord_end.recv_timeout(Duration::from_secs(2)).unwrap();
         let sent = worker_end.stats();
         assert_eq!(sent.frames_sent, 2);
         assert_eq!(sent.bytes_sent, 2 * (HEADER as u64 + 1));
@@ -2067,8 +1682,7 @@ mod tests {
 
         // With chaos armed, the per-channel injected counter moves.
         let chaos = ChaosConfig::parse("seed=9,drop=0.5").unwrap();
-        let (_listener2, mut connector2) = in_proc_net(Some(chaos));
-        let mut noisy = connector2.connect_channel().unwrap();
+        let (_coord_end, mut noisy) = tcp_pair(Some(chaos));
         for _ in 0..32 {
             noisy.send(&Message::Shutdown).unwrap();
         }
@@ -2089,54 +1703,65 @@ mod tests {
         assert_eq!(back.data(), spikes.data());
         let back = read_tensor(&mut WireReader::new(&b_dense)).unwrap();
         assert_eq!(back.data(), dense.data());
+
+        // `-0.0 == 0.0`, but it is not a spike tensor's zero: the round
+        // trip is exact to the bit, so it takes the raw encoding.
+        let signed = Tensor::from_vec(vec![-0.0, 1.0, 0.0], [3]);
+        let mut b_signed = Vec::new();
+        put_tensor(&mut b_signed, &signed);
+        let back = read_tensor(&mut WireReader::new(&b_signed)).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&signed));
     }
 
     #[test]
     fn corrupt_frames_are_rejected_with_a_frame_error() {
-        let frame = frame_bytes(&work_msg().encode());
+        let payload = work_msg().encode().unwrap();
+        let frame = frame_bytes(&payload);
+        // The damaged frame, then more traffic: a flipped length byte (5)
+        // makes the receiver wait for a longer frame, and it is what
+        // follows that fails the CRC.
         for at in [0usize, 5, HEADER, frame.len() - 1] {
             let mut bad = frame.clone();
             bad[at] ^= 0x10;
+            bad.extend_from_slice(&frame.repeat(64));
             assert!(
-                matches!(unframe(&bad), Err(TransportError::Frame(_))),
+                matches!(pop_frame(&mut bad), Err(TransportError::Frame(_))),
                 "flip at {at} must poison the frame"
             );
         }
-        let mut short = frame.clone();
-        short.truncate(frame.len() - 3);
-        assert!(matches!(unframe(&short), Err(TransportError::Frame(_))));
-        assert_eq!(unframe(&frame).unwrap(), work_msg().encode());
+        // A frame cut short is not a frame yet; what desynchronises the
+        // stream is the next frame arriving where its tail should be.
+        let mut stream = frame[..frame.len() - 3].to_vec();
+        assert!(matches!(pop_frame(&mut stream), Ok(None)));
+        stream.extend_from_slice(&frame);
+        assert!(matches!(
+            pop_frame(&mut stream),
+            Err(TransportError::Frame(_))
+        ));
+        // Two whole frames back to back pop one at a time.
+        let mut stream = [frame.clone(), frame].concat();
+        assert_eq!(pop_frame(&mut stream).unwrap(), Some(payload.clone()));
+        assert_eq!(pop_frame(&mut stream).unwrap(), Some(payload));
+        assert!(stream.is_empty());
     }
 
     #[test]
     fn chaos_schedule_is_deterministic_per_seed() {
         let cfg = ChaosConfig::parse("seed=9,drop=0.3,corrupt=0.2,dup=0.1").unwrap();
         let run = |cfg: &ChaosConfig| {
-            let (tx, rx) = channel::<Vec<u8>>();
-            let (_keep_tx, dead_rx) = channel::<Vec<u8>>();
-            let link = InProcLink {
-                tx,
-                rx: dead_rx,
-                label: "chaos-test".into(),
-            };
-            let mut faulty = FaultyLink::new(link, cfg.clone(), 42);
-            let frame = frame_bytes(&Message::Shutdown.encode());
-            for _ in 0..64 {
-                faulty.send_frame(&frame).unwrap();
-            }
-            drop(faulty);
-            let mut out: Vec<Vec<u8>> = Vec::new();
-            while let Ok(f) = rx.try_recv() {
-                out.push(f);
-            }
-            out
+            let mut chaos = Chaos::new(cfg.clone(), 42);
+            let frame = frame_bytes(&Message::Shutdown.encode().unwrap());
+            let out: Vec<Vec<u8>> = (0..64).flat_map(|_| chaos.apply(frame.clone())).collect();
+            (out, chaos.injected)
         };
-        let a = run(&cfg);
-        let b = run(&cfg);
+        let (a, injected) = run(&cfg);
+        let (b, _) = run(&cfg);
         assert_eq!(a, b, "same seed must give the same fault schedule");
         assert!(a.len() < 64 + 16, "some frames must drop");
+        assert!(injected > 0);
         assert!(
-            a.iter().any(|f| unframe(f).is_err()),
+            a.iter().any(|f| pop_frame(&mut f.clone()).is_err()),
             "some frames must corrupt"
         );
     }
@@ -2155,47 +1780,26 @@ mod tests {
         assert_eq!(cfg.seed, 4);
         assert!(cfg.frame_faults());
         assert!(!ChaosConfig::parse("kill=1@5").unwrap().frame_faults());
-    }
 
-    #[test]
-    fn in_proc_channels_carry_messages_both_ways() {
-        let (mut listener, mut connector) = in_proc_net(None);
-        let mut worker_end = connector.connect_channel().unwrap();
-        let mut coord_end = listener.accept(Duration::from_millis(200)).unwrap();
-        worker_end
-            .send(&Message::Hello {
-                worker: u64::MAX,
-                reconnect: false,
-                ping: None,
-            })
-            .unwrap();
-        let got = coord_end.recv_timeout(Duration::from_millis(200)).unwrap();
-        assert!(matches!(
-            got,
-            Message::Hello {
-                reconnect: false,
-                ..
-            }
-        ));
-        coord_end
-            .send(&Message::Welcome {
-                worker: 0,
-                spec: vec![1],
-                pong: None,
-            })
-            .unwrap();
-        let got = worker_end.recv_timeout(Duration::from_millis(200)).unwrap();
-        assert!(matches!(got, Message::Welcome { worker: 0, .. }));
-        let err = coord_end
-            .recv_timeout(Duration::from_millis(10))
-            .unwrap_err();
-        assert!(matches!(err, TransportError::Timeout));
+        // The grammar the README shows is the grammar that parses: its
+        // worker command once spelled the delay `delay=0.05:2000`, which
+        // `skipper_worker` refuses.
+        let readme = include_str!("../../../README.md");
+        let shown: Vec<&str> = readme
+            .split("SKIPPER_CHAOS=\"")
+            .skip(1)
+            .filter_map(|rest| rest.split('"').next())
+            .collect();
+        assert!(!shown.is_empty(), "README shows no SKIPPER_CHAOS example");
+        for spec in shown {
+            assert!(ChaosConfig::parse(spec).is_ok(), "README: {spec}");
+        }
     }
 
     #[test]
     fn tcp_loopback_carries_messages_and_reassembles_partial_reads() {
         let mut listener = TcpListenerLink::bind("127.0.0.1:0", None).unwrap();
-        let addr = listener.addr();
+        let addr = listener.addr().to_string();
         let handle = std::thread::spawn(move || {
             let mut connector = TcpConnector::new(addr, None);
             let mut ch = connector.connect_channel().unwrap();
@@ -2205,8 +1809,31 @@ mod tests {
         let mut coord = listener.accept(Duration::from_secs(2)).unwrap();
         let got = coord.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(got, work_msg());
+        let idle = coord.recv_timeout(Duration::from_millis(10)).unwrap_err();
+        assert!(matches!(idle, TransportError::Timeout));
         coord.send(&Message::Shutdown).unwrap();
         let echoed = handle.join().unwrap();
         assert!(matches!(echoed, Message::Shutdown));
+
+        // A frame that arrives in two pieces, a receive timing out in
+        // between, is one message.
+        let (mut coord, mut worker) = tcp_pair(None);
+        let frame = frame_bytes(&work_msg().encode().unwrap());
+        let (head, tail) = frame.split_at(frame.len() / 2);
+        worker.stream.write_all(head).unwrap();
+        let early = coord.recv_timeout(Duration::from_millis(20)).unwrap_err();
+        assert!(matches!(early, TransportError::Timeout));
+        worker.stream.write_all(tail).unwrap();
+        let got = coord.recv_timeout(Duration::from_secs(2)).unwrap();
+        assert_eq!(got, work_msg());
+
+        // A frame that loses its tail takes the stream with it: the next
+        // frame is read as the missing bytes and the connection poisons.
+        worker.stream.write_all(head).unwrap();
+        worker.send(&Message::Shutdown).unwrap();
+        worker.send(&work_msg()).unwrap();
+        let err = coord.recv_timeout(Duration::from_secs(2)).unwrap_err();
+        assert!(matches!(err, TransportError::Frame(_)), "{err}");
+        assert_eq!(coord.stats().frame_errors, 1);
     }
 }

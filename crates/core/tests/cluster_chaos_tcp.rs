@@ -1,8 +1,8 @@
 //! The cluster's whole fault surface in one run, over real sockets: four
 //! TCP workers on loopback with the chaos layer armed on both sides
 //! (corrupted frames, delivery delays) *and* a scheduled kill of the last
-//! worker. `cluster_recovery.rs` covers in-proc chaos, an in-proc kill and
-//! clean TCP separately; this is the only place they meet.
+//! worker. `cluster_recovery.rs` covers chaos, a kill and a clean run
+//! separately; this is the only place they meet.
 //!
 //! A file of its own because it is a process of its own: it points
 //! `SKIPPER_BLACKBOX_DIR` at a temp directory and reads the process-wide

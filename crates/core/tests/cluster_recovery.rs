@@ -81,22 +81,28 @@ struct RunOutcome {
     reports: Vec<Result<WorkerReport, SkipperError>>,
 }
 
-/// Run `iters` Skipper iterations over an in-process cluster with the
-/// given per-worker options, on a fixed batch.
-fn run_in_proc_cluster(
-    iters: usize,
-    cfg: ClusterConfig,
-    workers: Vec<WorkerOptions>,
-) -> RunOutcome {
-    let (coordinator, connector) = Coordinator::in_proc(cfg);
+/// A coordinator on a loopback port, and a connector to it per worker.
+/// Chaos (if configured) is armed on both ends of every connection.
+fn loopback_cluster(cfg: ClusterConfig) -> (Coordinator, impl Fn() -> TcpConnector) {
+    let chaos = cfg.chaos.clone();
+    let coordinator = Coordinator::listen_tcp("127.0.0.1:0", cfg).expect("loopback bind");
+    let addr = coordinator.addr();
+    (coordinator, move || {
+        TcpConnector::new(addr.clone(), chaos.clone())
+    })
+}
+
+/// Run `iters` Skipper iterations over a loopback TCP cluster of worker
+/// threads with the given per-worker options, on a fixed batch.
+fn run_cluster(iters: usize, cfg: ClusterConfig, workers: Vec<WorkerOptions>) -> RunOutcome {
+    let (coordinator, connector) = loopback_cluster(cfg);
     let handles: Vec<WorkerHandle> = workers
         .into_iter()
         .map(|opts| {
-            let mut conn = connector.clone();
+            let mut conn = connector();
             std::thread::spawn(move || run_worker(&mut conn, &opts))
         })
         .collect();
-    drop(connector);
     let mut session = TrainSession::builder(net(), METHOD, T)
         .optimizer(Box::new(Sgd::new(0.5)))
         .cluster(coordinator)
@@ -148,7 +154,7 @@ fn assert_bit_identical(a: &RunOutcome, b: &RunOutcome, what: &str) {
 
 #[test]
 fn clean_cluster_run_matches_the_in_process_engine_bit_exactly() {
-    let clean = run_in_proc_cluster(3, fast_cfg(2), vec![worker(1), worker(2)]);
+    let clean = run_cluster(3, fast_cfg(2), vec![worker(1), worker(2)]);
     for r in &clean.reports {
         let rep = r.as_ref().expect("clean run: workers exit via Shutdown");
         assert!(!rep.killed);
@@ -185,7 +191,7 @@ fn clean_cluster_run_matches_the_in_process_engine_bit_exactly() {
 
 #[test]
 fn killed_worker_mid_epoch_reassigns_and_stays_bit_exact() {
-    let clean = run_in_proc_cluster(4, fast_cfg(3), vec![worker(1), worker(2), worker(3)]);
+    let clean = run_cluster(4, fast_cfg(3), vec![worker(1), worker(2), worker(3)]);
 
     // Worker 2's chaos schedule kills it when it receives work for
     // iteration 3: the attempt fails, its shards are reassigned over the
@@ -196,7 +202,7 @@ fn killed_worker_mid_epoch_reassigns_and_stays_bit_exact() {
         kill: Some((2, 3)),
         ..ChaosConfig::default()
     });
-    let chaotic = run_in_proc_cluster(4, fast_cfg(3), vec![worker(1), victim, worker(3)]);
+    let chaotic = run_cluster(4, fast_cfg(3), vec![worker(1), victim, worker(3)]);
 
     assert_bit_identical(&clean, &chaotic, "kill-mid-epoch");
     let killed: Vec<&WorkerReport> = chaotic
@@ -214,7 +220,7 @@ fn killed_worker_mid_epoch_reassigns_and_stays_bit_exact() {
 
 #[test]
 fn frame_corruption_forces_reconnects_without_duplicate_gradients() {
-    let clean = run_in_proc_cluster(6, fast_cfg(2), vec![worker(1), worker(2)]);
+    let clean = run_cluster(6, fast_cfg(2), vec![worker(1), worker(2)]);
 
     // ~10 % of all frames (both directions) arrive with a flipped bit:
     // every such frame poisons its connection, the coordinator abandons
@@ -228,7 +234,7 @@ fn frame_corruption_forces_reconnects_without_duplicate_gradients() {
         ..ChaosConfig::default()
     });
     cfg.max_attempts = 50;
-    let chaotic = run_in_proc_cluster(6, cfg, vec![worker(1), worker(2)]);
+    let chaotic = run_cluster(6, cfg, vec![worker(1), worker(2)]);
 
     assert_bit_identical(&clean, &chaotic, "frame corruption");
     // At ~10 % corruption over hundreds of frames some connection must
@@ -249,10 +255,10 @@ fn frame_corruption_forces_reconnects_without_duplicate_gradients() {
 fn degraded_start_proceeds_below_expected_workers() {
     // Two workers expected, one shows up: after `connect_timeout` the
     // coordinator degrades to the floor and the run still bit-matches.
-    let clean = run_in_proc_cluster(2, fast_cfg(2), vec![worker(1), worker(2)]);
+    let clean = run_cluster(2, fast_cfg(2), vec![worker(1), worker(2)]);
     let mut cfg = fast_cfg(2);
     cfg.connect_timeout = Duration::from_millis(300);
-    let degraded = run_in_proc_cluster(2, cfg, vec![worker(1)]);
+    let degraded = run_cluster(2, cfg, vec![worker(1)]);
     assert_bit_identical(&clean, &degraded, "degraded start");
 }
 
@@ -260,8 +266,8 @@ fn degraded_start_proceeds_below_expected_workers() {
 fn cluster_with_no_workers_is_a_typed_worker_lost_error() {
     let mut cfg = fast_cfg(1);
     cfg.connect_timeout = Duration::from_millis(150);
-    let (coordinator, connector) = Coordinator::in_proc(cfg);
-    drop(connector); // nobody will ever dial in
+    // Nobody will ever dial in.
+    let coordinator = Coordinator::listen_tcp("127.0.0.1:0", cfg).expect("loopback bind");
     let mut session = TrainSession::builder(net(), METHOD, T)
         .optimizer(Box::new(Sgd::new(0.5)))
         .cluster(coordinator)
@@ -274,54 +280,8 @@ fn cluster_with_no_workers_is_a_typed_worker_lost_error() {
 }
 
 #[test]
-fn tcp_loopback_cluster_matches_the_in_proc_transport() {
-    let reference = run_in_proc_cluster(2, fast_cfg(2), vec![worker(1), worker(2)]);
-
-    let coordinator = Coordinator::listen_tcp("127.0.0.1:0", fast_cfg(2)).expect("loopback bind");
-    let addr = coordinator.addr();
-    let handles: Vec<WorkerHandle> = [1u64, 2]
-        .into_iter()
-        .map(|id| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                let mut conn = TcpConnector::new(addr, None);
-                run_worker(&mut conn, &worker(id))
-            })
-        })
-        .collect();
-    let mut session = TrainSession::builder(net(), METHOD, T)
-        .optimizer(Box::new(Sgd::new(0.5)))
-        .cluster(coordinator)
-        .build()
-        .expect("valid method");
-    let inputs = spike_inputs(42);
-    let labels = labels();
-    let losses: Vec<u64> = (0..2)
-        .map(|_| session.train_batch(&inputs, &labels).loss.to_bits())
-        .collect();
-    let trained = session.into_net();
-    for h in handles {
-        h.join()
-            .expect("worker thread")
-            .expect("TCP workers exit via Shutdown");
-    }
-
-    assert_eq!(losses, reference.losses, "TCP vs in-proc loss bits");
-    for (p, w) in trained.params().iter().zip(&reference.weights) {
-        assert!(
-            p.value()
-                .data()
-                .iter()
-                .zip(w)
-                .all(|(x, y)| x.to_bits() == y.to_bits()),
-            "TCP vs in-proc weights differ"
-        );
-    }
-}
-
-#[test]
 fn epoch_replay_from_snapshot_resumes_bit_exactly_after_total_cluster_loss() {
-    let uninterrupted = run_in_proc_cluster(5, fast_cfg(2), vec![worker(1), worker(2)]);
+    let uninterrupted = run_cluster(5, fast_cfg(2), vec![worker(1), worker(2)]);
 
     let dir = std::env::temp_dir().join(format!("skipper_cluster_replay_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -333,11 +293,11 @@ fn epoch_replay_from_snapshot_resumes_bit_exactly_after_total_cluster_loss() {
     let labels = labels();
     let mut first_losses: Vec<u64> = Vec::new();
     {
-        let (coordinator, connector) = Coordinator::in_proc(fast_cfg(2));
+        let (coordinator, connector) = loopback_cluster(fast_cfg(2));
         let handles: Vec<WorkerHandle> = [1u64, 2]
             .into_iter()
             .map(|id| {
-                let mut conn = connector.clone();
+                let mut conn = connector();
                 std::thread::spawn(move || run_worker(&mut conn, &worker(id)))
             })
             .collect();
@@ -359,11 +319,11 @@ fn epoch_replay_from_snapshot_resumes_bit_exactly_after_total_cluster_loss() {
     // Second, completely fresh cluster: resume from the snapshot and run
     // the remaining two iterations — the full trajectory must equal the
     // uninterrupted run's, bit for bit.
-    let (coordinator, connector) = Coordinator::in_proc(fast_cfg(2));
+    let (coordinator, connector) = loopback_cluster(fast_cfg(2));
     let handles: Vec<WorkerHandle> = [1u64, 2]
         .into_iter()
         .map(|id| {
-            let mut conn = connector.clone();
+            let mut conn = connector();
             std::thread::spawn(move || run_worker(&mut conn, &worker(id)))
         })
         .collect();

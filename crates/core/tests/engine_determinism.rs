@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use skipper_core::{
     max_skippable_percentile, run_worker, BatchStats, ClusterConfig, Coordinator, Method,
-    TrainSession, WorkerOptions,
+    TcpConnector, TrainSession, WorkerOptions,
 };
 use skipper_snn::{custom_net, ModelConfig, Sgd, SpikingNetwork};
 use skipper_tensor::{Tensor, XorShiftRng};
@@ -69,7 +69,7 @@ fn run_once(
 }
 
 /// Same contract as [`run_once`], but the shards are computed by worker
-/// threads behind the in-process cluster transport instead of by the
+/// threads behind the cluster transport (loopback TCP) instead of by the
 /// engine's own thread pool.
 fn run_once_cluster(
     method: &Method,
@@ -87,10 +87,10 @@ fn run_once_cluster(
             ..ModelConfig::default()
         })
     };
-    let (coordinator, connector) = Coordinator::in_proc(cfg);
+    let coordinator = Coordinator::listen_tcp("127.0.0.1:0", cfg).expect("loopback bind");
     let handles: Vec<_> = (1..=workers as u64)
         .map(|id| {
-            let mut conn = connector.clone();
+            let mut conn = TcpConnector::new(coordinator.addr(), None);
             std::thread::spawn(move || {
                 run_worker(
                     &mut conn,

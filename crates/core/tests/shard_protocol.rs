@@ -1,10 +1,11 @@
 //! What must hold whichever driver runs an iteration — the unsharded
-//! reference (`workers(1)`), the in-process pool (`workers(3)`) or an
-//! in-proc cluster — since the pool and the cluster execute one shard
+//! reference (`workers(1)`), the in-process pool (`workers(3)`) or a
+//! loopback TCP cluster — since the pool and the cluster execute one shard
 //! protocol (`skipper_core`'s `shard.rs`).
 
 use skipper_core::{
-    run_worker, ClusterConfig, Coordinator, Method, SkipperError, TrainSession, WorkerOptions,
+    run_worker, ClusterConfig, Coordinator, Method, SkipperError, TcpConnector, TrainSession,
+    WorkerOptions,
 };
 use skipper_memprof::{Category, CategoryGuard};
 use skipper_snn::{custom_net, ModelConfig, Sgd};
@@ -43,6 +44,10 @@ enum Driver {
     Cluster,
 }
 
+fn coordinator() -> Coordinator {
+    Coordinator::listen_tcp("127.0.0.1:0", ClusterConfig::new(model())).expect("loopback bind")
+}
+
 /// A session of `method` on `driver`, plus the cluster's worker threads
 /// (they exit when the session, and with it the coordinator, is dropped).
 fn session(driver: Driver, method: Method) -> (TrainSession, Vec<JoinHandle<()>>) {
@@ -52,10 +57,10 @@ fn session(driver: Driver, method: Method) -> (TrainSession, Vec<JoinHandle<()>>
         Driver::Unsharded => (builder.workers(1).build().expect("valid method"), vec![]),
         Driver::Pool => (builder.workers(3).build().expect("valid method"), vec![]),
         Driver::Cluster => {
-            let (coordinator, connector) = Coordinator::in_proc(ClusterConfig::new(model()));
+            let coordinator = coordinator();
             let workers = (1..=2)
                 .map(|id| {
-                    let mut conn = connector.clone();
+                    let mut conn = TcpConnector::new(coordinator.addr(), None);
                     let opts = WorkerOptions {
                         id,
                         ..WorkerOptions::default()
@@ -174,16 +179,14 @@ fn tbptt_lbp_is_refused_on_a_cluster_session() {
         window: 4,
         taps: vec![1, 2],
     };
-    let (coordinator, _connector) = Coordinator::in_proc(ClusterConfig::new(model()));
     let err = TrainSession::builder(custom_net(&model()), lbp.clone(), T)
-        .cluster(coordinator)
+        .cluster(coordinator())
         .build()
         .unwrap_err();
     assert!(matches!(err, SkipperError::Config(_)), "{err}");
 
-    let (coordinator, _connector) = Coordinator::in_proc(ClusterConfig::new(model()));
     let mut session = TrainSession::builder(custom_net(&model()), Method::Bptt, T)
-        .cluster(coordinator)
+        .cluster(coordinator())
         .build()
         .expect("BPTT runs over a cluster");
     session.set_method(lbp);

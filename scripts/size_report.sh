@@ -2,22 +2,27 @@
 # Size trend of the workspace (ROADMAP item 6): non-test lines and `pub`
 # items per crate, the number of lint waivers outside the lint crate, and
 # the number of bench binaries. Fails when a number this repo has committed
-# to (core, bench and report lines, waivers) is exceeded, so growth is a
-# decision made by editing this file, not an accident; the `pub` and
-# binary counts are reported only.
+# to (core, wire, bench and report lines, waivers) is exceeded, so growth is
+# a decision made by editing this file, not an accident; the `pub` and
+# binary counts are reported only. "wire" is the part of core that is not
+# the paper — `transport.rs` + `cluster.rs` — counted on its own so that
+# the split into its own crate (ROADMAP item 4) starts from a committed
+# number.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Ceilings: the values at the commit that last edited them. Lower them when
 # a PR shrinks the code; raise them only with a reason in the PR.
-CEILING_CORE=7743
+CEILING_CORE=7208
+CEILING_WIRE=2696
 CEILING_BENCH=2700
 CEILING_REPORT=439
 CEILING_WAIVERS=40
 
-# Lines of each src file up to its first `#[cfg(test)]` (all of it if none).
+# Lines of each src file up to its first `#[cfg(test)]` (all of it if none);
+# arguments are directories and files, as for `find`.
 non_test_lines() {
-    find "$1" -name '*.rs' -print0 |
+    find "$@" -name '*.rs' -print0 |
         xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }' |
         awk '{ sum += $1 } END { print sum + 0 }'
 }
@@ -37,6 +42,8 @@ for src in crates/*/src; do
 done
 
 core_lines=$(non_test_lines crates/core/src)
+wire_lines=$(non_test_lines crates/core/src/transport.rs crates/core/src/cluster.rs)
+printf '%-10s %-14s %s\n' wire "$wire_lines" '(transport.rs + cluster.rs, part of core)'
 bench_lines=$(non_test_lines crates/bench/src)
 report_lines=$(non_test_lines crates/report/src)
 waivers=$(grep -rn 'lint:allow' --include='*.rs' --include='*.toml' \
@@ -53,6 +60,7 @@ check_ceiling() {
     fi
 }
 check_ceiling crates/core/src "$core_lines" "$CEILING_CORE"
+check_ceiling 'wire (core transport.rs + cluster.rs)' "$wire_lines" "$CEILING_WIRE"
 check_ceiling crates/bench/src "$bench_lines" "$CEILING_BENCH"
 check_ceiling crates/report/src "$report_lines" "$CEILING_REPORT"
 if [ "$waivers" -gt "$CEILING_WAIVERS" ]; then
