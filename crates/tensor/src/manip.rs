@@ -1,9 +1,10 @@
 //! Data-movement operations: transpose, concatenation, row slicing.
 //!
-//! These are not needed by the training algorithms themselves (the
-//! backward kernels avoid materialising transposes), but they round out
-//! the tensor API for downstream users building their own models and
-//! pre-/post-processing.
+//! The public functions are not needed by the training algorithms
+//! themselves, but they round out the tensor API for downstream users
+//! building their own models and pre-/post-processing. The tiled copy
+//! behind [`transpose2d`] is also what [`matmul_nt`](crate::matmul_nt)
+//! writes its `Bᵀ` scratch with.
 
 use crate::tensor::Tensor;
 use skipper_memprof::{record_op, OpKind};
@@ -16,17 +17,30 @@ use skipper_memprof::{record_op, OpKind};
 pub fn transpose2d(t: &Tensor) -> Tensor {
     let (rows, cols) = t.shape().as_2d();
     record_op(OpKind::Copy, 0.0, 2.0 * t.byte_size() as f64);
-    let src = t.data();
     let mut out = Tensor::zeros([cols, rows]);
-    {
-        let dst = out.data_mut();
-        for r in 0..rows {
-            for c in 0..cols {
-                dst[c * rows + r] = src[r * cols + c];
+    transpose_into(t.data(), rows, cols, out.data_mut());
+    out
+}
+
+/// Write the transpose of row-major `src[rows, cols]` to `dst[cols, rows]`,
+/// one `TILE × TILE` block at a time so that neither side strides through
+/// more cache lines than a block holds. Records no op: callers account for
+/// the copy themselves.
+pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    const TILE: usize = 16;
+    assert_eq!(src.len(), rows * cols, "transpose source length");
+    assert_eq!(dst.len(), rows * cols, "transpose destination length");
+    for r0 in (0..rows).step_by(TILE) {
+        let r1 = (r0 + TILE).min(rows);
+        for c0 in (0..cols).step_by(TILE) {
+            for c in c0..(c0 + TILE).min(cols) {
+                let dst_run = &mut dst[c * rows + r0..c * rows + r1];
+                for (d, r) in dst_run.iter_mut().zip(r0..r1) {
+                    *d = src[r * cols + c];
+                }
             }
         }
     }
-    out
 }
 
 /// Concatenate tensors along axis 0. All trailing dimensions must agree.
