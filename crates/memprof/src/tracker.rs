@@ -8,9 +8,10 @@
 //! (Figs. 3(c,d), 4(a)) and overall peaks (Figs. 7, 12, 14).
 //!
 //! The tracker is thread-local so that parallel tests do not interfere; the
-//! training code in this workspace allocates and drops tensors on a single
-//! thread per run (compute kernels use scoped threads but never allocate
-//! tracked storage), which keeps the books consistent.
+//! training code in this workspace drops every tensor on the thread that
+//! allocated it (compute kernels run on their caller's thread, and the shard
+//! pool keeps each worker's tensors on that worker), which keeps the books
+//! consistent.
 
 use crate::category::Category;
 use serde::{Deserialize, Serialize};

@@ -1,26 +1,8 @@
-//! Gateway configuration: batching budgets, per-tenant rate limits, and
-//! the `SKIPPER_SERVE_*` environment overlay.
+//! Gateway configuration: batching budgets and per-tenant rate limits.
 
-use crate::slo::{overlay_env as overlay_slo_env, SloConfig};
+use crate::slo::SloConfig;
 use skipper_core::InferSkip;
 use std::time::Duration;
-
-/// `host:port` the gateway binds when served from the environment.
-pub const ADDR_ENV: &str = "SKIPPER_SERVE_ADDR";
-/// Micro-batch size cap (`max_batch`).
-pub const BATCH_ENV: &str = "SKIPPER_SERVE_BATCH";
-/// Coalescing window in milliseconds (`max_delay`).
-pub const DELAY_ENV: &str = "SKIPPER_SERVE_DELAY_MS";
-/// Queued-request cap before the gateway sheds with 503 (`queue_cap`).
-pub const QUEUE_ENV: &str = "SKIPPER_SERVE_QUEUE";
-/// Default per-request deadline in milliseconds (`deadline`).
-pub const DEADLINE_ENV: &str = "SKIPPER_SERVE_DEADLINE_MS";
-/// Tenant table, `name=rate:burst[,name=rate:burst…]`.
-pub const TENANTS_ENV: &str = "SKIPPER_SERVE_TENANTS";
-/// Inference-time skip percentile (0 disables skipping).
-pub const SKIP_ENV: &str = "SKIPPER_SERVE_SKIP_PCT";
-/// Model-pool watch poll interval in milliseconds.
-pub const RELOAD_ENV: &str = "SKIPPER_SERVE_RELOAD_MS";
 
 /// One tenant's admission-control budget: a token bucket holding up to
 /// `burst` tokens, refilled at `rate_per_sec`; each admitted request
@@ -47,8 +29,7 @@ impl TenantConfig {
 }
 
 /// Everything the gateway needs besides the model itself. Start from
-/// [`GatewayConfig::default`], set fields, optionally overlay the
-/// environment with [`GatewayConfig::from_env`].
+/// [`GatewayConfig::default`] and set fields.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
     /// Micro-batch size cap: the batcher dispatches as soon as this many
@@ -92,126 +73,15 @@ impl Default for GatewayConfig {
 }
 
 impl GatewayConfig {
-    /// Overlay `SKIPPER_SERVE_*` environment knobs onto `self`. Unset
-    /// variables keep the current value.
-    ///
-    /// # Errors
-    ///
-    /// A set-but-malformed variable is a configuration error, not a
-    /// silent fallback: the message names the variable and the expected
-    /// shape.
-    pub fn from_env(mut self) -> Result<GatewayConfig, String> {
-        if let Some(v) = env_parse::<usize>(BATCH_ENV)? {
-            self.max_batch = v.max(1);
-        }
-        if let Some(v) = env_parse::<u64>(DELAY_ENV)? {
-            self.max_delay = Duration::from_millis(v);
-        }
-        if let Some(v) = env_parse::<usize>(QUEUE_ENV)? {
-            self.queue_cap = v.max(1);
-        }
-        if let Some(v) = env_parse::<u64>(DEADLINE_ENV)? {
-            self.deadline = Duration::from_millis(v.max(1));
-        }
-        if let Ok(spec) = std::env::var(TENANTS_ENV) {
-            self.tenants = parse_tenants(&spec)?;
-        }
-        if let Some(p) = env_parse::<f32>(SKIP_ENV)? {
-            self.skip = (p > 0.0).then_some(InferSkip {
-                percentile: p,
-                min_steps: 1,
-            });
-        }
-        if let Some(v) = env_parse::<u64>(RELOAD_ENV)? {
-            self.reload_poll = Duration::from_millis(v.max(1));
-        }
-        if let Some(slo) = self.slo.take() {
-            self.slo = Some(overlay_slo_env(slo)?);
-        }
-        Ok(self)
-    }
-
     /// The configured tenant named `name`, if any.
     pub fn tenant(&self, name: &str) -> Option<&TenantConfig> {
         self.tenants.iter().find(|t| t.name == name)
     }
 }
 
-fn env_parse<T: std::str::FromStr>(var: &str) -> Result<Option<T>, String> {
-    match std::env::var(var) {
-        Err(_) => Ok(None),
-        Ok(raw) => raw
-            .trim()
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{var}={raw:?} is not a valid value")),
-    }
-}
-
-/// Parse the `SKIPPER_SERVE_TENANTS` grammar:
-/// `name=rate:burst[,name=rate:burst…]`, e.g. `acme=100:200,edge=2:2`.
-///
-/// # Errors
-///
-/// Names the offending entry; rates and bursts must be positive finite
-/// numbers.
-pub fn parse_tenants(spec: &str) -> Result<Vec<TenantConfig>, String> {
-    let mut out = Vec::new();
-    for entry in spec.split(',').filter(|e| !e.trim().is_empty()) {
-        let entry = entry.trim();
-        let (name, budget) = entry
-            .split_once('=')
-            .ok_or_else(|| format!("tenant entry {entry:?}: expected name=rate:burst"))?;
-        let (rate, burst) = budget
-            .split_once(':')
-            .ok_or_else(|| format!("tenant entry {entry:?}: expected name=rate:burst"))?;
-        let rate: f64 = rate
-            .trim()
-            .parse()
-            .map_err(|_| format!("tenant entry {entry:?}: rate {rate:?} is not a number"))?;
-        let burst: f64 = burst
-            .trim()
-            .parse()
-            .map_err(|_| format!("tenant entry {entry:?}: burst {burst:?} is not a number"))?;
-        if !(rate.is_finite() && rate > 0.0 && burst.is_finite() && burst >= 1.0) {
-            return Err(format!(
-                "tenant entry {entry:?}: rate must be > 0 and burst >= 1"
-            ));
-        }
-        if name.trim().is_empty() {
-            return Err(format!("tenant entry {entry:?}: empty tenant name"));
-        }
-        out.push(TenantConfig::new(name.trim(), rate, burst));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tenant_grammar_round_trips() {
-        let tenants = parse_tenants("acme=100:200, edge=2.5:4").unwrap();
-        assert_eq!(
-            tenants,
-            vec![
-                TenantConfig::new("acme", 100.0, 200.0),
-                TenantConfig::new("edge", 2.5, 4.0),
-            ]
-        );
-        assert!(parse_tenants("").unwrap().is_empty());
-    }
-
-    #[test]
-    fn tenant_grammar_rejects_garbage() {
-        assert!(parse_tenants("acme").is_err());
-        assert!(parse_tenants("acme=5").is_err());
-        assert!(parse_tenants("acme=x:2").is_err());
-        assert!(parse_tenants("acme=-1:2").is_err());
-        assert!(parse_tenants("acme=1:0").is_err());
-        assert!(parse_tenants("=1:2").is_err());
-    }
 
     #[test]
     fn default_config_is_sane() {

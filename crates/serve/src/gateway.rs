@@ -203,13 +203,6 @@ impl Gateway {
         Ok(addr)
     }
 
-    /// [`bind`](Gateway::bind) on `SKIPPER_SERVE_ADDR`; `None` when the
-    /// variable is unset.
-    pub fn bind_from_env(&mut self) -> Option<std::io::Result<std::net::SocketAddr>> {
-        let addr = std::env::var(crate::config::ADDR_ENV).ok()?;
-        Some(self.bind(&addr))
-    }
-
     /// The model pool behind this gateway.
     pub fn pool(&self) -> &ModelPool {
         &self.inner.pool

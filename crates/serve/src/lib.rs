@@ -10,8 +10,7 @@
 //!
 //! The pieces, each its own module:
 //!
-//! * [`config`] — [`GatewayConfig`]/[`TenantConfig`] plus the
-//!   `SKIPPER_SERVE_*` environment overlay;
+//! * [`config`] — [`GatewayConfig`]/[`TenantConfig`];
 //! * [`tenancy`] — token-bucket admission control: per-tenant rate
 //!   limits answered with typed `429`s, so one noisy tenant cannot
 //!   starve the rest;
@@ -73,7 +72,7 @@ pub mod tenancy;
 pub use api::{
     PredictRequest, PredictResponse, SloStatus, SloWindowStatus, TenantStatus, TenantsResponse,
 };
-pub use config::{parse_tenants, GatewayConfig, TenantConfig, ADDR_ENV};
+pub use config::{GatewayConfig, TenantConfig};
 pub use gateway::Gateway;
 pub use model::{ModelPool, NetFactory};
 pub use slo::{SloConfig, SloEngine};

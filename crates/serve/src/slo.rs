@@ -35,15 +35,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Latency-p99 target in milliseconds.
-pub const SLO_P99_ENV: &str = "SKIPPER_SLO_P99_MS";
-/// Availability target in percent (e.g. `99.5`).
-pub const SLO_AVAILABILITY_ENV: &str = "SKIPPER_SLO_AVAILABILITY_PCT";
-/// Short burn window in seconds.
-pub const SLO_SHORT_ENV: &str = "SKIPPER_SLO_SHORT_S";
-/// Long burn window in seconds.
-pub const SLO_LONG_ENV: &str = "SKIPPER_SLO_LONG_S";
-
 /// Shed reasons that spend the availability budget. The other typed
 /// reasons (`rate_limited`, `unknown_tenant`) are deliberate rejections.
 const INVOLUNTARY_SHEDS: [&str; 3] = ["queue_full", "deadline", "shutdown"];
@@ -291,38 +282,6 @@ fn eval_loop(cfg: &SloConfig, stop: &AtomicBool, status: &Mutex<SloStatus>) {
     }
 }
 
-/// Overlay the `SKIPPER_SLO_*` environment knobs onto `cfg`.
-///
-/// # Errors
-///
-/// A set-but-malformed variable names itself and the expected shape.
-pub fn overlay_env(mut cfg: SloConfig) -> Result<SloConfig, String> {
-    if let Some(ms) = parse_env::<f64>(SLO_P99_ENV)? {
-        cfg.latency_p99_us = (ms.max(1.0)) * 1_000.0;
-    }
-    if let Some(pct) = parse_env::<f64>(SLO_AVAILABILITY_ENV)? {
-        cfg.availability_target = (pct / 100.0).clamp(0.0, 0.999_999);
-    }
-    if let Some(s) = parse_env::<u64>(SLO_SHORT_ENV)? {
-        cfg.short_window = Duration::from_secs(s.max(1));
-    }
-    if let Some(s) = parse_env::<u64>(SLO_LONG_ENV)? {
-        cfg.long_window = Duration::from_secs(s.max(1));
-    }
-    Ok(cfg)
-}
-
-fn parse_env<T: std::str::FromStr>(var: &str) -> Result<Option<T>, String> {
-    match std::env::var(var) {
-        Err(_) => Ok(None),
-        Ok(raw) => raw
-            .trim()
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{var}={raw:?} is not a valid value")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,12 +406,5 @@ mod tests {
         assert_eq!(status.windows.len(), 2, "engine never evaluated");
         assert_eq!(status.windows[0].window, "short");
         assert_eq!(status.windows[1].window, "long");
-    }
-
-    #[test]
-    fn env_overlay_parses_and_rejects() {
-        // No env set: identity.
-        let cfg = overlay_env(SloConfig::default()).expect("no env set");
-        assert_eq!(cfg, SloConfig::default());
     }
 }

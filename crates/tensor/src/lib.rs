@@ -12,9 +12,9 @@
 //! * [`Shape`] — a small dimension vector with the usual helpers;
 //! * elementwise/reduction kernels ([`Tensor::add`], [`Tensor::scale`],
 //!   [`Tensor::sum`], …);
-//! * [`matmul`](fn@matmul)/[`matmul_tn`]/[`matmul_nt`] — thread-parallel
-//!   matrix products (the forward and the two backward variants) on one
-//!   row-axpy inner loop;
+//! * [`matmul`](fn@matmul)/[`matmul_tn`]/[`matmul_nt`] — matrix products
+//!   (the forward and the two backward variants) on one row-axpy inner
+//!   loop;
 //! * [`conv2d`] and friends — im2col-based 2-D convolution with the
 //!   backward-by-input and backward-by-weight kernels;
 //! * [`avg_pool2d`] — average pooling forward/backward.

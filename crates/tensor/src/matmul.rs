@@ -17,22 +17,12 @@
 //! it streams are contiguous as well.
 //!
 //! All record `2·M·N·K` FLOPs with the latency model (`matmul_nt`'s
-//! transpose is part of that one GEMM, not an op of its own) and parallelise
-//! over output-row chunks with scoped threads once the work is large enough.
+//! transpose is part of that one GEMM, not an op of its own) and run entirely
+//! in their caller: data-parallel shards are the only parallelism in training.
 
 use crate::manip::transpose_into;
 use crate::tensor::Tensor;
 use skipper_memprof::{record_op, Category, CategoryGuard, OpKind};
-
-/// Work (in multiply-adds) below which threading is not worth spawning.
-const PAR_THRESHOLD: usize = 1 << 17;
-
-/// Threads used for large products.
-fn thread_count() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(1)
-}
 
 fn record(m: usize, n: usize, k: usize) {
     let flops = 2.0 * m as f64 * n as f64 * k as f64;
@@ -40,66 +30,23 @@ fn record(m: usize, n: usize, k: usize) {
     record_op(OpKind::MatMul, flops, bytes);
 }
 
-/// Run `body(row_range, out_chunk)` over `m` rows of an `m x n` output,
-/// splitting across threads when the total work warrants it.
-fn parallel_rows(
-    out: &mut [f32],
-    m: usize,
-    n: usize,
-    work: usize,
-    body: impl Fn(std::ops::Range<usize>, &mut [f32]) + Sync,
-) {
-    let threads = if work < PAR_THRESHOLD {
-        1
-    } else {
-        thread_count()
-    };
-    if threads <= 1 || m < 2 {
-        body(0..m, out);
-        return;
-    }
-    let chunk_rows = m.div_ceil(threads);
-    crossbeam::scope(|scope| {
-        let mut rest = out;
-        let mut row = 0;
-        while row < m {
-            let rows_here = chunk_rows.min(m - row);
-            let (head, tail) = rest.split_at_mut(rows_here * n);
-            let range = row..row + rows_here;
-            let body = &body;
-            scope.spawn(move |_| body(range, head));
-            rest = tail;
-            row += rows_here;
-        }
-    })
-    // lint:allow(panic): join().expect re-raises a worker panic; it cannot fail otherwise
-    .expect("matmul worker panicked");
-}
-
 /// The one GEMM inner loop: `out[M,N] = Σ_p a(i, p) · b[p, :]`, `p` ascending.
-fn row_axpy(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: impl Fn(usize, usize) -> f32 + Sync,
-    bd: &[f32],
-) -> Tensor {
+fn row_axpy(m: usize, k: usize, n: usize, a: impl Fn(usize, usize) -> f32, bd: &[f32]) -> Tensor {
     let mut out = Tensor::zeros([m, n]);
-    parallel_rows(out.data_mut(), m, n, m * n * k, |rows, chunk| {
-        for (ci, i) in rows.enumerate() {
-            let crow = &mut chunk[ci * n..(ci + 1) * n];
-            for p in 0..k {
-                let av = a(i, p);
-                if av == 0.0 {
-                    continue; // a ±0.0 term cannot change a sum that started at +0.0
-                }
-                let brow = &bd[p * n..(p + 1) * n];
-                for (c, &bv) in crow.iter_mut().zip(brow) {
-                    *c += av * bv;
-                }
+    let od = out.data_mut();
+    for i in 0..m {
+        let crow = &mut od[i * n..(i + 1) * n];
+        for p in 0..k {
+            let av = a(i, p);
+            if av == 0.0 {
+                continue; // a ±0.0 term cannot change a sum that started at +0.0
+            }
+            let brow = &bd[p * n..(p + 1) * n];
+            for (c, &bv) in crow.iter_mut().zip(brow) {
+                *c += av * bv;
             }
         }
-    });
+    }
     out
 }
 
@@ -280,12 +227,41 @@ mod tests {
         assert!(matmul_tn(&at, &b).allclose(&naive(&at, &b, true, false), 1e-4));
     }
 
+    /// The largest product here (64×96×80 = 491 520 multiply-adds). `naive`
+    /// adds every term in ascending `p` from `+0.0` too, and a skipped
+    /// `±0.0` term cannot change such a sum, so the bits must agree.
     #[test]
-    fn large_parallel_matches_naive() {
+    fn large_product_matches_naive_bit_for_bit() {
         let mut rng = XorShiftRng::new(11);
-        let a = Tensor::randn([64, 96], &mut rng);
-        let b = Tensor::randn([96, 80], &mut rng);
-        assert!(matmul(&a, &b).allclose(&naive(&a, &b, false, false), 1e-3));
+        let a = reference::mixed([64, 96], &mut rng);
+        let b = reference::mixed([96, 80], &mut rng);
+        let checked = reference::same_bits("matmul", &matmul(&a, &b), &naive(&a, &b, false, false));
+        assert!(checked.is_ok(), "{checked:?}");
+    }
+
+    /// Any of `M`, `N`, `K` = 0: the right shape, all `+0.0`, one op record
+    /// of 0 FLOPs, for each variant.
+    #[test]
+    fn zero_extent_products_are_empty_or_zero() {
+        type Product = fn(&Tensor, &Tensor) -> Tensor;
+        for (m, n, k) in [(0, 3, 4), (2, 0, 4), (2, 3, 0)] {
+            let products: [(&str, Product, [usize; 2], [usize; 2]); 3] = [
+                ("matmul", matmul, [m, k], [k, n]),
+                ("matmul_nt", matmul_nt, [m, k], [n, k]),
+                ("matmul_tn", matmul_tn, [k, m], [k, n]),
+            ];
+            for (what, product, a, b) in products {
+                let (a, b) = (Tensor::ones(a), Tensor::ones(b));
+                mp::take_op_log();
+                let out = product(&a, &b);
+                let log = mp::take_op_log();
+                let at = format!("{what} M={m} N={n} K={k}");
+                assert_eq!(out.shape().as_2d(), (m, n), "{at}");
+                assert!(out.data().iter().all(|v| v.to_bits() == 0), "{at}");
+                assert_eq!(log.len(), 1, "{at}");
+                assert_eq!(log.total_flops(), 0.0, "{at}");
+            }
+        }
     }
 
     #[test]
