@@ -150,15 +150,17 @@ mod tests {
 
     #[test]
     fn catches_wrong_gradients() {
-        // mask_mul with mismatched forward/backward would fail; emulate a
-        // wrong gradient by checking mul against a graph that detaches one
-        // operand: numeric sees the dependency, analytic does not.
+        // Emulate a wrong gradient by detaching one path: the LIF reset
+        // with θ = −1 and the previous spikes set to x itself (and λ = 0)
+        // gives y = x + detach(x). Numeric sees the dependency, analytic
+        // does not.
         let a = Tensor::from_vec(vec![2.0], [1]);
         let err = gradcheck(
             &[a],
             |g, v| {
                 let frozen = g.value(v[0]).clone();
-                g.add_scaled_const(v[0], &frozen, 1.0) // y = x + detach(x)
+                let surrogate = crate::Surrogate::default_triangle();
+                g.lif(v[0], v[0], &frozen, 0.0, -1.0, surrogate).0
             },
             1e-3,
             1e-3,

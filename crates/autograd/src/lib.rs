@@ -8,12 +8,14 @@
 //!
 //! Three properties matter for reproducing the paper:
 //!
-//! 1. **Activations live exactly as long as the graph.** Node values are
-//!    the saved activations; dropping the `Graph` frees them, so the memory
-//!    tracker sees precisely what a framework's autograd would allocate and
-//!    release. Baseline BPTT keeps one graph for all `T` timesteps;
-//!    checkpointed training builds and drops one small graph per time
-//!    segment.
+//! 1. **The tape keeps what the backward reads.** A node value that some
+//!    recorded op's backward reads (a layer's input, the membrane a spike
+//!    fired from) is a saved activation and lives until the `Graph` is
+//!    dropped; [`Graph::release`] drops every other value once the forward
+//!    is done with it, keeping its shape. The memory tracker therefore sees
+//!    what a framework's autograd would keep. Baseline BPTT keeps one graph
+//!    for all `T` timesteps; checkpointed training builds and drops one
+//!    small graph per time segment.
 //! 2. **Seed-gradient injection.** [`Graph::seed_grad`] accumulates an
 //!    external gradient into any node, which is how a later time segment
 //!    hands `∂L/∂U`, `∂L/∂o` across a checkpoint boundary, and how the
@@ -21,9 +23,9 @@
 //! 3. **Surrogate spike gradients.** [`Graph::spike`] implements the
 //!    non-differentiable Heaviside firing function with a
 //!    [`Surrogate`] derivative on the backward pass (Neftci et al. 2019),
-//!    and the membrane reset uses the *detached* previous spikes, matching
-//!    the paper's "the reset term is not taken into account for the
-//!    gradient computation".
+//!    and [`Graph::lif`]'s membrane reset uses the *detached* previous
+//!    spikes, matching the paper's "the reset term is not taken into
+//!    account for the gradient computation".
 //!
 //! # Example
 //!

@@ -8,8 +8,11 @@
 //!   evaluation. Intermediate tensors die immediately; only the neuron
 //!   state survives.
 //! * [`SpikingNetwork::step_taped`] — appends nodes to a
-//!   [`Graph`]; every intermediate value is retained by the tape (the
-//!   "stored activations" whose footprint the paper measures).
+//!   [`Graph`]. The tape keeps what the backward reads — each layer's
+//!   membrane `U` and the input of each synapse — as the "stored
+//!   activations" whose footprint the paper measures; the synaptic
+//!   currents, and spikes that are pooled or dropped out before the next
+//!   synapse, are released once the module's forward is done.
 //!
 //! Both forms also report the timestep's network-wide spike count — the
 //! Spike Activity Monitor (SAM) statistic `s_t = Σ_l sum(o_t^l)` of the
@@ -380,12 +383,19 @@ impl SpikingNetwork {
         }
     }
 
-    /// Scalar elements appended to a tape by one [`step_taped`] call, per
-    /// sample — the analytic activation-cost `A` used to project the
-    /// paper's Fig. 4/14 configurations without running them.
+    /// Scalar elements one training [`step_taped`] call adds to what a
+    /// tape holds, per sample, in the steady state (the step's spikes
+    /// replace the previous step's as the reset carry) — the analytic
+    /// activation-cost `A` used to project the paper's Fig. 4/14
+    /// configurations without running them.
     ///
-    /// Reshape nodes alias existing storage and are excluded; the input
-    /// leaf is excluded (it is accounted as [`Category::Input`]).
+    /// Each LIF layer of `N` neurons keeps its membrane `U` (N), which the
+    /// spike's backward reads. Its spikes `o` (N) are kept when the next
+    /// synapse reads them; a pooled or dropped-out `o` is released and
+    /// lives on only as the carry, so the pooled map (`N/k²`) or the mask
+    /// and masked spikes (2·N) are kept instead. Synaptic currents are
+    /// released. Reshape nodes alias existing storage and are excluded; the
+    /// input leaf is excluded (it is accounted as [`Category::Input`]).
     ///
     /// [`step_taped`]: SpikingNetwork::step_taped
     pub fn per_step_graph_elems_per_sample(&self) -> u64 {
@@ -398,35 +408,26 @@ impl SpikingNetwork {
                 Module::ConvLif { pool, .. } => {
                     let out = elems(&self.state_shapes[lif]);
                     lif += 1;
-                    total += 4 * out; // conv, pre, U, o
-                    if let Some(k) = pool {
-                        let pooled = out / (k * k) as u64;
-                        total += pooled;
-                        cur = pooled;
-                    } else {
-                        cur = out;
-                    }
+                    cur = match pool {
+                        Some(k) => out / (k * k) as u64, // U, pooled o
+                        None => out,                     // U, o
+                    };
+                    total += out + cur;
                 }
                 Module::LinearLif { dropout, .. } => {
                     let out = elems(&self.state_shapes[lif]);
                     lif += 1;
-                    total += 4 * out;
-                    if dropout.is_some() {
-                        total += 2 * out; // mask + masked spikes
-                    }
+                    total += match dropout {
+                        Some(_) => 3 * out, // U, mask, masked o
+                        None => 2 * out,    // U, o
+                    };
                     cur = out;
                 }
-                Module::Residual { shortcut, .. } => {
+                Module::Residual { .. } => {
                     let mid = elems(&self.state_shapes[lif]);
                     let out = elems(&self.state_shapes[lif + 1]);
                     lif += 2;
-                    total += 4 * mid; // conv1, pre1, U1, o1
-                    total += out; // conv2
-                    if shortcut.is_some() {
-                        total += out; // projection
-                    }
-                    total += out; // junction add
-                    total += 3 * out; // pre2, U2, o2
+                    total += 2 * mid + 2 * out; // U1, o1, U2, o2
                     cur = out;
                 }
                 Module::Pool(k) => {
@@ -672,8 +673,13 @@ impl SpikingNetwork {
                     spike_sum += g.value(o).sum();
                     state.mems[lif.state_id] = u;
                     state.prev_spikes[lif.state_id] = g.value(o).clone();
+                    g.release(current);
                     x = match pool {
-                        Some(k) => g.avg_pool2d(o, *k),
+                        Some(k) => {
+                            let pooled = g.avg_pool2d(o, *k);
+                            g.release(o);
+                            pooled
+                        }
                         None => o,
                     };
                 }
@@ -685,11 +691,13 @@ impl SpikingNetwork {
                     spike_sum += g.value(o).sum();
                     state.mems[lif.state_id] = u;
                     state.prev_spikes[lif.state_id] = g.value(o).clone();
+                    g.release(current);
                     x = match dropout {
                         Some(p) if ctx.train => {
-                            let mask =
-                                dropout_mask(g.value(o).shape().dims(), *p, lif.state_id, ctx);
-                            g.mask_mul(o, mask)
+                            let mask = dropout_mask(g.shape(o).dims(), *p, lif.state_id, ctx);
+                            let dropped = g.mask_mul(o, mask);
+                            g.release(o);
+                            dropped
                         }
                         _ => o,
                     };
@@ -709,17 +717,19 @@ impl SpikingNetwork {
                     state.mems[lif1.state_id] = u1;
                     state.prev_spikes[lif1.state_id] = g.value(o1).clone();
                     let c2 = conv2.forward_taped(g, binder, &self.params, o1);
-                    let sc = match shortcut {
-                        Some(p) => p.forward_taped(g, binder, &self.params, x),
-                        None => x,
-                    };
-                    let junction = g.add(c2, sc);
+                    let projection = shortcut
+                        .as_ref()
+                        .map(|p| p.forward_taped(g, binder, &self.params, x));
+                    let junction = g.add(c2, projection.unwrap_or(x));
                     let prev2 = state.prev_spikes[lif2.state_id].clone();
                     let (u2, o2) =
                         lif_step_taped(g, &lif2.cfg, junction, state.mems[lif2.state_id], &prev2);
                     spike_sum += g.value(o2).sum();
                     state.mems[lif2.state_id] = u2;
                     state.prev_spikes[lif2.state_id] = g.value(o2).clone();
+                    for current in [c1, c2, junction].into_iter().chain(projection) {
+                        g.release(current);
+                    }
                     x = o2;
                 }
                 Module::Pool(k) => x = g.avg_pool2d(x, *k),
@@ -781,25 +791,52 @@ mod tests {
 
     #[test]
     fn per_step_elems_matches_real_tape_exactly() {
+        use crate::models::{alexnet, lenet5, resnet20, vgg5};
         use skipper_memprof as mp;
-        let net = tiny();
+        // Dropout on, so vgg5's and alexnet's dense layers mask; resnet20's
+        // first block of each later stage has a projection shortcut.
+        let cfg = ModelConfig {
+            input_hw: 8,
+            in_channels: 2,
+            num_classes: 4,
+            width_mult: 0.25,
+            dropout: Some(0.5),
+            ..ModelConfig::default()
+        };
         let batch = 3usize;
         let mut rng = XorShiftRng::new(45);
         let input = Tensor::rand([batch, 2, 8, 8], &mut rng);
-        let state = net.init_state(batch);
-        let mut g = Graph::new();
-        let mut binder = ParamBinder::new(net.params());
-        let mut tstate = TapedState::from_state(&mut g, &state, true);
-        mp::reset_all(); // isolate: everything alive so far was booked earlier
-        let live_before = mp::snapshot().live(mp::Category::Activations);
-        let _ = net.step_taped(&mut g, &mut binder, &input, &mut tstate, &StepCtx::eval(0));
-        let live_after = mp::snapshot().live(mp::Category::Activations);
-        let expect = net.per_step_graph_elems_per_sample() * batch as u64 * 4;
-        assert_eq!(
-            live_after - live_before,
-            expect,
-            "analytic per-step bytes must match the tape"
-        );
+        let nets = [
+            tiny(),
+            vgg5(&cfg),
+            resnet20(&cfg),
+            alexnet(&cfg),
+            lenet5(&cfg),
+            custom_net(&cfg),
+        ];
+        for net in nets {
+            mp::reset_all(); // isolate: count only what this net books
+            let state = net.init_state(batch);
+            let mut g = Graph::new();
+            let mut binder = ParamBinder::new(net.params());
+            let mut tstate = TapedState::from_state(&mut g, &state, true);
+            // The first step's reset carry is still held by `state`; the
+            // second step's replaces the first step's spikes: steady state.
+            let mut step = |t| {
+                let ctx = StepCtx::train(9, t);
+                let _ = net.step_taped(&mut g, &mut binder, &input, &mut tstate, &ctx);
+                mp::snapshot().live(mp::Category::Activations)
+            };
+            let live_before = step(0);
+            let live_after = step(1);
+            let expect = net.per_step_graph_elems_per_sample() * batch as u64 * 4;
+            assert_eq!(
+                live_after - live_before,
+                expect,
+                "{}: analytic per-step bytes must match the tape",
+                net.name()
+            );
+        }
     }
 
     #[test]

@@ -44,7 +44,11 @@ fn measured_activation_peak(method: Method, t: usize, batch: usize) -> u64 {
 
 #[test]
 fn analytic_model_matches_measured_bptt_peak() {
-    let (t, batch) = (12usize, 4usize);
+    // T = 24 keeps the tape term T·A dominant, as it is at the paper's
+    // horizons. What the model leaves out — the initial state and the
+    // backward's working set — does not grow with T
+    // (`baseline_memory_scales_linearly_with_t_and_b`).
+    let (t, batch) = (24usize, 4usize);
     let n = net();
     let model = AnalyticModel::new(&n);
     let predicted = model.activation_bytes(&Method::Bptt, t, batch);
@@ -103,25 +107,34 @@ fn measured_memory_ordering_matches_paper() {
     };
     // C = 3 keeps 8-step segments, whose Eq. 7 cap (37.5 % on this
     // 5-layer net) still allows substantial skipping.
+    let checkpointed = Method::Checkpointed { checkpoints: 3 };
     let base = measure(Method::Bptt);
-    let ck = measure(Method::Checkpointed { checkpoints: 3 });
+    let ck = measure(checkpointed.clone());
     let sk = measure(Method::Skipper {
         checkpoints: 3,
         percentile: 37.5,
     });
-    assert!(ck * 2 < base, "checkpointing must save ≥2x: {ck} vs {base}");
+    // Checkpointing saves at least the bytes Eq. 3 says it saves.
+    let net = make();
+    let model = AnalyticModel::new(&net);
+    let predicted_saving =
+        model.activation_bytes(&Method::Bptt, t, 2) - model.activation_bytes(&checkpointed, t, 2);
+    assert!(
+        base - ck >= predicted_saving,
+        "checkpointing must save the {predicted_saving} bytes of Eq. 3: {ck} vs {base}"
+    );
     assert!(sk < ck, "skipper must undercut checkpointing: {sk} vs {ck}");
 }
 
 #[test]
 fn baseline_memory_scales_linearly_with_t_and_b() {
+    // Every timestep adds exactly the model's per-step bytes A; the rest
+    // of the peak does not depend on T.
+    let n = net();
+    let per_step = AnalyticModel::new(&n).per_step_bytes(2);
     let m8 = measured_activation_peak(Method::Bptt, 8, 2);
     let m16 = measured_activation_peak(Method::Bptt, 16, 2);
-    let ratio_t = m16 as f64 / m8 as f64;
-    assert!(
-        (1.8..2.2).contains(&ratio_t),
-        "T doubling should ~double memory: {ratio_t:.2}"
-    );
+    assert_eq!(m16 - m8, 8 * per_step, "T 8 → 16 must add 8·A bytes");
     let b2 = measured_activation_peak(Method::Bptt, 8, 2);
     let b4 = measured_activation_peak(Method::Bptt, 8, 4);
     let ratio_b = b4 as f64 / b2 as f64;
