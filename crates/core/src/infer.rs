@@ -22,7 +22,7 @@
 //! **early-exits** every timestep below it — `step_infer` is never
 //! called, the membrane state simply persists. The logits are averaged
 //! over the evaluated steps only. This trades a small accuracy delta for
-//! latency; the `serve_loopback` bench measures the reduction.
+//! latency; serve's `tests/gateway.rs` counts the skips, nothing times them.
 //!
 //! ```
 //! use skipper_core::InferSession;

@@ -52,13 +52,6 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-impl Request {
-    /// Body as UTF-8 (lossy): every workspace endpoint speaks JSON/text.
-    pub fn body_str(&self) -> std::borrow::Cow<'_, str> {
-        String::from_utf8_lossy(&self.body)
-    }
-}
-
 /// Response a [`Handler`] returns; helpers cover every status the
 /// workspace serves.
 #[derive(Debug, Clone)]
@@ -618,7 +611,11 @@ mod tests {
     fn server_reads_post_bodies_and_queries() {
         let router = Arc::new(Router::new());
         let _g = router.register("POST", "/echo", |req| {
-            Response::ok_text(format!("q={} b={}", req.query, req.body_str()))
+            Response::ok_text(format!(
+                "q={} b={}",
+                req.query,
+                String::from_utf8_lossy(&req.body)
+            ))
         });
         let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
         let body = "hello body";

@@ -5,7 +5,8 @@
 //!
 //! ```text
 //! POST /v1/predict
-//!   └─ parse + validate geometry          → 400 bad_request
+//!   └─ decode (PredictRequest::from_json)
+//!      + validate geometry                → 400 bad_request
 //!   └─ admission (token bucket)           → 400 unknown tenant
 //!                                         → 429 rate_limited
 //!   └─ queue admission (capacity)         → 503 overloaded
@@ -68,7 +69,9 @@ type JobResult = Result<PredictResponse, Shed>;
 struct Job {
     /// Per-timestep `[1, …]` tensors.
     inputs: Vec<Tensor>,
+    /// When the job was pushed onto the queue; `queue_wait` starts here.
     enqueued: Instant,
+    /// Arrival plus the request's budget.
     deadline: Instant,
     respond: mpsc::Sender<JobResult>,
     /// The handler's `gateway_request` span id (0 when tracing is off) —
@@ -243,9 +246,9 @@ fn handle_predict(inner: &Arc<Inner>, req: &Request) -> Response {
     if inner.stop.load(Ordering::Relaxed) {
         return Response::service_unavailable("shutting_down", "gateway is stopping");
     }
-    let parsed: PredictRequest = match serde_json::from_str(&req.body_str()) {
+    let parsed = match PredictRequest::from_json(&req.body) {
         Ok(p) => p,
-        Err(e) => return Response::bad_request(&format!("invalid JSON body: {e:?}")),
+        Err(e) => return Response::bad_request(&format!("invalid JSON body: {e}")),
     };
     let inputs = match parsed.to_timestep_tensors() {
         Ok(v) => v,
@@ -274,23 +277,30 @@ fn handle_predict(inner: &Arc<Inner>, req: &Request) -> Response {
         .unwrap_or(inner.cfg.deadline);
     let deadline = start + budget;
     let (tx, rx) = mpsc::channel();
-    {
+    let enqueued = {
         let mut q = lock_unpoisoned(&inner.queue);
         if q.len() >= inner.cfg.queue_cap {
             drop(q);
             shed("queue_full");
             return Response::service_unavailable("overloaded", "request queue is full");
         }
+        let enqueued = Instant::now();
         q.push_back(Job {
             inputs,
-            enqueued: start,
+            enqueued,
             deadline,
             respond: tx,
             span: request_span.id(),
         });
         gauge_set("serve.queue_depth", q.len() as f64);
-    }
+        enqueued
+    };
     inner.cv.notify_all();
+    phase_wall(
+        "parse",
+        enqueued.saturating_duration_since(start),
+        request_span.id(),
+    );
     counter_add(&labeled("serve.requests", "tenant", &parsed.tenant), 1.0);
 
     let wait = deadline.saturating_duration_since(Instant::now()) + EXECUTION_GRACE;
@@ -435,11 +445,12 @@ fn batcher_loop(inner: &Arc<Inner>) {
 
 /// Stack the batch row-wise, predict once, split the logits back out.
 ///
-/// Phase attribution happens here: each job's `queue_wait` ends when its
+/// Phase attribution happens here, after the handler's `parse` (arrival
+/// to queue push): each job's `queue_wait` runs from its push until its
 /// batch is picked up, `batch_wait` covers the row-stacking (time spent
 /// because of company), and `execute` is the forward pass itself. Each
 /// phase histogram carries span-id exemplars — the jobs' request spans
-/// for the waits, the `execute` span for the model time.
+/// for the parse and the waits, the `execute` span for the model time.
 fn dispatch(inner: &Arc<Inner>, batch: &[Job]) {
     let Some(front) = batch.first() else {
         return;
@@ -533,5 +544,90 @@ fn reload_loop(inner: &Arc<Inner>) {
         if inner.pool.poll_reload().is_err() {
             counter_add("serve.model_reload_errors", 1.0);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::TenantConfig;
+    use skipper_core::InferSession;
+    use skipper_obs::Router;
+    use skipper_snn::{custom_net, ModelConfig};
+
+    fn phase_count(phase: &str) -> u64 {
+        let name = labeled("serve.phase_wall_us", "phase", phase);
+        skipper_obs::registry()
+            .snapshot()
+            .histograms
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map_or(0, |(_, h)| h.count())
+    }
+
+    #[test]
+    fn every_answered_request_records_one_parse_phase() {
+        let sink = skipper_obs::add_sink(Box::new(skipper_obs::NullSink));
+        let net = custom_net(&ModelConfig {
+            input_hw: 8,
+            width_mult: 0.25,
+            ..ModelConfig::default()
+        });
+        let cfg = GatewayConfig {
+            tenants: vec![TenantConfig::new("acme", 1000.0, 1000.0)],
+            max_batch: 2,
+            max_delay: Duration::from_millis(2),
+            ..GatewayConfig::default()
+        };
+        let router = Arc::new(Router::new());
+        let gateway = Gateway::start(
+            cfg,
+            ModelPool::fixed(InferSession::new(net)),
+            Arc::clone(&router),
+        )
+        .unwrap();
+        let body = |tenant: &str| {
+            serde_json::to_string(&PredictRequest {
+                tenant: tenant.to_string(),
+                timesteps: 2,
+                shape: vec![3, 8, 8],
+                inputs: vec![1.0; 2 * 3 * 8 * 8],
+                deadline_ms: None,
+            })
+            .unwrap()
+            .into_bytes()
+        };
+        // Four answered, and three refused before the queue push.
+        let mut bodies = vec![body("acme"); 4];
+        bodies.push(body("nobody"));
+        bodies.push(b"{not json".to_vec());
+        bodies.push(body("acme")[..40].to_vec());
+        let phases = ["parse", "queue_wait", "batch_wait"];
+        let before = phases.map(phase_count);
+        let statuses: Vec<u16> = std::thread::scope(|s| {
+            let handles: Vec<_> = bodies
+                .into_iter()
+                .map(|body| {
+                    let router = &router;
+                    s.spawn(move || {
+                        router
+                            .dispatch(&skipper_obs::Request {
+                                method: "POST".into(),
+                                path: "/v1/predict".into(),
+                                query: String::new(),
+                                body,
+                            })
+                            .status
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(statuses, [200, 200, 200, 200, 400, 400, 400]);
+        for (phase, before) in phases.iter().zip(before) {
+            assert_eq!(phase_count(phase) - before, 4, "{phase}");
+        }
+        drop(gateway);
+        skipper_obs::remove_sink(sink);
     }
 }

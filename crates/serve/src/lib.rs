@@ -17,7 +17,7 @@
 //! * [`model`] — the hot-reloadable [`ModelPool`]: an atomic
 //!   `Arc<InferSession>` swap keyed on the watched `.skw` file's stamp;
 //! * [`api`] — the JSON wire types (`/v1/predict`, `/v1/tenants`,
-//!   `/slo`);
+//!   `/slo`) and the one-pass `/v1/predict` body decoder;
 //! * [`slo`] — the [`SloEngine`]: rolling-window burn rates over the
 //!   latency histogram and shed counters, published as
 //!   `serve.slo_burn_rate{window}` gauges and the `GET /slo` endpoint;
@@ -33,7 +33,8 @@
 //! The paper's time-skipping transfers to serving as an optional
 //! inference-time mode ([`GatewayConfig::skip`]): per micro-batch, the
 //! SST percentile of input spike activity early-exits quiet timesteps.
-//! The `serve_loopback` bench measures the latency reduction.
+//! `tests/gateway.rs` holds the served skip count equal to a direct
+//! session's; serving speed is the `serve` workload of `benchmark/`.
 //!
 //! ```
 //! use skipper_core::InferSession;

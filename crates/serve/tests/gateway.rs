@@ -72,12 +72,17 @@ fn request_body(tenant: &str, inputs: &[f32], deadline_ms: Option<u64>) -> Strin
 
 /// Raw HTTP POST; returns (status, body).
 fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
+    post_bytes(addr, path, body.as_bytes())
+}
+
+/// [`post`] with a body that need not be UTF-8.
+fn post_bytes(addr: SocketAddr, path: &str, body: &[u8]) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).unwrap();
-    let raw = format!(
-        "POST {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{body}",
+    let head = format!(
+        "POST {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n",
         body.len()
     );
-    stream.write_all(raw.as_bytes()).unwrap();
+    stream.write_all(&[head.as_bytes(), body].concat()).unwrap();
     let mut response = String::new();
     stream.read_to_string(&mut response).unwrap();
     parse_response(&response)
@@ -460,6 +465,49 @@ fn tenants_endpoint_reports_budgets_and_levels() {
     // Malformed JSON is a 400 up front, not a queue entry.
     let (status, body) = post(addr, "/v1/predict", "{not json");
     assert_eq!(status, 400, "body: {body}");
+}
+
+#[test]
+fn hostile_bodies_get_typed_400s_and_the_gateway_keeps_serving() {
+    let cfg = GatewayConfig {
+        tenants: vec![TenantConfig::new("acme", 1000.0, 1000.0)],
+        max_delay: Duration::from_millis(2),
+        ..GatewayConfig::default()
+    };
+    let (_gateway, addr) = start_gateway(cfg, ModelPool::fixed(InferSession::new(small_net())));
+    let inputs = encode(13);
+    let good = request_body("acme", &inputs, None);
+
+    // 1 MiB of `[` under an unknown key: decoding it recursively would
+    // overflow the connection thread's stack and abort the process.
+    let nested = [br#"{"tenant":"acme","pad":"#.as_slice(), &[b'['; 1 << 20]].concat();
+    let truncated = good.as_bytes()[..good.len() / 2].to_vec();
+    let overflow = format!(
+        r#"{{"tenant":"acme","timesteps":{},"shape":[3,8,8],"inputs":[1.0]}}"#,
+        usize::MAX
+    )
+    .into_bytes();
+    let mut not_utf8 = good.clone().into_bytes();
+    not_utf8[good.find("acme").unwrap() + 3] = 0xff;
+    for (what, body) in [
+        ("nested", nested),
+        ("truncated", truncated),
+        ("overflow", overflow),
+        ("not UTF-8", not_utf8),
+    ] {
+        let (status, text) = post_bytes(addr, "/v1/predict", &body);
+        assert_eq!(status, 400, "{what}: {text}");
+        assert!(text.contains("bad_request"), "{what}: {text}");
+    }
+
+    let (status, body) = post(addr, "/v1/predict", &good);
+    assert_eq!(status, 200, "body: {body}");
+    let resp: PredictResponse = serde_json::from_str(&body).unwrap();
+    let reference = solo_predict(&InferSession::new(small_net()), &inputs);
+    assert_eq!(resp.logits.len(), reference.len());
+    for (a, b) in resp.logits.iter().zip(&reference) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
 }
 
 #[test]

@@ -9,7 +9,10 @@
 # counted on its own so that the split into its own crate (ROADMAP item 4)
 # starts from a committed number. tensor, autograd and snn are the numeric
 # core that *is* the paper, ceilinged like the wire. "serve" has a ceiling
-# so that the env overlay deleted in PR 25 cannot creep back.
+# so that the env overlay deleted in PR 25 cannot creep back; it was raised
+# from 1398 by 331 lines for the one-pass `/v1/predict` body decoder
+# (`PredictRequest::from_json`, 318 lines in api.rs) and its `parse` phase
+# in gateway.rs and docs (13 lines), and by nothing else.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,7 +25,7 @@ CEILING_REPORT=439
 CEILING_TENSOR=1356
 CEILING_AUTOGRAD=770
 CEILING_SNN=3129
-CEILING_SERVE=1398
+CEILING_SERVE=1729
 CEILING_WAIVERS=39
 
 # Lines of each src file up to its first `#[cfg(test)]` (all of it if none);
