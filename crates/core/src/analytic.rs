@@ -9,11 +9,12 @@
 //! A            = per-step bytes the tape keeps: U + the next synapse's input
 //!                per LIF layer (1.25·N pooled, 2·N, 3·N with dropout) + the
 //!                logits (exact; validated against the real tape)
-//! S            = neuron state bytes (U and o of every layer)
+//! S            = neuron state bytes, dense (U and o of every layer as f32)
+//! S_c          = one snapshot: U as f32, o one bit/neuron in whole u64 words
 //! BPTT         ≈ T·A
-//! Checkpointed ≈ (T/C)·A + C·S           (Eq. 3)
-//! Skipper      ≈ (1 − p/100)·(T/C)·A + C·S    (Eq. 6)
-//! TBPTT        ≈ trW·A + S
+//! Checkpointed ≈ (T/C)·A + C·S_c         (Eq. 3)
+//! Skipper      ≈ (1 − p/100)·(T/C)·A + C·S_c    (Eq. 6)
+//! TBPTT        ≈ trW·A + S                (the carry is the live state)
 //! ```
 //!
 //! plus the method-independent weights / gradients / optimizer-moment /
@@ -70,20 +71,28 @@ impl<'a> AnalyticModel<'a> {
         self.net.per_step_graph_elems_per_sample() * batch as u64 * 4
     }
 
-    /// Bytes of one full neuron-state snapshot `(U, o)` at batch size `b`.
+    /// Bytes of the dense neuron state `(U, o)` at batch size `b`.
     pub fn state_bytes(&self, batch: usize) -> u64 {
         self.net.state_elems_per_sample() * batch as u64 * 4
+    }
+
+    /// Bytes of one checkpoint snapshot at batch size `b`: each layer's `U`
+    /// as `f32`, its `o` packed one bit per neuron.
+    pub fn snapshot_bytes(&self, batch: usize) -> u64 {
+        let layer = |s: &Vec<usize>| batch * s.iter().product::<usize>();
+        let bytes = |n| 4 * n as u64 + skipper_tensor::SpikeBits::packed_bytes(n);
+        self.net.state_shapes().iter().map(layer).map(bytes).sum()
     }
 
     /// Peak activation bytes for `method` over `timesteps` at batch `b`.
     pub fn activation_bytes(&self, method: &Method, timesteps: usize, batch: usize) -> u64 {
         let a = self.per_step_bytes(batch);
-        let s = self.state_bytes(batch);
+        let (s, s_c) = (self.state_bytes(batch), self.snapshot_bytes(batch));
         match method {
             Method::Bptt => timesteps as u64 * a,
             Method::Checkpointed { checkpoints } => {
                 let seg = timesteps.div_ceil(*checkpoints) as u64;
-                seg * a + *checkpoints as u64 * s
+                seg * a + *checkpoints as u64 * s_c
             }
             Method::Skipper {
                 checkpoints,
@@ -91,7 +100,7 @@ impl<'a> AnalyticModel<'a> {
             } => {
                 let seg = timesteps.div_ceil(*checkpoints) as f64;
                 let kept = (seg * (1.0 - *percentile as f64 / 100.0)).ceil() as u64;
-                kept * a + *checkpoints as u64 * s
+                kept * a + *checkpoints as u64 * s_c
             }
             Method::Tbptt { window } | Method::TbpttLbp { window, .. } => (*window as u64) * a + s,
         }

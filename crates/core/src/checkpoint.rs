@@ -6,10 +6,10 @@
 //! * **Phase A — first forward pass, no grad.** The network is stepped with
 //!   [`SpikingNetwork::step_infer`]; intermediate activations die
 //!   immediately. At each of the `C` segment boundaries the neuron state
-//!   `(U, o)` is checkpointed (a cheap shared-storage clone that keeps the
-//!   boundary tensors alive); the SAM records `s_t` per timestep; the
-//!   readout logits accumulate into a plain tensor; the loss and its
-//!   analytic gradient are computed once at the end.
+//!   `(U, o)` is checkpointed as a [`Snapshot`] (`U` shared, `o` packed
+//!   one bit per neuron); the SAM records `s_t` per timestep; the readout
+//!   logits accumulate into a plain tensor; the loss and its analytic
+//!   gradient are computed once at the end.
 //!
 //! * **Phase B — segment-wise backward, most recent segment first.** For
 //!   each segment `c = C−1 … 0` a fresh tape is built from checkpoint `c`
@@ -26,7 +26,8 @@
 //!   is dropped — releasing the segment's activation memory.
 //!
 //! Because the membrane reset is detached (Section III-B), `∂L/∂U` is the
-//! *only* gradient crossing a boundary; spikes cross as values.
+//! *only* gradient crossing a boundary; spikes cross as values, exactly
+//! `+0.0`/`1.0`, so packing them changes no bit.
 //!
 //! The two phases are exposed separately ([`checkpoint_forward`],
 //! [`checkpoint_backward`]) so the shard protocol (`shard.rs`) can
@@ -47,14 +48,35 @@ use skipper_memprof::{Category, CategoryGuard};
 use skipper_snn::{
     softmax_cross_entropy_scaled, NetworkState, ParamBinder, SpikingNetwork, StepCtx, TapedState,
 };
-use skipper_tensor::Tensor;
+use skipper_tensor::{SpikeBits, Tensor};
+
+/// The neuron state `(U, o)` at one segment boundary: `U` shares the live
+/// state's storage; each layer's `o` is packed, or kept dense (`Err`)
+/// should a value not be a spike — the fallback the wire shares.
+#[derive(Debug)]
+pub(crate) struct Snapshot(Vec<Tensor>, Vec<Result<SpikeBits, Tensor>>);
+
+impl Snapshot {
+    fn take(state: &NetworkState) -> Snapshot {
+        let pack = |o: &Tensor| SpikeBits::pack(o).ok_or_else(|| o.clone());
+        Snapshot(state.mems.clone(), state.spikes.iter().map(pack).collect())
+    }
+
+    /// The state again, bit for bit, its spikes booked as activations.
+    fn restore(&self) -> NetworkState {
+        let _cat = CategoryGuard::new(Category::Activations);
+        let unpack = |o: &Result<_, _>| o.as_ref().map_or_else(Tensor::clone, SpikeBits::unpack);
+        let (mems, spikes) = (self.0.clone(), self.1.iter().map(unpack).collect());
+        NetworkState { mems, spikes }
+    }
+}
 
 /// Everything phase A hands to phase B (and, in the sharded path, to the
 /// cross-shard SAM aggregation in between).
 #[derive(Debug)]
 pub(crate) struct PhaseAOut {
     /// Checkpointed neuron states, one per segment boundary.
-    pub ckpts: Vec<NetworkState>,
+    pub ckpts: Vec<Snapshot>,
     /// This shard's activity record (to be aggregated across shards).
     pub sam: SpikeActivityMonitor,
     /// Per-sample negative log-likelihoods, in row order.
@@ -134,7 +156,7 @@ pub(crate) fn checkpoint_forward(
     let batch = inputs[0].shape()[0];
     let checkpoints = bounds.len() - 1;
     let mut state = net.init_state(batch);
-    let mut ckpts: Vec<NetworkState> = Vec::with_capacity(checkpoints);
+    let mut ckpts: Vec<Snapshot> = Vec::with_capacity(checkpoints);
     let mut sam = SpikeActivityMonitor::new(timesteps);
     let mut logits: Option<Tensor> = None;
     {
@@ -147,7 +169,7 @@ pub(crate) fn checkpoint_forward(
         let mut next_boundary = 0usize;
         for (t, input) in inputs.iter().enumerate() {
             if next_boundary < checkpoints && t == bounds[next_boundary] {
-                ckpts.push(state.clone());
+                ckpts.push(Snapshot::take(&state));
                 skipper_obs::instant!(
                     skipper_obs::Level::Debug,
                     "checkpoint_save",
@@ -194,7 +216,7 @@ pub(crate) fn checkpoint_backward(
     inputs: &[Tensor],
     iter_seed: u64,
     bounds: &[usize],
-    ckpts: &[NetworkState],
+    ckpts: &[Snapshot],
     per_step_grad: &Tensor,
     decisions: &SkipDecisions,
     shard: ShardCtx,
@@ -209,7 +231,7 @@ pub(crate) fn checkpoint_backward(
         let _seg = skipper_obs::span!("recompute_segment", c = c, start = start, end = end);
         let mut g = Graph::new();
         let mut binder = ParamBinder::new(net.params());
-        let mut tstate = TapedState::from_state(&mut g, &ckpts[c], true);
+        let mut tstate = TapedState::from_state(&mut g, &ckpts[c].restore(), true);
         let mut logit_vars = Vec::new();
         for (t, input) in inputs.iter().enumerate().take(end).skip(start) {
             if decisions.skip(t) {
@@ -357,6 +379,58 @@ mod tests {
             "checkpointed peak {ckpt} does not save the {predicted_saving} bytes of Eq. 3 \
              below baseline {base}"
         );
+    }
+
+    /// Phase A's snapshots hold exactly `C ×` the analytic model's snapshot
+    /// bytes (the `C·S_c` of Eqs. 3/6) for every model constructor. B = 3
+    /// leaves every layer's spikes a partial last `u64` word.
+    #[test]
+    fn snapshot_bytes_match_the_analytic_model_exactly() {
+        use crate::analytic::AnalyticModel;
+        use skipper_memprof as mp;
+        use skipper_snn::{alexnet, resnet20, vgg5};
+        let cfg = ModelConfig {
+            input_hw: 8,
+            in_channels: 2,
+            num_classes: 4,
+            width_mult: 0.25,
+            dropout: Some(0.5),
+            ..ModelConfig::default()
+        };
+        let (batch, checkpoints) = (3usize, 3usize);
+        let mut rng = XorShiftRng::new(46);
+        let inputs: Vec<Tensor> = (0..6)
+            .map(|_| Tensor::rand([batch, 2, 8, 8], &mut rng).map(|x| (x > 0.5) as i32 as f32))
+            .collect();
+        let bounds = segment_bounds(inputs.len(), checkpoints);
+        let nets = [
+            custom_net(&ModelConfig {
+                dropout: None,
+                ..cfg.clone()
+            }),
+            vgg5(&cfg),
+            resnet20(&cfg),
+            alexnet(&cfg),
+            lenet5(&cfg),
+            custom_net(&cfg),
+        ];
+        for net in nets {
+            let shard = ShardCtx::full(batch);
+            let a = checkpoint_forward(
+                &net,
+                &inputs,
+                &[0, 1, 3],
+                9,
+                &bounds,
+                SamMetric::SpikeSum,
+                shard,
+            );
+            let held = mp::snapshot().live(mp::Category::Activations);
+            drop(a.ckpts);
+            let released = held - mp::snapshot().live(mp::Category::Activations);
+            let expect = checkpoints as u64 * AnalyticModel::new(&net).snapshot_bytes(batch);
+            assert_eq!(released, expect, "{}: snapshot bytes", net.name());
+        }
     }
 
     #[test]

@@ -46,9 +46,9 @@
 //!
 //! Spike tensors are binary almost everywhere (the paper's premise), so
 //! a tensor whose every value is bit-exactly `0.0` or `1.0` ships as a
-//! bitmask — 1 bit/element instead of 32 — and falls back to raw
-//! little-endian `f32` otherwise. Both encodings are bit-exact round
-//! trips.
+//! bitmask — 1 bit/element instead of 32, the bytes of [`SpikeBits`], the
+//! packer checkpoint snapshots use — and falls back to raw little-endian
+//! `f32` otherwise. Both encodings are bit-exact round trips.
 //!
 //! # Chaos injection
 //!
@@ -62,7 +62,7 @@ use crate::error::SkipperError;
 use crate::shard::{Request, ResultPayload, ShardInput, WireGrads};
 use serde::{Deserialize, Serialize};
 use skipper_snn::serialize::crc32;
-use skipper_tensor::{Tensor, XorShiftRng};
+use skipper_tensor::{SpikeBits, Tensor, XorShiftRng};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -349,30 +349,13 @@ pub(crate) fn put_tensor(buf: &mut Vec<u8>, t: &Tensor) {
     for &d in dims {
         put_u32(buf, d as u32);
     }
-    let data = t.data();
-    let binary = data
-        .iter()
-        .all(|&v| v.to_bits() == 0 || v.to_bits() == 1.0f32.to_bits());
-    if binary {
+    if let Some(bits) = SpikeBits::pack(t) {
         buf.push(1); // bitmask encoding
-        let mut byte = 0u8;
-        for (i, &v) in data.iter().enumerate() {
-            if v.to_bits() == 1.0f32.to_bits() {
-                byte |= 1 << (i % 8);
-            }
-            if i % 8 == 7 {
-                buf.push(byte);
-                byte = 0;
-            }
-        }
-        if !data.len().is_multiple_of(8) {
-            buf.push(byte);
-        }
-    } else {
-        buf.push(0); // raw f32 encoding
-        for &v in data {
-            put_f32(buf, v);
-        }
+        return bits.write_le_bytes(buf);
+    }
+    buf.push(0); // raw f32 encoding
+    for &v in t.data() {
+        put_f32(buf, v);
     }
 }
 
@@ -395,30 +378,16 @@ pub(crate) fn read_tensor(r: &mut WireReader<'_>) -> Result<Tensor, TransportErr
         .try_fold(1usize, |n, &d| n.checked_mul(d))
         .filter(|&n| n <= MAX_FRAME / 4)
         .ok_or_else(|| TransportError::Frame(format!("implausible tensor shape {dims:?}")))?;
-    let encoding = r.u8()?;
-    let data = match encoding {
-        1 => {
-            let bytes = r.take(numel.div_ceil(8))?;
-            (0..numel)
-                .map(|i| {
-                    if bytes[i / 8] & (1 << (i % 8)) != 0 {
-                        1.0f32
-                    } else {
-                        0.0f32
-                    }
-                })
-                .collect()
+    match r.u8()? {
+        1 => Ok(SpikeBits::from_le_bytes(r.take(numel.div_ceil(8))?, dims).unpack()),
+        0 => {
+            let data = (0..numel).map(|_| r.f32()).collect::<Result<_, _>>()?;
+            Ok(Tensor::from_vec(data, dims))
         }
-        0 => (0..numel)
-            .map(|_| r.f32())
-            .collect::<Result<Vec<f32>, _>>()?,
-        other => {
-            return Err(TransportError::Frame(format!(
-                "unknown tensor encoding {other}"
-            )))
-        }
-    };
-    Ok(Tensor::from_vec(data, dims))
+        other => Err(TransportError::Frame(format!(
+            "unknown tensor encoding {other}"
+        ))),
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@
 //!   loop;
 //! * [`conv2d`] and friends — im2col-based 2-D convolution with the
 //!   backward-by-input and backward-by-weight kernels;
-//! * [`avg_pool2d`] — average pooling forward/backward.
+//! * [`avg_pool2d`] — average pooling forward/backward;
+//! * [`SpikeBits`] — a spike map packed one bit per element, the storage
+//!   of checkpointed spikes and the cluster wire's spike encoding.
 //!
 //! Every kernel records its FLOP and byte counts with
 //! [`skipper_memprof::record_op`], feeding the GPU latency model.
@@ -38,6 +40,7 @@ pub mod matmul;
 pub mod pool;
 pub mod random;
 pub mod shape;
+pub mod spike_bits;
 pub mod tensor;
 
 pub use conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, Conv2dSpec};
@@ -46,4 +49,5 @@ pub use matmul::{matmul, matmul_nt, matmul_tn};
 pub use pool::{avg_pool2d, avg_pool2d_backward};
 pub use random::XorShiftRng;
 pub use shape::Shape;
+pub use spike_bits::SpikeBits;
 pub use tensor::Tensor;

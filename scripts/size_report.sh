@@ -12,17 +12,21 @@
 # so that the env overlay deleted in PR 25 cannot creep back; it was raised
 # from 1398 by 331 lines for the one-pass `/v1/predict` body decoder
 # (`PredictRequest::from_json`, 318 lines in api.rs) and its `parse` phase
-# in gateway.rs and docs (13 lines), and by nothing else.
+# in gateway.rs and docs (13 lines), and by nothing else. tensor was raised
+# from 1356 by 112 lines for `SpikeBits` (spike_bits.rs, 108 lines, and
+# its export and docs in lib.rs), the one bit packer, which checkpoint
+# snapshots and the wire share; core did not grow, because the wire's own
+# bitmask loops went.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Ceilings: the values at the commit that last edited them. Lower them when
 # a PR shrinks the code; raise them only with a reason in the PR.
 CEILING_CORE=7208
-CEILING_WIRE=2696
+CEILING_WIRE=2665
 CEILING_BENCH=2700
 CEILING_REPORT=439
-CEILING_TENSOR=1356
+CEILING_TENSOR=1468
 CEILING_AUTOGRAD=770
 CEILING_SNN=3129
 CEILING_SERVE=1729
