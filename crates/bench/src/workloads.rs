@@ -292,6 +292,23 @@ mod tests {
     }
 
     #[test]
+    fn analytic_optimum_respects_eq7_depth_bound() {
+        let kinds = WorkloadKind::TABLE1
+            .into_iter()
+            .chain([WorkloadKind::AlexnetCifar10]);
+        for kind in kinds {
+            let w = Workload::build_raw(kind);
+            let model = skipper_core::AnalyticModel::new(&w.net);
+            for t in [w.timesteps, 2 * w.timesteps] {
+                let checkpoints = model.best_checkpoint_count(t, w.batch);
+                Method::Checkpointed { checkpoints }
+                    .validate(&w.net, t)
+                    .unwrap_or_else(|e| panic!("{} T={t} C={checkpoints}: {e}", w.name));
+            }
+        }
+    }
+
+    #[test]
     fn alexnet_matches_paper_t20() {
         let w = Workload::build(WorkloadKind::AlexnetCifar10);
         assert_eq!(w.timesteps, w.paper.timesteps);

@@ -21,6 +21,7 @@
 //! input terms of the Fig. 3(c,d) breakdown.
 
 use crate::method::Method;
+use crate::sam::max_checkpoints;
 use serde::{Deserialize, Serialize};
 use skipper_snn::SpikingNetwork;
 
@@ -130,18 +131,17 @@ impl<'a> AnalyticModel<'a> {
         }
     }
 
-    /// The `C` that minimises checkpointed activation memory; the paper's
-    /// `C = √T` rule falls out when state ≈ per-step cost.
+    /// The admissible `C` that minimises checkpointed activation memory;
+    /// the paper's `C = √T` rule falls out when state ≈ per-step cost. The
+    /// search stops at Section V-A's `C ≤ T/L_n`, the bound
+    /// [`Method::validate`] enforces.
     pub fn best_checkpoint_count(&self, timesteps: usize, batch: usize) -> usize {
-        let mut best = (u64::MAX, 1usize);
-        for c in 1..=timesteps {
-            let bytes =
-                self.activation_bytes(&Method::Checkpointed { checkpoints: c }, timesteps, batch);
-            if bytes < best.0 {
-                best = (bytes, c);
-            }
-        }
-        best.1
+        let c_max = max_checkpoints(timesteps, self.net.spiking_layer_count());
+        (1..=c_max)
+            .min_by_key(|&c| {
+                self.activation_bytes(&Method::Checkpointed { checkpoints: c }, timesteps, batch)
+            })
+            .unwrap_or(1)
     }
 }
 

@@ -1,13 +1,15 @@
 //! [`SessionBuilder`]: the one-stop construction path for
 //! [`TrainSession`].
 //!
-//! The session used to be assembled through a bare constructor plus seven
-//! post-hoc mutators; the builder replaces that with a single fluent
-//! surface whose [`build`](SessionBuilder::build) runs the *full*
-//! [`Method`] validity checks (segment arithmetic, Eq. 7's
-//! `(1 − p/100)·T/C ≥ L_n` bound, window/tap sanity) up front — a bad
-//! configuration fails at construction with a typed
-//! [`SkipperError::Method`], not at the first batch.
+//! [`build`](SessionBuilder::build) runs the *full* [`Method`] validity
+//! checks (segment arithmetic, Eq. 7's `(1 − p/100)·T/C ≥ L_n` bound,
+//! window/tap sanity) up front — a bad configuration fails at construction
+//! with a typed [`SkipperError::Method`], not at the first batch.
+//!
+//! The builder holds what fixes the session's structure: the optimizer,
+//! the worker count and the cluster. Knobs that may change between
+//! iterations (SAM metric, skip policy, sentinels, memory budget) are
+//! setters on [`TrainSession`].
 //!
 //! ```
 //! use skipper_core::{Method, TrainSession};
@@ -25,8 +27,7 @@
 use crate::cluster::Coordinator;
 use crate::error::SkipperError;
 use crate::method::Method;
-use crate::runner::{SentinelConfig, TrainSession};
-use crate::sam::{SamMetric, SkipPolicy};
+use crate::runner::TrainSession;
 use skipper_snn::{Optimizer, SpikingNetwork};
 
 /// Environment variable consulted for the worker count when
@@ -42,11 +43,6 @@ pub struct SessionBuilder {
     method: Method,
     timesteps: usize,
     optimizer: Option<Box<dyn Optimizer>>,
-    aux_optimizer: Option<Box<dyn Optimizer>>,
-    sam_metric: SamMetric,
-    skip_policy: SkipPolicy,
-    sentinels: Option<SentinelConfig>,
-    memory_budget: Option<u64>,
     workers: Option<usize>,
     cluster: Option<Coordinator>,
 }
@@ -69,11 +65,6 @@ impl SessionBuilder {
             method,
             timesteps,
             optimizer: None,
-            aux_optimizer: None,
-            sam_metric: SamMetric::default(),
-            skip_policy: SkipPolicy::default(),
-            sentinels: None,
-            memory_budget: None,
             workers: None,
             cluster: None,
         }
@@ -82,40 +73,6 @@ impl SessionBuilder {
     /// The weight optimizer (default: Adam at `1e-3`).
     pub fn optimizer(mut self, optimizer: Box<dyn Optimizer>) -> SessionBuilder {
         self.optimizer = Some(optimizer);
-        self
-    }
-
-    /// Optimizer for the auxiliary (LBP) classifiers; without it they are
-    /// trained with Adam at the main optimizer's learning rate. Ignored by
-    /// methods without auxiliary heads.
-    pub fn aux_optimizer(mut self, optimizer: Box<dyn Optimizer>) -> SessionBuilder {
-        self.aux_optimizer = Some(optimizer);
-        self
-    }
-
-    /// The activity statistic Skipper thresholds on (default: the paper's
-    /// spike sum).
-    pub fn sam_metric(mut self, metric: SamMetric) -> SessionBuilder {
-        self.sam_metric = metric;
-        self
-    }
-
-    /// How Skipper selects the skipped timesteps (default: the paper's
-    /// SAM/SST policy).
-    pub fn skip_policy(mut self, policy: SkipPolicy) -> SessionBuilder {
-        self.skip_policy = policy;
-        self
-    }
-
-    /// Enable the divergence sentinels from the first iteration.
-    pub fn sentinels(mut self, cfg: SentinelConfig) -> SessionBuilder {
-        self.sentinels = Some(cfg);
-        self
-    }
-
-    /// Tensor-memory budget the governor enforces (bytes).
-    pub fn memory_budget(mut self, bytes: u64) -> SessionBuilder {
-        self.memory_budget = Some(bytes);
         self
     }
 
@@ -189,11 +146,6 @@ impl SessionBuilder {
             optimizer,
             self.method,
             self.timesteps,
-            self.sam_metric,
-            self.skip_policy,
-            self.aux_optimizer,
-            self.sentinels,
-            self.memory_budget,
             workers,
             self.cluster,
         )
@@ -254,10 +206,6 @@ mod tests {
             8,
         )
         .optimizer(Box::new(Adam::new(5e-4)))
-        .sam_metric(SamMetric::NeuronNormalized)
-        .skip_policy(SkipPolicy::Random)
-        .sentinels(SentinelConfig::default())
-        .memory_budget(1 << 30)
         .workers(2)
         .build()
         .expect("valid configuration");

@@ -152,17 +152,15 @@ fn merge_worker_metrics(worker: u64, delta: &MetricsDelta) {
 struct MetricShadow {
     counters: HashMap<String, f64>,
     hist_counts: HashMap<String, Vec<u64>>,
+    hist_sums: HashMap<String, f64>,
 }
 
 impl MetricShadow {
-    /// The registry's movement since the last call, or `None` when tracing
-    /// is disabled or nothing changed. Series already carrying a worker
-    /// label are never shipped (they are someone else's federated data).
-    fn delta(&mut self) -> Option<MetricsDelta> {
-        if !skipper_obs::enabled() {
-            return None;
-        }
-        let snap = skipper_obs::registry().snapshot();
+    /// The registry's movement since the last call, given its snapshot
+    /// `snap`, or `None` when nothing changed. Series already carrying a
+    /// worker label are never shipped (they are someone else's federated
+    /// data).
+    fn delta(&mut self, snap: skipper_obs::MetricsSnapshot) -> Option<MetricsDelta> {
         let mut out = MetricsDelta::default();
         for (name, total) in snap.counters {
             if name.contains("worker=") {
@@ -194,6 +192,7 @@ impl MetricShadow {
                 .map(|(now, then)| now.saturating_sub(*then))
                 .collect();
             let delta_count: u64 = delta_counts.iter().sum();
+            let last_sum = self.hist_sums.insert(name.clone(), hist.sum());
             if delta_count == 0 {
                 continue;
             }
@@ -202,11 +201,7 @@ impl MetricShadow {
                 HistDelta {
                     bounds: hist.bounds().to_vec(),
                     counts: delta_counts,
-                    // Sum is not tracked per-delta; approximate the moved
-                    // mass by the bucket midpoint via mean — shipping the
-                    // lifetime mean times the moved count keeps the merged
-                    // mean sane without per-sample bookkeeping.
-                    sum: hist.mean() * delta_count as f64,
+                    sum: hist.sum() - last_sum.unwrap_or(0.0),
                     count: delta_count,
                     min: hist.min(),
                     max: hist.max(),
@@ -612,11 +607,6 @@ impl Coordinator {
     /// The address workers dial (resolved port for `:0` binds).
     pub fn addr(&self) -> String {
         self.listener.addr().to_string()
-    }
-
-    /// Currently admitted (live) workers.
-    pub fn live_workers(&self) -> usize {
-        self.workers.len()
     }
 
     /// The simulation horizon workers are told at handshake.
@@ -1310,7 +1300,9 @@ fn serve(
             Ok(msg) => msg,
             Err(TransportError::Timeout) => {
                 // Idle beacon doubles as the metric-federation carrier.
-                let metrics = shadow.delta();
+                let metrics = skipper_obs::enabled()
+                    .then(|| shadow.delta(skipper_obs::registry().snapshot()))
+                    .flatten();
                 if channel
                     .send(&Message::Heartbeat {
                         worker: id,
@@ -1447,6 +1439,20 @@ mod tests {
                 backoff_delay(&cfg, a, &mut r2)
             );
         }
+    }
+
+    #[test]
+    fn histogram_deltas_ship_the_exact_sum() {
+        let registry = skipper_obs::Registry::new();
+        let mut shadow = MetricShadow::default();
+        let mut heartbeat = |value: f64| {
+            registry.observe("shard_us", value);
+            let delta = shadow.delta(registry.snapshot()).unwrap();
+            let (_, h) = delta.histograms.into_iter().next().unwrap();
+            (h.sum, h.count)
+        };
+        assert_eq!(heartbeat(1.0), (1.0, 1));
+        assert_eq!(heartbeat(100.0), (100.0, 1));
     }
 
     #[test]

@@ -10,16 +10,19 @@
 //! paper's own knobs —
 //!
 //! 1. plain BPTT is converted to temporal checkpointing;
-//! 2. the checkpoint count `C` is stepped toward the `√T` optimum
-//!    (bounded by the Section V-A `C ≤ T/L_n` rule);
-//! 3. once `C` is optimal, a Skipper method's percentile is raised in
-//!    5-point steps toward the Eq. 7 maximum.
+//! 2. the checkpoint count `C` is stepped toward the target the session
+//!    passes in: [`AnalyticModel::best_checkpoint_count`], the memory
+//!    minimum within the Section V-A `C ≤ T/L_n` rule;
+//! 3. once `C` is at the target, a Skipper method's percentile is raised
+//!    in 5-point steps toward the Eq. 7 maximum.
 //!
 //! Every adjustment is logged as a [`GovernorAction`] so harnesses can
 //! audit what the governor did and when.
+//!
+//! [`AnalyticModel::best_checkpoint_count`]: crate::AnalyticModel::best_checkpoint_count
 
 use crate::method::Method;
-use crate::sam::{max_checkpoints, max_skippable_percentile};
+use crate::sam::max_skippable_percentile;
 
 /// One adjustment the governor made.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,12 +68,6 @@ impl std::fmt::Display for GovernorAction {
     }
 }
 
-/// The `√T` checkpoint optimum, clamped to the admissible range.
-fn sqrt_optimal_checkpoints(timesteps: usize, layers: usize) -> usize {
-    let sqrt = (timesteps as f64).sqrt().round().max(1.0) as usize;
-    sqrt.clamp(1, max_checkpoints(timesteps, layers))
-}
-
 /// One step of `c` toward `target` (which is already admissible).
 fn step_toward(c: usize, target: usize) -> usize {
     match c.cmp(&target) {
@@ -81,9 +78,14 @@ fn step_toward(c: usize, target: usize) -> usize {
 }
 
 /// Propose the next-cheaper method configuration under memory pressure,
-/// or `None` if every knob is exhausted (or the method has none).
-pub(crate) fn relieve_pressure(method: &Method, timesteps: usize, layers: usize) -> Option<Method> {
-    let target = sqrt_optimal_checkpoints(timesteps, layers);
+/// or `None` if every knob is exhausted (or the method has none). `target`
+/// is the admissible checkpoint count with the least memory.
+pub(crate) fn relieve_pressure(
+    method: &Method,
+    timesteps: usize,
+    layers: usize,
+    target: usize,
+) -> Option<Method> {
     match method {
         Method::Bptt => Some(Method::Checkpointed {
             checkpoints: target,
@@ -120,20 +122,22 @@ pub(crate) fn relieve_pressure(method: &Method, timesteps: usize, layers: usize)
 mod tests {
     use super::*;
 
+    // T = 16 and L_n = 2 throughout, with the target at the `√T` optimum, 4.
+
     #[test]
     fn bptt_converts_to_sqrt_checkpointing() {
-        let next = relieve_pressure(&Method::Bptt, 16, 2).unwrap();
+        let next = relieve_pressure(&Method::Bptt, 16, 2, 4).unwrap();
         assert_eq!(next, Method::Checkpointed { checkpoints: 4 });
     }
 
     #[test]
     fn checkpoints_step_toward_sqrt_from_both_sides() {
-        let low = relieve_pressure(&Method::Checkpointed { checkpoints: 1 }, 16, 2).unwrap();
+        let low = relieve_pressure(&Method::Checkpointed { checkpoints: 1 }, 16, 2, 4).unwrap();
         assert_eq!(low, Method::Checkpointed { checkpoints: 2 });
-        let high = relieve_pressure(&Method::Checkpointed { checkpoints: 7 }, 16, 2).unwrap();
+        let high = relieve_pressure(&Method::Checkpointed { checkpoints: 7 }, 16, 2, 4).unwrap();
         assert_eq!(high, Method::Checkpointed { checkpoints: 6 });
         // At the optimum there is nothing left to do.
-        assert!(relieve_pressure(&Method::Checkpointed { checkpoints: 4 }, 16, 2).is_none());
+        assert!(relieve_pressure(&Method::Checkpointed { checkpoints: 4 }, 16, 2, 4).is_none());
     }
 
     #[test]
@@ -142,7 +146,7 @@ mod tests {
             checkpoints: 4,
             percentile: 25.0,
         };
-        let next = relieve_pressure(&m, 16, 2).unwrap();
+        let next = relieve_pressure(&m, 16, 2, 4).unwrap();
         assert_eq!(
             next,
             Method::Skipper {
@@ -159,17 +163,11 @@ mod tests {
             checkpoints: 4,
             percentile: cap,
         };
-        assert!(relieve_pressure(&m, 16, 2).is_none());
+        assert!(relieve_pressure(&m, 16, 2, 4).is_none());
     }
 
     #[test]
     fn truncated_methods_are_left_alone() {
-        assert!(relieve_pressure(&Method::Tbptt { window: 4 }, 16, 2).is_none());
-    }
-
-    #[test]
-    fn sqrt_target_respects_layer_bound() {
-        // T = 16, 8 spiking layers: C ≤ T/L = 2 even though √T = 4.
-        assert_eq!(sqrt_optimal_checkpoints(16, 8), 2);
+        assert!(relieve_pressure(&Method::Tbptt { window: 4 }, 16, 2, 4).is_none());
     }
 }

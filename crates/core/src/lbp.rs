@@ -99,11 +99,6 @@ impl LocalClassifiers {
         &self.store
     }
 
-    /// Extra bytes the local classifiers cost (weights + grads).
-    pub fn byte_cost(&self) -> u64 {
-        self.store.scalar_count() * 4 * 2
-    }
-
     /// Storage-sharing view for a worker thread (weights are Arc clones;
     /// see [`SpikingNetwork::share`]).
     pub fn share(&self) -> LocalClassifiers {
@@ -206,7 +201,7 @@ mod tests {
         // custom-net modules: 3 ConvLif + Flatten + Output → tap after 1, 2.
         let aux = LocalClassifiers::new(&net, &[1, 2], net.num_classes(), 1);
         assert_eq!(aux.heads.len(), 2);
-        assert!(aux.byte_cost() > 0);
+        assert!(aux.store().scalar_count() > 0);
         assert!(aux.heads[0].pool.is_some(), "conv block output is spatial");
         assert_eq!(aux.blocks(5), vec![0..1, 1..2, 2..5]);
         assert_eq!(LocalClassifiers::none().blocks(5), vec![0..5]);

@@ -74,7 +74,6 @@ pub mod governor;
 pub mod infer;
 pub mod lbp;
 pub mod method;
-pub mod planner;
 pub mod resume;
 pub mod runner;
 pub mod sam;
@@ -94,7 +93,6 @@ pub use governor::GovernorAction;
 pub use infer::{InferSession, InferSkip, Prediction};
 pub use lbp::LocalClassifiers;
 pub use method::{Method, MethodError};
-pub use planner::Planner;
 pub use resume::{read_snapshot, write_snapshot, SessionState};
 pub use runner::{SentinelConfig, TrainSession};
 pub use sam::{

@@ -1,6 +1,7 @@
 //! [`TrainSession`]: one façade over all training methods, with the
 //! measurement harness wrapped around every iteration.
 
+use crate::analytic::AnalyticModel;
 use crate::builder::SessionBuilder;
 use crate::cluster::Coordinator;
 use crate::engine::Engine;
@@ -147,65 +148,47 @@ impl std::fmt::Debug for TrainSession {
 
 impl TrainSession {
     /// Start a [`SessionBuilder`] — the construction path that validates
-    /// the method up front and exposes every knob (optimizer, SAM metric,
-    /// skip policy, sentinels, memory budget, workers) in one place.
+    /// the method up front and fixes the session's structure (optimizer,
+    /// workers, cluster).
     pub fn builder(net: SpikingNetwork, method: Method, timesteps: usize) -> SessionBuilder {
         SessionBuilder::new(net, method, timesteps)
     }
 
-    /// The real constructor behind [`SessionBuilder::build`]. For [`Method::TbpttLbp`]
-    /// the auxiliary classifiers are built immediately and trained with
-    /// Adam at the main optimizer's learning rate unless `aux_optimizer`
-    /// is given.
-    #[allow(clippy::too_many_arguments)]
+    /// The real constructor behind [`SessionBuilder::build`].
     pub(crate) fn assemble(
         net: SpikingNetwork,
         optimizer: Box<dyn Optimizer>,
         method: Method,
         timesteps: usize,
-        sam_metric: SamMetric,
-        skip_policy: SkipPolicy,
-        aux_optimizer: Option<Box<dyn Optimizer>>,
-        sentinel: Option<SentinelConfig>,
-        mem_budget: Option<u64>,
         workers: usize,
         cluster: Option<Coordinator>,
     ) -> Result<TrainSession, SkipperError> {
-        let aux = match &method {
-            Method::TbpttLbp { taps, .. } => {
-                Some(LocalClassifiers::new(&net, taps, net.num_classes(), 0xA0A0))
-            }
-            _ => None,
-        };
-        let aux_optimizer: Option<Box<dyn Optimizer>> = aux.as_ref().map(|_| {
-            aux_optimizer.unwrap_or_else(|| {
-                Box::new(skipper_snn::Adam::new(optimizer.learning_rate())) as Box<dyn Optimizer>
-            })
-        });
         let engine = if workers >= 2 && cluster.is_none() {
             Some(Engine::new(workers)?)
         } else {
             None
         };
-        Ok(TrainSession {
+        let mut session = TrainSession {
             net,
             optimizer,
-            aux_optimizer,
-            aux,
-            method,
+            aux_optimizer: None,
+            aux: None,
+            method: method.clone(),
             timesteps,
             iteration: 0,
-            sam_metric,
-            skip_policy,
+            sam_metric: SamMetric::default(),
+            skip_policy: SkipPolicy::default(),
             last_sam_sums: Vec::new(),
-            sentinel,
+            sentinel: None,
             last_good: None,
             poison_loss_at: None,
-            mem_budget,
+            mem_budget: None,
             governor_log: Vec::new(),
             engine,
             cluster,
-        })
+        };
+        session.set_method(method);
+        Ok(session)
     }
 
     /// The distributed coordinator, when this session runs over one.
@@ -237,11 +220,6 @@ impl TrainSession {
         &self.net
     }
 
-    /// Mutable network access (e.g. for schedules or surgery).
-    pub fn net_mut(&mut self) -> &mut SpikingNetwork {
-        &mut self.net
-    }
-
     /// Dismantle the session, returning the trained network.
     pub fn into_net(self) -> SpikingNetwork {
         self.net
@@ -252,7 +230,9 @@ impl TrainSession {
         &self.method
     }
 
-    /// Switch the method between iterations (used by sweep harnesses).
+    /// Switch the method between iterations (used by sweep harnesses). A
+    /// [`Method::TbpttLbp`] with new taps (re)builds the auxiliary
+    /// classifiers, trained with Adam at the main learning rate.
     pub fn set_method(&mut self, method: Method) {
         if let Method::TbpttLbp { taps, .. } = &method {
             let rebuild = self
@@ -277,11 +257,6 @@ impl TrainSession {
     /// The simulation horizon `T`.
     pub fn timesteps(&self) -> usize {
         self.timesteps
-    }
-
-    /// Replace the optimizer of the auxiliary (LBP) classifiers.
-    pub fn set_aux_optimizer(&mut self, optimizer: Box<dyn Optimizer>) {
-        self.aux_optimizer = Some(optimizer);
     }
 
     /// Iterations run so far.
@@ -453,7 +428,10 @@ impl TrainSession {
             if let Some(budget) = self.mem_budget {
                 if stats.peak_bytes() > budget {
                     let layers = self.net.spiking_layer_count();
-                    if let Some(to) = relieve_pressure(&self.method, self.timesteps, layers) {
+                    let target = AnalyticModel::new(&self.net)
+                        .best_checkpoint_count(self.timesteps, batch_size);
+                    if let Some(to) = relieve_pressure(&self.method, self.timesteps, layers, target)
+                    {
                         let action = GovernorAction {
                             iteration: self.iteration,
                             peak_bytes: stats.peak_bytes(),
@@ -553,12 +531,6 @@ impl TrainSession {
     /// Turn the divergence sentinels on (see [`SentinelConfig`]).
     pub fn enable_sentinels(&mut self, cfg: SentinelConfig) {
         self.sentinel = Some(cfg);
-    }
-
-    /// Turn the divergence sentinels off and drop the rollback buffer.
-    pub fn disable_sentinels(&mut self) {
-        self.sentinel = None;
-        self.last_good = None;
     }
 
     /// Fault injection for tests and resilience drills: the loss of the

@@ -214,8 +214,9 @@ fn failed_batch_leaves_weights_at_last_good_state() {
     assert_eq!(good, after, "weights must be at the last good state");
 }
 
-/// Under a byte budget the governor converts plain BPTT to √T temporal
-/// checkpointing; the next iteration's peak must actually drop.
+/// Under a byte budget the governor converts plain BPTT to temporal
+/// checkpointing at the analytic memory minimum; the next iteration's peak
+/// must actually drop.
 #[test]
 fn governor_relieves_real_memory_pressure() {
     let mut s = session(Method::Bptt, 16);
@@ -253,6 +254,6 @@ fn injected_pressure_triggers_governor() {
     skipper_memprof::release_pressure();
 
     assert_eq!(s.governor_log().len(), 1, "{:?}", s.governor_log());
-    // C stepped toward √16 = 4.
+    // C stepped toward the analytic memory minimum.
     assert_eq!(s.method(), &Method::Checkpointed { checkpoints: 2 });
 }

@@ -16,14 +16,12 @@
 //!   plus the binning that turns event streams into `[2,H,W]` spike frames.
 //! * [`loader`] — deterministic shuffling batch iteration.
 
-pub mod augment;
 pub mod error;
 pub mod events;
 pub mod images;
 pub mod io;
 pub mod loader;
 
-pub use augment::{EventAugment, ImageAugment};
 pub use error::DataError;
 pub use events::{
     bin_events, event_batch, synth_dvs_gesture, synth_nmnist, Event, EventDataset, EventStream,

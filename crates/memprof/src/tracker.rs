@@ -195,13 +195,6 @@ impl MemorySnapshot {
         self.total_peak
     }
 
-    /// Sum of per-category peaks; an upper bound on [`total_peak`].
-    ///
-    /// [`total_peak`]: MemorySnapshot::total_peak
-    pub fn sum_of_peaks(&self) -> u64 {
-        self.peak.iter().sum()
-    }
-
     /// `(category, peak bytes)` pairs in display order.
     pub fn peaks(&self) -> impl Iterator<Item = (Category, u64)> + '_ {
         Category::ALL.iter().map(move |&c| (c, self.peak(c)))
@@ -376,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn total_peak_can_be_below_sum_of_peaks() {
+    fn total_peak_counts_disjoint_lifetimes_once() {
         reset_all();
         {
             let _a = Registration::with_category(100, Category::Activations);
@@ -385,8 +378,9 @@ mod tests {
             let _b = Registration::with_category(100, Category::Input);
         }
         let s = snapshot();
+        assert_eq!(s.peak(Category::Activations), 100);
+        assert_eq!(s.peak(Category::Input), 100);
         assert_eq!(s.total_peak(), 100);
-        assert_eq!(s.sum_of_peaks(), 200);
     }
 
     #[test]

@@ -93,19 +93,6 @@ pub fn ann_train_batch(
     (loss.loss, loss.correct)
 }
 
-/// ANN accuracy on analog frames (no gradients).
-pub fn ann_eval_batch(net: &SpikingNetwork, frames: &Tensor, labels: &[usize]) -> usize {
-    let mut g = Graph::new();
-    let mut binder = ParamBinder::new(net.params());
-    let logits = ann_logits_taped(net, &mut g, &mut binder, frames);
-    g.value(logits)
-        .argmax_rows()
-        .iter()
-        .zip(labels)
-        .filter(|(p, l)| *p == *l)
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -55,65 +55,6 @@ impl Encoder for PoissonEncoder {
     }
 }
 
-/// Time-to-first-spike (latency) encoding: each pixel fires exactly once,
-/// earlier for brighter values; zero pixels never fire.
-///
-/// Latency codes are the sparsest rate-free alternative in the SNN
-/// literature; they exercise the time-skipping machinery with a very
-/// different temporal activity profile (activity concentrated early).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyEncoder {
-    /// Fraction of the horizon used for the code (the rest stays silent).
-    pub window: f32,
-}
-
-impl Default for LatencyEncoder {
-    fn default() -> Self {
-        LatencyEncoder { window: 1.0 }
-    }
-}
-
-impl Encoder for LatencyEncoder {
-    fn encode(&self, frames: &Tensor, timesteps: usize, _rng: &mut XorShiftRng) -> Vec<Tensor> {
-        let _cat = CategoryGuard::new(Category::Input);
-        let horizon = ((timesteps as f32 * self.window.clamp(0.0, 1.0)) as usize).max(1);
-        let src = frames.data();
-        // fire_time = (1 - x)·(horizon-1), brighter → earlier.
-        let fire: Vec<Option<usize>> = src
-            .iter()
-            .map(|&x| {
-                if x <= 0.0 {
-                    None
-                } else {
-                    Some(((1.0 - x.clamp(0.0, 1.0)) * (horizon - 1) as f32).round() as usize)
-                }
-            })
-            .collect();
-        (0..timesteps)
-            .map(|t| {
-                let data = fire
-                    .iter()
-                    .map(|&f| if f == Some(t) { 1.0 } else { 0.0 })
-                    .collect();
-                Tensor::from_vec(data, frames.shape().clone())
-            })
-            .collect()
-    }
-}
-
-/// Repeats the analog frame at every timestep (direct-input coding; cheap
-/// shared storage, useful for tests and constant-current experiments).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RepeatEncoder;
-
-impl Encoder for RepeatEncoder {
-    fn encode(&self, frames: &Tensor, timesteps: usize, _rng: &mut XorShiftRng) -> Vec<Tensor> {
-        let _cat = CategoryGuard::new(Category::Input);
-        let owned = frames.deep_clone();
-        (0..timesteps).map(|_| owned.clone()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,53 +85,6 @@ mod tests {
         let mut rng = XorShiftRng::new(51);
         let seq = PoissonEncoder { gain: 5.0 }.encode(&frames, 100, &mut rng);
         assert!(seq.iter().all(|t| t.data()[0] == 1.0));
-    }
-
-    #[test]
-    fn repeat_encoder_shares_storage() {
-        let frames = Tensor::ones([1, 1, 2, 2]);
-        let mut rng = XorShiftRng::new(52);
-        let seq = RepeatEncoder.encode(&frames, 5, &mut rng);
-        assert!(seq[0].shares_storage(&seq[4]));
-        assert_eq!(seq[0].data(), frames.data());
-    }
-
-    #[test]
-    fn latency_encoder_fires_once_brighter_earlier() {
-        let frames = Tensor::from_vec(vec![1.0, 0.5, 0.0], [1, 1, 1, 3]);
-        let mut rng = XorShiftRng::new(54);
-        let seq = LatencyEncoder::default().encode(&frames, 10, &mut rng);
-        let mut fire_times = [None::<usize>; 3];
-        let mut totals = [0u32; 3];
-        for (t, frame) in seq.iter().enumerate() {
-            for (i, &v) in frame.data().iter().enumerate() {
-                if v == 1.0 {
-                    totals[i] += 1;
-                    fire_times[i].get_or_insert(t);
-                }
-            }
-        }
-        assert_eq!(totals, [1, 1, 0], "each nonzero pixel fires exactly once");
-        assert!(
-            fire_times[0].unwrap() < fire_times[1].unwrap(),
-            "brighter first"
-        );
-        assert_eq!(fire_times[0].unwrap(), 0);
-    }
-
-    #[test]
-    fn latency_window_confines_activity() {
-        let frames = Tensor::from_vec(vec![0.1], [1, 1, 1, 1]);
-        let mut rng = XorShiftRng::new(55);
-        let seq = LatencyEncoder { window: 0.5 }.encode(&frames, 20, &mut rng);
-        let last_active = seq
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.sum() > 0.0)
-            .map(|(t, _)| t)
-            .max()
-            .unwrap();
-        assert!(last_active < 10, "activity confined to the first half");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   shape/cost introspection for the analytic memory model;
 //! * [`models`] — constructors for the paper's topologies;
 //! * [`encode`] — Poisson rate encoding of frame data (the paper's
-//!   CIFAR-10/100 pipeline) plus raw-frame repetition;
+//!   CIFAR-10/100 pipeline);
 //! * [`loss`] — softmax cross-entropy on time-accumulated readout logits,
 //!   returning the analytic `∂L/∂logits` used to seed tapes;
 //! * [`optim`] — SGD(+momentum) and Adam (the paper trains with Adam).
@@ -32,27 +32,23 @@ pub mod error;
 pub mod layers;
 pub mod lif;
 pub mod loss;
-pub mod metrics;
 pub mod models;
 pub mod network;
 pub mod optim;
 pub mod params;
-pub mod schedule;
 pub mod serialize;
 
-pub use ann::{ann_eval_batch, ann_logits_taped, ann_train_batch};
+pub use ann::{ann_logits_taped, ann_train_batch};
 pub use calibrate::{calibrate_thresholds, set_threshold};
-pub use encode::{Encoder, LatencyEncoder, PoissonEncoder, RepeatEncoder};
+pub use encode::{Encoder, PoissonEncoder};
 pub use error::SnnError;
 pub use layers::{Conv2dLayer, LinearLayer};
 pub use lif::{lif_step_infer, lif_step_taped, LifConfig};
 pub use loss::{softmax_cross_entropy, softmax_cross_entropy_scaled, LossOutput, ShardLossOutput};
-pub use metrics::{top_k_accuracy, ConfusionMatrix};
 pub use models::{alexnet, custom_net, lenet5, resnet20, resnet34, vgg11, vgg5, ModelConfig};
 pub use network::{
     LifUnit, Module, NetworkState, SpikingNetwork, StepCtx, StepOutput, TapedState, TapedStepOutput,
 };
 pub use optim::{Adam, Optimizer, OptimizerState, Sgd};
 pub use params::{ParamBinder, ParamId, ParamStore, Parameter, ShardGrads};
-pub use schedule::{apply_schedule, clip_grad_norm, Constant, CosineDecay, LrSchedule, StepDecay};
 pub use serialize::{crc32, load_params, save_params, Crc32, ParamRecord};

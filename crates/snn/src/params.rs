@@ -134,11 +134,6 @@ impl ParamStore {
         &self.params[id.0].value
     }
 
-    /// Mutable parameter access.
-    pub fn param_mut(&mut self, id: ParamId) -> &mut Parameter {
-        &mut self.params[id.0]
-    }
-
     /// Iterate over all parameters.
     pub fn iter(&self) -> impl Iterator<Item = &Parameter> {
         self.params.iter()

@@ -35,7 +35,7 @@
 //! ```
 
 pub mod conv;
-pub mod manip;
+mod manip;
 pub mod matmul;
 pub mod pool;
 pub mod random;
@@ -44,7 +44,6 @@ pub mod spike_bits;
 pub mod tensor;
 
 pub use conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, Conv2dSpec};
-pub use manip::{concat0, slice0, transpose2d};
 pub use matmul::{matmul, matmul_nt, matmul_tn};
 pub use pool::{avg_pool2d, avg_pool2d_backward};
 pub use random::XorShiftRng;

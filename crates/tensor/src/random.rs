@@ -74,15 +74,6 @@ impl XorShiftRng {
         assert!(n > 0, "next_below(0)");
         (self.next_u64() % n as u64) as usize
     }
-
-    /// Fork a statistically independent child generator (used to give every
-    /// sample/timestep its own stream without long skips).
-    pub fn fork(&mut self, tag: u64) -> XorShiftRng {
-        let mixed = self
-            .next_u64()
-            .wrapping_add(tag.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        XorShiftRng::new(mixed | 1)
-    }
 }
 
 #[cfg(test)]
@@ -131,16 +122,5 @@ mod tests {
         for _ in 0..1000 {
             assert!(rng.next_below(7) < 7);
         }
-    }
-
-    #[test]
-    fn forks_differ_from_parent_and_each_other() {
-        let mut rng = XorShiftRng::new(5);
-        let mut f1 = rng.fork(1);
-        let mut f2 = rng.fork(2);
-        let (a, b, c) = (rng.next_u64(), f1.next_u64(), f2.next_u64());
-        assert_ne!(a, b);
-        assert_ne!(b, c);
-        assert_ne!(a, c);
     }
 }

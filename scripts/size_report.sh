@@ -2,7 +2,7 @@
 # Size trend of the workspace (ROADMAP item 6): non-test lines and `pub`
 # items per crate, the number of lint waivers outside the lint crate, and
 # the number of bench binaries. Fails when a number this repo has committed
-# to (core, wire, bench, report, tensor, autograd, snn and serve lines,
+# to (core, wire, bench, report, tensor, autograd, snn, serve and data lines,
 # waivers) is exceeded, so growth is a decision made by editing this file,
 # not an accident; the `pub` and binary counts are reported only. "wire" is
 # the part of core that is not the paper — `transport.rs` + `cluster.rs` —
@@ -16,21 +16,24 @@
 # from 1356 by 112 lines for `SpikeBits` (spike_bits.rs, 108 lines, and
 # its export and docs in lib.rs), the one bit packer, which checkpoint
 # snapshots and the wire share; core did not grow, because the wire's own
-# bitmask loops went.
+# bitmask loops went. "data" has a ceiling so that the deleted augmentation
+# module cannot creep back, as core's planner, snn's schedules and metrics,
+# and tensor's concat/slice cannot past theirs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Ceilings: the values at the commit that last edited them. Lower them when
 # a PR shrinks the code; raise them only with a reason in the PR.
-CEILING_CORE=7208
-CEILING_WIRE=2665
+CEILING_CORE=7017
+CEILING_WIRE=2657
 CEILING_BENCH=2700
 CEILING_REPORT=439
-CEILING_TENSOR=1468
+CEILING_TENSOR=1389
 CEILING_AUTOGRAD=770
-CEILING_SNN=3129
+CEILING_SNN=2828
 CEILING_SERVE=1729
-CEILING_WAIVERS=39
+CEILING_DATA=846
+CEILING_WAIVERS=38
 
 # Lines of each src file up to its first `#[cfg(test)]` (all of it if none);
 # arguments are directories and files, as for `find`.
@@ -63,6 +66,7 @@ tensor_lines=$(non_test_lines crates/tensor/src)
 autograd_lines=$(non_test_lines crates/autograd/src)
 snn_lines=$(non_test_lines crates/snn/src)
 serve_lines=$(non_test_lines crates/serve/src)
+data_lines=$(non_test_lines crates/data/src)
 waivers=$(grep -rn 'lint:allow' --include='*.rs' --include='*.toml' \
     crates src tests examples benchmark | grep -vc '^crates/lint/' || true)
 echo "lint:allow outside crates/lint: $waivers (ceiling $CEILING_WAIVERS)"
@@ -84,6 +88,7 @@ check_ceiling crates/tensor/src "$tensor_lines" "$CEILING_TENSOR"
 check_ceiling crates/autograd/src "$autograd_lines" "$CEILING_AUTOGRAD"
 check_ceiling crates/snn/src "$snn_lines" "$CEILING_SNN"
 check_ceiling crates/serve/src "$serve_lines" "$CEILING_SERVE"
+check_ceiling crates/data/src "$data_lines" "$CEILING_DATA"
 if [ "$waivers" -gt "$CEILING_WAIVERS" ]; then
     echo "error: more lint waivers than the ceiling" >&2
     status=1

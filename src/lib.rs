@@ -86,8 +86,8 @@ pub mod prelude {
         TrainSession,
     };
     pub use skipper_snn::{
-        custom_net, lenet5, vgg5, Adam, Encoder, LatencyEncoder, ModelConfig, Optimizer,
-        PoissonEncoder, Sgd, SpikingNetwork,
+        custom_net, lenet5, vgg5, Adam, Encoder, ModelConfig, Optimizer, PoissonEncoder, Sgd,
+        SpikingNetwork,
     };
     pub use skipper_tensor::{Tensor, XorShiftRng};
 }
