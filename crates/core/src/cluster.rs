@@ -1102,6 +1102,7 @@ pub fn run_worker(
     // Join the profiler's thread census: a cluster worker spends most of
     // its life blocked on the coordinator, and samples should say so.
     skipper_obs::profile::touch_thread();
+    let _no_op_log = skipper_memprof::pause_op_log(); // nothing drains a worker's op log
     let mut rng = XorShiftRng::new(opts.backoff.seed ^ opts.id.wrapping_mul(0x9E37)); // jitter only
     let mut connect_attempt: u32 = 0;
     let mut was_connected = false;
@@ -1125,10 +1126,7 @@ pub fn run_worker(
             skipper_obs::flush();
             return Err(SkipperError::Transport {
                 peer: connector.peer().to_string(),
-                detail: format!(
-                    "reconnect budget exhausted after {} attempts",
-                    connect_attempt
-                ),
+                detail: format!("reconnect budget exhausted after {connect_attempt} attempts"),
             });
         }
         if connect_attempt > 0 {

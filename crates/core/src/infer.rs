@@ -195,6 +195,7 @@ impl InferSession {
                 )));
             }
         }
+        let _no_op_log = skipper_memprof::pause_op_log(); // no serving thread drains an op log
         let batch = first.shape()[0];
         let schedule = self.skip_schedule(inputs);
         let mut state = self.net.init_state(batch);

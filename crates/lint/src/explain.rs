@@ -134,9 +134,13 @@ Scope: all scanned files, including test code.
 Flagged: the `unsafe` keyword without a comment containing `SAFETY:` on
 the same line or within the two lines above.
 
-Why: the workspace is currently 100% safe Rust; if unsafe ever enters
-(SIMD kernels, mmap'd datasets), the invariant that makes it sound must
-be stated where it can be reviewed and re-checked after every edit.
+Why: the workspace has one unsafe block, the call in
+crates/tensor/src/matmul.rs that runs a GEMM compiled with AVX2 or
+AVX-512 enabled, after checking that the CPU has those features (the
+benchmark package, outside the workspace, has two more: its affinity
+syscalls). Each unsafe block rests on an invariant the compiler cannot
+check; it must be stated where it can be reviewed and re-checked after
+every edit.
 
 Fix: // SAFETY: <the invariant that makes this sound>
 Waiver: // lint:allow(safety): <reason>   (prefer a real SAFETY comment)

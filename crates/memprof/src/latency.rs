@@ -120,11 +120,28 @@ pub fn take_op_log() -> OpLog {
     OP_LOG.with(|log| std::mem::take(&mut *log.borrow_mut()))
 }
 
-/// Enable or disable op logging on this thread (on by default). Returns the
-/// previous setting. Disable inside hot inner loops that would otherwise log
-/// millions of identical elementwise records.
-pub fn set_op_logging(enabled: bool) -> bool {
-    LOGGING.with(|l| std::mem::replace(&mut *l.borrow_mut(), enabled))
+/// Turn op logging off on this thread (it is on by default) until the
+/// returned guard is dropped. For kernels that are not a training
+/// iteration's cost, and for threads whose log nothing drains (serving,
+/// a cluster worker), where the records would pile up for good.
+#[must_use = "logging resumes when the guard is dropped"]
+pub fn pause_op_log() -> OpLogPause {
+    OpLogPause {
+        was_logging: LOGGING.with(|l| std::mem::replace(&mut *l.borrow_mut(), false)),
+    }
+}
+
+/// Restores this thread's op-logging setting when dropped; see
+/// [`pause_op_log`].
+#[derive(Debug)]
+pub struct OpLogPause {
+    was_logging: bool,
+}
+
+impl Drop for OpLogPause {
+    fn drop(&mut self) {
+        LOGGING.with(|l| *l.borrow_mut() = self.was_logging);
+    }
 }
 
 /// Converts op logs into modeled device time.
@@ -171,10 +188,12 @@ mod tests {
     #[test]
     fn logging_can_be_paused() {
         take_op_log();
-        let prev = set_op_logging(false);
+        let pause = pause_op_log();
         record_op(OpKind::Other, 5.0, 5.0);
-        set_op_logging(prev);
+        drop(pause);
         assert!(take_op_log().is_empty());
+        record_op(OpKind::Other, 5.0, 5.0);
+        assert_eq!(take_op_log().len(), 1);
     }
 
     #[test]

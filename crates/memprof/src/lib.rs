@@ -59,7 +59,9 @@ pub mod tracker;
 pub use alloc_model::{AllocStats, CachingAllocator};
 pub use category::Category;
 pub use device::DeviceModel;
-pub use latency::{record_op, set_op_logging, take_op_log, LatencyModel, OpKind, OpLog, OpRecord};
+pub use latency::{
+    pause_op_log, record_op, take_op_log, LatencyModel, OpKind, OpLog, OpLogPause, OpRecord,
+};
 pub use parallel::{DataParallelModel, ParallelStepCost};
 pub use timeline::{downsample, sparkline, timeline_from_events, TimelinePoint};
 pub use tracker::{

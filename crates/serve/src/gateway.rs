@@ -630,4 +630,36 @@ mod tests {
         drop(gateway);
         skipper_obs::remove_sink(sink);
     }
+
+    /// The batcher thread runs `dispatch` for as long as the gateway lives
+    /// and never drains an op log, so the prediction must book none.
+    #[test]
+    fn dispatch_leaves_no_op_records_on_its_thread() {
+        let net = custom_net(&ModelConfig {
+            input_hw: 8,
+            width_mult: 0.25,
+            ..ModelConfig::default()
+        });
+        let cfg = GatewayConfig::default();
+        let inner = Arc::new(Inner {
+            admission: Admission::new(&cfg.tenants),
+            cfg,
+            pool: ModelPool::fixed(InferSession::new(net)),
+            queue: Mutex::new(VecDeque::new()),
+            cv: Condvar::new(),
+            stop: AtomicBool::new(false),
+        });
+        let (respond, answers) = mpsc::channel();
+        let job = Job {
+            inputs: vec![Tensor::ones([1, 3, 8, 8]); 2],
+            enqueued: Instant::now(),
+            deadline: Instant::now() + Duration::from_secs(60),
+            respond,
+            span: 0,
+        };
+        skipper_memprof::take_op_log();
+        dispatch(&inner, &[job]);
+        assert!(matches!(answers.recv(), Ok(Ok(_))));
+        assert_eq!(skipper_memprof::take_op_log().len(), 0);
+    }
 }

@@ -16,7 +16,7 @@
 
 use crate::error::SnnError;
 use crate::network::{Module, SpikingNetwork, StepCtx};
-use skipper_memprof::set_op_logging;
+use skipper_memprof::pause_op_log;
 use skipper_tensor::Tensor;
 
 /// Set the firing threshold of the `lif_index`-th LIF population.
@@ -75,7 +75,7 @@ pub fn calibrate_thresholds(
     );
     let layers = net.spiking_layer_count();
     let batch = inputs[0].shape()[0];
-    let was_logging = set_op_logging(false); // calibration is not a kernel cost
+    let _no_op_log = pause_op_log(); // calibration is not a kernel cost
     let mut thresholds = Vec::with_capacity(layers);
     for l in 0..layers {
         // Forward pass with layers < l already calibrated.
@@ -92,7 +92,6 @@ pub fn calibrate_thresholds(
         set_threshold(net, l, theta).expect("lif index enumerated from this net");
         thresholds.push(theta);
     }
-    set_op_logging(was_logging);
     thresholds
 }
 

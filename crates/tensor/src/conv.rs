@@ -4,7 +4,7 @@
 //! `L = H_out·W_out`) and performs a single GEMM — the standard GPU
 //! lowering, which keeps the FLOP accounting identical to what the latency
 //! model expects. All three products run [`matmul`](mod@crate::matmul)'s one
-//! inner loop, which skips the zeros of its *left* operand:
+//! kernel, which skips the zeros of its *left* operand:
 //!
 //! * forward: `out[C_out, B·L] = W[C_out, K] · cols[K, B·L]` (`im2col`;
 //!   the zero test sits on the weights, not on the spikes),

@@ -13,8 +13,10 @@
 //! * elementwise/reduction kernels ([`Tensor::add`], [`Tensor::scale`],
 //!   [`Tensor::sum`], …);
 //! * [`matmul`](fn@matmul)/[`matmul_tn`]/[`matmul_nt`] — matrix products
-//!   (the forward and the two backward variants) on one row-axpy inner
-//!   loop;
+//!   (the forward and the two backward variants) on one register-tiled
+//!   kernel, compiled for the baseline target, AVX2 and AVX-512, of which
+//!   each call runs the widest the CPU supports, with the same bits on
+//!   every one;
 //! * [`conv2d`] and friends — im2col-based 2-D convolution with the
 //!   backward-by-input and backward-by-weight kernels;
 //! * [`avg_pool2d`] — average pooling forward/backward;

@@ -24,16 +24,9 @@ pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::matmul::reference::transposed;
     use crate::random::XorShiftRng;
     use crate::tensor::Tensor;
-
-    fn transposed(t: &Tensor) -> Tensor {
-        let (rows, cols) = t.shape().as_2d();
-        let mut out = Tensor::zeros([cols, rows]);
-        transpose_into(t.data(), rows, cols, out.data_mut());
-        out
-    }
 
     #[test]
     fn transpose_known_and_involutive() {

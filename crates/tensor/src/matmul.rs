@@ -1,4 +1,4 @@
-//! Matrix products on one inner loop.
+//! Matrix products on one register-tiled kernel.
 //!
 //! Three variants cover a dense layer's forward pass and both backward
 //! passes, and the three products of the lowered convolution:
@@ -9,12 +9,25 @@
 //! * [`matmul_tn`] — `C[M,N] = A[K,M]ᵀ · B[K,N]` (dense grad wrt weight;
 //!   conv grad wrt input).
 //!
-//! All three run the same row-axpy loop, `c_row += a_ip · b_row` with `p`
-//! ascending and a zero `a_ip` skipped, so every output element is the sum
-//! of its terms in ascending `p` starting from `+0.0`, whichever variant
-//! computes it. The loop is neither blocked nor register-tiled. `matmul_nt`
-//! first writes `Bᵀ` to a [`Category::Workspace`] scratch, so that the rows
-//! it streams are contiguous as well.
+//! All three run the same kernel. It keeps an `MR × NR` tile of `C` in
+//! accumulators for the whole `p` loop (`MR` = 4 rows, `NR` = 16 columns,
+//! or 32 on AVX-512), covers the columns left over with strips 16, 8, 4
+//! and 1 wide and the rows left over one at a time. `A` is read in place,
+//! transposed or not; `matmul_nt` first writes `Bᵀ` to a
+//! [`Category::Workspace`] scratch, so that the `B` rows the kernel streams
+//! are contiguous in every variant. Each accumulator starts at `+0.0` and
+//! adds `a(i,p) · b(p,j)` with `p` ascending, a zero `a(i,p)` skipped before
+//! it multiplies (so `0 · ∞` never enters a sum), and so every output
+//! element is the sum of its terms in ascending `p`, whichever variant,
+//! tile or strip computes it.
+//!
+//! The kernel is one generic body with no intrinsics, compiled three times:
+//! for the baseline target, with AVX2 and with AVX-512F enabled. Each call
+//! runs the widest one the CPU supports (`is_x86_feature_detected!`); no
+//! setting chooses. Which one runs cannot change a bit: a wider register
+//! holds more lanes, but each lane performs the same IEEE single-precision
+//! multiply, then add, in the same order, after the same zero test, and
+//! Rust never fuses a multiply and an add into an FMA by itself.
 //!
 //! All record `2·M·N·K` FLOPs with the latency model (`matmul_nt`'s
 //! transpose is part of that one GEMM, not an op of its own) and run entirely
@@ -30,24 +43,174 @@ fn record(m: usize, n: usize, k: usize) {
     record_op(OpKind::MatMul, flops, bytes);
 }
 
-/// The one GEMM inner loop: `out[M,N] = Σ_p a(i, p) · b[p, :]`, `p` ascending.
-fn row_axpy(m: usize, k: usize, n: usize, a: impl Fn(usize, usize) -> f32, bd: &[f32]) -> Tensor {
-    let mut out = Tensor::zeros([m, n]);
-    let od = out.data_mut();
-    for i in 0..m {
-        let crow = &mut od[i * n..(i + 1) * n];
-        for p in 0..k {
-            let av = a(i, p);
-            if av == 0.0 {
-                continue; // a ±0.0 term cannot change a sum that started at +0.0
-            }
-            let brow = &bd[p * n..(p + 1) * n];
-            for (c, &bv) in crow.iter_mut().zip(brow) {
-                *c += av * bv;
-            }
+/// Rows of `C` one tile keeps in accumulators.
+const MR: usize = 4;
+
+/// An instantiation of the kernel, by the instruction set it is compiled for.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Isa {
+    Portable,
+    Avx2,
+    Avx512,
+}
+
+impl Isa {
+    /// Widest first.
+    pub(crate) const ALL: [Isa; 3] = [Isa::Avx512, Isa::Avx2, Isa::Portable];
+
+    /// The widest instantiation this CPU runs.
+    pub(crate) fn detected() -> Isa {
+        Isa::ALL
+            .into_iter()
+            .find(|isa| isa.supported())
+            .unwrap_or(Isa::Portable)
+    }
+
+    /// Whether this CPU has every feature the instantiation is compiled with.
+    pub(crate) fn supported(self) -> bool {
+        match self {
+            Isa::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx2 | Isa::Avx512 => false,
         }
     }
+}
+
+/// `C[M,N] = Σ_p a(i, p) · b[p, :]` on `isa`'s instantiation, with `A` read
+/// in place, `a(i, p) = a[i·a_row + p·a_col]`, and `b` row-major `[K, N]`.
+fn gemm(
+    isa: Isa,
+    m: usize,
+    n: usize,
+    a: &[f32],
+    (a_row, a_col): (usize, usize),
+    b: &[f32],
+) -> Tensor {
+    let mut out = Tensor::zeros([m, n]);
+    if m == 0 || n == 0 {
+        return out;
+    }
+    assert!(
+        isa.supported(),
+        "{isa:?} GEMM on a CPU without its features"
+    );
+    let ops = Operands {
+        a,
+        a_row,
+        a_col,
+        b,
+        n,
+    };
+    // The arms coerce to one function pointer, which `unsafe` must call.
+    let kernel = match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => tiled_avx512,
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => tiled_avx2,
+        _ => tiled_portable,
+    };
+    // SAFETY: `kernel` enables no target feature beyond `isa`'s, and the
+    // assert above checked that this CPU has all of `isa`'s.
+    unsafe { kernel(ops, out.data_mut()) };
     out
+}
+
+fn tiled_portable(ops: Operands<'_>, c: &mut [f32]) {
+    ops.tiled::<16>(c);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tiled_avx2(ops: Operands<'_>, c: &mut [f32]) {
+    ops.tiled::<16>(c);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn tiled_avx512(ops: Operands<'_>, c: &mut [f32]) {
+    ops.tiled::<32>(c);
+}
+
+/// What [`gemm`] multiplies; `n > 0`.
+#[derive(Clone, Copy)]
+struct Operands<'a> {
+    a: &'a [f32],
+    a_row: usize,
+    a_col: usize,
+    b: &'a [f32],
+    n: usize,
+}
+
+// Every method here is `#[inline(always)]`: inlined into each `tiled_*`,
+// it is compiled with that function's target features; called, it would be
+// compiled once, for the baseline target.
+impl Operands<'_> {
+    /// The one kernel body: `MR`-row blocks of `c`, then single rows.
+    #[inline(always)]
+    fn tiled<const NR: usize>(self, c: &mut [f32]) {
+        let m = c.len() / self.n;
+        let mut i = 0;
+        while i + MR <= m {
+            self.row_block::<MR, NR>(i, c);
+            i += MR;
+        }
+        for i in i..m {
+            self.row_block::<1, NR>(i, c);
+        }
+    }
+
+    /// Rows `i..i + R` of `c`: `NR`-wide tiles, then strips 16, 8, 4 and 1
+    /// wide.
+    #[inline(always)]
+    fn row_block<const R: usize, const NR: usize>(self, i: usize, c: &mut [f32]) {
+        let j = self.strips::<R, NR>(i, 0, c);
+        let j = self.strips::<R, 16>(i, j, c);
+        let j = self.strips::<R, 8>(i, j, c);
+        let j = self.strips::<R, 4>(i, j, c);
+        self.strips::<R, 1>(i, j, c);
+    }
+
+    /// As many `R × W` tiles as fit from column `j` on; returns the first
+    /// column left.
+    #[inline(always)]
+    fn strips<const R: usize, const W: usize>(
+        self,
+        i: usize,
+        mut j: usize,
+        c: &mut [f32],
+    ) -> usize {
+        while j + W <= self.n {
+            self.tile::<R, W>(i, j, c);
+            j += W;
+        }
+        j
+    }
+
+    /// The `R × W` tile of `c` at `(i, j)`, in accumulators for the whole
+    /// `p` loop.
+    #[inline(always)]
+    fn tile<const R: usize, const W: usize>(self, i: usize, j: usize, c: &mut [f32]) {
+        let mut acc = [[0.0f32; W]; R];
+        for (p, b_row) in self.b.chunks_exact(self.n).enumerate() {
+            let b_strip = &b_row[j..j + W];
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let av = self.a[(i + r) * self.a_row + p * self.a_col];
+                if av == 0.0 {
+                    continue; // a ±0.0 term cannot change a sum that started at +0.0
+                }
+                for (acc, &bv) in acc_row.iter_mut().zip(b_strip) {
+                    *acc += av * bv;
+                }
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            c[(i + r) * self.n + j..][..W].copy_from_slice(acc_row);
+        }
+    }
 }
 
 /// `A[M,K] · B[K,N]`.
@@ -56,12 +219,15 @@ fn row_axpy(m: usize, k: usize, n: usize, a: impl Fn(usize, usize) -> f32, bd: &
 ///
 /// Panics if the shapes are not rank-2 or the inner dimensions disagree.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_on(Isa::detected(), a, b)
+}
+
+fn matmul_on(isa: Isa, a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = a.shape().as_2d();
     let (k2, n) = b.shape().as_2d();
     assert_eq!(k, k2, "matmul inner dims: {} vs {}", a.shape(), b.shape());
     record(m, n, k);
-    let ad = a.data();
-    row_axpy(m, k, n, |i, p| ad[i * k + p], b.data())
+    gemm(isa, m, n, a.data(), (k, 1), b.data())
 }
 
 /// `A[M,K] · B[N,K]ᵀ`.
@@ -70,6 +236,10 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// Panics if the shapes are not rank-2 or the `K` dimensions disagree.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_nt_on(Isa::detected(), a, b)
+}
+
+fn matmul_nt_on(isa: Isa, a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = a.shape().as_2d();
     let (n, k2) = b.shape().as_2d();
     assert_eq!(
@@ -86,8 +256,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
         transpose_into(b.data(), n, k, bt.data_mut());
         bt
     };
-    let ad = a.data();
-    row_axpy(m, k, n, |i, p| ad[i * k + p], bt.data())
+    gemm(isa, m, n, a.data(), (k, 1), bt.data())
 }
 
 /// `A[K,M]ᵀ · B[K,N]`.
@@ -96,6 +265,10 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// Panics if the shapes are not rank-2 or the `K` dimensions disagree.
 pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_tn_on(Isa::detected(), a, b)
+}
+
+fn matmul_tn_on(isa: Isa, a: &Tensor, b: &Tensor) -> Tensor {
     let (k, m) = a.shape().as_2d();
     let (k2, n) = b.shape().as_2d();
     assert_eq!(
@@ -106,15 +279,15 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
         b.shape()
     );
     record(m, n, k);
-    let ad = a.data();
-    row_axpy(m, k, n, |i, p| ad[p * m + i], b.data())
+    gemm(isa, m, n, a.data(), (1, m), b.data())
 }
 
 #[cfg(test)]
 pub(crate) mod reference {
     //! What the bit-for-bit tests of this crate compare against: the kernel
     //! [`matmul_nt`](super::matmul_nt) replaced, and the element mix that
-    //! makes a dropped or reordered term visible.
+    //! makes a dropped or reordered term visible; and the transpose they
+    //! build operands with.
 
     use crate::random::XorShiftRng;
     use crate::shape::Shape;
@@ -128,7 +301,7 @@ pub(crate) mod reference {
         assert_eq!(k, k2);
         let mut out = Tensor::zeros([m, n]);
         let (ad, bd) = (a.data(), b.data());
-        for (i, crow) in out.data_mut().chunks_mut(n).enumerate() {
+        for (i, crow) in out.data_mut().chunks_mut(n.max(1)).enumerate() {
             let arow = &ad[i * k..(i + 1) * k];
             for (j, c) in crow.iter_mut().enumerate() {
                 let brow = &bd[j * k..(j + 1) * k];
@@ -139,6 +312,14 @@ pub(crate) mod reference {
                 *c = acc;
             }
         }
+        out
+    }
+
+    /// `t[rows, cols]` transposed, by the copy `matmul_nt` writes `Bᵀ` with.
+    pub(crate) fn transposed(t: &Tensor) -> Tensor {
+        let (rows, cols) = t.shape().as_2d();
+        let mut out = Tensor::zeros([cols, rows]);
+        crate::manip::transpose_into(t.data(), rows, cols, out.data_mut());
         out
     }
 
@@ -283,23 +464,72 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Transpose + row-axpy gives the dot-product kernel's bits, at
-        /// sizes on both sides of the transpose tile and not multiples of it.
+        /// Every instantiation this CPU runs gives, for all three products,
+        /// the bits of the naive kernel and of the dot-product kernel. `M`,
+        /// `N`, `K` in `0..=70` reach every tile and strip remainder. With
+        /// `inf`, some columns of `A` are all `±0.0` and the rows of `B` they
+        /// meet all `+∞`: skipped zeros keep `0 · ∞` out, so the product is
+        /// the one the oracles give for a finite `B`.
         #[test]
-        fn matmul_nt_matches_the_dot_product_kernel_bit_for_bit(
-            m in 1usize..41, n in 1usize..41, k in 1usize..41,
-            seed in 0u64..u64::MAX,
+        fn every_instantiation_matches_the_oracles_bit_for_bit(
+            m in 0usize..71, n in 0usize..71, k in 0usize..71,
+            inf in 0u8..2, seed in 0u64..u64::MAX,
         ) {
             let mut rng = XorShiftRng::new(seed);
-            let a = reference::mixed([m, k], &mut rng);
-            let b = reference::mixed([n, k], &mut rng);
-            let checked = reference::same_bits(
-                "matmul_nt",
-                &matmul_nt(&a, &b),
-                &reference::matmul_nt(&a, &b),
-            );
-            prop_assert!(checked.is_ok(), "[{m}x{k}]·[{n}x{k}]ᵀ seed {seed}: {checked:?}");
+            let mut a = reference::mixed([m, k], &mut rng);
+            let finite_b = reference::mixed([k, n], &mut rng);
+            let mut b = finite_b.clone();
+            if inf == 1 {
+                for p in 0..k {
+                    if rng.next_below(4) != 0 {
+                        continue;
+                    }
+                    for i in 0..m {
+                        a.data_mut()[i * k + p] = if rng.next_below(2) == 0 { 0.0 } else { -0.0 };
+                    }
+                    b.data_mut()[p * n..(p + 1) * n].fill(f32::INFINITY);
+                }
+            }
+            let oracles = [
+                ("naive", naive(&a, &finite_b, false, false)),
+                ("dot product", reference::matmul_nt(&a, &reference::transposed(&finite_b))),
+            ];
+            let (at, bt) = (reference::transposed(&a), reference::transposed(&b));
+            for isa in instantiations() {
+                let products = [
+                    ("matmul", matmul_on(isa, &a, &b)),
+                    ("matmul_nt", matmul_nt_on(isa, &a, &bt)),
+                    ("matmul_tn", matmul_tn_on(isa, &at, &b)),
+                ];
+                for (what, got) in &products {
+                    for (oracle, want) in &oracles {
+                        let checked = reference::same_bits(what, got, want);
+                        prop_assert!(
+                            checked.is_ok(),
+                            "{isa:?} vs {oracle}, [{m}x{k}]·[{k}x{n}] inf {inf} seed {seed}: {checked:?}"
+                        );
+                    }
+                }
+            }
         }
+    }
+
+    /// The instantiations this CPU runs. Says once, on standard output,
+    /// which run and which are skipped, and which one every call uses.
+    fn instantiations() -> Vec<Isa> {
+        static REPORT: std::sync::Once = std::sync::Once::new();
+        REPORT.call_once(|| {
+            for isa in Isa::ALL {
+                let verdict = if isa.supported() {
+                    "tested"
+                } else {
+                    "skipped: not on this CPU"
+                };
+                println!("GEMM instantiation {isa:?}: {verdict}");
+            }
+            println!("GEMM calls run {:?}", Isa::detected());
+        });
+        Isa::ALL.into_iter().filter(|isa| isa.supported()).collect()
     }
 
     /// `*_peak_bytes` have a 2 % bound: the scratch is exactly one `Bᵀ`,
