@@ -9,7 +9,7 @@
 use std::fmt;
 
 /// A surrogate gradient family for `H(x)` around `x = 0`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum Surrogate {
     /// Triangular (piecewise-linear) window:
     /// `σ′(x) = max(0, 1 − |x|/width) / width`.

@@ -33,11 +33,12 @@
 use crate::error::SkipperError;
 use crate::shard::{self, Executor, Iteration, Request, ResultPayload, ShardWorker};
 use crate::transport::{
-    Channel, ChannelStats, ChaosConfig, HistDelta, Message, MetricsDelta, TcpConnector,
-    TcpListenerLink, TraceCtx, TransportError, WireReader,
+    Channel, ChannelStats, ChaosConfig, Message, MetricsDelta, TcpConnector, TcpListenerLink,
+    TraceCtx, TransportError,
 };
 use crate::windowed::StepResult;
-use skipper_autograd::Surrogate;
+use serde::{Deserialize, Serialize};
+use skipper_obs::Histogram;
 use skipper_snn::serialize::{apply_records, read_params, write_records};
 use skipper_snn::{custom_net, ModelConfig, ParamStore, SpikingNetwork};
 use skipper_tensor::XorShiftRng;
@@ -128,17 +129,7 @@ fn merge_worker_metrics(worker: u64, delta: &MetricsDelta) {
         if name.contains("worker=") {
             continue;
         }
-        let Ok(hist) = skipper_obs::Histogram::from_parts(
-            h.bounds.clone(),
-            h.counts.clone(),
-            h.sum,
-            h.count,
-            h.min,
-            h.max,
-        ) else {
-            continue; // mis-encoded delta; drop rather than poison
-        };
-        let _ = skipper_obs::registry().merge_histogram(&with_worker_label(name, worker), &hist);
+        skipper_obs::registry().merge_histogram(&with_worker_label(name, worker), h);
     }
     skipper_obs::counter_add("cluster.metric_merges", 1.0);
 }
@@ -151,15 +142,17 @@ fn merge_worker_metrics(worker: u64, delta: &MetricsDelta) {
 #[derive(Default)]
 struct MetricShadow {
     counters: HashMap<String, f64>,
-    hist_counts: HashMap<String, Vec<u64>>,
-    hist_sums: HashMap<String, f64>,
+    /// Each histogram as of the last heartbeat; a series the registry no
+    /// longer holds is forgotten, so its next samples ship whole.
+    hists: HashMap<String, Histogram>,
 }
 
 impl MetricShadow {
     /// The registry's movement since the last call, given its snapshot
     /// `snap`, or `None` when nothing changed. Series already carrying a
     /// worker label are never shipped (they are someone else's federated
-    /// data).
+    /// data). A histogram that went down since the last call was cleared,
+    /// and ships whole.
     fn delta(&mut self, snap: skipper_obs::MetricsSnapshot) -> Option<MetricsDelta> {
         let mut out = MetricsDelta::default();
         for (name, total) in snap.counters {
@@ -177,36 +170,19 @@ impl MetricShadow {
             }
             out.gauges.push((name, value));
         }
+        let mut last = std::mem::take(&mut self.hists);
         for (name, hist) in snap.histograms {
             if name.contains("worker=") {
                 continue;
             }
-            let counts = hist.counts().to_vec();
-            let last = self
-                .hist_counts
-                .insert(name.clone(), counts.clone())
-                .unwrap_or_else(|| vec![0; counts.len()]);
-            let delta_counts: Vec<u64> = counts
-                .iter()
-                .zip(last.iter().chain(std::iter::repeat(&0)))
-                .map(|(now, then)| now.saturating_sub(*then))
-                .collect();
-            let delta_count: u64 = delta_counts.iter().sum();
-            let last_sum = self.hist_sums.insert(name.clone(), hist.sum());
-            if delta_count == 0 {
-                continue;
+            let delta = last
+                .remove(&name)
+                .and_then(|then| hist.since(&then))
+                .unwrap_or_else(|| hist.clone());
+            if delta.count() > 0 {
+                out.histograms.push((name.clone(), delta));
             }
-            out.histograms.push((
-                name,
-                HistDelta {
-                    bounds: hist.bounds().to_vec(),
-                    counts: delta_counts,
-                    sum: hist.sum() - last_sum.unwrap_or(0.0),
-                    count: delta_count,
-                    min: hist.min(),
-                    max: hist.max(),
-                },
-            ));
+            self.hists.insert(name, hist);
         }
         if out.is_empty() {
             None
@@ -389,84 +365,12 @@ fn render_cluster_json(board: &Board) -> String {
 
 /// Model topology + horizon shipped in the Welcome handshake. Parameters
 /// themselves ride with every work message, so a worker that was away
-/// never computes with stale weights.
-#[derive(Debug, Clone)]
+/// never computes with stale weights. Crosses the wire as a serde
+/// document.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct WireSpec {
     pub model: ModelConfig,
     pub timesteps: usize,
-}
-
-impl WireSpec {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        let m = &self.model;
-        b.extend_from_slice(&(m.input_hw as u32).to_le_bytes());
-        b.extend_from_slice(&(m.in_channels as u32).to_le_bytes());
-        b.extend_from_slice(&(m.num_classes as u32).to_le_bytes());
-        b.extend_from_slice(&m.width_mult.to_le_bytes());
-        b.extend_from_slice(&m.lif.leak.to_le_bytes());
-        b.extend_from_slice(&m.lif.threshold.to_le_bytes());
-        let (tag, x) = match m.lif.surrogate {
-            Surrogate::Triangle { width } => (0u8, width),
-            Surrogate::FastSigmoid { slope } => (1, slope),
-            Surrogate::ArcTan { alpha } => (2, alpha),
-        };
-        b.push(tag);
-        b.extend_from_slice(&x.to_le_bytes());
-        match m.dropout {
-            Some(p) => {
-                b.push(1);
-                b.extend_from_slice(&p.to_le_bytes());
-            }
-            None => {
-                b.push(0);
-                b.extend_from_slice(&0.0f32.to_le_bytes());
-            }
-        }
-        b.extend_from_slice(&m.seed.to_le_bytes());
-        b.extend_from_slice(&(self.timesteps as u32).to_le_bytes());
-        b
-    }
-
-    pub fn decode(bytes: &[u8]) -> Result<WireSpec, TransportError> {
-        let mut r = WireReader::new(bytes);
-        let input_hw = r.u32()? as usize;
-        let in_channels = r.u32()? as usize;
-        let num_classes = r.u32()? as usize;
-        let width_mult = r.f32()?;
-        let leak = r.f32()?;
-        let threshold = r.f32()?;
-        let surrogate = match (r.u8()?, r.f32()?) {
-            (0, width) => Surrogate::Triangle { width },
-            (1, slope) => Surrogate::FastSigmoid { slope },
-            (2, alpha) => Surrogate::ArcTan { alpha },
-            (tag, _) => {
-                return Err(TransportError::Frame(format!(
-                    "unknown surrogate tag {tag}"
-                )))
-            }
-        };
-        let dropout = match (r.u8()?, r.f32()?) {
-            (0, _) => None,
-            (_, p) => Some(p),
-        };
-        let seed = r.u64()?;
-        let timesteps = r.u32()? as usize;
-        r.done()?;
-        let mut model = ModelConfig {
-            input_hw,
-            in_channels,
-            num_classes,
-            width_mult,
-            dropout,
-            seed,
-            ..ModelConfig::default()
-        };
-        model.lif.leak = leak;
-        model.lif.threshold = threshold;
-        model.lif.surrogate = surrogate;
-        Ok(WireSpec { model, timesteps })
-    }
 }
 
 /// Serialize a parameter store as `.skw` v2 record bytes.
@@ -663,7 +567,7 @@ impl Coordinator {
         if channel
             .send(&Message::Welcome {
                 worker: id,
-                spec: spec.encode(),
+                spec,
                 pong,
             })
             .is_err()
@@ -1180,10 +1084,6 @@ pub fn run_worker(
         // collide with the coordinator's (or other workers') in a stitched
         // multi-process trace.
         skipper_obs::namespace_span_ids(id << 40);
-        let Ok(spec) = WireSpec::decode(&spec) else {
-            connect_attempt += 1;
-            continue;
-        };
         if was_connected {
             report.reconnects += 1;
         }
@@ -1368,7 +1268,27 @@ fn apply_wire_params(net: &mut SpikingNetwork, params: &[u8]) -> Result<(), Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skipper_autograd::Surrogate;
     use skipper_snn::LifConfig;
+
+    /// `spec` as a coordinator sends it: the encoded `Welcome` payload.
+    fn welcome_bytes(spec: &WireSpec) -> Vec<u8> {
+        Message::Welcome {
+            worker: 1,
+            spec: spec.clone(),
+            pong: (2, 3),
+        }
+        .encode()
+        .unwrap()
+    }
+
+    /// The spec a worker reads back out of `bytes`.
+    fn welcome_spec(bytes: &[u8]) -> Result<WireSpec, TransportError> {
+        match Message::decode(bytes)? {
+            Message::Welcome { spec, .. } => Ok(spec),
+            other => panic!("decoded {other:?}, not a Welcome"),
+        }
+    }
 
     #[test]
     fn wire_spec_roundtrips_every_field() {
@@ -1388,8 +1308,13 @@ mod tests {
             },
             timesteps: 12,
         };
-        let back = WireSpec::decode(&spec.encode()).unwrap();
-        assert_eq!(back.encode(), spec.encode(), "roundtrip is stable");
+        let back = welcome_spec(&welcome_bytes(&spec)).unwrap();
+        assert_eq!(back, spec);
+        assert_eq!(
+            welcome_bytes(&back),
+            welcome_bytes(&spec),
+            "roundtrip is stable"
+        );
         assert_eq!(back.model.num_classes, 11);
         assert_eq!(back.model.seed, 0xBEEF);
         assert_eq!(back.model.dropout, Some(0.1));
@@ -1405,10 +1330,10 @@ mod tests {
             },
             timesteps: 4,
         };
-        let back = WireSpec::decode(&no_dropout.encode()).unwrap();
+        let back = welcome_spec(&welcome_bytes(&no_dropout)).unwrap();
         assert_eq!(back.model.dropout, None);
         assert_eq!(back.timesteps, 4);
-        assert!(WireSpec::decode(&spec.encode()[..9]).is_err());
+        assert!(welcome_spec(&welcome_bytes(&spec)[..9]).is_err());
     }
 
     #[test]
@@ -1447,10 +1372,67 @@ mod tests {
             registry.observe("shard_us", value);
             let delta = shadow.delta(registry.snapshot()).unwrap();
             let (_, h) = delta.histograms.into_iter().next().unwrap();
-            (h.sum, h.count)
+            (h.sum(), h.count())
         };
         assert_eq!(heartbeat(1.0), (1.0, 1));
         assert_eq!(heartbeat(100.0), (100.0, 1));
+    }
+
+    #[test]
+    fn federated_histograms_rebuild_the_workers_exactly() {
+        // A private registry and shadow: nothing here reads or writes the
+        // process-global registry sibling tests share.
+        let worker = skipper_obs::Registry::new();
+        let mut shadow = MetricShadow::default();
+        // What the coordinator holds: every delta, sent and received as a
+        // heartbeat, merged into a histogram that started empty.
+        let mut federated = Histogram::default();
+        // Every sample the worker ever recorded, across the clear below.
+        let mut recorded = Histogram::default();
+        let mut heartbeat = |federated: &mut Histogram, samples: &[u64]| {
+            for &us in samples {
+                worker.observe("shard_us", us as f64);
+                recorded.observe(us as f64);
+            }
+            let sent = Message::Heartbeat {
+                worker: 1,
+                iteration: 0,
+                metrics: shadow.delta(worker.snapshot()),
+            };
+            let Message::Heartbeat { metrics, .. } =
+                Message::decode(&sent.encode().unwrap()).unwrap()
+            else {
+                panic!("a heartbeat decodes as a heartbeat");
+            };
+            for (name, delta) in metrics.into_iter().flat_map(|m| m.histograms) {
+                assert_eq!(name, "shard_us");
+                federated.merge(&delta);
+            }
+        };
+        let same = |a: &Histogram, b: &Histogram| {
+            assert_eq!(a.counts(), b.counts());
+            assert_eq!(a.count(), b.count());
+            assert_eq!(a.sum().to_bits(), b.sum().to_bits());
+            assert_eq!(a.min().to_bits(), b.min().to_bits());
+            assert_eq!(a.max().to_bits(), b.max().to_bits());
+        };
+        heartbeat(&mut federated, &[3, 40, 40, 700]);
+        heartbeat(&mut federated, &[]);
+        heartbeat(&mut federated, &[12, 5_000_000, 2]);
+        heartbeat(&mut federated, &[250_000_000, 999]);
+        same(&federated, &worker.histogram("shard_us").unwrap());
+        // A clear between heartbeats: the next reading is lower than the
+        // last shipped one, so it ships whole and no sample is lost.
+        worker.clear();
+        heartbeat(&mut federated, &[8, 8]);
+        heartbeat(&mut federated, &[1, 64_000]);
+        // A clear seen by a heartbeat as a missing series: the samples
+        // after it cover every bucket of the last shipped reading, so only
+        // forgetting that reading keeps them whole.
+        worker.clear();
+        heartbeat(&mut federated, &[]);
+        heartbeat(&mut federated, &[1, 5, 5, 50_000, 90]);
+        same(&federated, &recorded);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! CRC32/IEEE over the payload):
 //!
 //! ```text
-//! magic  u32   "SKF2"
+//! magic  u32   "SKF3"
 //! len    u32   payload byte length (≤ 64 MiB)
 //! crc    u32   CRC32(payload)
 //! payload[len]
@@ -38,9 +38,13 @@
 //! elements (every count is capped before anything is read), an optional
 //! field one presence byte then the value. What already has an exact serde
 //! encoding — the per-iteration `shard::WorkCtx` with its method, SAM
-//! metric and skip policy — crosses as a length-capped JSON document,
-//! exactly like `.sksn`'s `meta` section; parameters ride as `.skw` v2
-//! records.
+//! metric and skip policy, and the `Welcome`'s model spec — crosses as a
+//! length-capped JSON document, exactly like `.sksn`'s `meta` section;
+//! parameters ride as `.skw` v2 records. A heartbeat histogram is its
+//! bucket counts in the one layout every histogram shares
+//! ([`skipper_obs::Histogram::BOUNDS`]), then sum, count, min and max; the
+//! decoder rebuilds it through `Histogram::from_parts`, so counts of the
+//! wrong length or not summing to `count` are a frame error.
 //!
 //! # Spike-compact tensor encoding
 //!
@@ -58,19 +62,21 @@
 //! a worker kill schedule consumed by [`crate::cluster::run_worker`].
 //! Every injected fault increments `engine.transport_chaos{kind}`.
 
+use crate::cluster::WireSpec;
 use crate::error::SkipperError;
 use crate::shard::{Request, ResultPayload, ShardInput, WireGrads};
 use serde::{Deserialize, Serialize};
+use skipper_obs::Histogram;
 use skipper_snn::serialize::crc32;
 use skipper_tensor::{SpikeBits, Tensor, XorShiftRng};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-/// Frame magic: `"SKF2"` little-endian. Bumped with every layout change,
+/// Frame magic: `"SKF3"` little-endian. Bumped with every layout change,
 /// so a peer built before it rejects the first frame instead of
 /// mis-decoding a CRC-valid one.
-const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"SKF2");
+const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"SKF3");
 
 /// Upper bound on a single frame payload; anything larger is treated as
 /// stream desync, not a legitimate message.
@@ -79,12 +85,13 @@ const MAX_FRAME: usize = 64 << 20;
 /// Frame header bytes: magic + len + crc.
 const HEADER: usize = 12;
 
-/// Upper bound on a serde document inside a payload. A real `WorkCtx` is
-/// ~200 bytes; the cap is what bounds the JSON parser's recursion on a
-/// hostile one, so it is checked before the parser sees a byte. Measured
-/// on the vendored parser at this workspace's `opt-level = 2`: a document
-/// of 1024 `[` needs between 256 and 512 KiB of stack, at most a quarter
-/// of a spawned thread's 2 MiB; 4096 of them do not fit in 1 MiB.
+/// Upper bound on a serde document inside a payload. A real `WorkCtx` or
+/// model spec is ~250 bytes; the cap is what bounds the JSON parser's
+/// recursion on a hostile one, so it is checked before the parser sees a
+/// byte. Measured on the vendored parser at this workspace's
+/// `opt-level = 2`: a document of 1024 `[` needs between 256 and 512 KiB
+/// of stack, at most a quarter of a spawned thread's 2 MiB; 4096 of them
+/// do not fit in 1 MiB.
 const MAX_DOC: usize = 1024;
 
 // ---------------------------------------------------------------------------
@@ -419,18 +426,6 @@ pub(crate) struct TraceCtx {
     pub parent: u64,
 }
 
-/// One histogram's federated state: bucket-count deltas since the last
-/// heartbeat plus the worker's lifetime sum/count deltas and min/max.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct HistDelta {
-    pub bounds: Vec<f64>,
-    pub counts: Vec<u64>,
-    pub sum: f64,
-    pub count: u64,
-    pub min: f64,
-    pub max: f64,
-}
-
 /// Compact metric-registry delta a worker piggybacks on `Heartbeat`:
 /// counter increments, current gauge values, and histogram bucket deltas
 /// since the previous heartbeat. The coordinator merges these into its own
@@ -439,7 +434,7 @@ pub(crate) struct HistDelta {
 pub(crate) struct MetricsDelta {
     pub counters: Vec<(String, f64)>,
     pub gauges: Vec<(String, f64)>,
-    pub histograms: Vec<(String, HistDelta)>,
+    pub histograms: Vec<(String, Histogram)>,
 }
 
 impl MetricsDelta {
@@ -461,12 +456,11 @@ fn put_delta(buf: &mut Vec<u8>, d: &MetricsDelta) {
     put_seq(buf, &d.gauges, series);
     put_seq(buf, &d.histograms, |buf, (name, h)| {
         put_str(buf, name);
-        put_f64s(buf, &h.bounds);
-        put_seq(buf, &h.counts, |b, c| put_u64(b, *c));
-        put_f64(buf, h.sum);
-        put_u64(buf, h.count);
-        put_f64(buf, h.min);
-        put_f64(buf, h.max);
+        put_seq(buf, h.counts(), |b, c| put_u64(b, *c));
+        put_f64(buf, h.sum());
+        put_u64(buf, h.count());
+        put_f64(buf, h.min());
+        put_f64(buf, h.max());
     });
 }
 
@@ -476,17 +470,11 @@ fn read_delta(r: &mut WireReader<'_>) -> Result<MetricsDelta, TransportError> {
         counters: r.seq(MAX_DELTA_SERIES, "metric-series", series)?,
         gauges: r.seq(MAX_DELTA_SERIES, "metric-series", series)?,
         histograms: r.seq(MAX_DELTA_SERIES, "histogram-series", |r| {
-            Ok((
-                r.string()?,
-                HistDelta {
-                    bounds: r.f64s()?,
-                    counts: r.seq(1 << 16, "bucket", WireReader::u64)?,
-                    sum: r.f64()?,
-                    count: r.u64()?,
-                    min: r.f64()?,
-                    max: r.f64()?,
-                },
-            ))
+            let name = r.string()?;
+            let counts = r.seq(1 << 16, "bucket", WireReader::u64)?;
+            let hist = Histogram::from_parts(&counts, r.f64()?, r.u64()?, r.f64()?, r.f64()?)
+                .map_err(TransportError::Frame)?;
+            Ok((name, hist))
         })?,
     })
 }
@@ -558,13 +546,12 @@ pub(crate) enum Message {
         reconnect: bool,
         ping: u64,
     },
-    /// Coordinator → worker: assigned id + model spec bytes
-    /// (see [`crate::cluster::WireSpec`]). `pong` is `(t1_echo, t2)`:
-    /// the worker's `ping` echoed back plus the coordinator's local
-    /// receive/send timestamp.
+    /// Coordinator → worker: assigned id + model spec. `pong` is
+    /// `(t1_echo, t2)`: the worker's `ping` echoed back plus the
+    /// coordinator's local receive/send timestamp.
     Welcome {
         worker: u64,
-        spec: Vec<u8>,
+        spec: WireSpec,
         pong: (u64, u64),
     },
     /// Worker → coordinator liveness beacon (sent while idle), carrying
@@ -602,8 +589,8 @@ impl Message {
     ///
     /// # Errors
     ///
-    /// [`TransportError::Frame`] when a work context does not fit its
-    /// document cap (see [`put_doc`]).
+    /// [`TransportError::Frame`] when a work context or model spec does
+    /// not fit its document cap (see [`put_doc`]).
     pub fn encode(&self) -> Result<Vec<u8>, TransportError> {
         let mut buf = Vec::new();
         match self {
@@ -620,7 +607,7 @@ impl Message {
             Message::Welcome { worker, spec, pong } => {
                 buf.push(2);
                 put_u64(&mut buf, *worker);
-                put_bytes(&mut buf, spec);
+                put_doc(&mut buf, spec)?;
                 put_u64(&mut buf, pong.0);
                 put_u64(&mut buf, pong.1);
             }
@@ -711,7 +698,7 @@ impl Message {
             },
             2 => Message::Welcome {
                 worker: r.u64()?,
-                spec: r.bytes()?.to_vec(),
+                spec: r.doc()?,
                 pong: (r.u64()?, r.u64()?),
             },
             3 => Message::Heartbeat {
@@ -1294,6 +1281,8 @@ mod tests {
     use crate::shard::WorkCtx;
     use proptest::prelude::*;
     use proptest::TestRng;
+    use skipper_autograd::Surrogate;
+    use skipper_snn::{LifConfig, ModelConfig};
 
     fn work_ctx(method: Method) -> WorkCtx {
         WorkCtx {
@@ -1426,16 +1415,45 @@ mod tests {
             counters: series(rng),
             gauges: series(rng),
             histograms: vec_of(rng, 2, |rng| {
-                let hist = HistDelta {
-                    bounds: vec_of(rng, 4, any_f64),
-                    counts: vec_of(rng, 5, TestRng::next_u64),
-                    sum: any_f64(rng),
-                    count: rng.next_u64(),
-                    min: any_f64(rng),
-                    max: any_f64(rng),
-                };
+                // Bucket counts in the one layout, empty ones included;
+                // the rest of the state is any bit pattern.
+                let counts: Vec<u64> = (0..=Histogram::BOUNDS.len())
+                    .map(|_| rng.below(3) * rng.below(1 << 20))
+                    .collect();
+                let count = counts.iter().sum();
+                let hist =
+                    Histogram::from_parts(&counts, any_f64(rng), count, any_f64(rng), any_f64(rng))
+                        .unwrap();
                 ("iteration.wall_us".to_string(), hist)
             }),
+        }
+    }
+
+    fn any_spec(rng: &mut TestRng) -> WireSpec {
+        // Finite values with no short binary expansion: the document must
+        // carry them to the exact `f32`.
+        let mut any_f32 = || (rng.unit_f64() * 4.0) as f32;
+        let (width_mult, leak, threshold, x, p) =
+            (any_f32(), any_f32(), any_f32(), any_f32(), any_f32());
+        WireSpec {
+            model: ModelConfig {
+                input_hw: below(rng, 64),
+                in_channels: below(rng, 4),
+                num_classes: below(rng, 100),
+                width_mult,
+                lif: LifConfig {
+                    leak,
+                    threshold,
+                    surrogate: match below(rng, 3) {
+                        0 => Surrogate::Triangle { width: x },
+                        1 => Surrogate::FastSigmoid { slope: x },
+                        _ => Surrogate::ArcTan { alpha: x },
+                    },
+                },
+                dropout: coin(rng).then_some(p),
+                seed: rng.next_u64(),
+            },
+            timesteps: below(rng, 1 << 12),
         }
     }
 
@@ -1453,7 +1471,7 @@ mod tests {
                 },
                 1 => Message::Welcome {
                     worker: rng.next_u64(),
-                    spec: vec_of(rng, 40, |rng| rng.next_u64() as u8),
+                    spec: any_spec(rng),
                     pong: (rng.next_u64(), rng.next_u64()),
                 },
                 2 => Message::Heartbeat {
@@ -1576,6 +1594,53 @@ mod tests {
             if let Err(e) = Message::decode(&bytes) {
                 prop_assert!(matches!(e, TransportError::Frame(_)), "{e}");
             }
+        }
+    }
+
+    #[test]
+    fn a_heartbeat_histogram_off_the_layout_is_a_frame_error() {
+        // A heartbeat carrying one histogram, hand-encoded so it can hold
+        // what `Histogram` itself never would.
+        let heartbeat = |counts: &[u64], count: u64| {
+            let mut buf = vec![3]; // Heartbeat
+            put_u64(&mut buf, 1); // worker
+            put_u64(&mut buf, 9); // iteration
+            buf.push(1); // metrics present
+            put_u32(&mut buf, 0); // no counters
+            put_u32(&mut buf, 0); // no gauges
+            put_u32(&mut buf, 1); // one histogram
+            put_str(&mut buf, "shard_us");
+            put_seq(&mut buf, counts, |b, c| put_u64(b, *c));
+            put_f64(&mut buf, 12.0); // sum
+            put_u64(&mut buf, count);
+            put_f64(&mut buf, 4.0); // min
+            put_f64(&mut buf, 8.0); // max
+            Message::decode(&buf)
+        };
+        let layout = Histogram::BOUNDS.len() + 1;
+        let mut counts = vec![0; layout];
+        counts[1] = 2;
+        let Ok(Message::Heartbeat {
+            metrics: Some(metrics),
+            ..
+        }) = heartbeat(&counts, 2)
+        else {
+            panic!("a well-formed heartbeat histogram decodes");
+        };
+        assert_eq!(metrics.histograms[0].1.counts(), &counts[..]);
+        // Bucket counts that do not sum to `count`, either way.
+        for count in [1, 3] {
+            assert!(matches!(
+                heartbeat(&counts, count),
+                Err(TransportError::Frame(_))
+            ));
+        }
+        // A count vector shorter or longer than the layout.
+        for len in [0, layout - 1, layout + 1] {
+            assert!(matches!(
+                heartbeat(&vec![0; len], 0),
+                Err(TransportError::Frame(_))
+            ));
         }
     }
 

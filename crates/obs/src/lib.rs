@@ -283,18 +283,7 @@ pub fn gauge_set(name: &str, value: f64) {
 /// Record `value` into histogram `name` in the global registry and notify
 /// sinks. No-op while tracing is disabled.
 pub fn observe(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    registry().observe(name, value);
-    submit(Event {
-        name: name.to_string().into(),
-        level: Level::Trace,
-        ts_us: now_us(),
-        tid: current_tid(),
-        kind: EventKind::Observe { value },
-        fields: Vec::new(),
-    });
+    observe_with_exemplar(name, value, 0);
 }
 
 /// Record `value` into histogram `name`, remembering `span_id` as the

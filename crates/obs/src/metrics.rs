@@ -15,53 +15,66 @@ pub fn labeled(name: &str, key: &str, value: impl std::fmt::Display) -> String {
     format!("{name}{{{key}={value}}}")
 }
 
-/// A fixed-bucket histogram: counts per bucket, plus sum/count/min/max of
-/// the raw samples.
+/// A histogram over the one bucket layout every histogram shares: counts
+/// per bucket, plus sum/count/min/max of the raw samples.
 ///
-/// Bucket `i` covers `(bounds[i-1], bounds[i]]` (the first covers
-/// `(-inf, bounds[0]]`); one extra overflow bucket covers
-/// `(bounds.last(), +inf)`.
+/// Bucket `i` covers `(BOUNDS[i-1], BOUNDS[i]]` (the first covers
+/// `(-inf, BOUNDS[0]]`); one extra overflow bucket covers
+/// `(BOUNDS.last(), +inf)`. Because the layout is a constant, merging two
+/// histograms or subtracting one from another never has a layout to check.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
+    counts: [u64; BUCKETS],
     /// Per-bucket exemplar: the span id of the last sample recorded into
     /// that bucket via [`observe_with_exemplar`](Histogram::observe_with_exemplar)
     /// (0 = none). Links a bad latency bucket straight to a trace span.
-    exemplars: Vec<u64>,
+    exemplars: [u64; BUCKETS],
     sum: f64,
     count: u64,
     min: f64,
     max: f64,
 }
 
-impl Histogram {
-    /// Histogram with the given strictly-increasing upper bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly increasing.
-    pub fn new(bounds: &[f64]) -> Histogram {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
+/// Finite buckets plus the overflow bucket.
+const BUCKETS: usize = Histogram::BOUNDS.len() + 1;
+
+impl Default for Histogram {
+    fn default() -> Histogram {
         Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            exemplars: vec![0; bounds.len() + 1],
+            counts: [0; BUCKETS],
+            exemplars: [0; BUCKETS],
             sum: 0.0,
             count: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
+}
 
-    /// Default bucketing for duration-like values in microseconds:
-    /// powers of 10 from 1 µs to 100 s.
-    pub fn default_us() -> Histogram {
-        Histogram::new(&[1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
+impl Histogram {
+    /// Upper bounds of the finite buckets, for duration-like values in
+    /// microseconds: powers of 10 from 1 µs to 100 s. Heartbeat
+    /// histograms cross the cluster wire as counts in this layout, so
+    /// changing it bumps the transport's frame magic.
+    pub const BOUNDS: [f64; 9] = [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8];
+
+    /// The bucket `value` falls into (NaN lands in the overflow bucket).
+    fn bucket(value: f64) -> usize {
+        Self::BOUNDS
+            .iter()
+            .position(|&b| value <= b)
+            .unwrap_or(Self::BOUNDS.len())
+    }
+
+    /// Lower and upper edge of bucket `i`: `-inf` below the first bucket,
+    /// `+inf` above the overflow bucket.
+    fn edges(i: usize) -> (f64, f64) {
+        let lower = if i == 0 {
+            f64::NEG_INFINITY
+        } else {
+            Self::BOUNDS[i - 1]
+        };
+        (lower, Self::BOUNDS.get(i).copied().unwrap_or(f64::INFINITY))
     }
 
     /// Rebuild a histogram from externally transported state (the metric
@@ -70,58 +83,45 @@ impl Histogram {
     ///
     /// # Errors
     ///
-    /// Rejects non-increasing bounds, a counts length other than
-    /// `bounds.len() + 1`, or a bucket total disagreeing with `count` —
-    /// a corrupted or mis-encoded delta must not poison the registry.
+    /// Rejects a counts length other than the layout's, or a bucket total
+    /// disagreeing with `count` — a corrupted or mis-encoded delta must not
+    /// poison the registry.
     pub fn from_parts(
-        bounds: Vec<f64>,
-        counts: Vec<u64>,
+        counts: &[u64],
         sum: f64,
         count: u64,
         min: f64,
         max: f64,
     ) -> Result<Histogram, String> {
-        if bounds.is_empty() || bounds.windows(2).any(|w| w[0] >= w[1]) {
-            return Err("histogram bounds must be non-empty and strictly increasing".into());
-        }
-        if counts.len() != bounds.len() + 1 {
-            return Err(format!(
-                "histogram counts length {} does not match bounds length {} + 1",
-                counts.len(),
-                bounds.len()
-            ));
-        }
-        if counts.iter().sum::<u64>() != count {
+        let counts: [u64; BUCKETS] = counts.try_into().map_err(|_| {
+            format!(
+                "histogram has {} bucket counts, the layout has {BUCKETS}",
+                counts.len()
+            )
+        })?;
+        if counts
+            .iter()
+            .try_fold(0u64, |total, &c| total.checked_add(c))
+            != Some(count)
+        {
             return Err("histogram bucket total disagrees with count".into());
         }
-        let exemplars = vec![0; counts.len()];
         Ok(Histogram {
-            bounds,
             counts,
-            exemplars,
             sum,
             count,
             min,
             max,
+            ..Histogram::default()
         })
     }
 
     /// Fold `other`'s samples into `self`: bucket counts and sums add,
-    /// min/max widen. Both histograms must share identical bounds.
-    ///
-    /// # Errors
-    ///
-    /// Rejects mismatched bucket bounds (merging across different
-    /// bucketings would silently misplace samples).
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), String> {
-        if self.bounds != other.bounds {
-            return Err(format!(
-                "histogram bounds mismatch: {:?} vs {:?}",
-                self.bounds, other.bounds
-            ));
-        }
+    /// min/max widen. Counts saturate: `other` may come off the wire, where
+    /// nothing bounds them.
+    pub fn merge(&mut self, other: &Histogram) {
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
+            *mine = mine.saturating_add(*theirs);
         }
         // Exemplars are best-effort "a recent span in this bucket": the
         // incoming delta's exemplar (when it has one) is the fresher.
@@ -131,51 +131,54 @@ impl Histogram {
             }
         }
         self.sum += other.sum;
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        Ok(())
+    }
+
+    /// The samples recorded since `earlier`, an older reading of the same
+    /// series: bucket counts, count and sum are the differences. min, max
+    /// and exemplars are this reading's — the tightest bounds known for
+    /// the new samples — so merging every delta of a series rebuilds its
+    /// extremes exactly. `None` when some bucket went down: the series was
+    /// cleared in between and the difference means nothing. (A clear
+    /// followed by at least as many samples in every bucket looks like
+    /// growth; no reading of the counts can tell the two apart.)
+    pub fn since(&self, earlier: &Histogram) -> Option<Histogram> {
+        let mut delta = self.clone();
+        for (now, &then) in delta.counts.iter_mut().zip(&earlier.counts) {
+            *now = now.checked_sub(then)?;
+        }
+        delta.count = self.count.saturating_sub(earlier.count);
+        delta.sum -= earlier.sum;
+        Some(delta)
     }
 
     /// Record one sample.
     pub fn observe(&mut self, value: f64) {
-        self.bucket_add(value);
+        self.observe_with_exemplar(value, 0);
     }
 
     /// Record one sample and remember `span_id` as the containing
     /// bucket's exemplar (latest wins; 0 leaves the exemplar untouched).
     pub fn observe_with_exemplar(&mut self, value: f64, span_id: u64) {
-        let idx = self.bucket_add(value);
+        let idx = Self::bucket(value);
+        self.counts[idx] += 1;
         if span_id != 0 {
             self.exemplars[idx] = span_id;
         }
-    }
-
-    fn bucket_add(&mut self, value: f64) -> usize {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
         self.sum += value;
         self.count += 1;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        idx
     }
 
-    /// Upper bounds of the finite buckets.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts (`bounds.len() + 1` entries, last = overflow).
+    /// Per-bucket counts (`BOUNDS.len() + 1` entries, last = overflow).
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
 
-    /// Per-bucket exemplar span ids (`bounds.len() + 1` entries, 0 =
+    /// Per-bucket exemplar span ids (`BOUNDS.len() + 1` entries, 0 =
     /// none).
     pub fn exemplars(&self) -> &[u64] {
         &self.exemplars
@@ -229,22 +232,40 @@ impl Histogram {
                 continue;
             }
             if rank <= (cum + c) as f64 {
-                let lower = if i == 0 {
-                    self.min
-                } else {
-                    self.bounds[i - 1].max(self.min)
-                };
-                let upper = if i == self.bounds.len() {
-                    self.max
-                } else {
-                    self.bounds[i].min(self.max)
-                };
+                let (lower, upper) = Self::edges(i);
+                let (lower, upper) = (lower.max(self.min), upper.min(self.max));
                 let frac = ((rank - cum as f64) / c as f64).clamp(0.0, 1.0);
                 return lower + frac * (upper - lower);
             }
             cum += c;
         }
         self.max
+    }
+
+    /// Estimated number of samples above `threshold`, assuming samples are
+    /// uniform within each bucket and the first bucket starts at 0. The
+    /// overflow bucket (unbounded above) counts entirely as "above" — the
+    /// conservative reading, since nothing places its samples.
+    pub fn count_above(&self, threshold: f64) -> f64 {
+        let mut above = 0.0;
+        for (i, &count) in self.counts.iter().enumerate() {
+            if count == 0 {
+                continue;
+            }
+            let count = count as f64;
+            let (lower, upper) = Self::edges(i);
+            let lower = lower.max(0.0);
+            above += if upper == f64::INFINITY {
+                count
+            } else if upper <= threshold {
+                0.0
+            } else if lower >= threshold {
+                count
+            } else {
+                count * (upper - threshold) / (upper - lower)
+            };
+        }
+        above
     }
 }
 
@@ -320,54 +341,35 @@ impl Registry {
             .copied()
     }
 
-    /// Pre-register histogram `name` with explicit bucket bounds (replaces
-    /// any previous registration and its samples).
-    pub fn register_histogram(&self, name: &str, bounds: &[f64]) {
-        crate::named_lock("obs.registry", &self.state)
-            .histograms
-            .insert(name.to_string(), Histogram::new(bounds));
-    }
-
-    /// Record one sample into histogram `name`. An unregistered histogram
-    /// is created with the [`Histogram::default_us`] buckets.
+    /// Record one sample into histogram `name` (created empty on first
+    /// use).
     pub fn observe(&self, name: &str, value: f64) {
-        let mut s = crate::named_lock("obs.registry", &self.state);
-        s.histograms
-            .entry(name.to_string())
-            .or_insert_with(Histogram::default_us)
-            .observe(value);
+        self.observe_with_exemplar(name, value, 0);
     }
 
     /// Record one sample into histogram `name`, remembering `span_id` as
     /// the containing bucket's exemplar (see
     /// [`Histogram::observe_with_exemplar`]).
     pub fn observe_with_exemplar(&self, name: &str, value: f64, span_id: u64) {
-        let mut s = crate::named_lock("obs.registry", &self.state);
-        s.histograms
+        crate::named_lock("obs.registry", &self.state)
+            .histograms
             .entry(name.to_string())
-            .or_insert_with(Histogram::default_us)
+            .or_default()
             .observe_with_exemplar(value, span_id);
     }
 
     /// Merge an externally transported histogram into histogram `name`
-    /// (created as a copy of `delta` on first sight). The metric-federation
-    /// ingest path: bucket deltas arriving on a Heartbeat fold in here.
-    ///
-    /// # Errors
-    ///
-    /// Propagates a bounds mismatch from [`Histogram::merge`].
-    pub fn merge_histogram(&self, name: &str, delta: &Histogram) -> Result<(), String> {
-        let mut s = crate::named_lock("obs.registry", &self.state);
-        match s.histograms.get_mut(name) {
-            Some(h) => h.merge(delta),
-            None => {
-                s.histograms.insert(name.to_string(), delta.clone());
-                Ok(())
-            }
-        }
+    /// (created empty on first sight). The metric-federation ingest path:
+    /// bucket deltas arriving on a Heartbeat fold in here.
+    pub fn merge_histogram(&self, name: &str, delta: &Histogram) {
+        crate::named_lock("obs.registry", &self.state)
+            .histograms
+            .entry(name.to_string())
+            .or_default()
+            .merge(delta);
     }
 
-    /// A copy of histogram `name`, if any samples or a registration exist.
+    /// A copy of histogram `name`, if it has been recorded into.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         crate::named_lock("obs.registry", &self.state)
             .histograms
@@ -412,111 +414,132 @@ mod tests {
         assert_eq!(r.gauge("absent"), None);
     }
 
-    #[test]
-    fn histogram_bucketing_is_inclusive_upper() {
-        let mut h = Histogram::new(&[1.0, 10.0, 100.0]);
-        for v in [0.5, 1.0, 1.5, 10.0, 99.0, 1000.0] {
+    /// A histogram holding `values`.
+    fn hist_of(values: &[f64]) -> Histogram {
+        let mut h = Histogram::default();
+        for &v in values {
             h.observe(v);
         }
-        // (-inf,1]: {0.5, 1.0}; (1,10]: {1.5, 10.0}; (10,100]: {99.0};
-        // overflow: {1000.0}.
-        assert_eq!(h.counts(), &[2, 2, 1, 1]);
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.min(), 0.5);
-        assert_eq!(h.max(), 1000.0);
-        assert!((h.mean() - 1112.0 / 6.0).abs() < 1e-9);
+        h
     }
 
     #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn histogram_rejects_unsorted_bounds() {
-        let _ = Histogram::new(&[1.0, 1.0]);
+    fn histogram_bucketing_is_inclusive_upper() {
+        let h = hist_of(&[0.5, 1.0, 1.5, 10.0, 99.0, 1000.0, 2e8]);
+        // (-inf,1]: {0.5, 1.0}; (1,10]: {1.5, 10.0}; (10,100]: {99.0};
+        // (100,1000]: {1000.0}; overflow: {2e8}.
+        assert_eq!(h.counts(), &[2, 2, 1, 1, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(h.count(), 7);
+        assert_eq!(h.min(), 0.5);
+        assert_eq!(h.max(), 2e8);
+        assert!((h.mean() - (1112.0 + 2e8) / 7.0).abs() < 1e-6);
     }
 
     #[test]
     fn quantile_interpolates_within_buckets() {
-        let mut h = Histogram::new(&[10.0, 20.0, 40.0]);
-        for v in [5.0, 15.0, 25.0, 35.0, 100.0] {
-            h.observe(v);
-        }
-        // Buckets: (-inf,10]={5}, (10,20]={15}, (20,40]={25,35},
-        // overflow={100}; min=5, max=100.
-        // q=0.5 -> rank 2.5, halfway through cum=2: 0.25 into (20,40] = 25.
-        assert!((h.quantile(0.5) - 25.0).abs() < 1e-9);
-        // q=0.95 -> rank 4.75, 0.75 into the overflow bucket [40,100] = 85.
-        assert!((h.quantile(0.95) - 85.0).abs() < 1e-9);
+        let h = hist_of(&[5.0, 50.0, 500.0, 700.0, 5e8]);
+        // Buckets: (1,10]={5}, (10,100]={50}, (100,1000]={500,700},
+        // overflow={5e8}; min=5, max=5e8.
+        // q=0.5 -> rank 2.5, a quarter into (100,1000] = 325.
+        assert!((h.quantile(0.5) - 325.0).abs() < 1e-9);
+        // q=0.95 -> rank 4.75, 0.75 into the overflow bucket [1e8,5e8] = 4e8.
+        assert!((h.quantile(0.95) - 4e8).abs() < 1e-6);
         // Extremes clamp to the observed min/max.
         assert!((h.quantile(0.0) - 5.0).abs() < 1e-9);
-        assert!((h.quantile(1.0) - 100.0).abs() < 1e-9);
+        assert!((h.quantile(1.0) - 5e8).abs() < 1e-9);
         // Out-of-range q clamps.
-        assert!((h.quantile(2.0) - 100.0).abs() < 1e-9);
-        assert_eq!(Histogram::default_us().quantile(0.5), 0.0);
+        assert!((h.quantile(2.0) - 5e8).abs() < 1e-9);
+        assert_eq!(Histogram::default().quantile(0.5), 0.0);
     }
 
     #[test]
     fn histogram_merge_folds_counts_and_extremes() {
-        let mut a = Histogram::new(&[10.0, 100.0]);
-        a.observe(5.0);
-        a.observe(50.0);
-        let mut b = Histogram::new(&[10.0, 100.0]);
-        b.observe(500.0);
-        b.observe(7.0);
-        a.merge(&b).unwrap();
-        assert_eq!(a.counts(), &[2, 1, 1]);
+        let mut a = hist_of(&[5.0, 50.0]);
+        a.merge(&hist_of(&[500.0, 7.0]));
+        assert_eq!(a.counts(), &[0, 2, 1, 1, 0, 0, 0, 0, 0, 0]);
         assert_eq!(a.count(), 4);
         assert!((a.sum() - 562.0).abs() < 1e-9);
         assert_eq!(a.min(), 5.0);
         assert_eq!(a.max(), 500.0);
-        // Mismatched bounds refuse to merge.
-        let other = Histogram::new(&[1.0, 2.0]);
-        assert!(a.merge(&other).is_err());
+        // Counts off the wire can be anything: they saturate, not wrap.
+        let huge = Histogram::from_parts(
+            &[u64::MAX, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            0.0,
+            u64::MAX,
+            0.0,
+            0.0,
+        )
+        .unwrap();
+        a.merge(&huge);
+        assert_eq!((a.counts()[0], a.count()), (u64::MAX, u64::MAX));
+    }
+
+    #[test]
+    fn since_subtracts_buckets_and_refuses_a_cleared_series() {
+        let earlier = hist_of(&[5.0, 50.0]);
+        let mut later = earlier.clone();
+        later.observe(7.0);
+        later.observe(5000.0);
+        let delta = later.since(&earlier).unwrap();
+        assert_eq!(delta.counts(), &[0, 1, 0, 0, 1, 0, 0, 0, 0, 0]);
+        assert_eq!((delta.count(), delta.sum()), (2, 5007.0));
+        // Extremes are the later reading's, so merging deltas rebuilds them.
+        assert_eq!((delta.min(), delta.max()), (5.0, 5000.0));
+        let mut rebuilt = earlier.clone();
+        rebuilt.merge(&delta);
+        assert_eq!(rebuilt, later);
+        assert_eq!(later.since(&later).unwrap().count(), 0);
+        // A bucket that went down means the series was cleared in between.
+        assert_eq!(hist_of(&[7.0]).since(&earlier), None);
     }
 
     #[test]
     fn from_parts_validates_transported_state() {
-        let h = Histogram::from_parts(vec![1.0, 10.0], vec![1, 2, 0], 7.5, 3, 0.5, 9.0).unwrap();
-        assert_eq!(h.counts(), &[1, 2, 0]);
+        let h = Histogram::from_parts(&[1, 2, 0, 0, 0, 0, 0, 0, 0, 0], 7.5, 3, 0.5, 9.0).unwrap();
+        assert_eq!(h.counts(), &[1, 2, 0, 0, 0, 0, 0, 0, 0, 0]);
         assert_eq!(h.count(), 3);
-        assert!(Histogram::from_parts(vec![10.0, 1.0], vec![0, 0, 0], 0.0, 0, 0.0, 0.0).is_err());
-        assert!(Histogram::from_parts(vec![1.0], vec![0], 0.0, 0, 0.0, 0.0).is_err());
-        assert!(Histogram::from_parts(vec![1.0], vec![1, 0], 0.0, 2, 0.0, 0.0).is_err());
+        // Not the layout's length, either way.
+        assert!(Histogram::from_parts(&[0; 9], 0.0, 0, 0.0, 0.0).is_err());
+        assert!(Histogram::from_parts(&[0; 11], 0.0, 0, 0.0, 0.0).is_err());
+        // Bucket total disagreeing with count, including by overflow.
+        assert!(Histogram::from_parts(&[1, 0, 0, 0, 0, 0, 0, 0, 0, 0], 0.0, 2, 0.0, 0.0).is_err());
+        let wraps = [u64::MAX, 2, 0, 0, 0, 0, 0, 0, 0, 0];
+        assert!(Histogram::from_parts(&wraps, 0.0, 1, 0.0, 0.0).is_err());
     }
 
     #[test]
     fn registry_merge_histogram_creates_then_folds() {
         let r = Registry::new();
-        let delta =
-            Histogram::from_parts(vec![1.0, 10.0], vec![0, 1, 0], 5.0, 1, 5.0, 5.0).unwrap();
-        r.merge_histogram("fed{worker=3}", &delta).unwrap();
-        r.merge_histogram("fed{worker=3}", &delta).unwrap();
+        let delta = hist_of(&[5.0]);
+        r.merge_histogram("fed{worker=3}", &delta);
+        assert_eq!(r.histogram("fed{worker=3}").unwrap(), delta);
+        r.merge_histogram("fed{worker=3}", &delta);
         let h = r.histogram("fed{worker=3}").unwrap();
         assert_eq!(h.count(), 2);
         assert!((h.sum() - 10.0).abs() < 1e-9);
-        let bad = Histogram::new(&[2.0]);
-        assert!(r.merge_histogram("fed{worker=3}", &bad).is_err());
     }
 
     #[test]
     fn exemplars_track_the_latest_span_per_bucket() {
-        let mut h = Histogram::new(&[10.0, 100.0]);
+        let mut h = Histogram::default();
         h.observe(5.0); // plain observe leaves no exemplar
         h.observe_with_exemplar(7.0, 41);
         h.observe_with_exemplar(3.0, 42); // same bucket: latest wins
-        h.observe_with_exemplar(500.0, 99); // overflow bucket
+        h.observe_with_exemplar(5e8, 99); // overflow bucket
         h.observe_with_exemplar(50.0, 0); // id 0 = "no exemplar"
-        assert_eq!(h.exemplars(), &[42, 0, 99]);
+        assert_eq!(h.exemplars(), &[0, 42, 0, 0, 0, 0, 0, 0, 0, 99]);
         assert_eq!(h.count(), 5);
 
         // Merge prefers the incoming delta's exemplars where present.
-        let mut other = Histogram::new(&[10.0, 100.0]);
+        let mut other = Histogram::default();
         other.observe_with_exemplar(80.0, 7);
-        h.merge(&other).unwrap();
-        assert_eq!(h.exemplars(), &[42, 7, 99]);
+        h.merge(&other);
+        assert_eq!(h.exemplars(), &[0, 42, 7, 0, 0, 0, 0, 0, 0, 99]);
 
         // Transported state starts exemplar-free.
         let rebuilt =
-            Histogram::from_parts(vec![10.0, 100.0], vec![1, 0, 0], 5.0, 1, 5.0, 5.0).unwrap();
-        assert_eq!(rebuilt.exemplars(), &[0, 0, 0]);
+            Histogram::from_parts(&[0, 1, 0, 0, 0, 0, 0, 0, 0, 0], 5.0, 1, 5.0, 5.0).unwrap();
+        assert_eq!(rebuilt.exemplars(), &[0; 10]);
 
         // The registry path reaches the same machinery.
         let r = Registry::new();

@@ -198,7 +198,7 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
         // Re-open the label set to append `le`.
         let base = labels.trim_end_matches('}');
         let mut cumulative = 0u64;
-        for (bound, count) in hist.bounds().iter().zip(hist.counts()) {
+        for (bound, count) in Histogram::BOUNDS.iter().zip(hist.counts()) {
             cumulative += count;
             let le = if base.is_empty() {
                 format!("{{le=\"{bound}\"}}")
@@ -245,8 +245,7 @@ fn push_histogram_json(out: &mut String, hist: &Histogram) {
                 out.push(',');
             }
             first = false;
-            let le = hist
-                .bounds()
+            let le = Histogram::BOUNDS
                 .get(i)
                 .map_or("+Inf".to_string(), |b| format!("{b}"));
             crate::push_json_string(out, &le);
@@ -322,7 +321,6 @@ mod tests {
         r.counter_add("serve_test.skipped", 7.0);
         r.gauge_set("serve_test.queue_depth{worker=0}", 3.0);
         r.gauge_set("serve_test.queue_depth{worker=1}", 5.0);
-        r.register_histogram("serve_test.wall_us", &[10.0, 100.0]);
         r.observe("serve_test.wall_us", 50.0);
         r.observe("serve_test.wall_us", 5000.0);
         let text = prometheus_text(&r.snapshot());
@@ -339,6 +337,7 @@ mod tests {
         assert!(text.contains("# TYPE serve_test_wall_us histogram\n"));
         assert!(text.contains("serve_test_wall_us_bucket{le=\"10\"} 0\n"));
         assert!(text.contains("serve_test_wall_us_bucket{le=\"100\"} 1\n"));
+        assert!(text.contains("serve_test_wall_us_bucket{le=\"10000\"} 2\n"));
         assert!(text.contains("serve_test_wall_us_bucket{le=\"+Inf\"} 2\n"));
         assert!(text.contains("serve_test_wall_us_sum 5050\n"));
         assert!(text.contains("serve_test_wall_us_count 2\n"));
@@ -418,9 +417,8 @@ mod tests {
     #[test]
     fn snapshot_json_renders_exemplars_by_bucket_bound() {
         let r = Registry::new();
-        r.register_histogram("exj.wall_us", &[10.0, 100.0]);
         r.observe_with_exemplar("exj.wall_us", 50.0, 77);
-        r.observe_with_exemplar("exj.wall_us", 5000.0, 88);
+        r.observe_with_exemplar("exj.wall_us", 5e8, 88);
         let json = snapshot_json(&r.snapshot());
         assert!(
             json.contains("\"exemplars\":{\"100\":77,\"+Inf\":88}"),

@@ -75,7 +75,7 @@ pub fn span_stats(events: &[Event]) -> Vec<SpanStat> {
                 let children = child_us.remove(id).unwrap_or(0);
                 durations
                     .entry(span.name.clone())
-                    .or_insert_with(Histogram::default_us)
+                    .or_default()
                     .observe(duration as f64);
                 let stat = stats.entry(span.name.clone()).or_insert_with(|| SpanStat {
                     name: span.name,

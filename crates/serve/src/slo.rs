@@ -89,65 +89,20 @@ fn read_registry_sample() -> Sample {
     }
 }
 
-/// Estimated number of samples in `delta_counts` lying above `threshold`,
-/// assuming samples are uniform within each bucket. The overflow bucket
-/// (unbounded above) counts entirely as "above" once the threshold
-/// reaches the last finite bound — the conservative reading.
-fn count_above(bounds: &[f64], delta_counts: &[u64], threshold: f64) -> f64 {
-    let mut above = 0.0;
-    for (i, &count) in delta_counts.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        let count = count as f64;
-        let lower = if i == 0 { 0.0 } else { bounds[i - 1] };
-        match bounds.get(i) {
-            None => {
-                // Overflow bucket: above unless the threshold exceeds the
-                // last bound (then we cannot place it — count it all).
-                above += count;
-            }
-            Some(&upper) if upper <= threshold => {}
-            Some(_) if lower >= threshold => above += count,
-            Some(&upper) => above += count * (upper - threshold) / (upper - lower),
-        }
-    }
-    above
-}
-
 /// Evaluate one window between two registry readings. Pure: testable
 /// without threads or the global registry.
 fn window_status(window: &str, old: &Sample, new: &Sample, cfg: &SloConfig) -> SloWindowStatus {
     let seconds = new.at.saturating_duration_since(old.at).as_secs_f64();
-    let (requests, slow) = match (&old.hist, &new.hist) {
-        (_, None) => (0.0, 0.0),
-        (None, Some(cur)) => {
-            let requests = cur.count() as f64;
-            (
-                requests,
-                count_above(cur.bounds(), cur.counts(), cfg.latency_p99_us),
-            )
-        }
-        (Some(prev), Some(cur)) => {
-            if prev.bounds() != cur.bounds() || prev.count() > cur.count() {
-                // Registry cleared or re-registered mid-flight: the delta
-                // is meaningless, report the window as empty.
-                (0.0, 0.0)
-            } else {
-                let delta: Vec<u64> = cur
-                    .counts()
-                    .iter()
-                    .zip(prev.counts())
-                    .map(|(c, p)| c.saturating_sub(*p))
-                    .collect();
-                let requests = (cur.count() - prev.count()) as f64;
-                (
-                    requests,
-                    count_above(cur.bounds(), &delta, cfg.latency_p99_us),
-                )
-            }
-        }
+    // A registry cleared mid-window leaves no meaningful delta: the
+    // window reports empty.
+    let delta = match (&old.hist, &new.hist) {
+        (_, None) => None,
+        (None, Some(cur)) => Some(cur.clone()),
+        (Some(prev), Some(cur)) => cur.since(prev),
     };
+    let (requests, slow) = delta.map_or((0.0, 0.0), |d| {
+        (d.count() as f64, d.count_above(cfg.latency_p99_us))
+    });
     let shed = (new.shed - old.shed).max(0.0);
     let latency_budget = 1.0 - 0.99;
     let latency_burn = if requests > 0.0 {
@@ -287,7 +242,7 @@ mod tests {
     use super::*;
 
     fn sample(at: Instant, walls: &[f64], shed: f64) -> Sample {
-        let mut hist = Histogram::default_us();
+        let mut hist = Histogram::default();
         for &w in walls {
             hist.observe(w);
         }
@@ -377,15 +332,19 @@ mod tests {
     fn count_above_interpolates_within_buckets() {
         // One bucket (100, 1000] with 10 samples; threshold 550 sits
         // halfway → 5 estimated above.
-        let bounds = [100.0, 1000.0];
-        let counts = [0u64, 10, 0];
-        assert!((count_above(&bounds, &counts, 550.0) - 5.0).abs() < 1e-9);
+        let mut counts = [0u64; 10];
+        counts[3] = 10;
+        let hist = Histogram::from_parts(&counts, 5_500.0, 10, 100.0, 1000.0).unwrap();
+        assert!((hist.count_above(550.0) - 5.0).abs() < 1e-9);
         // Threshold below the bucket: everything above.
-        assert!((count_above(&bounds, &counts, 50.0) - 10.0).abs() < 1e-9);
+        assert!((hist.count_above(50.0) - 10.0).abs() < 1e-9);
         // Threshold above the bucket: nothing.
-        assert_eq!(count_above(&bounds, &counts, 1000.0), 0.0);
+        assert_eq!(hist.count_above(1000.0), 0.0);
         // Overflow bucket counts as above.
-        assert_eq!(count_above(&bounds, &[0, 0, 3], 1e9), 3.0);
+        let mut counts = [0u64; 10];
+        counts[9] = 3;
+        let overflow = Histogram::from_parts(&counts, 6e8, 3, 2e8, 2e8).unwrap();
+        assert_eq!(overflow.count_above(1e9), 3.0);
     }
 
     #[test]

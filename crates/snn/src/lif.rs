@@ -21,7 +21,7 @@ use skipper_autograd::{Graph, Surrogate, Var};
 use skipper_tensor::Tensor;
 
 /// Parameters of a LIF neuron population.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LifConfig {
     /// Membrane leak `λ` (< 1).
     pub leak: f32,

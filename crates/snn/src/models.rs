@@ -16,7 +16,7 @@ use crate::params::ParamStore;
 use skipper_tensor::{Conv2dSpec, XorShiftRng};
 
 /// Shared knobs of every model constructor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ModelConfig {
     /// Input height = width, pixels.
     pub input_hw: usize,

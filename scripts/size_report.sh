@@ -2,9 +2,9 @@
 # Size trend of the workspace (ROADMAP item 6): non-test lines and `pub`
 # items per crate, the number of lint waivers outside the lint crate, and
 # the number of bench binaries. Fails when a number this repo has committed
-# to (core, wire, bench, report, tensor, autograd, snn, serve and data lines,
-# waivers) is exceeded, so growth is a decision made by editing this file,
-# not an accident; the `pub` and binary counts are reported only. "wire" is
+# to (core, wire, bench, report, tensor, autograd, snn, serve, data and obs
+# lines, waivers) is exceeded, so growth is a decision made by editing this
+# file, not an accident; the `pub` and binary counts are reported only. "wire" is
 # the part of core that is not the paper — `transport.rs` + `cluster.rs` —
 # counted on its own so that the split into its own crate (ROADMAP item 4)
 # starts from a committed number. tensor, autograd and snn are the numeric
@@ -23,21 +23,24 @@
 # docs +2), which runs vgg5's convolution products 3x faster on an AVX-512
 # CPU. "data" has a ceiling so that the deleted augmentation
 # module cannot creep back, as core's planner, snn's schedules and metrics,
-# and tensor's concat/slice cannot past theirs.
+# and tensor's concat/slice cannot past theirs. "obs" has one so that
+# per-histogram bucket bounds cannot creep back: every histogram shares one
+# layout, and the wire, the merge and the SLO engine rely on it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Ceilings: the values at the commit that last edited them. Lower them when
 # a PR shrinks the code; raise them only with a reason in the PR.
-CEILING_CORE=7017
-CEILING_WIRE=2657
+CEILING_CORE=6903
+CEILING_WIRE=2542
 CEILING_BENCH=2700
 CEILING_REPORT=439
 CEILING_TENSOR=1563
 CEILING_AUTOGRAD=770
 CEILING_SNN=2828
-CEILING_SERVE=1729
+CEILING_SERVE=1684
 CEILING_DATA=846
+CEILING_OBS=2977
 CEILING_WAIVERS=38
 
 # Lines of each src file up to its first `#[cfg(test)]` (all of it if none);
@@ -72,6 +75,7 @@ autograd_lines=$(non_test_lines crates/autograd/src)
 snn_lines=$(non_test_lines crates/snn/src)
 serve_lines=$(non_test_lines crates/serve/src)
 data_lines=$(non_test_lines crates/data/src)
+obs_lines=$(non_test_lines crates/obs/src)
 waivers=$(grep -rn 'lint:allow' --include='*.rs' --include='*.toml' \
     crates src tests examples benchmark | grep -vc '^crates/lint/' || true)
 echo "lint:allow outside crates/lint: $waivers (ceiling $CEILING_WAIVERS)"
@@ -94,6 +98,7 @@ check_ceiling crates/autograd/src "$autograd_lines" "$CEILING_AUTOGRAD"
 check_ceiling crates/snn/src "$snn_lines" "$CEILING_SNN"
 check_ceiling crates/serve/src "$serve_lines" "$CEILING_SERVE"
 check_ceiling crates/data/src "$data_lines" "$CEILING_DATA"
+check_ceiling crates/obs/src "$obs_lines" "$CEILING_OBS"
 if [ "$waivers" -gt "$CEILING_WAIVERS" ]; then
     echo "error: more lint waivers than the ceiling" >&2
     status=1
