@@ -3,8 +3,8 @@
 use crate::surrogate::Surrogate;
 use skipper_memprof::{record_op, Category, CategoryGuard, OpKind};
 use skipper_tensor::{
-    avg_pool2d, avg_pool2d_backward, conv2d, conv2d_backward_input, conv2d_backward_weight, matmul,
-    matmul_nt, matmul_tn, Conv2dSpec, Shape, Tensor,
+    avg_pool2d, avg_pool2d_backward, conv2d, lif_fire, matmul, matmul_nt, matmul_tn, Conv2dGrad,
+    Conv2dSpec, Shape, Tensor,
 };
 
 /// Handle to a node in a [`Graph`].
@@ -244,15 +244,16 @@ impl Graph {
         )
     }
 
-    /// One leaky-integrate-and-fire step in one pass:
+    /// One leaky-integrate-and-fire step in one pass ([`lif_fire`]):
     /// `U = (I + λ·mem) + (−θ)·o_prev` and `o = H(U − θ)`, appending the
-    /// membrane node `U` and its [`Graph::spike`] node `o`.
+    /// membrane node `U` and its [`Graph::spike`] node `o`, and returning
+    /// the number of spikes in `o` as well.
     ///
     /// `prev_spike` enters as a value: the reset is detached (paper Section
     /// III-B), so the backward gives `current` the gradient of `U` and `mem`
     /// that gradient times `λ`. The op log records the kernels of the
-    /// unfused chain — two axpys and a threshold — so FLOP and byte counts
-    /// do not depend on the fusion.
+    /// unfused chain — two axpys, a threshold and the count's reduce — so
+    /// FLOP and byte counts do not depend on the fusion.
     ///
     /// # Panics
     ///
@@ -265,26 +266,14 @@ impl Graph {
         leak: f32,
         theta: f32,
         surrogate: Surrogate,
-    ) -> (Var, Var) {
-        let (i, m) = (self.value(current), self.value(mem));
-        assert_eq!(i.shape(), m.shape(), "LIF current vs membrane shape");
-        assert_eq!(i.shape(), prev_spike.shape(), "LIF current vs spike shape");
-        let (n, bytes) = (i.numel() as f64, i.byte_size() as f64);
-        let (u, o): (Vec<f32>, Vec<f32>) = i
-            .data()
-            .iter()
-            .zip(m.data())
-            .zip(prev_spike.data())
-            .map(|((&iv, &mv), &ov)| {
-                let uv = (iv + leak * mv) + -theta * ov;
-                (uv, if uv >= theta { 1.0 } else { 0.0 })
-            })
-            .unzip();
-        record_op(OpKind::Elementwise, n, 3.0 * bytes);
-        record_op(OpKind::Elementwise, n, 3.0 * bytes);
-        record_op(OpKind::Elementwise, n, 2.0 * bytes);
-        let u = Tensor::from_vec(u, i.shape().clone());
-        let o = Tensor::from_vec(o, i.shape().clone());
+    ) -> (Var, Var, f64) {
+        let (u, o, fired) = lif_fire(
+            self.value(current),
+            self.value(mem),
+            prev_spike,
+            leak,
+            theta,
+        );
         let rg = self.requires(current) || self.requires(mem);
         let u = self.push(u, Op::Lif { current, mem, leak }, rg);
         let spike = Op::Spike {
@@ -292,7 +281,7 @@ impl Graph {
             theta,
             surrogate,
         };
-        (u, self.push(o, spike, rg))
+        (u, self.push(o, spike, rg), fired)
     }
 
     /// Rectified linear unit `max(0, x)`.
@@ -451,16 +440,17 @@ impl Graph {
                     }
                 }
                 Op::Conv2d { x, w, b, spec } => {
+                    // One permute of `g` serves both gradients.
+                    let grad =
+                        Conv2dGrad::new(&g, self.shape(x).dims(), self.shape(w).dims(), spec);
                     if self.requires(x) {
-                        let shape = self.shape(x).dims().to_vec();
-                        let gx = conv2d_backward_input(&g, &shape, self.value(w), spec);
+                        let gx = grad.input(self.value(w));
                         self.accumulate(x, gx);
                     }
                     let need_w = self.requires(w);
                     let need_b = b.is_some_and(|b| self.requires(b));
                     if need_w || need_b {
-                        let wshape = self.shape(w).dims().to_vec();
-                        let (gw, gb) = conv2d_backward_weight(&g, self.value(x), &wshape, spec);
+                        let (gw, gb) = grad.weight(self.value(x));
                         if need_w {
                             self.accumulate(w, gw);
                         }
@@ -493,13 +483,8 @@ impl Graph {
                             2.0 * g.numel() as f64,
                             3.0 * g.byte_size() as f64,
                         );
-                        let uval = self.value(u).clone();
-                        let data: Vec<f32> = g
-                            .data()
-                            .iter()
-                            .zip(uval.data())
-                            .map(|(&gv, &uv)| gv * surrogate.derivative(uv - theta))
-                            .collect();
+                        let uval = self.value(u);
+                        let data = surrogate.backward(g.data(), uval.data(), theta);
                         let gu = Tensor::from_vec(data, uval.shape().clone());
                         self.accumulate(u, gu);
                     }
@@ -596,7 +581,8 @@ mod tests {
         let current = g.leaf(Tensor::from_vec(vec![1.0], [1]), true);
         let mem = g.leaf(Tensor::from_vec(vec![0.5], [1]), true);
         let prev = Tensor::from_vec(vec![1.0], [1]);
-        let (u, o) = g.lif(current, mem, &prev, 0.5, 0.5, Surrogate::default_triangle());
+        let (u, o, fired) = g.lif(current, mem, &prev, 0.5, 0.5, Surrogate::default_triangle());
+        assert_eq!(fired, 1.0);
         // U = (1 + 0.5·0.5) − 0.5·1 = 0.75 ≥ θ = 0.5.
         assert_eq!(g.value(u).data(), &[0.75]);
         assert_eq!(g.value(o).data(), &[1.0]);

@@ -36,26 +36,38 @@ impl Surrogate {
         Surrogate::Triangle { width: 1.0 }
     }
 
-    /// The surrogate derivative evaluated at `x = U − θ`.
-    #[inline]
+    /// The surrogate derivative evaluated at `x = U − θ`: the one-element
+    /// case of the spike backward.
     pub fn derivative(&self, x: f32) -> f32 {
+        self.backward(&[1.0], &[x], 0.0)[0]
+    }
+
+    /// `grad ⊙ σ′(u − θ)`, elementwise: the backward of `o = H(u − θ)`.
+    /// The variant is matched once, and each arm runs its own loop.
+    pub(crate) fn backward(&self, grad: &[f32], u: &[f32], theta: f32) -> Vec<f32> {
+        fn pass(grad: &[f32], u: &[f32], theta: f32, d: impl Fn(f32) -> f32) -> Vec<f32> {
+            grad.iter()
+                .zip(u)
+                .map(|(&g, &u)| g * d(u - theta))
+                .collect()
+        }
         match *self {
-            Surrogate::Triangle { width } => {
+            Surrogate::Triangle { width } => pass(grad, u, theta, |x| {
                 let a = 1.0 - (x / width).abs();
                 if a > 0.0 {
                     a / width
                 } else {
                     0.0
                 }
-            }
-            Surrogate::FastSigmoid { slope } => {
+            }),
+            Surrogate::FastSigmoid { slope } => pass(grad, u, theta, |x| {
                 let d = 1.0 + slope * x.abs();
                 1.0 / (d * d)
-            }
-            Surrogate::ArcTan { alpha } => {
+            }),
+            Surrogate::ArcTan { alpha } => pass(grad, u, theta, |x| {
                 let z = std::f32::consts::FRAC_PI_2 * alpha * x;
                 alpha / (2.0 * (1.0 + z * z))
-            }
+            }),
         }
     }
 }
@@ -79,6 +91,74 @@ impl fmt::Display for Surrogate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The spike backward [`Surrogate::backward`] replaced: the variant
+    /// matched inside the loop, once per element.
+    fn backward_reference(s: Surrogate, grad: &[f32], u: &[f32], theta: f32) -> Vec<f32> {
+        let derivative = |x: f32| match s {
+            Surrogate::Triangle { width } => {
+                let a = 1.0 - (x / width).abs();
+                if a > 0.0 {
+                    a / width
+                } else {
+                    0.0
+                }
+            }
+            Surrogate::FastSigmoid { slope } => {
+                let d = 1.0 + slope * x.abs();
+                1.0 / (d * d)
+            }
+            Surrogate::ArcTan { alpha } => {
+                let z = std::f32::consts::FRAC_PI_2 * alpha * x;
+                alpha / (2.0 * (1.0 + z * z))
+            }
+        };
+        grad.iter()
+            .zip(u)
+            .map(|(&g, &u)| g * derivative(u - theta))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every variant gives the per-element loop's bits. `θ` and the
+        /// width are dyadic, so `U − θ` lands exactly on `0` and `±width`
+        /// where the case puts it; `±0.0` gradients are among the draws.
+        #[test]
+        fn backward_is_bitwise_the_per_element_loop(
+            cells in prop::collection::vec((0u8..6, -3.0f32..3.0, -2.0f32..2.0), 1..24),
+            variant in 0u8..3, theta_exp in -2i32..2, width_exp in -2i32..2,
+            shape in 0.1f32..5.0,
+        ) {
+            let theta = 2f32.powi(theta_exp);
+            let width = 2f32.powi(width_exp);
+            let s = match variant {
+                0 => Surrogate::Triangle { width },
+                1 => Surrogate::FastSigmoid { slope: shape },
+                _ => Surrogate::ArcTan { alpha: shape },
+            };
+            let (mut grad, mut u) = (Vec::new(), Vec::new());
+            for &(kind, x, g) in &cells {
+                u.push(match kind {
+                    0 => theta,
+                    1 => theta + width,
+                    2 => theta - width,
+                    _ => theta + x,
+                });
+                grad.push(match kind {
+                    3 => 0.0,
+                    4 => -0.0,
+                    _ => g,
+                });
+            }
+            let got: Vec<u32> = s.backward(&grad, &u, theta).iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> =
+                backward_reference(s, &grad, &u, theta).iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want, "{}", s);
+        }
+    }
 
     #[test]
     fn triangle_shape() {

@@ -18,7 +18,7 @@
 //!   exchange `∂L/∂U`.
 
 use skipper_autograd::{Graph, Surrogate, Var};
-use skipper_tensor::Tensor;
+use skipper_tensor::{lif_fire, Tensor};
 
 /// Parameters of a LIF neuron population.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -54,18 +54,15 @@ impl LifConfig {
 /// One plain (gradient-free) LIF step.
 ///
 /// Returns `(U_t, o_t)` given the synaptic current `I_t`, previous membrane
-/// `U_{t-1}` and previous spikes `o_{t-1}` (all of the same shape).
+/// `U_{t-1}` and previous spikes `o_{t-1}` (all of the same shape): the
+/// [`lif_fire`] pass every LIF step runs, without its spike count.
 pub fn lif_step_infer(
     cfg: &LifConfig,
     current: &Tensor,
     mem: &Tensor,
     prev_spike: &Tensor,
 ) -> (Tensor, Tensor) {
-    let u = current
-        .add_scaled(mem, cfg.leak)
-        .add_scaled(prev_spike, -cfg.threshold);
-    let threshold = cfg.threshold;
-    let o = u.map(move |x| if x >= threshold { 1.0 } else { 0.0 });
+    let (u, o, _) = lif_fire(current, mem, prev_spike, cfg.leak, cfg.threshold);
     (u, o)
 }
 
@@ -73,16 +70,16 @@ pub fn lif_step_infer(
 ///
 /// `current` and `mem` are graph variables; `prev_spike` is the previous
 /// spike **value** (detached, per the paper). Returns `(U_t, o_t)` as
-/// variables. Two nodes are appended by the fused [`Graph::lif`]: the
-/// membrane `U_t`, which the spike's surrogate backward reads and the tape
-/// therefore keeps, and the spikes `o_t`.
+/// variables and the number of spikes in `o_t`. Two nodes are appended by
+/// the fused [`Graph::lif`]: the membrane `U_t`, which the spike's surrogate
+/// backward reads and the tape therefore keeps, and the spikes `o_t`.
 pub fn lif_step_taped(
     g: &mut Graph,
     cfg: &LifConfig,
     current: Var,
     mem: Var,
     prev_spike: &Tensor,
-) -> (Var, Var) {
+) -> (Var, Var, f64) {
     g.lif(
         current,
         mem,
@@ -96,9 +93,10 @@ pub fn lif_step_taped(
 /// Graph nodes appended by [`lif_step_taped`].
 pub const TAPED_NODES_PER_LIF: u64 = 2;
 
-/// The unfused reference chain: leak-accumulate, detached reset, spike —
-/// three recorded ops, with the reset's previous spikes entering as a leaf
-/// that takes no gradient. [`Graph::lif`] must equal it bit for bit.
+/// The unfused reference chain: leak-accumulate, detached reset, spike,
+/// spike count — four recorded ops, with the reset's previous spikes
+/// entering as a leaf that takes no gradient. [`Graph::lif`] must equal it
+/// bit for bit.
 #[cfg(test)]
 fn lif_step_reference(
     g: &mut Graph,
@@ -106,12 +104,13 @@ fn lif_step_reference(
     current: Var,
     mem: Var,
     prev_spike: &Tensor,
-) -> (Var, Var) {
+) -> (Var, Var, f64) {
     let pre = g.add_scaled(current, mem, cfg.leak);
     let reset = g.leaf(prev_spike.clone(), false);
     let u = g.add_scaled(pre, reset, -cfg.threshold);
     let o = g.spike(u, cfg.threshold, cfg.surrogate);
-    (u, o)
+    let fired = g.value(o).sum();
+    (u, o, fired)
 }
 
 #[cfg(test)]
@@ -152,32 +151,33 @@ mod tests {
         cols.map(|v| t(&v))
     }
 
-    /// Bits of `(U, o, ∂L/∂current, ∂L/∂mem)` and the op log of one taped
-    /// LIF step built by `step`, with both outputs seeded.
-    fn run(
-        step: fn(&mut Graph, &LifConfig, Var, Var, &Tensor) -> (Var, Var),
-        cfg: &LifConfig,
-        io: &[Tensor; 5],
-    ) -> ([Vec<u32>; 4], OpLog) {
+    /// A taped LIF step: [`lif_step_taped`] or the reference chain.
+    type Step = fn(&mut Graph, &LifConfig, Var, Var, &Tensor) -> (Var, Var, f64);
+
+    /// Bits of `(U, o, spike count, ∂L/∂current, ∂L/∂mem)` and the op log
+    /// of one taped LIF step built by `step`, with both outputs seeded.
+    fn run(step: Step, cfg: &LifConfig, io: &[Tensor; 5]) -> ([Vec<u32>; 4], u64, OpLog) {
         let _ = take_op_log();
         let mut g = Graph::new();
         let current = g.leaf(io[0].clone(), true);
         let mem = g.leaf(io[1].clone(), true);
-        let (u, o) = step(&mut g, cfg, current, mem, &io[2]);
+        let (u, o, fired) = step(&mut g, cfg, current, mem, &io[2]);
         let (ubits, obits) = (bits(g.value(u)), bits(g.value(o)));
         g.seed_grad(o, io[4].clone());
         g.seed_grad(u, io[3].clone());
         g.backward();
         let grads = [current, mem].map(|v| g.grad(v).map(bits).unwrap_or_default());
         let [gc, gm] = grads;
-        ([ubits, obits, gc, gm], take_op_log())
+        ([ubits, obits, gc, gm], fired.to_bits(), take_op_log())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The fused LIF op equals the unfused reference chain bit for
-        /// bit: values, gradients into current and membrane, op records.
+        /// bit: values, spike count, gradients into current and membrane,
+        /// op records, for every surrogate; and the gradient-free step
+        /// gives the same `U` and `o`.
         #[test]
         fn taped_step_is_bitwise_the_reference_chain(
             neurons in prop::collection::vec(
@@ -186,12 +186,22 @@ mod tests {
             ),
             leak in 0.0f32..1.0,
             theta in 0.05f32..2.0,
+            variant in 0u8..3,
         ) {
-            let cfg = LifConfig { leak, threshold: theta, surrogate: Surrogate::default_triangle() };
+            let surrogate = match variant {
+                0 => Surrogate::default_triangle(),
+                1 => Surrogate::FastSigmoid { slope: 5.0 },
+                _ => Surrogate::ArcTan { alpha: 2.0 },
+            };
+            let cfg = LifConfig { leak, threshold: theta, surrogate };
             let io = case(&neurons, theta);
-            let (fused, fused_ops) = run(lif_step_taped, &cfg, &io);
-            let (reference, reference_ops) = run(lif_step_reference, &cfg, &io);
+            let (fused, fused_count, fused_ops) = run(lif_step_taped, &cfg, &io);
+            let (reference, reference_count, reference_ops) = run(lif_step_reference, &cfg, &io);
+            let (u, o) = lif_step_infer(&cfg, &io[0], &io[1], &io[2]);
+            prop_assert_eq!(&fused[0], &bits(&u));
+            prop_assert_eq!(&fused[1], &bits(&o));
             prop_assert_eq!(fused, reference);
+            prop_assert_eq!(fused_count, reference_count);
             prop_assert_eq!(fused_ops, reference_ops);
         }
     }
@@ -241,7 +251,7 @@ mod tests {
         let mut g = Graph::new();
         let cv = g.leaf(current.clone(), false);
         let mv = g.leaf(mem.clone(), true);
-        let (ut, ot) = lif_step_taped(&mut g, &cfg, cv, mv, &prev);
+        let (ut, ot, _) = lif_step_taped(&mut g, &cfg, cv, mv, &prev);
         assert!(g.value(ut).allclose(&ui, 1e-6));
         assert!(g.value(ot).allclose(&oi, 1e-6));
     }
@@ -257,7 +267,7 @@ mod tests {
         let current = g.leaf(t(&[0.5]), true);
         let mem = g.leaf(t(&[0.6]), true);
         let prev = t(&[1.0]); // previous spike, reset active
-        let (u, _o) = lif_step_taped(&mut g, &cfg, current, mem, &prev);
+        let (u, _o, _) = lif_step_taped(&mut g, &cfg, current, mem, &prev);
         g.seed_grad(u, t(&[1.0]));
         g.backward();
         // dU/dI = 1, dU/dU_prev = λ; reset contributes nothing.

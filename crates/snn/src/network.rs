@@ -23,11 +23,11 @@
 //! carries gradient across a checkpoint boundary.
 
 use crate::layers::{Conv2dLayer, LinearLayer};
-use crate::lif::{lif_step_infer, lif_step_taped, LifConfig};
+use crate::lif::{lif_step_taped, LifConfig};
 use crate::params::{ParamBinder, ParamStore};
 use skipper_autograd::{Graph, Var};
 use skipper_memprof::{Category, CategoryGuard};
-use skipper_tensor::{avg_pool2d, Tensor, XorShiftRng};
+use skipper_tensor::{avg_pool2d, lif_fire, Tensor, XorShiftRng};
 
 /// A LIF population attached to a synapse layer.
 #[derive(Debug, Clone)]
@@ -36,6 +36,25 @@ pub struct LifUnit {
     pub cfg: LifConfig,
     /// Index into the network's state vectors.
     pub state_id: usize,
+}
+
+impl LifUnit {
+    /// One gradient-free step of this population: advances its `(U, o)` in
+    /// `state`, adds its spike count to `spike_sum` and returns the spikes.
+    fn step_infer(
+        &self,
+        current: &Tensor,
+        state: &mut NetworkState,
+        spike_sum: &mut f64,
+    ) -> Tensor {
+        let id = self.state_id;
+        let (mem, prev) = (&state.mems[id], &state.spikes[id]);
+        let (u, o, fired) = lif_fire(current, mem, prev, self.cfg.leak, self.cfg.threshold);
+        *spike_sum += fired;
+        state.mems[id] = u;
+        state.spikes[id] = o.clone();
+        o
+    }
 }
 
 /// One stage of a [`SpikingNetwork`].
@@ -537,15 +556,7 @@ impl SpikingNetwork {
             match m {
                 Module::ConvLif { conv, lif, pool } => {
                     let current = conv.forward_infer(&self.params, &x);
-                    let (u, o) = lif_step_infer(
-                        &lif.cfg,
-                        &current,
-                        &state.mems[lif.state_id],
-                        &state.spikes[lif.state_id],
-                    );
-                    spike_sum += o.sum();
-                    state.mems[lif.state_id] = u;
-                    state.spikes[lif.state_id] = o.clone();
+                    let o = lif.step_infer(&current, state, &mut spike_sum);
                     x = match pool {
                         Some(k) => avg_pool2d(&o, *k),
                         None => o,
@@ -553,15 +564,7 @@ impl SpikingNetwork {
                 }
                 Module::LinearLif { lin, lif, dropout } => {
                     let current = lin.forward_infer(&self.params, &x);
-                    let (u, o) = lif_step_infer(
-                        &lif.cfg,
-                        &current,
-                        &state.mems[lif.state_id],
-                        &state.spikes[lif.state_id],
-                    );
-                    spike_sum += o.sum();
-                    state.mems[lif.state_id] = u;
-                    state.spikes[lif.state_id] = o.clone();
+                    let o = lif.step_infer(&current, state, &mut spike_sum);
                     x = match dropout {
                         Some(p) if ctx.train => {
                             let mask = dropout_mask(o.shape().dims(), *p, lif.state_id, ctx);
@@ -578,31 +581,14 @@ impl SpikingNetwork {
                     lif2,
                 } => {
                     let c1 = conv1.forward_infer(&self.params, &x);
-                    let (u1, o1) = lif_step_infer(
-                        &lif1.cfg,
-                        &c1,
-                        &state.mems[lif1.state_id],
-                        &state.spikes[lif1.state_id],
-                    );
-                    spike_sum += o1.sum();
-                    state.mems[lif1.state_id] = u1;
-                    state.spikes[lif1.state_id] = o1.clone();
+                    let o1 = lif1.step_infer(&c1, state, &mut spike_sum);
                     let c2 = conv2.forward_infer(&self.params, &o1);
                     let sc = match shortcut {
                         Some(p) => p.forward_infer(&self.params, &x),
                         None => x.clone(),
                     };
                     let junction = c2.add(&sc);
-                    let (u2, o2) = lif_step_infer(
-                        &lif2.cfg,
-                        &junction,
-                        &state.mems[lif2.state_id],
-                        &state.spikes[lif2.state_id],
-                    );
-                    spike_sum += o2.sum();
-                    state.mems[lif2.state_id] = u2;
-                    state.spikes[lif2.state_id] = o2.clone();
-                    x = o2;
+                    x = lif2.step_infer(&junction, state, &mut spike_sum);
                 }
                 Module::Pool(k) => x = avg_pool2d(&x, *k),
                 Module::Flatten => {
@@ -668,9 +654,9 @@ impl SpikingNetwork {
                 Module::ConvLif { conv, lif, pool } => {
                     let current = conv.forward_taped(g, binder, &self.params, x);
                     let prev = state.prev_spikes[lif.state_id].clone();
-                    let (u, o) =
+                    let (u, o, fired) =
                         lif_step_taped(g, &lif.cfg, current, state.mems[lif.state_id], &prev);
-                    spike_sum += g.value(o).sum();
+                    spike_sum += fired;
                     state.mems[lif.state_id] = u;
                     state.prev_spikes[lif.state_id] = g.value(o).clone();
                     g.release(current);
@@ -686,9 +672,9 @@ impl SpikingNetwork {
                 Module::LinearLif { lin, lif, dropout } => {
                     let current = lin.forward_taped(g, binder, &self.params, x);
                     let prev = state.prev_spikes[lif.state_id].clone();
-                    let (u, o) =
+                    let (u, o, fired) =
                         lif_step_taped(g, &lif.cfg, current, state.mems[lif.state_id], &prev);
-                    spike_sum += g.value(o).sum();
+                    spike_sum += fired;
                     state.mems[lif.state_id] = u;
                     state.prev_spikes[lif.state_id] = g.value(o).clone();
                     g.release(current);
@@ -711,9 +697,9 @@ impl SpikingNetwork {
                 } => {
                     let c1 = conv1.forward_taped(g, binder, &self.params, x);
                     let prev1 = state.prev_spikes[lif1.state_id].clone();
-                    let (u1, o1) =
+                    let (u1, o1, fired) =
                         lif_step_taped(g, &lif1.cfg, c1, state.mems[lif1.state_id], &prev1);
-                    spike_sum += g.value(o1).sum();
+                    spike_sum += fired;
                     state.mems[lif1.state_id] = u1;
                     state.prev_spikes[lif1.state_id] = g.value(o1).clone();
                     let c2 = conv2.forward_taped(g, binder, &self.params, o1);
@@ -722,9 +708,9 @@ impl SpikingNetwork {
                         .map(|p| p.forward_taped(g, binder, &self.params, x));
                     let junction = g.add(c2, projection.unwrap_or(x));
                     let prev2 = state.prev_spikes[lif2.state_id].clone();
-                    let (u2, o2) =
+                    let (u2, o2, fired) =
                         lif_step_taped(g, &lif2.cfg, junction, state.mems[lif2.state_id], &prev2);
-                    spike_sum += g.value(o2).sum();
+                    spike_sum += fired;
                     state.mems[lif2.state_id] = u2;
                     state.prev_spikes[lif2.state_id] = g.value(o2).clone();
                     for current in [c1, c2, junction].into_iter().chain(projection) {

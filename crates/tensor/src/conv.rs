@@ -17,7 +17,16 @@
 //!
 //! The lowered matrices are booked under [`Category::Workspace`] so they
 //! show up in the right bucket of the memory breakdowns. No lowering tests a
-//! coordinate per element: see `ConvDims::for_each_run`.
+//! coordinate per element: the in-bounds output positions of a kernel
+//! offset form a range, computed once per offset. `im2col` copies each
+//! plane of a kernel offset as one span where the geometry allows it
+//! (unit stride, as many output as input columns — every padded 3x3 here),
+//! and zeroes each row just before filling it; `im2row` and `col2im` walk
+//! the same ranges one output line at a time (`ConvDims::for_each_run`).
+//! The `[Cout, B·L]` ↔ `[B, Cout, L]` permutes copy whole `L`-runs, the
+//! forward adds the bias in the same pass, and [`Conv2dGrad`] permutes the
+//! output gradient once for both backward products. Every kernel is a copy
+//! or a sum in a fixed order, so no output bit depends on how it is walked.
 //!
 //! [`Category::Workspace`]: skipper_memprof::Category::Workspace
 
@@ -98,7 +107,7 @@ struct ConvDims {
 /// `(n, c, h, w)` of a rank-4 dimension list, with [`Shape::as_4d`]'s panic.
 ///
 /// [`Shape::as_4d`]: crate::Shape::as_4d
-fn dims4(dims: &[usize]) -> (usize, usize, usize, usize) {
+pub(crate) fn dims4(dims: &[usize]) -> (usize, usize, usize, usize) {
     match *dims {
         [n, c, h, w] => (n, c, h, w),
         _ => Shape::from(dims).as_4d(),
@@ -183,25 +192,60 @@ struct Run {
 }
 
 /// Lower `input` to the `[K, B·L]` column matrix.
+///
+/// Each row is one kernel offset `(c, ki, kj)`: `B` planes, each a shifted
+/// copy of an input plane with the padding zeroed. A row is zeroed just
+/// before its taps are copied in, while it is in cache, not in a pass of
+/// its own. With unit stride and as many output as input columns, a plane's
+/// taps are one contiguous span of the input, from the first in-bounds tap
+/// to the last, copied at once; what the span also carries into the gaps
+/// between two rows' runs is padding, and is zeroed again.
 fn im2col(input: &Tensor, d: &ConvDims) -> Tensor {
     let _ws = CategoryGuard::new(Category::Workspace);
-    let (k, bl) = (d.k(), d.b * d.l());
-    let mut cols = Tensor::zeros([k, bl]);
+    let (k, l, bl) = (d.k(), d.l(), d.b * d.l());
     record_op(OpKind::Copy, 0.0, (k * bl * 4) as f64);
+    if l == 0 {
+        return Tensor::zeros([k, bl]);
+    }
+    let (stride, pad, w, wo) = (d.spec.stride, d.spec.padding, d.w, d.wo);
+    let ohs = d.spec.valid_outputs(d.kh, d.h, d.ho);
+    let ows = d.spec.valid_outputs(d.kw, d.w, d.wo);
     let src = input.data();
-    let dst = cols.data_mut();
-    let stride = d.spec.stride;
-    d.for_each_run(|r| {
-        let run = &mut dst[r.krow * bl + r.out..][..r.len];
-        if stride == 1 {
-            run.copy_from_slice(&src[r.src..r.src + r.len]);
-        } else {
-            for (o, &v) in run.iter_mut().zip(src[r.src..].iter().step_by(stride)) {
-                *o = v;
+    let mut cols = Vec::with_capacity(k * bl);
+    for c in 0..d.cin {
+        for (ki, ohs) in ohs.iter().enumerate() {
+            for (kj, ows) in ows.iter().enumerate() {
+                let at = cols.len();
+                cols.resize(at + bl, 0.0);
+                if ohs.is_empty() || ows.is_empty() {
+                    continue;
+                }
+                // Non-negative inside the valid ranges.
+                let (ih, iw) = (ohs.start * stride + ki - pad, ows.start * stride + kj - pad);
+                for (b, dst) in cols[at..].chunks_exact_mut(l).enumerate() {
+                    let plane = &src[(b * d.cin + c) * d.h * w..][..d.h * w];
+                    if stride == 1 && w == wo {
+                        let n = (ohs.len() - 1) * wo + ows.len();
+                        let span = &mut dst[ohs.start * wo + ows.start..][..n];
+                        span.copy_from_slice(&plane[ih * w + iw..][..n]);
+                        let gap = wo - ows.len();
+                        for gap_then_run in span[ows.len()..].chunks_exact_mut(wo) {
+                            gap_then_run[..gap].fill(0.0);
+                        }
+                    } else {
+                        let rows = dst[ohs.start * wo..ohs.end * wo].chunks_exact_mut(wo);
+                        for (row, src_row) in rows.zip(plane[ih * w..].chunks(w).step_by(stride)) {
+                            let taps = src_row[iw..].iter().step_by(stride);
+                            for (o, &v) in row[ows.clone()].iter_mut().zip(taps) {
+                                *o = v;
+                            }
+                        }
+                    }
+                }
             }
         }
-    });
-    cols
+    }
+    Tensor::from_vec(cols, [k, bl])
 }
 
 /// Lower `input` to the `[B·L, K]` row matrix, the transpose of [`im2col`]'s
@@ -250,19 +294,29 @@ fn col2im(cols: &Tensor, d: &ConvDims) -> Tensor {
     grad_input
 }
 
-/// Permute `[B,C,L]`-flat data to `[C, B·L]` (or back with `invert`).
-fn permute_bcl_cbl(src: &[f32], b: usize, c: usize, l: usize, invert: bool) -> Vec<f32> {
-    let mut out = vec![0.0f32; b * c * l];
-    for bi in 0..b {
-        for ci in 0..c {
-            for li in 0..l {
-                let bcl = (bi * c + ci) * l + li;
-                let cbl = ci * (b * l) + bi * l + li;
-                if invert {
-                    out[bcl] = src[cbl];
-                } else {
-                    out[cbl] = src[bcl];
-                }
+/// Permute `[B,C,L]`-flat data to `[C, B·L]` (or back with `invert`), one
+/// contiguous `L`-run at a time, adding `bias[c]` to every element of
+/// channel `c` on the way.
+fn permute_bcl_cbl(
+    src: &[f32],
+    (b, c, l): (usize, usize, usize),
+    invert: bool,
+    bias: Option<&[f32]>,
+) -> Vec<f32> {
+    let mut out = Vec::with_capacity(b * c * l);
+    let (outer, inner) = if invert { (b, c) } else { (c, b) };
+    for o in 0..outer {
+        for i in 0..inner {
+            let (bi, ci) = if invert { (o, i) } else { (i, o) };
+            let from = if invert {
+                ci * (b * l) + bi * l
+            } else {
+                (bi * c + ci) * l
+            };
+            let run = &src[from..][..l];
+            match bias {
+                Some(bias) => out.extend(run.iter().map(|&v| v + bias[ci])),
+                None => out.extend_from_slice(run),
             }
         }
     }
@@ -278,25 +332,99 @@ fn permute_bcl_cbl(src: &[f32], b: usize, c: usize, l: usize, invert: bool) -> V
 /// padded input.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Tensor {
     let d = ConvDims::new(input.shape().dims(), weight.shape().dims(), spec);
+    if let Some(bias) = bias {
+        assert_eq!(bias.numel(), d.cout, "bias length vs out channels");
+    }
     let cols = im2col(input, &d);
     let wmat = weight.reshape([d.cout, d.k()]);
     let out_mat = matmul(&wmat, &cols); // [Cout, B·L]
     record_op(OpKind::Conv, 0.0, out_mat.byte_size() as f64);
-    let mut data = permute_bcl_cbl(out_mat.data(), d.b, d.cout, d.l(), true);
-    if let Some(bias) = bias {
-        assert_eq!(bias.numel(), d.cout, "bias length vs out channels");
-        let bdata = bias.data();
-        let l = d.l();
-        for bi in 0..d.b {
-            for (ci, &bv) in bdata.iter().enumerate() {
-                let base = (bi * d.cout + ci) * l;
-                for v in &mut data[base..base + l] {
-                    *v += bv;
+    let data = permute_bcl_cbl(
+        out_mat.data(),
+        (d.b, d.cout, d.l()),
+        true,
+        bias.map(Tensor::data),
+    );
+    Tensor::from_vec(data, [d.b, d.cout, d.ho, d.wo])
+}
+
+/// The output gradient of one convolution, permuted once to the `[Cout, B·L]`
+/// matrix that both backward products read: a graph that needs the input
+/// and the weight gradient builds one of these and asks it for both.
+#[derive(Debug)]
+pub struct Conv2dGrad {
+    d: ConvDims,
+    /// `grad_output` as `[Cout, B·L]`, under [`Category::Workspace`].
+    ///
+    /// [`Category::Workspace`]: skipper_memprof::Category::Workspace
+    grad_mat: Tensor,
+}
+
+impl Conv2dGrad {
+    /// Permute `grad_output [B,Cout,Ho,Wo]` of the convolution of an input
+    /// of `input_shape` with a weight of `weight_shape`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank or channel mismatches, or if `grad_output`'s shape is
+    /// not the forward output's.
+    pub fn new(
+        grad_output: &Tensor,
+        input_shape: &[usize],
+        weight_shape: &[usize],
+        spec: Conv2dSpec,
+    ) -> Conv2dGrad {
+        let d = ConvDims::new(input_shape, weight_shape, spec);
+        assert_eq!(
+            grad_output.shape().dims(),
+            &[d.b, d.cout, d.ho, d.wo],
+            "grad_output shape mismatch"
+        );
+        let _ws = CategoryGuard::new(Category::Workspace);
+        let grad_mat = Tensor::from_vec(
+            permute_bcl_cbl(grad_output.data(), (d.b, d.cout, d.l()), false, None),
+            [d.cout, d.b * d.l()],
+        );
+        Conv2dGrad { d, grad_mat }
+    }
+
+    /// The gradient with respect to the input (booked, like the product it
+    /// is scattered from, under [`Category::Workspace`]).
+    ///
+    /// [`Category::Workspace`]: skipper_memprof::Category::Workspace
+    pub fn input(&self, weight: &Tensor) -> Tensor {
+        let d = &self.d;
+        let _ws = CategoryGuard::new(Category::Workspace);
+        let wmat = weight.reshape([d.cout, d.k()]);
+        let col_grad = matmul_tn(&wmat, &self.grad_mat); // [K, B·L]
+        col2im(&col_grad, d)
+    }
+
+    /// `(grad_weight, grad_bias)`; `grad_bias` is the per-channel sum of
+    /// `grad_output`, each `L`-run summed on its own and added in batch
+    /// order.
+    pub fn weight(&self, input: &Tensor) -> (Tensor, Tensor) {
+        let d = &self.d;
+        assert_eq!(
+            input.shape().dims(),
+            &[d.b, d.cin, d.h, d.w],
+            "input shape mismatch"
+        );
+        let rows = im2row(input, d);
+        let grad_w = matmul(&self.grad_mat, &rows).reshape([d.cout, d.cin, d.kh, d.kw]);
+        let go = self.grad_mat.data();
+        record_op(OpKind::Reduce, go.len() as f64, (go.len() * 4) as f64);
+        let mut grad_b = Tensor::zeros([d.cout]);
+        let (l, bl) = (d.l(), d.b * d.l());
+        if bl > 0 {
+            for (g, channel) in grad_b.data_mut().iter_mut().zip(go.chunks_exact(bl)) {
+                for run in channel.chunks_exact(l) {
+                    *g += run.iter().sum::<f32>();
                 }
             }
         }
+        (grad_w, grad_b)
     }
-    Tensor::from_vec(data, [d.b, d.cout, d.ho, d.wo])
 }
 
 /// Gradient of the convolution with respect to its input.
@@ -313,20 +441,7 @@ pub fn conv2d_backward_input(
     weight: &Tensor,
     spec: Conv2dSpec,
 ) -> Tensor {
-    let d = ConvDims::new(input_shape, weight.shape().dims(), spec);
-    assert_eq!(
-        grad_output.shape().dims(),
-        &[d.b, d.cout, d.ho, d.wo],
-        "grad_output shape mismatch"
-    );
-    let _ws = CategoryGuard::new(Category::Workspace);
-    let grad_mat = Tensor::from_vec(
-        permute_bcl_cbl(grad_output.data(), d.b, d.cout, d.l(), false),
-        [d.cout, d.b * d.l()],
-    );
-    let wmat = weight.reshape([d.cout, d.k()]);
-    let col_grad = matmul_tn(&wmat, &grad_mat); // [K, B·L]
-    col2im(&col_grad, &d)
+    Conv2dGrad::new(grad_output, input_shape, weight.shape().dims(), spec).input(weight)
 }
 
 /// Gradients of the convolution with respect to weight and bias.
@@ -339,40 +454,7 @@ pub fn conv2d_backward_weight(
     weight_shape: &[usize],
     spec: Conv2dSpec,
 ) -> (Tensor, Tensor) {
-    let d = ConvDims::new(input.shape().dims(), weight_shape, spec);
-    assert_eq!(
-        grad_output.shape().dims(),
-        &[d.b, d.cout, d.ho, d.wo],
-        "grad_output shape mismatch"
-    );
-    let rows = im2row(input, &d);
-    let grad_mat = {
-        let _ws = CategoryGuard::new(Category::Workspace);
-        Tensor::from_vec(
-            permute_bcl_cbl(grad_output.data(), d.b, d.cout, d.l(), false),
-            [d.cout, d.b * d.l()],
-        )
-    };
-    let grad_w = matmul(&grad_mat, &rows).reshape([d.cout, d.cin, d.kh, d.kw]);
-    // Bias gradient: sum grad_output over batch and spatial dims.
-    let mut grad_b = Tensor::zeros([d.cout]);
-    record_op(
-        OpKind::Reduce,
-        grad_output.numel() as f64,
-        grad_output.byte_size() as f64,
-    );
-    {
-        let gb = grad_b.data_mut();
-        let go = grad_output.data();
-        let l = d.l();
-        for bi in 0..d.b {
-            for (ci, g) in gb.iter_mut().enumerate() {
-                let base = (bi * d.cout + ci) * l;
-                *g += go[base..base + l].iter().sum::<f32>();
-            }
-        }
-    }
-    (grad_w, grad_b)
+    Conv2dGrad::new(grad_output, input.shape().dims(), weight_shape, spec).weight(input)
 }
 
 #[cfg(test)]
@@ -456,6 +538,26 @@ mod tests {
         grad_input
     }
 
+    /// The permute this crate used before runs were copied whole: one
+    /// index pair per element, the bias added in a second pass.
+    fn permute_reference(src: &[f32], b: usize, c: usize, l: usize, invert: bool) -> Vec<f32> {
+        let mut out = vec![0.0f32; b * c * l];
+        for bi in 0..b {
+            for ci in 0..c {
+                for li in 0..l {
+                    let bcl = (bi * c + ci) * l + li;
+                    let cbl = ci * (b * l) + bi * l + li;
+                    if invert {
+                        out[bcl] = src[cbl];
+                    } else {
+                        out[cbl] = src[bcl];
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// One convolution geometry with an input side length per axis.
     #[derive(Debug, Clone, Copy)]
     struct Case {
@@ -490,11 +592,11 @@ mod tests {
         let wmat = weight.reshape([cout, d.k()]);
         let cols = im2col_reference(&input, &d);
         let grad_mat = Tensor::from_vec(
-            permute_bcl_cbl(go.data(), b, cout, d.l(), false),
+            permute_reference(go.data(), b, cout, d.l(), false),
             [cout, b * d.l()],
         );
 
-        let mut want = permute_bcl_cbl(matmul(&wmat, &cols).data(), b, cout, d.l(), true);
+        let mut want = permute_reference(matmul(&wmat, &cols).data(), b, cout, d.l(), true);
         for (i, v) in want.iter_mut().enumerate() {
             *v += bias.data()[i / d.l() % cout];
         }
@@ -530,6 +632,58 @@ mod tests {
             let case = Case { b, cin, cout, h, w, k, spec: Conv2dSpec { stride, padding } };
             let checked = check_against_reference(case, seed);
             prop_assert!(checked.is_ok(), "{case:?} seed {seed}: {checked:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Each lowering equals its reference bit for bit on its own: the
+        /// column matrix, the row matrix (its transpose) and the scatter-add.
+        #[test]
+        fn lowerings_match_the_reference_bit_for_bit(
+            b in 3usize..5, cin in 1usize..4, h in 1usize..10, w in 1usize..10,
+            k in prop_oneof![Just(1usize), Just(3usize), Just(5usize)],
+            stride in 1usize..3, padding in 0usize..3, seed in 0u64..u64::MAX,
+        ) {
+            prop_assume!(h != w && h.min(w) + 2 * padding >= k);
+            let spec = Conv2dSpec { stride, padding };
+            let d = ConvDims::new(&[b, cin, h, w], &[1, cin, k, k], spec);
+            let mut rng = XorShiftRng::new(seed);
+            let input = mixed([b, cin, h, w], &mut rng);
+            let cols = im2col_reference(&input, &d);
+            let at = format!("{spec:?} k {k} [{b}x{cin}x{h}x{w}] seed {seed}");
+            let checked = same_bits("im2col", &im2col(&input, &d), &cols);
+            prop_assert!(checked.is_ok(), "{at}: {checked:?}");
+            let checked = same_bits("im2row", &im2row(&input, &d), &reference::transposed(&cols));
+            prop_assert!(checked.is_ok(), "{at}: {checked:?}");
+            let col_grad = mixed([d.k(), b * d.l()], &mut rng);
+            let checked = same_bits("col2im", &col2im(&col_grad, &d), &col2im_reference(&col_grad, &d));
+            prop_assert!(checked.is_ok(), "{at}: {checked:?}");
+        }
+
+        /// The permute equals the per-element one in both directions, and
+        /// the forward's folded bias add equals a second pass.
+        #[test]
+        fn permute_matches_the_reference_bit_for_bit(
+            b in 1usize..5, c in 1usize..6, l in 0usize..20, seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = XorShiftRng::new(seed);
+            let src = mixed([b * c * l], &mut rng);
+            let bias = mixed([c], &mut rng);
+            for invert in [false, true] {
+                let got = Tensor::from_vec(permute_bcl_cbl(src.data(), (b, c, l), invert, None), [b * c * l]);
+                let want = Tensor::from_vec(permute_reference(src.data(), b, c, l, invert), [b * c * l]);
+                let checked = same_bits("permute", &got, &want);
+                prop_assert!(checked.is_ok(), "invert {invert} [{b}x{c}x{l}]: {checked:?}");
+            }
+            let got = permute_bcl_cbl(src.data(), (b, c, l), true, Some(bias.data()));
+            let mut want = permute_reference(src.data(), b, c, l, true);
+            for (i, v) in want.iter_mut().enumerate() {
+                *v += bias.data()[i / l % c];
+            }
+            let checked = same_bits("permute + bias", &Tensor::from_vec(got, [b * c * l]), &Tensor::from_vec(want, [b * c * l]));
+            prop_assert!(checked.is_ok(), "[{b}x{c}x{l}]: {checked:?}");
         }
     }
 
@@ -586,6 +740,26 @@ mod tests {
             log.total_bytes(),
             (kk * bl * 4 + gemm_bytes) as f64 + go.byte_size() as f64
         );
+    }
+
+    /// An empty batch or no output channels: every gradient is `+0.0`,
+    /// with the right shape.
+    #[test]
+    fn empty_batches_and_channels_give_zero_gradients() {
+        let spec = Conv2dSpec::padded(1);
+        for (b, cout) in [(0, 3), (2, 0)] {
+            let input = Tensor::ones([b, 2, 4, 5]);
+            let weight = Tensor::ones([cout, 2, 3, 3]);
+            let go = Tensor::ones([b, cout, 4, 5]);
+            let (gw, gb) = conv2d_backward_weight(&go, &input, weight.shape().dims(), spec);
+            let gi = conv2d_backward_input(&go, input.shape().dims(), &weight, spec);
+            assert_eq!(gi.shape(), input.shape());
+            for t in [&gw, &gb, &gi] {
+                assert!(t.data().iter().all(|v| v.to_bits() == 0), "{t:?}");
+            }
+            let out = conv2d(&input, &weight, Some(&Tensor::ones([cout])), spec);
+            assert_eq!(out.shape(), go.shape());
+        }
     }
 
     #[test]

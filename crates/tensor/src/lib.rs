@@ -20,6 +20,8 @@
 //! * [`conv2d`] and friends — im2col-based 2-D convolution with the
 //!   backward-by-input and backward-by-weight kernels;
 //! * [`avg_pool2d`] — average pooling forward/backward;
+//! * [`lif_fire`] — the leaky-integrate-and-fire step as one pass that
+//!   also counts the spikes it emits;
 //! * [`SpikeBits`] — a spike map packed one bit per element, the storage
 //!   of checkpointed spikes and the cluster wire's spike encoding.
 //!
@@ -37,6 +39,7 @@
 //! ```
 
 pub mod conv;
+pub mod lif;
 mod manip;
 pub mod matmul;
 pub mod pool;
@@ -45,7 +48,8 @@ pub mod shape;
 pub mod spike_bits;
 pub mod tensor;
 
-pub use conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, Conv2dSpec};
+pub use conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, Conv2dGrad, Conv2dSpec};
+pub use lif::lif_fire;
 pub use matmul::{matmul, matmul_nt, matmul_tn};
 pub use pool::{avg_pool2d, avg_pool2d_backward};
 pub use random::XorShiftRng;
