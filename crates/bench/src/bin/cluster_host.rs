@@ -29,7 +29,7 @@ const WORKERS: usize = 2;
 const ITERATIONS: usize = 8;
 
 fn main() {
-    let _run = skipper_bench::BenchRun::start("cluster_host");
+    let _run = skipper_bench::BenchRun::start();
     let model = ModelConfig {
         input_hw: 8,
         width_mult: 0.25,

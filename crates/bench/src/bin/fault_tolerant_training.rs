@@ -82,7 +82,7 @@ fn main() {
     // Installs the env-driven sinks, serves SKIPPER_OBS_ADDR and flushes
     // everything on a normal exit (the crash-injection path leaves through
     // process::exit, as a crash would).
-    let _run = skipper_bench::BenchRun::start("fault_tolerant_training");
+    let _run = skipper_bench::BenchRun::start();
     let args = parse_args();
     let w = Workload::build_for_measurement(WorkloadKind::CustomNetNmnist);
     let timesteps = w.timesteps;

@@ -1531,11 +1531,14 @@ fn ablation_surrogate(cx: &mut Ctx, fig: &Figure, r: &mut Report) {
 /// Installs two `skipper-obs` sinks — a `ChromeTraceSink` that writes
 /// `trace_training.trace.json` next to the report (Chrome trace-event
 /// format, drag into <https://ui.perfetto.dev> or `chrome://tracing`) and a
-/// ring buffer whose contents feed the summary table — then trains the
-/// tiny N-MNIST net for a few iterations with `T = 20`, `C = 2`, `p = 50`.
-/// The summary's timing columns are wall-clock: this is the one entry whose
-/// text does not repeat byte for byte. That the trace agrees with the
-/// runner's own accounting is `obs_events.rs`'s test, not checked here.
+/// ring buffer whose contents feed the summary table and
+/// `profile_trace_training.folded` (the capture's span fold: collapsed
+/// stacks weighted by exact self µs, for `flamegraph.pl`) — then trains
+/// the tiny N-MNIST net for a few iterations with `T = 20`, `C = 2`,
+/// `p = 50`. The summary's timing columns and the profile's weights are
+/// wall-clock: this is the one entry whose output does not repeat byte
+/// for byte. That the trace agrees with the runner's own accounting is
+/// `obs_events.rs`'s test, not checked here.
 fn trace_training(cx: &mut Ctx, _: &Figure, r: &mut Report) {
     use skipper_obs as obs;
     let (t, c, p) = (20usize, 2usize, 50.0f32);
@@ -1562,6 +1565,10 @@ fn trace_training(cx: &mut Ctx, _: &Figure, r: &mut Report) {
         skipped += stats.skipped_steps;
         recomputed += stats.recomputed_steps;
     }
+    // Dropping the session joins its pool, so the capture holds the end of
+    // every `worker_task` (a worker hands its result back before its span
+    // closes).
+    drop(s);
 
     // Removing a sink flushes it; the Chrome sink writes its file here.
     obs::remove_sink(chrome);
@@ -1572,6 +1579,13 @@ fn trace_training(cx: &mut Ctx, _: &Figure, r: &mut Report) {
         skipped + recomputed
     ));
     r.line(format!("trace: {} events -> {trace_file}", events.len()));
+    let profile_file = "profile_trace_training.folded";
+    std::fs::write(
+        cx.out.join(profile_file),
+        obs::SpanFold::from_events(&events).folded_text(),
+    )
+    .unwrap_or_else(|err| panic!("cannot write {profile_file}: {err}"));
+    r.line(format!("profile: self µs per span stack -> {profile_file}"));
     r.blank();
     for line in obs::render_summary(&events, &obs::registry().snapshot(), 12).lines() {
         r.line(line);
@@ -1600,7 +1614,7 @@ fn run(quick: bool, names: &[String], out: &Path) -> Ctx {
         .filter(|f| names.is_empty() || names.iter().any(|n| n == f.name))
     {
         println!("=== {} ({:?}) ===", fig.name, fig.source());
-        let _run = BenchRun::start(fig.name);
+        let _run = BenchRun::start();
         let mut report = Report::new(fig.name);
         (fig.render)(&mut cx, fig, &mut report);
         for line in fig.expected.lines() {

@@ -60,7 +60,7 @@ fn main() {
 }
 
 fn real_main() -> i32 {
-    let _run = skipper_bench::BenchRun::start("skipper_worker");
+    let _run = skipper_bench::BenchRun::start();
     let args = parse_args();
     let Some(addr) = args.addr.or_else(cluster_addr_from_env) else {
         eprintln!("no coordinator address: pass --addr or set SKIPPER_CLUSTER_ADDR");

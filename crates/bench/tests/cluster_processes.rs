@@ -60,8 +60,7 @@ fn command(bin: &str, dir: &Path) -> Command {
         .env_remove("SKIPPER_CHAOS")
         .env_remove("SKIPPER_OBS")
         .env_remove("SKIPPER_OBS_ADDR")
-        .env_remove("SKIPPER_OBS_JSONL")
-        .env_remove("SKIPPER_PROF_HZ");
+        .env_remove("SKIPPER_OBS_JSONL");
     cmd
 }
 

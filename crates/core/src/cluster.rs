@@ -1003,9 +1003,6 @@ pub fn run_worker(
     opts: &WorkerOptions,
 ) -> Result<WorkerReport, SkipperError> {
     let mut report = WorkerReport::default();
-    // Join the profiler's thread census: a cluster worker spends most of
-    // its life blocked on the coordinator, and samples should say so.
-    skipper_obs::profile::touch_thread();
     let _no_op_log = skipper_memprof::pause_op_log(); // nothing drains a worker's op log
     let mut rng = XorShiftRng::new(opts.backoff.seed ^ opts.id.wrapping_mul(0x9E37)); // jitter only
     let mut connect_attempt: u32 = 0;

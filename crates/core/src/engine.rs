@@ -74,10 +74,6 @@ impl WorkerPool {
             let handle = thread::Builder::new()
                 .name(format!("skipper-worker-{i}"))
                 .spawn(move || {
-                    // Join the profiler's thread census up front, so
-                    // sampled profiles show idle workers as idle rather
-                    // than invisible.
-                    skipper_obs::profile::touch_thread();
                     let mut idle_us = 0u64;
                     let mut busy_us = 0u64;
                     // lint:allow(determinism): wall-clock feeds worker busy/idle telemetry gauges only, never training math

@@ -163,11 +163,12 @@ re-entry, which self-deadlocks on std::sync::Mutex — is flagged at its
 acquisition or call site, with an example cycle in the message.
 
 Why: the engine worker pool, TCP cluster, serving gateway, SLO thread
-and sampling profiler all run concurrently over shared registries. Two
-threads taking the same pair of locks in opposite orders deadlock
-rarely, under load, in production — exactly where a stalled training
-step or a frozen gateway is most expensive. An acyclic acquisition
-order makes that class of hang impossible by construction.
+and the collector's sinks and span fold all run concurrently over
+shared registries. Two threads taking the same pair of locks in
+opposite orders deadlock rarely, under load, in production — exactly
+where a stalled training step or a frozen gateway is most expensive.
+An acyclic acquisition order makes that class of hang impossible by
+construction.
 
 Inspect: skipper-lint --dump-lock-graph   (DOT; red edges = cycles)
 Fix: pick one global order and acquire in that order everywhere, or
@@ -190,7 +191,7 @@ serve.queue`). RwLock .read()/.write() with no arguments are lock
 acquisitions, not I/O, and feed C1 instead.
 
 Why: a holder blocked on I/O starves every thread queued on that lock —
-the profiler census, the metrics registry and the gateway queue are all
+the event sinks, the metrics registry and the gateway queue are all
 on hot paths — and deadlocks outright when the unblock itself needs the
 lock (recv while holding the lock the sender needs). The fix is almost
 always to move data out under the guard, drop it, then block.

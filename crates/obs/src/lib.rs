@@ -12,7 +12,10 @@
 //! * **Sinks** receive every event: [`RingBufferSink`] (tests, summary
 //!   tables), [`JsonlSink`] (offline analysis), [`ChromeTraceSink`]
 //!   (open the file in Perfetto / `chrome://tracing`), [`StderrSink`]
-//!   (terminal logging behind the `SKIPPER_OBS` verbosity knob).
+//!   (terminal logging behind the `SKIPPER_OBS` verbosity knob);
+//! * **Profiles**: [`SpanFold`] turns span events into exact per-stack
+//!   total and self time — [`span_stats`] and the `/profile` endpoint of a
+//!   [`MetricsServer`] both read it.
 //!
 //! Tracing is **off by default**: with no sinks installed, [`enabled`]
 //! is false and every instrumentation site reduces to one relaxed atomic
@@ -40,6 +43,7 @@
 //! ```
 
 mod event;
+mod fold;
 mod metrics;
 pub mod profile;
 pub mod router;
@@ -53,8 +57,8 @@ pub mod witness;
 pub use event::{
     push_json_f64, push_json_fields, push_json_string, Event, EventKind, FieldValue, Fields, Level,
 };
+pub use fold::SpanFold;
 pub use metrics::{labeled, Histogram, MetricsSnapshot, Registry};
-pub use profile::Profiler;
 pub use router::{global_router, Handler, HttpServer, Request, Response, RouteGuard, Router};
 pub use serve::{serve_from_env, MetricsServer};
 pub use sink::{JsonlSink, NullSink, RingBufferSink, RingHandle, Sink, StderrSink};
@@ -219,9 +223,11 @@ pub fn submit(event: Event) {
         return;
     }
     let c = collector();
-    for (_, sink) in named_lock("obs.sinks", &c.sinks).iter_mut() {
+    let mut sinks = named_lock("obs.sinks", &c.sinks);
+    for (_, sink) in sinks.iter_mut() {
         sink.record(&event);
     }
+    profile::record(&event);
 }
 
 /// The global metrics registry.
@@ -287,21 +293,27 @@ pub fn observe(name: &str, value: f64) {
 }
 
 /// Record `value` into histogram `name`, remembering `span_id` as the
-/// containing bucket's exemplar (0 = no exemplar), and notify sinks.
-/// No-op while tracing is disabled. The serving gateway uses this to link
-/// each phase-latency bucket to the last request span that landed in it.
+/// containing bucket's exemplar (0 = no exemplar), and notify sinks; a
+/// non-zero exemplar rides on the event as its `exemplar` field. No-op
+/// while tracing is disabled. The serving gateway uses this to link each
+/// phase-latency bucket to the last request span that landed in it.
 pub fn observe_with_exemplar(name: &str, value: f64, span_id: u64) {
     if !enabled() {
         return;
     }
     registry().observe_with_exemplar(name, value, span_id);
+    let fields = if span_id == 0 {
+        Vec::new()
+    } else {
+        vec![("exemplar", FieldValue::U64(span_id))]
+    };
     submit(Event {
         name: name.to_string().into(),
         level: Level::Trace,
         ts_us: now_us(),
         tid: current_tid(),
         kind: EventKind::Observe { value },
-        fields: Vec::new(),
+        fields,
     });
 }
 

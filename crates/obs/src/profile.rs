@@ -1,355 +1,112 @@
-//! Continuous profiling: a wall-clock sampler over the per-thread span
-//! stacks.
+//! The live profile: the [`SpanFold`] of every span seen while a
+//! [`MetricsServer`](crate::MetricsServer) is bound.
 //!
-//! Every thread that opens a span shares its stack (see
-//! [`span`](crate::SpanGuard)) with a global thread registry; a
-//! [`Profiler`] thread wakes `hz` times per second, snapshots every
-//! registered stack, and folds each non-empty one into a collapsed-stack
-//! count — the [Brendan Gregg folded format] that `flamegraph.pl` and
-//! speedscope consume directly:
+//! Binding a server attaches the fold to the collector: [`submit`](crate::submit)
+//! then folds each span event once, under the lock that orders events for
+//! the sinks, however many servers are bound. Dropping the last server
+//! detaches it and forgets the spans still open, whose ends it will not
+//! see. What it folded stays, and the standard routes of every
+//! [`Router`](crate::Router) serve it:
 //!
-//! ```text
-//! iteration;forward;lif_forward 412
-//! iteration;recompute_segment 96
-//! ```
-//!
-//! The accumulated profile is exported three ways:
-//!
-//! * `GET /profile` on any [`Router`](crate::Router) built with the
-//!   standard routes — [`folded_text`] as `text/plain`;
-//! * `GET /profile.json` — [`profile_json`] with sampler metadata;
-//! * `results/profile_<bench>.folded`, written by the bench harness when
-//!   its run sampled anything.
-//!
-//! Sampling is *opt-in* (`SKIPPER_PROF_HZ` or an explicit
-//! [`Profiler::start`]); with no sampler running the only cost the
-//! machinery adds is the per-thread stack's mutex, which is uncontended
-//! on the span path and only ever touched while tracing is enabled.
-//!
-//! [Brendan Gregg folded format]: https://www.brendangregg.com/flamegraphs.html
+//! * `GET /profile` — [`folded_text`]: collapsed stacks weighted by exact
+//!   self microseconds, ready for `flamegraph.pl`;
+//! * `GET /profile.json` — [`profile_json`]: per stack path, the span
+//!   count, total and self microseconds and duration percentiles.
 
-use crate::span::SharedStack;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use crate::event::{Event, EventKind};
+use crate::fold::SpanFold;
+use crate::named_lock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
-/// Environment variable selecting the sampling rate in Hz; unset (or 0 /
-/// non-numeric) leaves the sampler off.
-pub const HZ_ENV: &str = "SKIPPER_PROF_HZ";
+/// Bound servers; the fold sees events while this is non-zero.
+static ATTACHED: AtomicUsize = AtomicUsize::new(0);
 
-/// Sampling rates outside this range are clamped: below ~1 Hz a profile
-/// never accumulates, above 10 kHz the sampler would contend with the
-/// threads it measures.
-const MIN_HZ: f64 = 1.0;
-const MAX_HZ: f64 = 10_000.0;
-
-fn threads() -> &'static Mutex<Vec<SharedStack>> {
-    static THREADS: OnceLock<Mutex<Vec<SharedStack>>> = OnceLock::new();
-    THREADS.get_or_init(|| Mutex::new(Vec::new()))
+fn fold() -> &'static Mutex<SpanFold> {
+    static FOLD: OnceLock<Mutex<SpanFold>> = OnceLock::new();
+    FOLD.get_or_init(|| Mutex::new(SpanFold::new()))
 }
 
-pub(crate) fn register_thread(stack: SharedStack) {
-    crate::lock_unpoisoned(threads()).push(stack);
+/// A server was bound.
+pub(crate) fn attach() {
+    ATTACHED.fetch_add(1, Ordering::Relaxed);
 }
 
-pub(crate) fn deregister_thread(stack: &SharedStack) {
-    crate::lock_unpoisoned(threads()).retain(|e| !Arc::ptr_eq(e, stack));
-}
-
-/// Force the calling thread into the sampler's thread census even before
-/// its first span opens. Long-lived worker threads (the engine pool, a
-/// cluster worker loop) call this at start-up so a profile taken early in
-/// their life still counts them.
-pub fn touch_thread() {
-    crate::span::touch_thread_stack();
-}
-
-/// Threads currently registered with the sampler.
-pub fn registered_threads() -> usize {
-    crate::lock_unpoisoned(threads()).len()
-}
-
-#[derive(Default)]
-struct ProfileState {
-    /// Folded stack → number of samples it was observed in. BTreeMap so
-    /// [`folded_text`] is deterministic.
-    folded: BTreeMap<String, u64>,
-    /// Sampler wake-ups taken.
-    ticks: u64,
-    /// Wake-ups where no thread had an open span.
-    idle_ticks: u64,
-    /// Rate of the most recent sampler, Hz (0 when never started).
-    hz: f64,
-}
-
-fn state() -> &'static Mutex<ProfileState> {
-    static STATE: OnceLock<Mutex<ProfileState>> = OnceLock::new();
-    STATE.get_or_init(|| Mutex::new(ProfileState::default()))
-}
-
-/// Clone the census under its lock. A separate fn keeps the census
-/// guard's lifetime visibly disjoint from everything the caller locks
-/// next — the census is a leaf in the lock order.
-fn census_snapshot() -> Vec<SharedStack> {
-    crate::lock_unpoisoned(threads()).clone()
-}
-
-/// Take one sample: snapshot every registered stack and fold the
-/// non-empty ones into the accumulated profile. The census lock is
-/// dropped before any per-thread stack (or the profile state) is locked
-/// — the `Arc`s are cloned out first — so the sampler never nests the
-/// census under another lock.
-fn sample_once() {
-    let entries = census_snapshot();
-    let mut stacks: Vec<String> = Vec::new();
-    {
-        for entry in entries.iter() {
-            let stack = crate::lock_unpoisoned(entry);
-            if stack.is_empty() {
-                continue;
-            }
-            let mut line = String::new();
-            for (i, &(_, name)) in stack.iter().enumerate() {
-                if i > 0 {
-                    line.push(';');
-                }
-                line.push_str(name);
-            }
-            stacks.push(line);
-        }
-    }
-    let mut s = crate::lock_unpoisoned(state());
-    s.ticks += 1;
-    if stacks.is_empty() {
-        s.idle_ticks += 1;
-    }
-    for line in stacks {
-        *s.folded.entry(line).or_insert(0) += 1;
+/// A server was dropped.
+pub(crate) fn detach() {
+    if ATTACHED.fetch_sub(1, Ordering::Relaxed) == 1 {
+        named_lock("obs.profile", fold()).forget_open();
     }
 }
 
-/// Drop the accumulated profile (tick counters included). The bench
-/// harness calls this at start-up so each run's artifact covers only
-/// itself.
-pub fn reset() {
-    let mut s = crate::lock_unpoisoned(state());
-    let hz = s.hz;
-    *s = ProfileState::default();
-    s.hz = hz;
+/// Fold `event` while a server is bound. [`submit`](crate::submit) calls
+/// this under the sinks lock.
+pub(crate) fn record(event: &Event) {
+    let span = matches!(
+        event.kind,
+        EventKind::SpanBegin { .. } | EventKind::SpanEnd { .. }
+    );
+    if span && ATTACHED.load(Ordering::Relaxed) > 0 {
+        named_lock("obs.profile", fold()).record(event);
+    }
 }
 
-/// The accumulated profile in Brendan-Gregg collapsed-stack format, one
-/// `frame;frame;frame count` line per distinct stack, sorted. Empty when
-/// nothing was sampled.
+/// The live profile in collapsed-stack format, one `frame;frame;frame µs`
+/// line per stack path, sorted; the weight is the path's self time. Empty
+/// when no span has completed while a server was bound.
 pub fn folded_text() -> String {
-    let s = crate::lock_unpoisoned(state());
-    let mut out = String::new();
-    for (stack, count) in &s.folded {
-        out.push_str(stack);
-        out.push(' ');
-        out.push_str(&count.to_string());
-        out.push('\n');
-    }
-    out
+    named_lock("obs.profile", fold()).folded_text()
 }
 
-/// The accumulated profile as JSON: sampler metadata plus the folded
-/// stack counts.
+/// The live profile as JSON: `{"stacks":{path:{count, total_us, self_us,
+/// p50_us, p95_us, p99_us}}}`, paths sorted.
 pub fn profile_json() -> String {
-    // Census before state: taking it the other way round inverts the
-    // sampler's (former) state-under-census order. The count may lag the
-    // stack table by one registration — it is telemetry, not a ledger.
-    let thread_count = registered_threads();
-    let s = crate::lock_unpoisoned(state());
-    let mut out = String::from("{\"hz\":");
-    out.push_str(&format!("{}", s.hz));
-    out.push_str(&format!(
-        ",\"ticks\":{},\"idle_ticks\":{},\"threads\":{}",
-        s.ticks, s.idle_ticks, thread_count
-    ));
-    out.push_str(",\"stacks\":{");
-    for (i, (stack, count)) in s.folded.iter().enumerate() {
+    let stacks = named_lock("obs.profile", fold()).stacks();
+    let mut out = String::from("{\"stacks\":{");
+    for (i, stack) in stacks.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        crate::push_json_string(&mut out, stack);
-        out.push(':');
-        out.push_str(&count.to_string());
+        crate::push_json_string(&mut out, &stack.name);
+        out.push_str(&format!(
+            ":{{\"count\":{},\"total_us\":{},\"self_us\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}}}",
+            stack.count, stack.total_us, stack.self_us, stack.p50_us, stack.p95_us, stack.p99_us
+        ));
     }
     out.push_str("}}");
     out
-}
-
-/// A running span-stack sampler; dropping it stops and joins the sampler
-/// thread. The accumulated profile survives the drop (readable through
-/// [`folded_text`] / [`profile_json`] until the next [`reset`]).
-#[derive(Debug)]
-pub struct Profiler {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-    hz: f64,
-}
-
-impl Profiler {
-    /// Start sampling at `hz` wake-ups per second (clamped to
-    /// `[1, 10000]`). Prefer a rate that is not a divisor of your
-    /// workload's periodicity — a prime like 97 or 997 — so samples do
-    /// not alias onto the same phase of a periodic loop.
-    pub fn start(hz: f64) -> Profiler {
-        let hz = if hz.is_finite() {
-            hz.clamp(MIN_HZ, MAX_HZ)
-        } else {
-            MIN_HZ
-        };
-        crate::lock_unpoisoned(state()).hz = hz;
-        let stop = Arc::new(AtomicBool::new(false));
-        let sampler_stop = Arc::clone(&stop);
-        let interval = Duration::from_secs_f64(1.0 / hz);
-        let thread = std::thread::Builder::new()
-            .name("skipper-prof-sampler".into())
-            .spawn(move || {
-                // Sleep in short slices so drop (stop + join) stays prompt
-                // even at low rates.
-                let slice = interval.min(Duration::from_millis(25));
-                loop {
-                    if sampler_stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    sample_once();
-                    let mut waited = Duration::ZERO;
-                    while waited < interval {
-                        if sampler_stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        let step = slice.min(interval - waited);
-                        std::thread::sleep(step);
-                        waited += step;
-                    }
-                }
-            })
-            .ok();
-        if thread.is_none() {
-            eprintln!("skipper-obs: cannot spawn the profile sampler thread");
-        }
-        Profiler { stop, thread, hz }
-    }
-
-    /// Start a sampler if `SKIPPER_PROF_HZ` names a positive rate; `None`
-    /// when unset, zero, or unparseable (profiling must never take a run
-    /// down).
-    pub fn from_env() -> Option<Profiler> {
-        let raw = std::env::var(HZ_ENV).ok()?;
-        match raw.trim().parse::<f64>() {
-            Ok(hz) if hz > 0.0 => Some(Profiler::start(hz)),
-            _ => None,
-        }
-    }
-
-    /// The (clamped) sampling rate, Hz.
-    pub fn hz(&self) -> f64 {
-        self.hz
-    }
-}
-
-impl Drop for Profiler {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Profile accumulation is global; serialize the tests that reset it.
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        crate::lock_unpoisoned(LOCK.get_or_init(|| Mutex::new(())))
-    }
-
     #[test]
     fn folded_output_is_deterministic_for_a_fixed_stack() {
-        let _serial = test_lock();
-        let (sink, _handle) = crate::RingBufferSink::new(64);
+        let (sink, handle) = crate::RingBufferSink::new(64);
         let sink_id = crate::add_sink(Box::new(sink));
-        reset();
+        attach();
         {
             let _a = crate::span!("prof_fix_outer");
             let _b = crate::span!("prof_fix_inner");
-            for _ in 0..5 {
-                sample_once();
-            }
         }
-        let folded = folded_text();
-        let count = folded
-            .lines()
-            .find_map(|l| l.strip_prefix("prof_fix_outer;prof_fix_inner "))
-            .and_then(|n| n.parse::<u64>().ok());
-        assert_eq!(
-            count,
-            Some(5),
-            "5 samples of a fixed two-frame stack must fold to exactly 5: {folded:?}"
-        );
+        detach();
+        crate::remove_sink(sink_id);
+        // The live fold holds exactly what folding this thread's capture
+        // gives: the same line, µs for µs.
+        let want = SpanFold::from_events(&handle.snapshot_current_thread()).folded_text();
+        let line = |text: &str| {
+            text.lines()
+                .find(|l| l.starts_with("prof_fix_outer;prof_fix_inner "))
+                .map(str::to_string)
+        };
+        assert!(line(&want).is_some(), "capture folds the stack: {want:?}");
+        assert_eq!(line(&folded_text()), line(&want));
         let json = profile_json();
         assert!(
-            json.contains("\"prof_fix_outer;prof_fix_inner\":5"),
+            json.contains("\"prof_fix_outer;prof_fix_inner\":{\"count\":1,"),
             "got: {json}"
         );
-        crate::remove_sink(sink_id);
-        reset();
-    }
-
-    #[test]
-    fn sampler_thread_accumulates_and_stops() {
-        let _serial = test_lock();
-        let (sink, _handle) = crate::RingBufferSink::new(64);
-        let sink_id = crate::add_sink(Box::new(sink));
-        reset();
-        {
-            let _span = crate::span!("prof_live_span");
-            let profiler = Profiler::start(2_000.0);
-            assert_eq!(profiler.hz(), 2_000.0);
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while std::time::Instant::now() < deadline {
-                if folded_text().contains("prof_live_span") {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-        assert!(
-            folded_text().contains("prof_live_span"),
-            "sampler never caught the open span: {}",
-            profile_json()
-        );
-        crate::remove_sink(sink_id);
-        reset();
-    }
-
-    #[test]
-    fn disabled_spans_never_touch_the_sampler_machinery() {
-        // Runs on its own thread so concurrently-enabled tracing from
-        // sibling tests cannot have registered this stack already.
-        std::thread::spawn(|| {
-            if crate::enabled() {
-                return; // another test has a sink installed; inconclusive
-            }
-            for _ in 0..10_000 {
-                let g = crate::span!("quiet_prof");
-                drop(g);
-            }
-            assert!(
-                !crate::span::thread_is_registered(),
-                "disabled spans must not register the thread"
-            );
-        })
-        .join()
-        .expect("disabled-path thread");
     }
 
     #[test]
@@ -380,18 +137,5 @@ mod tests {
         })
         .join()
         .expect("overhead thread");
-    }
-
-    #[test]
-    fn reset_clears_accumulation_but_keeps_hz() {
-        let _serial = test_lock();
-        {
-            let _p = Profiler::start(50.0);
-        }
-        reset();
-        let json = profile_json();
-        assert!(json.contains("\"ticks\":0"), "got: {json}");
-        assert!(json.contains("\"hz\":50"), "got: {json}");
-        assert_eq!(folded_text(), "");
     }
 }

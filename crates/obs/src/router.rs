@@ -449,7 +449,10 @@ fn handle_connection(mut stream: TcpStream, router: &Router) -> std::io::Result<
     let Some(mut req) = parse_head(&head) else {
         return write_response(&mut stream, &Response::bad_request("malformed request"));
     };
-    let content_length = content_length(&head).unwrap_or(0);
+    let content_length = match content_length(&head) {
+        Ok(n) => n,
+        Err(reason) => return write_response(&mut stream, &Response::bad_request(reason)),
+    };
     if content_length > MAX_BODY {
         return write_response(&mut stream, &Response::payload_too_large());
     }
@@ -493,15 +496,24 @@ fn parse_head(head: &str) -> Option<Request> {
     })
 }
 
-/// `Content-Length` header value, if present and parseable.
-fn content_length(head: &str) -> Option<usize> {
+/// The body length the head declares: its `Content-Length`, 0 when it
+/// has none. A header line without a `:` or a length that is not a number
+/// is an error: reading past either would take the wrong bytes as the
+/// body.
+fn content_length(head: &str) -> Result<usize, &'static str> {
+    let mut length = 0;
     for line in head.lines().skip(1) {
-        let (name, value) = line.split_once(':')?;
+        let Some((name, value)) = line.split_once(':') else {
+            return Err("malformed header line");
+        };
         if name.trim().eq_ignore_ascii_case("content-length") {
-            return value.trim().parse().ok();
+            length = value
+                .trim()
+                .parse()
+                .map_err(|_| "Content-Length is not a number")?;
         }
     }
-    None
+    Ok(length)
 }
 
 fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
@@ -682,6 +694,39 @@ mod tests {
         // ...and dropping it restores the empty table.
         let after = get(server.addr(), "/cluster");
         assert!(after.contains("{\"workers\":[]}"), "got: {after}");
+    }
+
+    /// A server echoing POST bodies, for the body-length tests.
+    fn echo_server() -> (HttpServer, RouteGuard) {
+        let router = Arc::new(Router::new());
+        let guard = router.register("POST", "/echo", |req| {
+            Response::ok_text(String::from_utf8_lossy(&req.body).into_owned())
+        });
+        (HttpServer::bind("127.0.0.1:0", router).unwrap(), guard)
+    }
+
+    #[test]
+    fn header_line_without_colon_is_rejected() {
+        let (server, _route) = echo_server();
+        let raw =
+            "POST /echo HTTP/1.1\r\nHost: x\r\nno colon here\r\nContent-Length: 5\r\n\r\nhello";
+        let resp = http(server.addr(), raw);
+        assert!(resp.starts_with("HTTP/1.1 400"), "got: {resp}");
+        assert!(resp.contains("\"error\":\"bad_request\""), "got: {resp}");
+        assert!(resp.contains("malformed header line"), "got: {resp}");
+    }
+
+    #[test]
+    fn unparseable_content_length_is_rejected() {
+        let (server, _route) = echo_server();
+        let raw = "POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: ten\r\n\r\nhello";
+        let resp = http(server.addr(), raw);
+        assert!(resp.starts_with("HTTP/1.1 400"), "got: {resp}");
+        assert!(resp.contains("\"error\":\"bad_request\""), "got: {resp}");
+        assert!(
+            resp.contains("Content-Length is not a number"),
+            "got: {resp}"
+        );
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! * `GET /metrics.json` — the same snapshot as JSON, with derived
 //!   mean/p50/p95/p99 per histogram and, where recorded, per-bucket
 //!   exemplar span ids;
-//! * `GET /profile` — the continuous profiler's collapsed-stack text
-//!   (pipe into `flamegraph.pl`); `GET /profile.json` adds sampler
-//!   metadata — see [`profile`](crate::profile);
+//! * `GET /profile` — the collapsed stacks of every span seen while a
+//!   server is bound, weighted by exact self microseconds (pipe into
+//!   `flamegraph.pl`); `GET /profile.json` gives each stack path's count,
+//!   total and self time — see [`profile`](crate::profile);
 //! * `GET /cluster` — a live worker table (JSON) when a cluster
 //!   coordinator holds a scoped `GET /cluster` registration on the
 //!   global router; `{"workers":[]}` otherwise;
@@ -24,9 +25,10 @@
 //! `GET /v1/tenants`), so one bound port serves every endpoint.
 //!
 //! The server installs a [`NullSink`](crate::NullSink) so the registry
-//! aggregates even when no other sink is active, and removes it (and the
-//! listener thread) on drop. Binding is opt-in via the
-//! `SKIPPER_OBS_ADDR` environment variable — see [`serve_from_env`]:
+//! aggregates even when no other sink is active, attaches the live span
+//! fold, and undoes both (and stops the listener thread) on drop.
+//! Binding is opt-in via the `SKIPPER_OBS_ADDR` environment variable —
+//! see [`serve_from_env`]:
 //!
 //! ```text
 //! SKIPPER_OBS_ADDR=127.0.0.1:9184 cargo run --release --bin trace_training
@@ -42,8 +44,8 @@ use std::net::SocketAddr;
 /// Environment variable holding the listen address (`host:port`).
 pub const ADDR_ENV: &str = "SKIPPER_OBS_ADDR";
 
-/// A running metrics endpoint; dropping it stops the listener thread and
-/// removes the registry-enabling sink.
+/// A running metrics endpoint; dropping it stops the listener thread,
+/// detaches the span fold and removes the registry-enabling sink.
 #[derive(Debug)]
 pub struct MetricsServer {
     server: HttpServer,
@@ -61,6 +63,7 @@ impl MetricsServer {
     pub fn bind(addr: &str) -> std::io::Result<MetricsServer> {
         let server = HttpServer::bind(addr, global_router())?;
         let sink_id = Some(crate::add_sink(Box::new(NullSink::new())));
+        crate::profile::attach();
         Ok(MetricsServer { server, sink_id })
     }
 
@@ -73,6 +76,7 @@ impl MetricsServer {
 impl Drop for MetricsServer {
     fn drop(&mut self) {
         if let Some(id) = self.sink_id.take() {
+            crate::profile::detach();
             crate::remove_sink(id);
         }
     }
@@ -429,25 +433,49 @@ mod tests {
     #[test]
     fn profile_endpoints_respond_and_parse() {
         let server = MetricsServer::bind("127.0.0.1:0").unwrap();
+        {
+            let _outer = crate::span!("profile_e2e_outer");
+            let _inner = crate::span!("profile_e2e_inner");
+        }
 
         let folded = http_get(server.addr(), "/profile");
         assert!(folded.starts_with("HTTP/1.1 200 OK"), "got: {folded}");
-        // Whatever the (shared, possibly concurrently-sampled) profile
-        // holds, every body line must be folded format: `frames count`.
+        // Whatever else the shared profile holds, every body line must be
+        // folded format: `frames µs`.
         let body = folded.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("");
         for line in body.lines() {
-            let (stack, count) = line.rsplit_once(' ').expect("folded line has a count");
+            let (stack, us) = line.rsplit_once(' ').expect("folded line has a weight");
             assert!(!stack.is_empty(), "got: {line}");
-            assert!(count.parse::<u64>().is_ok(), "got: {line}");
+            assert!(us.parse::<u64>().is_ok(), "got: {line}");
         }
+        assert!(
+            body.contains("\nprofile_e2e_outer;profile_e2e_inner ")
+                || body.starts_with("profile_e2e_outer;profile_e2e_inner "),
+            "got: {body}"
+        );
 
         let json = http_get(server.addr(), "/profile.json");
         assert!(json.starts_with("HTTP/1.1 200 OK"), "got: {json}");
         let body = json.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("");
-        assert!(body.starts_with('{') && body.trim_end().ends_with('}'));
-        for key in ["\"hz\":", "\"ticks\":", "\"threads\":", "\"stacks\":{"] {
-            assert!(body.contains(key), "missing {key} in {body}");
-        }
+        assert!(body.starts_with("{\"stacks\":{") && body.trim_end().ends_with('}'));
+        assert!(
+            body.contains("\"profile_e2e_outer;profile_e2e_inner\":{\"count\":1,"),
+            "got: {body}"
+        );
+    }
+
+    #[test]
+    fn two_bound_servers_fold_each_span_once() {
+        let first = MetricsServer::bind("127.0.0.1:0").unwrap();
+        let second = MetricsServer::bind("127.0.0.1:0").unwrap();
+        drop(crate::span!("profile_twice_bound"));
+        drop(first);
+        drop(crate::span!("profile_twice_bound"));
+        let json = http_get(second.addr(), "/profile.json");
+        assert!(
+            json.contains("\"profile_twice_bound\":{\"count\":2,"),
+            "got: {json}"
+        );
     }
 
     fn http_raw(addr: SocketAddr, request: &str) -> String {

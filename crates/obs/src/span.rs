@@ -6,76 +6,24 @@
 //! be dropped on the thread that created them — the same single-thread
 //! discipline the memory profiler's registrations follow.
 //!
-//! The stack itself is shared: each thread owns an
-//! `Arc<Mutex<Vec<(id, name)>>>` that it registers with the
-//! [`profile`](crate::profile) module's thread registry on first span (and
-//! deregisters on thread exit), so the sampling profiler can snapshot
-//! every thread's live span nesting without any per-span bookkeeping
-//! beyond the push/pop that nesting already requires.
+//! The stack is a plain thread-local `Vec` of span ids. Nothing else
+//! reads it: the [`SpanFold`](crate::SpanFold) rebuilds every stack path
+//! from the parent ids the events carry.
 
 use crate::event::{Event, EventKind, Fields, Level};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
-/// A thread's span stack as the sampling profiler sees it: `(span id,
-/// span name)` pairs, innermost last.
-pub(crate) type SharedStack = Arc<Mutex<Vec<(u64, &'static str)>>>;
-
-/// Thread-local owner of the shared stack. Registers with the profiler's
-/// thread registry lazily (first span or [`touch_thread_stack`]) and
-/// deregisters when the thread exits and the thread-local is destroyed.
-struct ThreadStack {
-    stack: SharedStack,
-    registered: bool,
-}
-
-impl Drop for ThreadStack {
-    fn drop(&mut self) {
-        if self.registered {
-            crate::profile::deregister_thread(&self.stack);
-        }
-    }
-}
-
 thread_local! {
-    static SPAN_STACK: RefCell<ThreadStack> = RefCell::new(ThreadStack {
-        stack: Arc::new(Mutex::new(Vec::new())),
-        registered: false,
-    });
+    /// This thread's open span ids, innermost last.
+    static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Run `f` on this thread's shared span stack, registering the thread
-/// with the profiler first when `register` is set. The registry lock (in
-/// `register_thread`) is always taken *before* the stack lock — the same
-/// order the sampler uses — so the two never deadlock.
-fn with_stack<R>(register: bool, f: impl FnOnce(&mut Vec<(u64, &'static str)>) -> R) -> R {
-    SPAN_STACK.with(|s| {
-        let mut ts = s.borrow_mut();
-        if register && !ts.registered {
-            ts.registered = true;
-            crate::profile::register_thread(Arc::clone(&ts.stack));
-        }
-        let mut stack = crate::lock_unpoisoned(&ts.stack);
-        f(&mut stack)
-    })
-}
-
-/// Force this thread's (possibly still empty) span stack into the
-/// profiler's thread registry. Long-lived worker threads call this at
-/// start-up so the sampler's census covers them even before their first
-/// span opens.
-pub(crate) fn touch_thread_stack() {
-    with_stack(true, |_| {});
-}
-
-/// Whether this thread has registered its span stack with the profiler
-/// (test hook: disabled tracing must never touch the machinery).
-#[cfg(test)]
-pub(crate) fn thread_is_registered() -> bool {
-    SPAN_STACK.with(|s| s.borrow().registered)
+/// Run `f` on this thread's span stack.
+fn with_stack<R>(f: impl FnOnce(&mut Vec<u64>) -> R) -> R {
+    SPAN_STACK.with(|s| f(&mut s.borrow_mut()))
 }
 
 /// An open span; dropping it closes the span.
@@ -97,9 +45,9 @@ impl SpanGuard {
             return SpanGuard::disabled();
         }
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-        let parent = with_stack(true, |s| {
-            let parent = s.last().map(|&(id, _)| id);
-            s.push((id, name));
+        let parent = with_stack(|s| {
+            let parent = s.last().copied();
+            s.push(id);
             parent
         });
         crate::submit(Event {
@@ -130,9 +78,9 @@ impl SpanGuard {
             return SpanGuard::disabled();
         }
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-        let parent = with_stack(true, |s| {
-            let fallback = s.last().map(|&(id, _)| id);
-            s.push((id, name));
+        let parent = with_stack(|s| {
+            let fallback = s.last().copied();
+            s.push(id);
             parent.or(fallback)
         });
         crate::submit(Event {
@@ -180,9 +128,9 @@ impl Drop for SpanGuard {
         // order — used to silently pop *someone else's* id and corrupt
         // the nesting for the rest of the thread's life. Detect it, repair
         // by removing exactly this guard's id, and count the repair.
-        let repaired = with_stack(false, |s| {
-            let lifo = s.last().is_some_and(|&(id, _)| id == self.id);
-            if let Some(pos) = s.iter().rposition(|&(id, _)| id == self.id) {
+        let repaired = with_stack(|s| {
+            let lifo = s.last() == Some(&self.id);
+            if let Some(pos) = s.iter().rposition(|&id| id == self.id) {
                 s.remove(pos);
             }
             !lifo
@@ -203,12 +151,7 @@ impl Drop for SpanGuard {
 
 /// Id of the innermost open span on this thread, if any.
 pub fn current_span() -> Option<u64> {
-    current_entry().map(|(id, _)| id)
-}
-
-/// Innermost `(id, name)` on this thread's stack, if any.
-pub(crate) fn current_entry() -> Option<(u64, &'static str)> {
-    with_stack(false, |s| s.last().copied())
+    with_stack(|s| s.last().copied())
 }
 
 /// Move this process's span-id allocator to at least `base`.
@@ -252,14 +195,14 @@ pub fn namespace_span_ids(base: u64) {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanContext {
-    parent: Option<(u64, &'static str)>,
+    parent: Option<u64>,
 }
 
 impl SpanContext {
     /// Capture the calling thread's innermost open span (if any).
     pub fn capture() -> SpanContext {
         SpanContext {
-            parent: current_entry(),
+            parent: current_span(),
         }
     }
 
@@ -270,21 +213,20 @@ impl SpanContext {
 
     /// The captured span id, if one was open at capture time.
     pub fn parent(&self) -> Option<u64> {
-        self.parent.map(|(id, _)| id)
+        self.parent
     }
 
     /// Make the captured span the parent of spans opened on this thread
     /// for as long as the returned guard lives. Emits no events itself;
-    /// it only seeds the thread-local stack (the captured span's name
-    /// rides along so sampled stacks keep the real frame name).
+    /// it only seeds the thread-local stack.
     pub fn adopt(&self) -> ContextGuard {
-        let Some((id, name)) = self.parent else {
+        let Some(id) = self.parent else {
             return ContextGuard { id: None };
         };
         if !crate::enabled() {
             return ContextGuard { id: None };
         }
-        with_stack(true, |s| s.push((id, name)));
+        with_stack(|s| s.push(id));
         ContextGuard { id: Some(id) }
     }
 }
@@ -300,8 +242,8 @@ pub struct ContextGuard {
 impl Drop for ContextGuard {
     fn drop(&mut self) {
         let Some(id) = self.id else { return };
-        with_stack(false, |s| {
-            if let Some(pos) = s.iter().rposition(|&(x, _)| x == id) {
+        with_stack(|s| {
+            if let Some(pos) = s.iter().rposition(|&x| x == id) {
                 s.remove(pos);
             }
         });

@@ -1,9 +1,9 @@
 //! Post-hoc analysis of a captured event stream: per-span-name timing
 //! aggregates (total vs self time) and a compact terminal table.
 
-use crate::event::{Event, EventKind};
-use crate::metrics::{Histogram, MetricsSnapshot};
-use std::collections::{BTreeMap, HashMap};
+use crate::event::Event;
+use crate::fold::SpanFold;
+use crate::metrics::MetricsSnapshot;
 
 /// Timing aggregate for one span name.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -17,7 +17,7 @@ pub struct SpanStat {
     /// Total minus time spent in child spans, microseconds.
     pub self_us: u64,
     /// Median duration, microseconds (bucket-interpolated, see
-    /// [`Histogram::quantile`]).
+    /// [`Histogram::quantile`](crate::Histogram::quantile)).
     pub p50_us: u64,
     /// 95th-percentile duration, microseconds.
     pub p95_us: u64,
@@ -37,67 +37,14 @@ impl SpanStat {
 }
 
 /// Aggregate the span begin/end events in `events` into per-name stats,
-/// sorted by total time descending.
+/// sorted by total time descending: the [`SpanFold`] of `events` summed by
+/// span name.
 ///
-/// Self time is total time minus the summed durations of **direct**
-/// children. Spans without a matching end (still open when the capture
-/// stopped) are ignored.
+/// Self time is total time minus the durations of the direct children
+/// that ran on the span's own thread. Spans without a matching end (still
+/// open when the capture stopped) are ignored.
 pub fn span_stats(events: &[Event]) -> Vec<SpanStat> {
-    struct Open {
-        name: String,
-        parent: Option<u64>,
-        begin_us: u64,
-    }
-    let mut open: HashMap<u64, Open> = HashMap::new();
-    let mut child_us: HashMap<u64, u64> = HashMap::new();
-    let mut stats: BTreeMap<String, SpanStat> = BTreeMap::new();
-    let mut durations: BTreeMap<String, Histogram> = BTreeMap::new();
-    for event in events {
-        match &event.kind {
-            EventKind::SpanBegin { id, parent } => {
-                open.insert(
-                    *id,
-                    Open {
-                        name: event.name.to_string(),
-                        parent: *parent,
-                        begin_us: event.ts_us,
-                    },
-                );
-            }
-            EventKind::SpanEnd { id } => {
-                let Some(span) = open.remove(id) else {
-                    continue;
-                };
-                let duration = event.ts_us.saturating_sub(span.begin_us);
-                if let Some(parent) = span.parent {
-                    *child_us.entry(parent).or_insert(0) += duration;
-                }
-                let children = child_us.remove(id).unwrap_or(0);
-                durations
-                    .entry(span.name.clone())
-                    .or_default()
-                    .observe(duration as f64);
-                let stat = stats.entry(span.name.clone()).or_insert_with(|| SpanStat {
-                    name: span.name,
-                    ..SpanStat::default()
-                });
-                stat.count += 1;
-                stat.total_us += duration;
-                stat.self_us += duration.saturating_sub(children);
-            }
-            _ => {}
-        }
-    }
-    let mut out: Vec<SpanStat> = stats.into_values().collect();
-    for stat in &mut out {
-        if let Some(hist) = durations.get(&stat.name) {
-            stat.p50_us = hist.quantile(0.50).round() as u64;
-            stat.p95_us = hist.quantile(0.95).round() as u64;
-            stat.p99_us = hist.quantile(0.99).round() as u64;
-        }
-    }
-    out.sort_by(|a, b| b.total_us.cmp(&a.total_us).then(a.name.cmp(&b.name)));
-    out
+    SpanFold::from_events(events).by_name()
 }
 
 fn fmt_us(us: u64) -> String {
@@ -164,7 +111,7 @@ pub fn render_summary(events: &[Event], metrics: &MetricsSnapshot, max_counters:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Level;
+    use crate::event::{EventKind, Level};
 
     fn span_ev(name: &'static str, ts: u64, kind: EventKind) -> Event {
         Event {

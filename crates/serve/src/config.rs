@@ -1,7 +1,6 @@
 //! Gateway configuration: batching budgets and per-tenant rate limits.
 
 use crate::slo::SloConfig;
-use skipper_core::InferSkip;
 use std::time::Duration;
 
 /// One tenant's admission-control budget: a token bucket holding up to
@@ -47,9 +46,6 @@ pub struct GatewayConfig {
     /// The admission table. A request naming an unlisted tenant is
     /// rejected up front.
     pub tenants: Vec<TenantConfig>,
-    /// Optional SAM-driven inference-time skipping applied per
-    /// micro-batch (see `skipper_core::InferSkip`).
-    pub skip: Option<InferSkip>,
     /// How often the model pool polls its watched `.skw` for changes.
     pub reload_poll: Duration,
     /// The serving SLO the burn-rate engine evaluates; `None` disables
@@ -65,7 +61,6 @@ impl Default for GatewayConfig {
             queue_cap: 64,
             deadline: Duration::from_millis(1000),
             tenants: Vec::new(),
-            skip: None,
             reload_poll: Duration::from_millis(500),
             slo: Some(SloConfig::default()),
         }
@@ -88,7 +83,6 @@ mod tests {
         let cfg = GatewayConfig::default();
         assert!(cfg.max_batch >= 1);
         assert!(cfg.queue_cap >= 1);
-        assert!(cfg.skip.is_none());
         assert!(cfg.tenant("nobody").is_none());
     }
 }

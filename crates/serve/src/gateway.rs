@@ -555,19 +555,27 @@ mod tests {
     use skipper_obs::Router;
     use skipper_snn::{custom_net, ModelConfig};
 
-    fn phase_count(phase: &str) -> u64 {
+    /// Observations of `phase` in `events` whose exemplar is one of
+    /// `spans`. The registry's histograms are process-wide, so a test that
+    /// read their counts would also count other tests' batches.
+    fn phase_count(events: &[skipper_obs::Event], phase: &str, spans: &[u64]) -> usize {
         let name = labeled("serve.phase_wall_us", "phase", phase);
-        skipper_obs::registry()
-            .snapshot()
-            .histograms
+        events
             .iter()
-            .find(|(k, _)| *k == name)
-            .map_or(0, |(_, h)| h.count())
+            .filter(|e| e.name == name && matches!(e.kind, skipper_obs::EventKind::Observe { .. }))
+            .filter(|e| {
+                e.fields.iter().any(|(key, value)| {
+                    *key == "exemplar"
+                        && matches!(value, skipper_obs::FieldValue::U64(id) if spans.contains(id))
+                })
+            })
+            .count()
     }
 
     #[test]
     fn every_answered_request_records_one_parse_phase() {
-        let sink = skipper_obs::add_sink(Box::new(skipper_obs::NullSink));
+        let (ring, events) = skipper_obs::RingBufferSink::new(1 << 20);
+        let sink = skipper_obs::add_sink(Box::new(ring));
         let net = custom_net(&ModelConfig {
             input_hw: 8,
             width_mult: 0.25,
@@ -602,33 +610,47 @@ mod tests {
         bodies.push(body("nobody"));
         bodies.push(b"{not json".to_vec());
         bodies.push(body("acme")[..40].to_vec());
-        let phases = ["parse", "queue_wait", "batch_wait"];
-        let before = phases.map(phase_count);
-        let statuses: Vec<u16> = std::thread::scope(|s| {
+        // Each request runs on a thread of its own; its tid finds its
+        // `gateway_request` span in the capture.
+        let answers: Vec<(u16, u64)> = std::thread::scope(|s| {
             let handles: Vec<_> = bodies
                 .into_iter()
                 .map(|body| {
                     let router = &router;
                     s.spawn(move || {
-                        router
+                        let status = router
                             .dispatch(&skipper_obs::Request {
                                 method: "POST".into(),
                                 path: "/v1/predict".into(),
                                 query: String::new(),
                                 body,
                             })
-                            .status
+                            .status;
+                        (status, skipper_obs::current_tid())
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(statuses, [200, 200, 200, 200, 400, 400, 400]);
-        for (phase, before) in phases.iter().zip(before) {
-            assert_eq!(phase_count(phase) - before, 4, "{phase}");
-        }
         drop(gateway);
         skipper_obs::remove_sink(sink);
+        let statuses: Vec<u16> = answers.iter().map(|&(status, _)| status).collect();
+        assert_eq!(statuses, [200, 200, 200, 200, 400, 400, 400]);
+        let events = events.snapshot();
+        let answered: Vec<u64> = answers
+            .iter()
+            .filter(|&&(status, _)| status == 200)
+            .flat_map(|&(_, tid)| events.iter().filter(move |e| e.tid == tid))
+            .filter(|e| e.name == "gateway_request")
+            .filter_map(|e| match e.kind {
+                skipper_obs::EventKind::SpanBegin { id, .. } => Some(id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(answered.len(), 4);
+        for phase in ["parse", "queue_wait", "batch_wait"] {
+            assert_eq!(phase_count(&events, phase, &answered), 4, "{phase}");
+        }
     }
 
     /// The batcher thread runs `dispatch` for as long as the gateway lives

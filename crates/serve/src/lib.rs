@@ -31,7 +31,9 @@
 //! gateway instance completely (tests run several side by side).
 //!
 //! The paper's time-skipping transfers to serving as an optional
-//! inference-time mode ([`GatewayConfig::skip`]): per micro-batch, the
+//! inference-time mode: serve a session built with
+//! [`InferSession::with_skip`](skipper_core::InferSession::with_skip)
+//! (`ModelPool::fixed(session.with_skip(..))`), and per micro-batch the
 //! SST percentile of input spike activity early-exits quiet timesteps.
 //! `tests/gateway.rs` holds the served skip count equal to a direct
 //! session's; serving speed is the `serve` workload of `benchmark/`.

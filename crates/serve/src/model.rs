@@ -13,7 +13,7 @@
 //! `SpikingNetwork::share` aliases parameter storage, so loading into a
 //! shared copy would tear the weights under a concurrent `predict`.
 
-use skipper_core::{InferSession, InferSkip, SkipperError};
+use skipper_core::{InferSession, SkipperError};
 use skipper_snn::SpikingNetwork;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,7 +31,6 @@ type Stamp = (SystemTime, u64);
 struct WatchSource {
     factory: NetFactory,
     path: PathBuf,
-    skip: Option<InferSkip>,
     seen: Mutex<Option<Stamp>>,
 }
 
@@ -39,7 +38,6 @@ impl std::fmt::Debug for WatchSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WatchSource")
             .field("path", &self.path)
-            .field("skip", &self.skip)
             .finish()
     }
 }
@@ -63,8 +61,7 @@ impl ModelPool {
     }
 
     /// A pool that serves `factory()` weights-loaded from the `.skw` at
-    /// `path`, reloading whenever the file changes. `skip` configures
-    /// inference-time skipping on every built session.
+    /// `path`, reloading whenever the file changes.
     ///
     /// # Errors
     ///
@@ -73,17 +70,15 @@ impl ModelPool {
     pub fn watching(
         factory: NetFactory,
         path: impl Into<PathBuf>,
-        skip: Option<InferSkip>,
     ) -> Result<ModelPool, SkipperError> {
         let path = path.into();
-        let session = build_session(&factory, &path, skip)?;
+        let session = build_session(&factory, &path)?;
         let seen = stamp(&path);
         Ok(ModelPool {
             current: Mutex::new(Arc::new(session)),
             watch: Some(WatchSource {
                 factory,
                 path,
-                skip,
                 seen: Mutex::new(seen),
             }),
             reloads: AtomicU64::new(0),
@@ -130,7 +125,7 @@ impl ModelPool {
                 return Ok(false);
             }
         }
-        let session = build_session(&watch.factory, &watch.path, watch.skip)?;
+        let session = build_session(&watch.factory, &watch.path)?;
         *lock_unpoisoned(&self.current) = Arc::new(session);
         *lock_unpoisoned(&watch.seen) = Some(now);
         self.reloads.fetch_add(1, Ordering::Relaxed);
@@ -139,15 +134,8 @@ impl ModelPool {
     }
 }
 
-fn build_session(
-    factory: &NetFactory,
-    path: &Path,
-    skip: Option<InferSkip>,
-) -> Result<InferSession, SkipperError> {
-    let mut session = match skip {
-        Some(s) => InferSession::new(factory()).with_skip(s),
-        None => InferSession::new(factory()),
-    };
+fn build_session(factory: &NetFactory, path: &Path) -> Result<InferSession, SkipperError> {
+    let mut session = InferSession::new(factory());
     session.load_weights(path)?;
     Ok(session)
 }
@@ -186,7 +174,7 @@ mod tests {
         let path = dir.join("model.skw");
         save_params(net().params(), &path).unwrap();
 
-        let pool = ModelPool::watching(Box::new(net), &path, None).unwrap();
+        let pool = ModelPool::watching(Box::new(net), &path).unwrap();
         let before = pool.current();
         assert!(!pool.poll_reload().unwrap(), "unchanged file: no swap");
 
@@ -225,7 +213,7 @@ mod tests {
 
     #[test]
     fn missing_watch_file_fails_construction() {
-        let err = ModelPool::watching(Box::new(net), "/nonexistent/model.skw", None);
+        let err = ModelPool::watching(Box::new(net), "/nonexistent/model.skw");
         assert!(err.is_err());
     }
 }

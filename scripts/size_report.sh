@@ -33,36 +33,66 @@
 # and tensor's concat/slice cannot past theirs. "obs" has one so that
 # per-histogram bucket bounds cannot creep back: every histogram shares one
 # layout, and the wire, the merge and the SLO engine rely on it.
+# obs's number moved from 2977 to 3207 without a line of obs changing when
+# the count stopped ending at a file's first `#[cfg(test)]` and began to
+# skip just the `#[cfg(test)]` items: `span.rs` had a test-only fn at line
+# 76, so the 230 lines after it went uncounted. The same fix counts one
+# more blank line in core, tensor and snn each. Every ceiling was then
+# re-measured with this count at the change that replaced the span-stack
+# sampler with the span fold (obs 3207 -> 3196, bench 2700 -> 2686).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Ceilings: the values at the commit that last edited them. Lower them when
 # a PR shrinks the code; raise them only with a reason in the PR.
-CEILING_CORE=6903
-CEILING_WIRE=2542
-CEILING_BENCH=2700
+CEILING_CORE=6897
+CEILING_WIRE=2539
+CEILING_BENCH=2686
 CEILING_REPORT=439
-CEILING_TENSOR=1756
+CEILING_TENSOR=1757
 CEILING_AUTOGRAD=767
-CEILING_SNN=2811
-CEILING_SERVE=1684
+CEILING_SNN=2812
+CEILING_SERVE=1669
 CEILING_DATA=846
-CEILING_OBS=2977
+CEILING_OBS=3196
 CEILING_WAIVERS=38
 
-# Lines of each src file up to its first `#[cfg(test)]` (all of it if none);
-# arguments are directories and files, as for `find`.
+# Lines outside `#[cfg(test)]` items: an item runs from its attribute to
+# the brace that closes its body, or to its `;` when it has none (a test
+# module, a test-only fn or `use`). Braces inside strings, char literals
+# and `//` comments do not count. Only lines matching `pat` are counted.
+NON_TEST_AWK='
+    FNR == 1 { skip = 0 }
+    !skip && /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; body = 0; next }
+    skip {
+        line = $0
+        gsub(/"([^"\\]|\\.)*"/, "", line)
+        gsub(sq "([^" sq "\\\\]|\\\\.)" sq, "", line)
+        sub(/\/\/.*/, "", line)
+        opens = gsub(/\{/, "", line)
+        closes = gsub(/\}/, "", line)
+        depth += opens - closes
+        if (opens) body = 1
+        if (body ? depth <= 0 : line ~ /;/) skip = 0
+        next
+    }
+    $0 ~ pat { n++ }
+    END { print n + 0 }
+'
+
+# Non-test lines of `.rs` files; arguments are directories and files, as
+# for `find`.
 non_test_lines() {
     find "$@" -name '*.rs' -print0 |
-        xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }' |
+        xargs -0 awk -v sq="'" -v pat='' "$NON_TEST_AWK" |
         awk '{ sum += $1 } END { print sum + 0 }'
 }
 
 # `pub` items (fn, struct, enum, trait, mod, const, type) in the same lines.
 pub_items() {
     find "$1" -name '*.rs' -print0 |
-        xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
-            !test && /^[[:space:]]*pub (fn|struct|enum|trait|mod|const|type)/ { n++ } END { print n + 0 }' |
+        xargs -0 awk -v sq="'" -v pat='^[[:space:]]*pub (fn|struct|enum|trait|mod|const|type)' \
+            "$NON_TEST_AWK" |
         awk '{ sum += $1 } END { print sum + 0 }'
 }
 
