@@ -397,6 +397,22 @@ mod tests {
         }
     }
 
+    /// A `meta` section nested far past the JSON parser's limit is a typed
+    /// snapshot error; without the limit the parser's recursion overflowed
+    /// the stack and aborted the process.
+    #[test]
+    fn deeply_nested_meta_is_a_snapshot_error() {
+        let depth = 100_000;
+        let meta = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let mut buf = MAGIC.to_vec();
+        write_u32(&mut buf, 1).unwrap();
+        write_section(&mut buf, "meta", meta.as_bytes()).unwrap();
+        write_u32(&mut buf, 1).unwrap();
+        let err = read_snapshot_from(&mut buf.as_slice()).unwrap_err();
+        assert!(matches!(err, SkipperError::Snapshot(_)), "{err}");
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+    }
+
     #[test]
     fn bad_magic_is_rejected() {
         let err = read_snapshot_from(&mut &b"NOTSNAPxxxx"[..]).unwrap_err();

@@ -135,42 +135,29 @@ impl Default for SynthEventConfig {
     }
 }
 
-/// A frame renderer: intensity of pixel `(x, y)` at microstep `t`.
-type Scene = Box<dyn Fn(usize, usize, u32) -> f32>;
+/// A frame renderer: writes the row-major `hw × hw` frame of microstep `t`,
+/// placing the object once per frame.
+type Scene = Box<dyn Fn(u32, &mut [f32])>;
 
 /// Simulate a DVS sensor watching `scene`.
 fn dvs_record(scene: &Scene, cfg: &SynthEventConfig, rng: &mut XorShiftRng) -> EventStream {
     let hw = cfg.hw;
     let mut last = vec![0.0f32; hw * hw];
-    for y in 0..hw {
-        for x in 0..hw {
-            last[y * hw + x] = scene(x, y, 0);
-        }
-    }
+    scene(0, &mut last);
+    let mut frame = vec![0.0f32; hw * hw];
     let mut events = Vec::new();
     for t in 1..cfg.duration {
-        for y in 0..hw {
-            for x in 0..hw {
-                let v = scene(x, y, t);
-                let r = &mut last[y * hw + x];
-                let dv = v - *r;
-                if dv.abs() >= cfg.threshold {
-                    events.push(Event {
-                        x: x as u16,
-                        y: y as u16,
-                        polarity: dv > 0.0,
-                        t,
-                    });
-                    *r = v;
-                }
-                if rng.next_f32() < cfg.noise_rate {
-                    events.push(Event {
-                        x: x as u16,
-                        y: y as u16,
-                        polarity: rng.next_f32() < 0.5,
-                        t,
-                    });
-                }
+        scene(t, &mut frame);
+        for (i, (&v, r)) in frame.iter().zip(&mut last).enumerate() {
+            let (x, y) = ((i % hw) as u16, (i / hw) as u16);
+            let event = |polarity| Event { x, y, polarity, t };
+            let dv = v - *r;
+            if dv.abs() >= cfg.threshold {
+                events.push(event(dv > 0.0));
+                *r = v;
+            }
+            if rng.next_f32() < cfg.noise_rate {
+                events.push(event(rng.next_f32() < 0.5));
             }
         }
     }
@@ -178,6 +165,13 @@ fn dvs_record(scene: &Scene, cfg: &SynthEventConfig, rng: &mut XorShiftRng) -> E
         events,
         hw,
         duration: cfg.duration,
+    }
+}
+
+/// Fill the row-major `hw × hw` `frame` with `pixel(x, y)`.
+fn render(frame: &mut [f32], hw: usize, pixel: impl Fn(usize, usize) -> f32) {
+    for (i, v) in frame.iter_mut().enumerate() {
+        *v = pixel(i % hw, i / hw);
     }
 }
 
@@ -256,12 +250,13 @@ fn gesture_scene(
     let (jx, jy) = (rng.next_f32() * 2.0 - 1.0, rng.next_f32() * 2.0 - 1.0);
     let sigma = hw * 0.12;
     let duration = cfg.duration as f32;
-    Box::new(move |x, y, t| {
+    let side = cfg.hw;
+    Box::new(move |t, frame| {
         let tf = t as f32 / duration * std::f32::consts::TAU;
         let s = (cycles * tf + phase).sin();
         let cx = hw * 0.5 + jx + amp * s * angle.cos();
         let cy = hw * 0.5 + jy + amp * s * angle.sin();
-        blob(cx, cy, sigma, x, y)
+        render(frame, side, |x, y| blob(cx, cy, sigma, x, y));
     })
 }
 
@@ -288,7 +283,7 @@ fn saccade_scene(
     let jy = rng.next_f32() * 2.0 - 1.0;
     let third = cfg.duration / 3;
     let amp = hw as f32 * 0.12;
-    Box::new(move |x, y, t| {
+    Box::new(move |t, frame| {
         // Saccades: right-down, left-down, up (like the ATIS recording).
         let seg = (t / third.max(1)).min(2);
         let f = (t % third.max(1)) as f32 / third.max(1) as f32;
@@ -297,15 +292,17 @@ fn saccade_scene(
             1 => (amp * (1.0 - f), amp * (0.5 + f * 0.5)),
             _ => (0.0, amp * (1.0 - f)),
         };
-        let px = x as f32 - ox - jx;
-        let py = y as f32 - oy - jy;
-        blob(c1x, c1y, sigma, px as usize % hw, py.max(0.0) as usize % hw).max(blob(
-            c2x,
-            c2y,
-            sigma,
-            px.max(0.0) as usize % hw,
-            py.max(0.0) as usize % hw,
-        ))
+        render(frame, hw, |x, y| {
+            let px = x as f32 - ox - jx;
+            let py = y as f32 - oy - jy;
+            blob(c1x, c1y, sigma, px as usize % hw, py.max(0.0) as usize % hw).max(blob(
+                c2x,
+                c2y,
+                sigma,
+                px.max(0.0) as usize % hw,
+                py.max(0.0) as usize % hw,
+            ))
+        });
     })
 }
 
@@ -361,6 +358,222 @@ pub fn event_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-pixel renderer [`Scene`] replaced: the scene's pose is
+    /// recomputed for every pixel of every frame.
+    type PixelScene = Box<dyn Fn(usize, usize, u32) -> f32>;
+
+    fn reference_record(
+        scene: &PixelScene,
+        cfg: &SynthEventConfig,
+        rng: &mut XorShiftRng,
+    ) -> EventStream {
+        let hw = cfg.hw;
+        let mut last = vec![0.0f32; hw * hw];
+        for y in 0..hw {
+            for x in 0..hw {
+                last[y * hw + x] = scene(x, y, 0);
+            }
+        }
+        let mut events = Vec::new();
+        for t in 1..cfg.duration {
+            for y in 0..hw {
+                for x in 0..hw {
+                    let v = scene(x, y, t);
+                    let r = &mut last[y * hw + x];
+                    let dv = v - *r;
+                    if dv.abs() >= cfg.threshold {
+                        events.push(Event {
+                            x: x as u16,
+                            y: y as u16,
+                            polarity: dv > 0.0,
+                            t,
+                        });
+                        *r = v;
+                    }
+                    if rng.next_f32() < cfg.noise_rate {
+                        events.push(Event {
+                            x: x as u16,
+                            y: y as u16,
+                            polarity: rng.next_f32() < 0.5,
+                            t,
+                        });
+                    }
+                }
+            }
+        }
+        EventStream {
+            events,
+            hw,
+            duration: cfg.duration,
+        }
+    }
+
+    fn reference_gesture(
+        cfg: &SynthEventConfig,
+        class: usize,
+        num_classes: usize,
+        rng: &mut XorShiftRng,
+    ) -> PixelScene {
+        let hw = cfg.hw as f32;
+        let angle = class as f32 / num_classes as f32 * std::f32::consts::PI;
+        let cycles = 1.0 + (class % 3) as f32;
+        let amp = hw * (0.22 + 0.08 * ((class / 3) % 2) as f32);
+        let phase = rng.next_f32() * 0.6;
+        let (jx, jy) = (rng.next_f32() * 2.0 - 1.0, rng.next_f32() * 2.0 - 1.0);
+        let sigma = hw * 0.12;
+        let duration = cfg.duration as f32;
+        Box::new(move |x, y, t| {
+            let tf = t as f32 / duration * std::f32::consts::TAU;
+            let s = (cycles * tf + phase).sin();
+            let cx = hw * 0.5 + jx + amp * s * angle.cos();
+            let cy = hw * 0.5 + jy + amp * s * angle.sin();
+            blob(cx, cy, sigma, x, y)
+        })
+    }
+
+    fn reference_saccade(
+        cfg: &SynthEventConfig,
+        class: usize,
+        num_classes: usize,
+        rng: &mut XorShiftRng,
+    ) -> PixelScene {
+        let hw = cfg.hw;
+        let a = class as f32 / num_classes as f32 * std::f32::consts::TAU;
+        let (c1x, c1y) = (
+            hw as f32 * (0.5 + 0.25 * a.cos()),
+            hw as f32 * (0.5 + 0.25 * a.sin()),
+        );
+        let (c2x, c2y) = (
+            hw as f32 * (0.5 - 0.2 * (a * 2.0).cos()),
+            hw as f32 * (0.5 - 0.2 * (a * 2.0).sin()),
+        );
+        let sigma = hw as f32 * 0.1;
+        let jx = rng.next_f32() * 2.0 - 1.0;
+        let jy = rng.next_f32() * 2.0 - 1.0;
+        let third = cfg.duration / 3;
+        let amp = hw as f32 * 0.12;
+        Box::new(move |x, y, t| {
+            let seg = (t / third.max(1)).min(2);
+            let f = (t % third.max(1)) as f32 / third.max(1) as f32;
+            let (ox, oy) = match seg {
+                0 => (amp * f, amp * f * 0.5),
+                1 => (amp * (1.0 - f), amp * (0.5 + f * 0.5)),
+                _ => (0.0, amp * (1.0 - f)),
+            };
+            let px = x as f32 - ox - jx;
+            let py = y as f32 - oy - jy;
+            blob(c1x, c1y, sigma, px as usize % hw, py.max(0.0) as usize % hw).max(blob(
+                c2x,
+                c2y,
+                sigma,
+                px.max(0.0) as usize % hw,
+                py.max(0.0) as usize % hw,
+            ))
+        })
+    }
+
+    /// Both splits of a generator, built with the per-pixel reference.
+    fn reference_dataset(
+        cfg: &SynthEventConfig,
+        num_classes: usize,
+        saccade: bool,
+    ) -> Vec<Vec<EventStream>> {
+        [(cfg.train_per_class, 0x1111), (cfg.test_per_class, 0x8888)]
+            .into_iter()
+            .map(|(per_class, salt)| {
+                let mut streams = Vec::new();
+                for class in 0..num_classes {
+                    let mut rng = XorShiftRng::new(
+                        cfg.seed ^ salt ^ ((class as u64 + 1).wrapping_mul(0x2545_F491_4F6C_DD1D)),
+                    );
+                    for _ in 0..per_class {
+                        let scene = if saccade {
+                            reference_saccade(cfg, class, num_classes, &mut rng)
+                        } else {
+                            reference_gesture(cfg, class, num_classes, &mut rng)
+                        };
+                        streams.push(reference_record(&scene, cfg, &mut rng));
+                    }
+                }
+                streams
+            })
+            .collect()
+    }
+
+    fn streams(dataset: &EventDataset) -> Vec<Vec<Event>> {
+        (0..dataset.len())
+            .map(|i| dataset.sample(i).0.events.clone())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Rendering whole frames, with the pose computed once per frame,
+        /// gives the per-pixel reference's frames bit for bit and its event
+        /// streams exactly: the same float expressions, and the same RNG
+        /// draws in the same order.
+        #[test]
+        fn frame_renderer_matches_the_per_pixel_reference(
+            side in 0usize..3,
+            duration in 2u32..40,
+            noise in 0usize..4,
+            seed in 0u64..1_000_000,
+            saccade in 0u8..2,
+        ) {
+            // Durations off a multiple of 3 leave the last saccade a
+            // remainder.
+            let duration = if duration % 3 == 0 { duration + 1 } else { duration };
+            let cfg = SynthEventConfig {
+                hw: [8, 16, 32][side],
+                train_per_class: 1,
+                test_per_class: 1,
+                duration,
+                noise_rate: [0.0, 0.0005, 0.01, 0.2][noise],
+                seed,
+                ..SynthEventConfig::default()
+            };
+            let saccade = saccade == 1;
+            let (classes, (train, test)) = if saccade {
+                (10, synth_nmnist(&cfg))
+            } else {
+                (11, synth_dvs_gesture(&cfg))
+            };
+            // Every frame, bit for bit, for scenes built from one RNG state.
+            for class in 0..classes {
+                let mut rng = XorShiftRng::new(seed ^ class as u64);
+                let mut reference_rng = rng.clone();
+                let (scene, pixels) = if saccade {
+                    (
+                        saccade_scene(&cfg, class, classes, &mut rng),
+                        reference_saccade(&cfg, class, classes, &mut reference_rng),
+                    )
+                } else {
+                    (
+                        gesture_scene(&cfg, class, classes, &mut rng),
+                        reference_gesture(&cfg, class, classes, &mut reference_rng),
+                    )
+                };
+                let mut frame = vec![0.0f32; cfg.hw * cfg.hw];
+                for t in 0..duration {
+                    scene(t, &mut frame);
+                    for (i, v) in frame.iter().enumerate() {
+                        let want = pixels(i % cfg.hw, i / cfg.hw, t);
+                        prop_assert_eq!(v.to_bits(), want.to_bits());
+                    }
+                }
+                prop_assert_eq!(rng, reference_rng);
+            }
+            let reference = reference_dataset(&cfg, classes, saccade);
+            for (split, want) in [train, test].iter().zip(&reference) {
+                prop_assert_eq!(split.len(), want.len());
+                let want: Vec<Vec<Event>> = want.iter().map(|s| s.events.clone()).collect();
+                prop_assert_eq!(streams(split), want);
+            }
+        }
+    }
 
     #[test]
     fn gesture_dataset_shape_and_determinism() {

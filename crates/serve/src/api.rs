@@ -43,8 +43,10 @@ impl PredictRequest {
     /// out equal, `inputs` bit for bit. Numbers are read as the vendored
     /// parser reads them, unknown keys are skipped, the last of duplicate
     /// keys wins, and `deadline_ms` may be absent or `null`. A body that
-    /// is not UTF-8 is rejected. Nested values are skipped with a heap
-    /// stack, so no body can exhaust the calling thread's stack.
+    /// is not UTF-8 is rejected, and so is one that nests more arrays and
+    /// objects than `serde_json::RECURSION_LIMIT`. Nested values are
+    /// skipped with a heap stack, so no body can exhaust the calling
+    /// thread's stack.
     ///
     /// # Errors
     ///
@@ -55,6 +57,7 @@ impl PredictRequest {
         let mut cur = Cursor {
             bytes: body,
             pos: 0,
+            depth: 1, // the body object
         };
         // A field whose value has the wrong type reads `None` (or `Err`)
         // until the end of the object: a later duplicate key replaces it.
@@ -156,6 +159,8 @@ impl PredictRequest {
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the position.
+    depth: usize,
 }
 
 impl Cursor<'_> {
@@ -327,6 +332,7 @@ impl Cursor<'_> {
             self.pos += 1;
             return Ok(Some(out));
         }
+        self.depth += 1;
         loop {
             self.skip_ws();
             match self.number_or_skip()?.and_then(&elem) {
@@ -334,19 +340,24 @@ impl Cursor<'_> {
                 None => fits = false,
             }
             if self.next_or_close(b']')? {
+                self.depth -= 1;
                 return Ok(fits.then_some(out));
             }
         }
     }
 
     /// Consume one well-formed value of any type. Open containers are kept
-    /// on a heap stack, one byte each, instead of one call frame each.
+    /// on a heap stack, one byte each, instead of one call frame each, and
+    /// refused past the vendored parser's nesting limit.
     fn skip_value(&mut self) -> Result<(), String> {
         let mut open = Vec::new();
         loop {
             self.skip_ws();
             match self.peek() {
                 Some(b @ (b'[' | b'{')) => {
+                    if self.depth + open.len() == serde_json::RECURSION_LIMIT {
+                        return Err(format!("nesting too deep at byte {}", self.pos));
+                    }
                     let close = if b == b'[' { b']' } else { b'}' };
                     self.pos += 1;
                     self.skip_ws();

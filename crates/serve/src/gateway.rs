@@ -16,7 +16,7 @@
 //!        earliest deadline) — batching never delays a request past its
 //!        deadline
 //!   └─ predict on the pool's current session, split per-row
-//!   └─ 200 with logits/class              → 503 deadline when unmet
+//!   └─ serialize, 200 with logits/class   → 503 deadline when unmet
 //! ```
 //!
 //! Requests are **compatible** (may share a micro-batch) when they agree
@@ -63,7 +63,9 @@ enum Shed {
     Model(String),
 }
 
-type JobResult = Result<PredictResponse, Shed>;
+/// A job's answer, with the instant its batch finished executing: the
+/// handler's `write` phase starts there.
+type JobResult = Result<(PredictResponse, Instant), Shed>;
 
 /// One admitted request waiting for a micro-batch slot.
 struct Job {
@@ -305,9 +307,13 @@ fn handle_predict(inner: &Arc<Inner>, req: &Request) -> Response {
 
     let wait = deadline.saturating_duration_since(Instant::now()) + EXECUTION_GRACE;
     match rx.recv_timeout(wait) {
-        Ok(Ok(body)) => match serde_json::to_string(&body) {
+        Ok(Ok((body, executed))) => match serde_json::to_string(&body) {
             Ok(json) => {
-                observe("serve.request_wall_us", start.elapsed().as_secs_f64() * 1e6);
+                let written = Instant::now();
+                let id = request_span.id();
+                phase_wall("write", written.saturating_duration_since(executed), id);
+                let wall = written.saturating_duration_since(start).as_secs_f64() * 1e6;
+                observe_with_exemplar("serve.request_wall_us", wall, id);
                 Response::ok_json(json)
             }
             Err(e) => Response::service_unavailable("model_error", &format!("{e:?}")),
@@ -448,9 +454,12 @@ fn batcher_loop(inner: &Arc<Inner>) {
 /// Phase attribution happens here, after the handler's `parse` (arrival
 /// to queue push): each job's `queue_wait` runs from its push until its
 /// batch is picked up, `batch_wait` covers the row-stacking (time spent
-/// because of company), and `execute` is the forward pass itself. Each
-/// phase histogram carries span-id exemplars — the jobs' request spans
-/// for the parse and the waits, the `execute` span for the model time.
+/// because of company), and `execute` runs from there to the end of the
+/// forward pass, the instant the handler's `write` phase starts from.
+/// Adjacent phases share their boundary instant, so a request's five
+/// phases sum to its `serve.request_wall_us`. Each phase histogram carries
+/// span-id exemplars — the jobs' request spans for the parse, the waits
+/// and the write, the `execute` span for the model time.
 fn dispatch(inner: &Arc<Inner>, batch: &[Job]) {
     let Some(front) = batch.first() else {
         return;
@@ -483,8 +492,9 @@ fn dispatch(inner: &Arc<Inner>, batch: &[Job]) {
         }
         steps.push(Tensor::from_vec(data, dims));
     }
+    let stacked = Instant::now();
     for job in batch {
-        phase_wall("batch_wait", picked_up.elapsed(), job.span);
+        phase_wall("batch_wait", stacked - picked_up, job.span);
     }
     // Hold one Arc across the whole batch: a concurrent hot reload swaps
     // the pool pointer without tearing this prediction.
@@ -492,9 +502,9 @@ fn dispatch(inner: &Arc<Inner>, batch: &[Job]) {
     counter_add("serve.batches", 1.0);
     observe("serve.batch_size", rows as f64);
     let execute_span = span!("execute");
-    let execute_start = Instant::now();
     let result = session.predict(&steps);
-    phase_wall("execute", execute_start.elapsed(), execute_span.id());
+    let executed = Instant::now();
+    phase_wall("execute", executed - stacked, execute_span.id());
     drop(execute_span);
     match result {
         Ok(pred) => {
@@ -508,13 +518,14 @@ fn dispatch(inner: &Arc<Inner>, batch: &[Job]) {
                     .get(i * classes..(i + 1) * classes)
                     .map(<[f32]>::to_vec)
                     .unwrap_or_default();
-                let _ = job.respond.send(Ok(PredictResponse {
+                let response = PredictResponse {
                     class: pred.classes.get(i).copied().unwrap_or(0),
                     logits,
                     evaluated_steps: pred.evaluated_steps,
                     skipped_steps: pred.skipped_steps,
                     batch_size: rows,
-                }));
+                };
+                let _ = job.respond.send(Ok((response, executed)));
             }
         }
         Err(e) => {
@@ -555,21 +566,35 @@ mod tests {
     use skipper_obs::Router;
     use skipper_snn::{custom_net, ModelConfig};
 
-    /// Observations of `phase` in `events` whose exemplar is one of
-    /// `spans`. The registry's histograms are process-wide, so a test that
-    /// read their counts would also count other tests' batches.
-    fn phase_count(events: &[skipper_obs::Event], phase: &str, spans: &[u64]) -> usize {
-        let name = labeled("serve.phase_wall_us", "phase", phase);
+    /// Observations of `name` in `events` with `exemplar`, as
+    /// `(thread, value)`. The registry's histograms are process-wide, so
+    /// a test that read their counts would also count other tests'
+    /// batches.
+    fn observed(events: &[skipper_obs::Event], name: &str, exemplar: u64) -> Vec<(u64, f64)> {
         events
             .iter()
-            .filter(|e| e.name == name && matches!(e.kind, skipper_obs::EventKind::Observe { .. }))
+            .filter(|e| e.name == name)
             .filter(|e| {
                 e.fields.iter().any(|(key, value)| {
                     *key == "exemplar"
-                        && matches!(value, skipper_obs::FieldValue::U64(id) if spans.contains(id))
+                        && matches!(value, skipper_obs::FieldValue::U64(id) if *id == exemplar)
                 })
             })
-            .count()
+            .filter_map(|e| match e.kind {
+                skipper_obs::EventKind::Observe { value } => Some((e.tid, value)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Observations of `phase` in `events` whose exemplar is one of
+    /// `spans`.
+    fn phase_count(events: &[skipper_obs::Event], phase: &str, spans: &[u64]) -> usize {
+        let name = labeled("serve.phase_wall_us", "phase", phase);
+        spans
+            .iter()
+            .map(|&span| observed(events, &name, span).len())
+            .sum()
     }
 
     #[test]
@@ -648,9 +673,108 @@ mod tests {
             })
             .collect();
         assert_eq!(answered.len(), 4);
-        for phase in ["parse", "queue_wait", "batch_wait"] {
+        for phase in ["parse", "queue_wait", "batch_wait", "write"] {
             assert_eq!(phase_count(&events, phase, &answered), 4, "{phase}");
         }
+    }
+
+    /// Adjacent phases share their boundary instants, so one request's
+    /// parse, queue_wait, batch_wait, execute and write sum to its
+    /// `serve.request_wall_us`.
+    #[test]
+    fn one_requests_phases_sum_to_its_wall_time() {
+        let (ring, events) = skipper_obs::RingBufferSink::new(1 << 20);
+        let sink = skipper_obs::add_sink(Box::new(ring));
+        let net = custom_net(&ModelConfig {
+            input_hw: 8,
+            width_mult: 0.25,
+            ..ModelConfig::default()
+        });
+        let cfg = GatewayConfig {
+            tenants: vec![TenantConfig::new("acme", 1000.0, 1000.0)],
+            max_batch: 1,
+            ..GatewayConfig::default()
+        };
+        let router = Arc::new(Router::new());
+        let gateway = Gateway::start(
+            cfg,
+            ModelPool::fixed(InferSession::new(net)),
+            Arc::clone(&router),
+        )
+        .unwrap();
+        let body = serde_json::to_string(&PredictRequest {
+            tenant: "acme".to_string(),
+            timesteps: 2,
+            shape: vec![3, 8, 8],
+            inputs: vec![1.0; 2 * 3 * 8 * 8],
+            deadline_ms: None,
+        })
+        .unwrap()
+        .into_bytes();
+        // The request runs on a thread of its own; its tid finds its
+        // `gateway_request` span in the capture.
+        let (status, tid) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let request = skipper_obs::Request {
+                    method: "POST".into(),
+                    path: "/v1/predict".into(),
+                    query: String::new(),
+                    body,
+                };
+                (router.dispatch(&request).status, skipper_obs::current_tid())
+            })
+            .join()
+            .unwrap()
+        });
+        drop(gateway);
+        skipper_obs::remove_sink(sink);
+        assert_eq!(status, 200);
+        let events = events.snapshot();
+        let span = events
+            .iter()
+            .filter(|e| e.tid == tid && e.name == "gateway_request")
+            .find_map(|e| match e.kind {
+                skipper_obs::EventKind::SpanBegin { id, .. } => Some(id),
+                _ => None,
+            })
+            .expect("the request's span");
+        let phase = |name: &str| {
+            let found = observed(
+                &events,
+                &labeled("serve.phase_wall_us", "phase", name),
+                span,
+            );
+            assert_eq!(found.len(), 1, "{name}: {found:?}");
+            found[0]
+        };
+        let (batcher, queue_wait) = phase("queue_wait");
+        // `execute` carries the batch's span; this gateway's batcher ran
+        // one batch, the request's own.
+        let execute_name = labeled("serve.phase_wall_us", "phase", "execute");
+        let execute: Vec<f64> = events
+            .iter()
+            .filter(|e| e.tid == batcher && e.name == execute_name)
+            .filter_map(|e| match e.kind {
+                skipper_obs::EventKind::Observe { value } => Some(value),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(execute.len(), 1, "{execute:?}");
+        let phases = [
+            phase("parse").1,
+            queue_wait,
+            phase("batch_wait").1,
+            execute[0],
+            phase("write").1,
+        ];
+        let wall = observed(&events, "serve.request_wall_us", span);
+        assert_eq!(wall.len(), 1, "{wall:?}");
+        let sum: f64 = phases.iter().sum();
+        assert!(
+            (sum - wall[0].1).abs() <= 1.0,
+            "phases {phases:?} sum to {sum} µs, the request took {} µs",
+            wall[0].1
+        );
     }
 
     /// The batcher thread runs `dispatch` for as long as the gateway lives

@@ -7,7 +7,8 @@
 //! `serde_json::to_string` rendering and are then perturbed: whitespace,
 //! key order, unknown keys with nested values, duplicate keys, numbers in
 //! other notations, and — marked destructive — truncation, corrupted
-//! bytes, mistyped duplicates and malformed numbers or whitespace.
+//! bytes, mistyped duplicates, malformed numbers or whitespace, and
+//! unknown values nested past `serde_json::RECURSION_LIMIT`.
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -71,14 +72,19 @@ fn number_text(rng: &mut TestRng, v: f32) -> String {
 }
 
 /// A well-formed JSON value of any type, nested up to `depth` levels
-/// (plus one bracket run), for unknown keys and mistyped duplicates.
+/// (plus one bracket run), for unknown keys and mistyped duplicates. A
+/// quarter of the bracket runs are long enough that the body's nesting
+/// straddles `serde_json::RECURSION_LIMIT`.
 fn any_value(rng: &mut TestRng, depth: u32) -> String {
     match rng.below(if depth == 0 { 5 } else { 7 }) {
         0 => pick(rng, &["null", "true", "false"]).to_string(),
         1 => pick(rng, &["0", "-12", "3.5e-3", "1E+2", "18446744073709551615"]).to_string(),
         2 => serde_json::to_string(&pick(rng, &["", "x", "\u{0}\"\\", "ü雪"])).unwrap(),
         3 => {
-            let n = 1 + rng.below(48) as usize;
+            let n = match rng.below(4) {
+                0 => serde_json::RECURSION_LIMIT - 5 + rng.below(6) as usize,
+                _ => 1 + rng.below(48) as usize,
+            };
             format!("{}{}", "[".repeat(n), "]".repeat(n))
         }
         4 => format!("{{{}}}", ws(rng)),
@@ -113,6 +119,32 @@ fn mistyped(rng: &mut TestRng) -> String {
         ],
     )
     .to_string()
+}
+
+/// The deepest nesting of arrays and objects in `body`, outside strings.
+fn nesting(body: &[u8]) -> usize {
+    let (mut depth, mut deepest, mut in_string, mut escaped) = (0usize, 0, false, false);
+    for &b in body {
+        if in_string {
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match b {
+            b'"' => in_string = true,
+            b'[' | b'{' => {
+                depth += 1;
+                deepest = deepest.max(depth);
+            }
+            b']' | b'}' => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+    }
+    deepest
 }
 
 /// One member `"key":value` with optional whitespace around the colon.
@@ -230,6 +262,7 @@ fn perturbed(req: &PredictRequest, rng: &mut TestRng) -> (Vec<u8>, bool) {
         ws(rng)
     )
     .into_bytes();
+    destructive |= nesting(&body) > serde_json::RECURSION_LIMIT;
     match rng.below(8) {
         0 => {
             body.truncate(rng.below(body.len() as u64) as usize);
@@ -394,8 +427,70 @@ fn edge_cases_decode_like_the_derive() {
     assert!(check(&with_unread(b"\xc3")).is_err());
 }
 
-/// A body nested far deeper than any call stack allows still decodes, on
-/// a thread with a small stack: skipping a value takes no recursion.
+/// `levels` containers around `innermost`: arrays, objects, or both
+/// alternating.
+fn nest(levels: usize, kinds: &[&str], innermost: &str) -> String {
+    let open: String = (0..levels).map(|i| kinds[i % kinds.len()]).collect();
+    let close: String = (0..levels)
+        .rev()
+        .map(|i| {
+            if kinds[i % kinds.len()] == "[" {
+                "]"
+            } else {
+                "}"
+            }
+        })
+        .collect();
+    format!("{open}{innermost}{close}")
+}
+
+/// Both decoders accept a body whose arrays and objects nest exactly
+/// `serde_json::RECURSION_LIMIT` deep, counting the body object, and refuse
+/// one level more, wherever the nesting sits and whether or not its
+/// innermost container is empty.
+#[test]
+fn both_decoders_cap_nesting_at_the_recursion_limit() {
+    let limit = serde_json::RECURSION_LIMIT;
+    let rest = r#""timesteps":1,"shape":[1]"#;
+    // Bodies whose deepest container sits `inner` levels inside the body
+    // object; the first three are valid requests.
+    let bodies = |inner: usize| {
+        let unknown =
+            |value: String| format!(r#"{{"tenant":"t",{rest},"inputs":[1],"x":{value}}}"#);
+        [
+            unknown(nest(inner, &["["], "")),
+            unknown(nest(inner, &["{\"k\":"], "0")),
+            unknown(nest(inner, &["[", "{\"k\":"], "null")),
+            // A mistyped field is skipped as deep as an unknown value.
+            format!(
+                r#"{{"tenant":{},{rest},"inputs":[1]}}"#,
+                nest(inner, &["["], "")
+            ),
+            // An element of `inputs` sits one level inside the array.
+            format!(
+                r#"{{"tenant":"t",{rest},"inputs":[{}]}}"#,
+                nest(inner - 1, &["["], "1")
+            ),
+        ]
+    };
+    for (i, body) in bodies(limit - 1).iter().enumerate() {
+        assert_eq!(check(body.as_bytes()).is_ok(), i < 3, "{body:.80}");
+        assert!(
+            serde_json::from_str::<serde_json::Value>(body).is_ok(),
+            "{body:.80}"
+        );
+    }
+    for body in bodies(limit) {
+        assert!(check(body.as_bytes()).is_err(), "{body:.80}");
+        assert!(
+            serde_json::from_str::<serde_json::Value>(&body).is_err(),
+            "{body:.80}"
+        );
+    }
+}
+
+/// A body nested far deeper than any call stack allows is refused on a
+/// thread with a small stack: skipping a value takes no recursion.
 #[test]
 fn deep_nesting_costs_no_stack() {
     std::thread::Builder::new()
@@ -407,8 +502,7 @@ fn deep_nesting_costs_no_stack() {
             let body = format!(
                 r#"{{"x":{open}0{close},"tenant":"t","timesteps":1,"shape":[1],"inputs":[1]}}"#
             );
-            let req = PredictRequest::from_json(body.as_bytes()).expect("deep unknown value skips");
-            assert_eq!(req.inputs, [1.0]);
+            assert!(PredictRequest::from_json(body.as_bytes()).is_err());
             let unclosed = format!(r#"{{"tenant":"t","x":{}"#, "[".repeat(depth));
             assert!(PredictRequest::from_json(unclosed.as_bytes()).is_err());
         })

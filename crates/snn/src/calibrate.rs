@@ -8,16 +8,29 @@
 //! threshold from the actual distribution of its membrane potentials.
 //!
 //! [`calibrate_thresholds`] does this layer by layer: run the calibration
-//! batch through the (partially calibrated) network, take a high quantile
-//! of the layer's membrane potential across neurons and timesteps, and set
-//! the threshold so that roughly `target_rate` of (neuron, timestep) pairs
-//! fire. Earlier layers are calibrated first so that later layers see
-//! realistic input activity.
+//! batch through the (partially calibrated) network as far as the layer,
+//! select a high order statistic of its membrane potential across neurons
+//! and timesteps, and set the threshold so that roughly `target_rate` of
+//! (neuron, timestep) pairs fire. Earlier layers are calibrated first so
+//! that later layers see realistic input activity.
 
 use crate::error::SnnError;
-use crate::network::{Module, SpikingNetwork, StepCtx};
+use crate::network::{LifUnit, Module, SpikingNetwork, StepCtx};
 use skipper_memprof::pause_op_log;
 use skipper_tensor::Tensor;
+
+/// The LIF units of `modules` in state order, each with the index of the
+/// module that holds it.
+fn lif_units(modules: &mut [Module]) -> impl Iterator<Item = (usize, &mut LifUnit)> {
+    modules.iter_mut().enumerate().flat_map(|(i, m)| {
+        let units: Vec<&mut LifUnit> = match m {
+            Module::ConvLif { lif, .. } | Module::LinearLif { lif, .. } => vec![lif],
+            Module::Residual { lif1, lif2, .. } => vec![lif1, lif2],
+            _ => vec![],
+        };
+        units.into_iter().map(move |u| (i, u))
+    })
+}
 
 /// Set the firing threshold of the `lif_index`-th LIF population.
 ///
@@ -36,24 +49,13 @@ pub fn set_threshold(
     theta: f32,
 ) -> Result<(), SnnError> {
     assert!(theta > 0.0, "threshold must be positive");
-    let mut idx = 0usize;
-    for m in net.modules_mut() {
-        let units: Vec<&mut crate::network::LifUnit> = match m {
-            Module::ConvLif { lif, .. } | Module::LinearLif { lif, .. } => vec![lif],
-            Module::Residual { lif1, lif2, .. } => vec![lif1, lif2],
-            _ => vec![],
-        };
-        for u in units {
-            if idx == lif_index {
-                u.cfg.threshold = theta;
-                return Ok(());
-            }
-            idx += 1;
-        }
-    }
-    Err(SnnError::Mismatch(format!(
-        "lif index {lif_index} out of range ({idx} populations)"
-    )))
+    let populations = net.spiking_layer_count();
+    let out_of_range = || format!("lif index {lif_index} out of range ({populations} populations)");
+    let (_, unit) = lif_units(net.modules_mut())
+        .nth(lif_index)
+        .ok_or_else(|| SnnError::Mismatch(out_of_range()))?;
+    unit.cfg.threshold = theta;
+    Ok(())
 }
 
 /// Balance every layer's threshold on `inputs` (a spike sequence of one
@@ -73,21 +75,25 @@ pub fn calibrate_thresholds(
         (0.0..1.0).contains(&target_rate) && target_rate > 0.0,
         "target rate in (0,1)"
     );
-    let layers = net.spiking_layer_count();
+    let holders: Vec<usize> = lif_units(net.modules_mut()).map(|(m, _)| m).collect();
     let batch = inputs[0].shape()[0];
+    let mut potentials = Vec::new();
     let _no_op_log = pause_op_log(); // calibration is not a kernel cost
-    let mut thresholds = Vec::with_capacity(layers);
-    for l in 0..layers {
-        // Forward pass with layers < l already calibrated.
+    let mut thresholds = Vec::with_capacity(holders.len());
+    for (l, &holder) in holders.iter().enumerate() {
+        // Layers < l are calibrated; later modules cannot move l's potentials.
         let mut state = net.init_state(batch);
-        let mut potentials: Vec<f32> = Vec::new();
+        potentials.clear();
+        potentials.reserve(inputs.len() * state.mems[l].numel());
         for (t, input) in inputs.iter().enumerate() {
-            let _ = net.step_infer(input, &mut state, &StepCtx::eval(t));
+            net.step_infer_modules(input.clone(), &mut state, &StepCtx::eval(t), 0..holder + 1);
             potentials.extend_from_slice(state.mems[l].data());
         }
-        potentials.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let rank = ((1.0 - target_rate) as f64 * potentials.len() as f64) as usize;
-        let theta = potentials[rank.min(potentials.len() - 1)].max(1e-3);
+        let rank = rank.min(potentials.len() - 1);
+        // What a sort puts at `rank`; ±0.0 order apart, and the floor joins them.
+        let (_, nth, _) = potentials.select_nth_unstable_by(rank, f32::total_cmp);
+        let theta = nth.max(1e-3);
         // lint:allow(panic): `l` enumerates this net's own LIF populations, so it is in range
         set_threshold(net, l, theta).expect("lif index enumerated from this net");
         thresholds.push(theta);
@@ -98,9 +104,96 @@ pub fn calibrate_thresholds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{lenet5, ModelConfig};
+    use crate::models::{alexnet, custom_net, lenet5, resnet20, vgg5, ModelConfig};
     use crate::network::NetworkState;
+    use proptest::prelude::*;
     use skipper_tensor::XorShiftRng;
+
+    /// The calibration [`calibrate_thresholds`] replaced: every pass runs
+    /// the whole network and sorts all of the layer's potentials.
+    fn reference_thresholds(
+        net: &mut SpikingNetwork,
+        inputs: &[Tensor],
+        target_rate: f32,
+    ) -> Vec<f32> {
+        let batch = inputs[0].shape()[0];
+        let mut thresholds = Vec::new();
+        for l in 0..net.spiking_layer_count() {
+            let mut state = net.init_state(batch);
+            let mut potentials: Vec<f32> = Vec::new();
+            for (t, input) in inputs.iter().enumerate() {
+                let _ = net.step_infer(input, &mut state, &StepCtx::eval(t));
+                potentials.extend_from_slice(state.mems[l].data());
+            }
+            potentials.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            let rank = ((1.0 - target_rate) as f64 * potentials.len() as f64) as usize;
+            let theta = potentials[rank.min(potentials.len() - 1)].max(1e-3);
+            set_threshold(net, l, theta).unwrap();
+            thresholds.push(theta);
+        }
+        thresholds
+    }
+
+    /// Every population's threshold, in state order.
+    fn thresholds_of(net: &mut SpikingNetwork) -> Vec<u32> {
+        lif_units(net.modules_mut())
+            .map(|(_, u)| u.cfg.threshold.to_bits())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Stopping each pass at the layer it sets and selecting instead
+        /// of sorting picks the reference's thresholds bit for bit, and
+        /// leaves them set: dense LIF layers (vgg5), two populations in
+        /// one `Residual` module (resnet20), dropout configured (alexnet).
+        #[test]
+        fn calibration_matches_the_full_pass_sort(
+            model in 0usize..5,
+            timesteps in 1usize..5,
+            batch in 1usize..3,
+            density in 0.02f32..0.6,
+            target_rate in 0.01f32..0.5,
+            seed in 0u64..1000,
+        ) {
+            let (build, hw, channels): (fn(&ModelConfig) -> SpikingNetwork, usize, usize) =
+                match model {
+                    0 => (custom_net, 8, 2),
+                    1 => (lenet5, 16, 2),
+                    2 => (vgg5, 8, 3),
+                    3 => (resnet20, 8, 3),
+                    _ => (alexnet, 8, 3),
+                };
+            let cfg = ModelConfig {
+                input_hw: hw,
+                in_channels: channels,
+                width_mult: 0.125,
+                dropout: Some(0.3),
+                seed,
+                ..ModelConfig::default()
+            };
+            let mut rng = XorShiftRng::new(seed ^ 0x5EED);
+            let inputs: Vec<Tensor> = (0..timesteps)
+                .map(|_| {
+                    Tensor::rand([batch, channels, hw, hw], &mut rng)
+                        .map(|x| (x < density) as i32 as f32)
+                })
+                .collect();
+            let mut reference = build(&cfg);
+            let want: Vec<u32> = reference_thresholds(&mut reference, &inputs, target_rate)
+                .iter()
+                .map(|t| t.to_bits())
+                .collect();
+            let mut net = build(&cfg);
+            let got: Vec<u32> = calibrate_thresholds(&mut net, &inputs, target_rate)
+                .iter()
+                .map(|t| t.to_bits())
+                .collect();
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(thresholds_of(&mut net), want);
+        }
+    }
 
     fn sparse_inputs(timesteps: usize, batch: usize) -> Vec<Tensor> {
         let mut rng = XorShiftRng::new(7);

@@ -132,12 +132,7 @@ pub struct StepCtx {
 impl StepCtx {
     /// Training context at time `t` for an unsharded batch.
     pub fn train(iter_seed: u64, t: usize) -> StepCtx {
-        StepCtx {
-            iter_seed,
-            t,
-            train: true,
-            batch_offset: 0,
-        }
+        StepCtx::train_shard(iter_seed, t, 0)
     }
 
     /// Training context at time `t` for a batch shard starting at global
@@ -154,10 +149,8 @@ impl StepCtx {
     /// Evaluation context (no dropout) at time `t`.
     pub fn eval(t: usize) -> StepCtx {
         StepCtx {
-            iter_seed: 0,
-            t,
             train: false,
-            batch_offset: 0,
+            ..StepCtx::train(0, t)
         }
     }
 }

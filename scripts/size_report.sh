@@ -12,9 +12,15 @@
 # so that the env overlay deleted in PR 25 cannot creep back; it was raised
 # from 1398 by 331 lines for the one-pass `/v1/predict` body decoder
 # (`PredictRequest::from_json`, 318 lines in api.rs) and its `parse` phase
-# in gateway.rs and docs (13 lines), and by nothing else. tensor was raised
-# from 1356 by 112 lines for `SpikeBits` (spike_bits.rs, 108 lines, and
-# its export and docs in lib.rs), the one bit packer, which checkpoint
+# in gateway.rs and docs (13 lines), and by nothing else. It was raised
+# again, from 1669 by 22 lines, for two bounds: the decoder refuses the
+# vendored parser's nesting limit (api.rs +11), and the gateway's `write`
+# phase closes the phase sum on shared instants (gateway.rs +11). snn
+# (2812 -> 2811) and data (846 -> 843) were lowered to what they measured
+# after calibration stopped at the layer it sets and the event scenes
+# began rendering whole frames. tensor was raised from 1356 by 112 lines
+# for `SpikeBits` (spike_bits.rs, 108 lines, and its export and docs in
+# lib.rs), the one bit packer, which checkpoint
 # snapshots and the wire share; core did not grow, because the wire's own
 # bitmask loops went. tensor was raised again, from 1389 by 174 lines, for
 # the register-tiled GEMM (matmul.rs 112 -> 284: the tile, its column
@@ -51,9 +57,9 @@ CEILING_BENCH=2686
 CEILING_REPORT=439
 CEILING_TENSOR=1757
 CEILING_AUTOGRAD=767
-CEILING_SNN=2812
-CEILING_SERVE=1669
-CEILING_DATA=846
+CEILING_SNN=2811
+CEILING_SERVE=1691
+CEILING_DATA=843
 CEILING_OBS=3196
 CEILING_WAIVERS=38
 
