@@ -34,7 +34,7 @@ use crate::error::SkipperError;
 use crate::shard::{self, Executor, Iteration, Request, ResultPayload, ShardWorker};
 use crate::transport::{
     Channel, ChannelStats, ChaosConfig, Message, MetricsDelta, TcpConnector, TcpListenerLink,
-    TraceCtx, TransportError,
+    TransportError,
 };
 use crate::windowed::StepResult;
 use serde::{Deserialize, Serialize};
@@ -44,7 +44,7 @@ use skipper_snn::{custom_net, ModelConfig, ParamStore, SpikingNetwork};
 use skipper_tensor::XorShiftRng;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Write as _;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Environment knob naming the coordinator address (`host:port`) that
@@ -73,27 +73,6 @@ fn blackbox_dir() -> std::path::PathBuf {
 // ---------------------------------------------------------------------------
 // Cluster-wide observability plumbing
 // ---------------------------------------------------------------------------
-
-/// Process-stable trace id stamped into every dispatched [`TraceCtx`]: one
-/// id groups all spans of one coordinator process's run, and the pid half
-/// keeps concurrent runs on one host apart.
-fn trace_id() -> u64 {
-    static TRACE: OnceLock<u64> = OnceLock::new();
-    // Observability-only identity; never feeds training math, so wall-clock
-    // salt does not violate the determinism contract.
-    *TRACE
-        .get_or_init(|| ((std::process::id() as u64) << 32) | (skipper_obs::now_us() & 0xFFFF_FFFF))
-}
-
-/// The trace context a work dispatch should carry: the coordinator's trace
-/// id plus the innermost open span on this thread (the `iteration` span
-/// opened by the training runner). `None` while tracing is disabled.
-fn current_trace_ctx() -> Option<TraceCtx> {
-    skipper_obs::current_span().map(|parent| TraceCtx {
-        trace: trace_id(),
-        parent,
-    })
-}
 
 /// Rewrite a metric key to carry a `worker=<id>` label: inserted into an
 /// existing `{...}` label set, appended as a fresh one otherwise.
@@ -374,10 +353,10 @@ pub(crate) struct WireSpec {
 }
 
 /// Serialize a parameter store as `.skw` v2 record bytes.
-fn encode_params(store: &ParamStore) -> Result<Vec<u8>, SkipperError> {
+fn encode_params(store: &ParamStore) -> Vec<u8> {
     let mut buf = Vec::new();
-    write_records(store.iter().map(|p| (p.name(), p.value())), &mut buf)?;
-    Ok(buf)
+    write_records(store.iter().map(|p| (p.name(), p.value())), &mut buf);
+    buf
 }
 
 // ---------------------------------------------------------------------------
@@ -823,7 +802,7 @@ impl Coordinator {
     ) -> Result<StepResult, SkipperError> {
         shard::reject_lbp_over_wire(it.method)?;
         self.timesteps = it.inputs.len();
-        let params = encode_params(net.params())?;
+        let params = encode_params(net.params());
         let mut attempt: u32 = 0;
         loop {
             self.ensure_capacity()?;
@@ -884,7 +863,9 @@ impl Executor for WireAttempt<'_> {
             self.coordinator
                 .note_assignment(&self.assignment, iteration, attempt);
         }
-        let trace = current_trace_ctx();
+        // The open `iteration` span, which each worker's `worker_task`
+        // span nests under; `None` while tracing is disabled.
+        let trace = skipper_obs::current_span();
         for (request, worker) in requests.into_iter().zip(&self.assignment) {
             // A round-1 message holds only the shard's own rows (sliced
             // here, on the coordinator's thread) plus the weights.
@@ -1149,8 +1130,8 @@ enum ServeEnd {
 }
 
 /// Open the `worker_task` span for one dispatch, parented under the
-/// coordinator's `iteration` span when the frame carried a trace context
-/// (remote parent ids resolve after [`skipper_obs::namespace_span_ids`]
+/// coordinator's `iteration` span when the frame carried its id (remote
+/// parent ids resolve after [`skipper_obs::namespace_span_ids`]
 /// keeps the id spaces disjoint). Spans the shard cores open underneath
 /// nest here via the thread-local stack, exactly like the in-process
 /// engine's pool.
@@ -1159,7 +1140,7 @@ fn worker_task_span(
     iteration: u64,
     attempt: u32,
     shard: u32,
-    trace: Option<TraceCtx>,
+    trace: Option<u64>,
 ) -> skipper_obs::SpanGuard {
     if !skipper_obs::enabled() {
         return skipper_obs::SpanGuard::disabled();
@@ -1172,7 +1153,7 @@ fn worker_task_span(
             ("attempt", attempt.into()),
             ("shard", shard.into()),
         ],
-        trace.map(|t| t.parent),
+        trace,
     )
 }
 
@@ -1257,8 +1238,7 @@ fn serve(
 
 /// Overwrite the worker net's weights from `.skw` record bytes.
 fn apply_wire_params(net: &mut SpikingNetwork, params: &[u8]) -> Result<(), String> {
-    let records =
-        read_params(&mut &params[..]).map_err(|e| format!("params decode failed: {e}"))?;
+    let records = read_params(params).map_err(|e| format!("params decode failed: {e}"))?;
     apply_records(net.params_mut(), records).map_err(|e| format!("params apply failed: {e}"))
 }
 
@@ -1331,6 +1311,32 @@ mod tests {
         assert_eq!(back.model.dropout, None);
         assert_eq!(back.timesteps, 4);
         assert!(welcome_spec(&welcome_bytes(&spec)[..9]).is_err());
+    }
+
+    #[test]
+    fn hostile_wire_params_are_refused_before_anything_is_sized() {
+        let config = ModelConfig {
+            input_hw: 8,
+            width_mult: 0.25,
+            ..ModelConfig::default()
+        };
+        let mut net = custom_net(&config);
+        // 23 bytes of `.skw` v2 whose one record `w` claims 2^28 elements
+        // (1 GiB) and holds none of them.
+        let mut params = b"SKPRW\x02".to_vec();
+        for v in [1u32, 1] {
+            params.extend_from_slice(&v.to_le_bytes());
+        }
+        params.push(b'w');
+        for v in [1u32, 1 << 28] {
+            params.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(params.len(), 23);
+        let err = apply_wire_params(&mut net, &params).unwrap_err();
+        assert!(err.starts_with("params decode failed"), "{err}");
+        // The weights that do decode still apply.
+        let good = encode_params(custom_net(&ModelConfig { seed: 5, ..config }).params());
+        apply_wire_params(&mut net, &good).unwrap();
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! (see [`skipper_snn::serialize`]): a magic header (`"SKSNP"` +
 //! version), a section count, then named sections — each
 //! `name_len | name | payload_len | payload | CRC32(payload)` — and a
-//! trailing section count. Torn writes are impossible to observe because
-//! [`write_snapshot`] writes to a temporary sibling file and renames it
-//! over the target only after a successful flush; torn *reads* (bit rot,
-//! truncation) are rejected with a description of the offending section.
+//! trailing section count. [`write_snapshot`] goes through
+//! [`write_atomic`], so a torn write is never observed; torn *reads* (bit
+//! rot, truncation) are rejected by the one bounded [`WireReader`] and the
+//! per-section CRCs, with a description of the offending section.
 //!
 //! Sections:
 //!
@@ -33,9 +33,12 @@ use crate::error::SkipperError;
 use crate::method::Method;
 use crate::sam::{SamMetric, SkipPolicy};
 use serde::{Deserialize, Serialize};
-use skipper_snn::serialize::{crc32, read_params, write_records, ParamRecord};
+use skipper_snn::serialize::{
+    crc32, put_bytes, put_str, put_u32, read_params, write_atomic, write_records, DecodeError,
+    ParamRecord, WireReader,
+};
 use skipper_snn::OptimizerState;
-use std::io::{self, Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 /// Snapshot file magic: "SKSNP" + version 1.
@@ -84,48 +87,21 @@ struct MetaDoc {
     aux_scalars: Option<Vec<(String, f64)>>,
 }
 
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+fn write_section(buf: &mut Vec<u8>, name: &str, payload: &[u8]) {
+    put_str(buf, name);
+    put_bytes(buf, payload);
+    put_u32(buf, crc32(payload));
 }
 
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn write_section(w: &mut impl Write, name: &str, payload: &[u8]) -> Result<(), SkipperError> {
-    write_u32(w, name.len() as u32)?;
-    w.write_all(name.as_bytes())?;
-    write_u32(w, payload.len() as u32)?;
-    w.write_all(payload)?;
-    write_u32(w, crc32(payload))?;
-    Ok(())
-}
-
-fn read_section(r: &mut impl Read) -> Result<(String, Vec<u8>), SkipperError> {
-    let name_len = read_u32(r)? as usize;
-    if name_len > 256 {
-        return Err(SkipperError::Snapshot(format!(
-            "section name implausibly long ({name_len} bytes)"
-        )));
-    }
-    let mut name = vec![0u8; name_len];
-    r.read_exact(&mut name)?;
-    let name = String::from_utf8(name)
-        .map_err(|e| SkipperError::Snapshot(format!("section name is not UTF-8: {e}")))?;
-    let payload_len = read_u32(r)? as usize;
-    if payload_len > 1 << 30 {
-        return Err(SkipperError::Snapshot(format!(
-            "section '{name}' implausibly large ({payload_len} bytes)"
-        )));
-    }
-    let mut payload = vec![0u8; payload_len];
-    r.read_exact(&mut payload)?;
-    let stored = read_u32(r)?;
-    let computed = crc32(&payload);
+fn read_section<'a>(r: &mut WireReader<'a>) -> Result<(String, &'a [u8]), DecodeError> {
+    let name = r.string()?;
+    let payload = r
+        .bytes()
+        .map_err(|e| DecodeError(format!("section '{name}': {e}")))?;
+    let stored = r.u32()?;
+    let computed = crc32(payload);
     if stored != computed {
-        return Err(SkipperError::Snapshot(format!(
+        return Err(DecodeError(format!(
             "section '{name}': CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"
         )));
     }
@@ -134,10 +110,10 @@ fn read_section(r: &mut impl Read) -> Result<(String, Vec<u8>), SkipperError> {
 
 fn records_payload<'a>(
     records: impl IntoIterator<Item = (&'a str, &'a skipper_tensor::Tensor)>,
-) -> Result<Vec<u8>, SkipperError> {
+) -> Vec<u8> {
     let mut buf = Vec::new();
-    write_records(records, &mut buf)?;
-    Ok(buf)
+    write_records(records, &mut buf);
+    buf
 }
 
 /// Serialize `state` to `writer`.
@@ -168,53 +144,46 @@ pub fn write_snapshot_to(
         ("meta", meta_json.into_bytes()),
         (
             "params",
-            records_payload(state.params.iter().map(|r| (r.name.as_str(), &r.value)))?,
+            records_payload(state.params.iter().map(|r| (r.name.as_str(), &r.value))),
         ),
         (
             "optim",
-            records_payload(state.optim.tensors.iter().map(|(n, t)| (n.as_str(), t)))?,
+            records_payload(state.optim.tensors.iter().map(|(n, t)| (n.as_str(), t))),
         ),
     ];
     if let Some((aux_params, aux_optim)) = &state.aux {
         sections.push((
             "aux.params",
-            records_payload(aux_params.iter().map(|r| (r.name.as_str(), &r.value)))?,
+            records_payload(aux_params.iter().map(|r| (r.name.as_str(), &r.value))),
         ));
         sections.push((
             "aux.optim",
-            records_payload(aux_optim.tensors.iter().map(|(n, t)| (n.as_str(), t)))?,
+            records_payload(aux_optim.tensors.iter().map(|(n, t)| (n.as_str(), t))),
         ));
     }
 
-    writer.write_all(MAGIC)?;
-    write_u32(writer, sections.len() as u32)?;
+    let mut buf = MAGIC.to_vec();
+    put_u32(&mut buf, sections.len() as u32);
     for (name, payload) in &sections {
-        write_section(writer, name, payload)?;
+        write_section(&mut buf, name, payload);
     }
-    write_u32(writer, sections.len() as u32)?;
+    put_u32(&mut buf, sections.len() as u32);
+    writer.write_all(&buf)?;
     Ok(())
 }
 
-/// Atomically write `state` to the file at `path` (temporary sibling
-/// file, then rename), so a crash mid-save can never leave a truncated
-/// snapshot where a valid one is expected.
+/// Write `state` to the file at `path` atomically (see [`write_atomic`]),
+/// so a crash mid-save can never leave a truncated snapshot where a valid
+/// one is expected.
 ///
 /// # Errors
 ///
 /// Propagates I/O and encoding errors.
 pub fn write_snapshot(state: &SessionState, path: impl AsRef<Path>) -> Result<(), SkipperError> {
     let path = path.as_ref();
-    let mut tmp_name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "snapshot".into());
-    tmp_name.push_str(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    let mut file = io::BufWriter::new(std::fs::File::create(&tmp)?);
-    write_snapshot_to(state, &mut file)?;
-    file.flush()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
+    let mut buf = Vec::new();
+    write_snapshot_to(state, &mut buf)?;
+    write_atomic(path, &buf)?;
     skipper_obs::instant!(
         skipper_obs::Level::Info,
         "snapshot.saved",
@@ -224,41 +193,35 @@ pub fn write_snapshot(state: &SessionState, path: impl AsRef<Path>) -> Result<()
     Ok(())
 }
 
-/// Deserialize a snapshot from `reader`.
+/// Deserialize a snapshot from `bytes`. Bytes after the container are
+/// not read.
 ///
 /// # Errors
 ///
-/// Fails descriptively on bad magic, truncation, per-section CRC
-/// mismatches, a wrong trailing section count, or malformed contents.
-pub fn read_snapshot_from(reader: &mut impl Read) -> Result<SessionState, SkipperError> {
-    let mut magic = [0u8; 6];
-    reader.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+/// [`SkipperError::Snapshot`] on bad magic, truncation, a count or length
+/// past the bytes that remain, a per-section CRC mismatch, a wrong
+/// trailing section count, or malformed contents.
+pub fn read_snapshot_from(bytes: &[u8]) -> Result<SessionState, SkipperError> {
+    let snapshot = |e: DecodeError| SkipperError::Snapshot(e.0);
+    let mut r = WireReader::new(bytes);
+    if r.take(MAGIC.len()).ok() != Some(MAGIC.as_slice()) {
         return Err(SkipperError::Snapshot(
             "not a skipper session snapshot (bad magic)".into(),
         ));
     }
-    let count = read_u32(reader)? as usize;
-    if count > 64 {
+    let sections = r.seq(64, "section", read_section).map_err(snapshot)?;
+    let trailer = r.u32().map_err(snapshot)? as usize;
+    if trailer != sections.len() {
         return Err(SkipperError::Snapshot(format!(
-            "implausible section count ({count})"
-        )));
-    }
-    let mut sections: Vec<(String, Vec<u8>)> = Vec::with_capacity(count);
-    for _ in 0..count {
-        sections.push(read_section(reader)?);
-    }
-    let trailer = read_u32(reader)? as usize;
-    if trailer != count {
-        return Err(SkipperError::Snapshot(format!(
-            "trailing section count {trailer} disagrees with header count {count} (truncated?)"
+            "trailing section count {trailer} disagrees with header count {} (truncated?)",
+            sections.len()
         )));
     }
     let section = |name: &str| {
         sections
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, p)| p.as_slice())
+            .map(|&(_, p)| p)
             .ok_or_else(|| SkipperError::Snapshot(format!("missing section '{name}'")))
     };
 
@@ -267,9 +230,9 @@ pub fn read_snapshot_from(reader: &mut impl Read) -> Result<SessionState, Skippe
     let meta: MetaDoc = serde_json::from_str(meta_text)
         .map_err(|e| SkipperError::Snapshot(format!("decoding meta: {e}")))?;
 
-    let params = read_params(&mut section("params")?)
+    let params = read_params(section("params")?)
         .map_err(|e| SkipperError::Snapshot(format!("section 'params': {e}")))?;
-    let optim_tensors = read_params(&mut section("optim")?)
+    let optim_tensors = read_params(section("optim")?)
         .map_err(|e| SkipperError::Snapshot(format!("section 'optim': {e}")))?;
     let optim = OptimizerState {
         kind: meta.optim_kind.clone(),
@@ -281,9 +244,9 @@ pub fn read_snapshot_from(reader: &mut impl Read) -> Result<SessionState, Skippe
     };
     let aux = match (&meta.aux_kind, &meta.aux_scalars) {
         (Some(kind), Some(scalars)) => {
-            let aux_params = read_params(&mut section("aux.params")?)
+            let aux_params = read_params(section("aux.params")?)
                 .map_err(|e| SkipperError::Snapshot(format!("section 'aux.params': {e}")))?;
-            let aux_tensors = read_params(&mut section("aux.optim")?)
+            let aux_tensors = read_params(section("aux.optim")?)
                 .map_err(|e| SkipperError::Snapshot(format!("section 'aux.optim': {e}")))?;
             Some((
                 aux_params,
@@ -310,14 +273,15 @@ pub fn read_snapshot_from(reader: &mut impl Read) -> Result<SessionState, Skippe
     })
 }
 
-/// Read a snapshot from the file at `path`.
+/// Read a snapshot from the file at `path`. The whole file is read
+/// first, so its length bounds what decoding it can allocate.
 ///
 /// # Errors
 ///
 /// See [`read_snapshot_from`].
 pub fn read_snapshot(path: impl AsRef<Path>) -> Result<SessionState, SkipperError> {
     let path = path.as_ref();
-    let state = read_snapshot_from(&mut io::BufReader::new(std::fs::File::open(path)?))?;
+    let state = read_snapshot_from(&std::fs::read(path)?)?;
     skipper_obs::instant!(
         skipper_obs::Level::Info,
         "snapshot.loaded",
@@ -330,6 +294,8 @@ pub fn read_snapshot(path: impl AsRef<Path>) -> Result<SessionState, SkipperErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
     use skipper_tensor::Tensor;
 
     fn tiny_state() -> SessionState {
@@ -361,7 +327,7 @@ mod tests {
         let state = tiny_state();
         let mut buf = Vec::new();
         write_snapshot_to(&state, &mut buf).unwrap();
-        let back = read_snapshot_from(&mut buf.as_slice()).unwrap();
+        let back = read_snapshot_from(&buf).unwrap();
         assert_eq!(back.iteration, 42);
         assert_eq!(back.timesteps, 8);
         assert_eq!(back.method, state.method);
@@ -379,7 +345,7 @@ mod tests {
         // Flip a bit inside the meta JSON payload.
         let at = 30;
         buf[at] ^= 0x01;
-        let err = read_snapshot_from(&mut buf.as_slice()).unwrap_err();
+        let err = read_snapshot_from(&buf).unwrap_err();
         assert!(err.to_string().contains("CRC mismatch"), "{err}");
     }
 
@@ -391,7 +357,7 @@ mod tests {
             let mut short = buf.clone();
             short.truncate(cut);
             assert!(
-                read_snapshot_from(&mut short.as_slice()).is_err(),
+                read_snapshot_from(&short).is_err(),
                 "cut at {cut} must be rejected"
             );
         }
@@ -405,17 +371,17 @@ mod tests {
         let depth = 100_000;
         let meta = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
         let mut buf = MAGIC.to_vec();
-        write_u32(&mut buf, 1).unwrap();
-        write_section(&mut buf, "meta", meta.as_bytes()).unwrap();
-        write_u32(&mut buf, 1).unwrap();
-        let err = read_snapshot_from(&mut buf.as_slice()).unwrap_err();
+        put_u32(&mut buf, 1);
+        write_section(&mut buf, "meta", meta.as_bytes());
+        put_u32(&mut buf, 1);
+        let err = read_snapshot_from(&buf).unwrap_err();
         assert!(matches!(err, SkipperError::Snapshot(_)), "{err}");
         assert!(err.to_string().contains("recursion limit"), "{err}");
     }
 
     #[test]
     fn bad_magic_is_rejected() {
-        let err = read_snapshot_from(&mut &b"NOTSNAPxxxx"[..]).unwrap_err();
+        let err = read_snapshot_from(b"NOTSNAPxxxx").unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
     }
 
@@ -430,5 +396,109 @@ mod tests {
         let back = read_snapshot(&path).unwrap();
         assert_eq!(back.iteration, 42);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    fn any_records(rng: &mut TestRng, prefix: &str) -> Vec<ParamRecord> {
+        (0..rng.below(3))
+            .map(|i| {
+                let dims: Vec<usize> = (0..rng.below(3)).map(|_| rng.below(4) as usize).collect();
+                let data = (0..dims.iter().product())
+                    .map(|_| (rng.unit_f64() * 8.0 - 4.0) as f32)
+                    .collect();
+                ParamRecord {
+                    name: format!("{prefix}{i}"),
+                    value: Tensor::from_vec(data, dims),
+                }
+            })
+            .collect()
+    }
+
+    fn any_optim(rng: &mut TestRng) -> OptimizerState {
+        OptimizerState {
+            kind: ["adam", "sgd"][rng.below(2) as usize].into(),
+            scalars: vec![
+                ("lr".into(), rng.unit_f64()),
+                ("t".into(), rng.below(100) as f64),
+            ],
+            tensors: any_records(rng, "m")
+                .into_iter()
+                .map(|r| (r.name, r.value))
+                .collect(),
+        }
+    }
+
+    /// A session state with every section kind: params, optimizer, and
+    /// (half the time) an auxiliary head.
+    struct AnySession;
+
+    impl Strategy for AnySession {
+        type Value = SessionState;
+
+        fn generate(&self, rng: &mut TestRng) -> SessionState {
+            SessionState {
+                iteration: rng.next_u64(),
+                timesteps: 1 + rng.below(64) as usize,
+                method: match rng.below(3) {
+                    0 => Method::Bptt,
+                    1 => Method::Skipper {
+                        checkpoints: 1 + rng.below(8) as usize,
+                        percentile: rng.below(100) as f32,
+                    },
+                    _ => Method::TbpttLbp {
+                        window: 1 + rng.below(8) as usize,
+                        taps: vec![1, 3],
+                    },
+                },
+                sam_metric: SamMetric::default(),
+                skip_policy: SkipPolicy::default(),
+                sam_sums: (0..rng.below(6)).map(|_| rng.unit_f64() * 50.0).collect(),
+                params: any_records(rng, "w"),
+                optim: any_optim(rng),
+                aux: (rng.below(2) == 1).then(|| (any_records(rng, "aux"), any_optim(rng))),
+            }
+        }
+    }
+
+    fn encode(state: &SessionState) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_snapshot_to(state, &mut buf).unwrap();
+        buf
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// What is written is what is read (re-encoding it gives the same
+        /// bytes); every strict prefix of a snapshot is a typed snapshot
+        /// error.
+        #[test]
+        fn every_snapshot_roundtrips(state in AnySession) {
+            let bytes = encode(&state);
+            let back = read_snapshot_from(&bytes).unwrap();
+            prop_assert_eq!(encode(&back), bytes.clone());
+            for cut in 0..bytes.len() {
+                prop_assert!(
+                    matches!(read_snapshot_from(&bytes[..cut]), Err(SkipperError::Snapshot(_))),
+                    "prefix of {cut}/{} bytes did not fail as a snapshot error",
+                    bytes.len()
+                );
+            }
+        }
+
+        /// A snapshot with one byte changed decodes or is a typed snapshot
+        /// error; it never panics.
+        #[test]
+        fn mutated_snapshots_decode_or_fail_typed(
+            state in AnySession,
+            at in 0usize..1 << 16,
+            flip in 0u8..255,
+        ) {
+            let mut bytes = encode(&state);
+            let at = at % bytes.len();
+            bytes[at] ^= flip + 1;
+            if let Err(e) = read_snapshot_from(&bytes) {
+                prop_assert!(matches!(e, SkipperError::Snapshot(_)), "{e}");
+            }
+        }
     }
 }

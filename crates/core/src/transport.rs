@@ -17,7 +17,7 @@
 //! CRC32/IEEE over the payload):
 //!
 //! ```text
-//! magic  u32   "SKF3"
+//! magic  u32   "SKF4"
 //! len    u32   payload byte length (≤ 64 MiB)
 //! crc    u32   CRC32(payload)
 //! payload[len]
@@ -34,12 +34,16 @@
 //!
 //! # Payload conventions
 //!
-//! Fixed fields are little-endian scalars, sequences a `u32` count then the
-//! elements (every count is capped before anything is read), an optional
-//! field one presence byte then the value. What already has an exact serde
-//! encoding — the per-iteration `shard::WorkCtx` with its method, SAM
-//! metric and skip policy, and the `Welcome`'s model spec — crosses as a
-//! length-capped JSON document, exactly like `.sksn`'s `meta` section;
+//! Payloads are written with the `put_*` helpers of
+//! [`skipper_snn::serialize`] and read back through its [`WireReader`], the
+//! one bounded decoder `.skw` and `.sksn` share: fixed fields are
+//! little-endian scalars, sequences a `u32` count then the elements (every
+//! count is checked against its cap and the bytes that remain before
+//! anything is read), an optional field one presence byte then the value.
+//! What already has an exact serde encoding — the per-iteration
+//! `shard::WorkCtx` with its method, SAM metric and skip policy, and the
+//! `Welcome`'s model spec — crosses as a length-capped JSON document,
+//! exactly like `.sksn`'s `meta` section;
 //! parameters ride as `.skw` v2 records. A heartbeat histogram is its
 //! bucket counts in the one layout every histogram shares
 //! ([`skipper_obs::Histogram::BOUNDS`]), then sum, count, min and max; the
@@ -67,16 +71,19 @@ use crate::error::SkipperError;
 use crate::shard::{Request, ResultPayload, ShardInput, WireGrads};
 use serde::{Deserialize, Serialize};
 use skipper_obs::Histogram;
-use skipper_snn::serialize::crc32;
+use skipper_snn::serialize::{
+    crc32, put_bytes, put_f32, put_f64, put_f64s, put_opt, put_seq, put_str, put_u32, put_u64,
+    DecodeError, WireReader,
+};
 use skipper_tensor::{SpikeBits, Tensor, XorShiftRng};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-/// Frame magic: `"SKF3"` little-endian. Bumped with every layout change,
+/// Frame magic: `"SKF4"` little-endian. Bumped with every layout change,
 /// so a peer built before it rejects the first frame instead of
 /// mis-decoding a CRC-valid one.
-const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"SKF3");
+const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"SKF4");
 
 /// Upper bound on a single frame payload; anything larger is treated as
 /// stream desync, not a legitimate message.
@@ -136,58 +143,15 @@ impl TransportError {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Codec primitives
-// ---------------------------------------------------------------------------
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(buf: &mut Vec<u8>, v: f32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u32(buf, b.len() as u32);
-    buf.extend_from_slice(b);
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
-}
-
-/// A sequence: `u32` count, then each element through `put`.
-fn put_seq<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
-    put_u32(buf, items.len() as u32);
-    for item in items {
-        put(buf, item);
+impl From<DecodeError> for TransportError {
+    fn from(e: DecodeError) -> TransportError {
+        TransportError::Frame(e.0)
     }
 }
 
-fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
-    put_seq(buf, vs, |b, v| put_f64(b, *v));
-}
-
-/// An optional field: one presence byte, then the value through `put`.
-/// The only way the wire spells "may be absent".
-fn put_opt<T>(buf: &mut Vec<u8>, v: &Option<T>, put: impl FnOnce(&mut Vec<u8>, &T)) {
-    match v {
-        Some(v) => {
-            buf.push(1);
-            put(buf, v);
-        }
-        None => buf.push(0),
-    }
-}
+// ---------------------------------------------------------------------------
+// Serde documents
+// ---------------------------------------------------------------------------
 
 /// A value with an exact serde encoding, as a length-capped JSON document.
 ///
@@ -208,140 +172,19 @@ fn put_doc<T: Serialize>(buf: &mut Vec<u8>, v: &T) -> Result<(), TransportError>
     Ok(())
 }
 
-/// Cursor over a received payload; every read is bounds-checked and
-/// reports a typed [`TransportError::Frame`] instead of panicking.
-pub(crate) struct WireReader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> WireReader<'a> {
-    pub fn new(buf: &'a [u8]) -> WireReader<'a> {
-        WireReader { buf, at: 0 }
+/// A [`put_doc`] document; one past [`MAX_DOC`] is refused before it
+/// reaches the JSON parser.
+fn read_doc<T: Deserialize>(r: &mut WireReader<'_>) -> Result<T, DecodeError> {
+    let doc = r.bytes()?;
+    if doc.len() > MAX_DOC {
+        return Err(DecodeError(format!(
+            "document of {} bytes exceeds the {MAX_DOC}-byte cap",
+            doc.len()
+        )));
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TransportError> {
-        // `at ≤ len` always, so the subtraction cannot wrap where `at + n`
-        // could for a hostile `n`.
-        if n > self.buf.len() - self.at {
-            return Err(TransportError::Frame(format!(
-                "payload truncated: wanted {n} bytes at offset {} of {}",
-                self.at,
-                self.buf.len()
-            )));
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    pub fn u8(&mut self) -> Result<u8, TransportError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn u32(&mut self) -> Result<u32, TransportError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub fn u64(&mut self) -> Result<u64, TransportError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    pub fn f32(&mut self) -> Result<f32, TransportError> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub fn f64(&mut self) -> Result<f64, TransportError> {
-        let b = self.take(8)?;
-        Ok(f64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// A length-prefixed byte run, with a plausibility cap.
-    pub fn bytes(&mut self) -> Result<&'a [u8], TransportError> {
-        let len = self.u32()? as usize;
-        if len > MAX_FRAME {
-            return Err(TransportError::Frame(format!(
-                "implausible byte-run length {len}"
-            )));
-        }
-        self.take(len)
-    }
-
-    pub fn string(&mut self) -> Result<String, TransportError> {
-        let b = self.bytes()?;
-        String::from_utf8(b.to_vec())
-            .map_err(|e| TransportError::Frame(format!("string is not UTF-8: {e}")))
-    }
-
-    /// A [`put_seq`] sequence of at most `cap` elements named `what`. The
-    /// count is checked before the first element is read, and the vector
-    /// grows only as elements actually decode, so a hostile count cannot
-    /// allocate past what the payload holds.
-    pub fn seq<T>(
-        &mut self,
-        cap: usize,
-        what: &str,
-        mut read: impl FnMut(&mut Self) -> Result<T, TransportError>,
-    ) -> Result<Vec<T>, TransportError> {
-        let n = self.u32()? as usize;
-        if n > cap {
-            return Err(TransportError::Frame(format!(
-                "implausible {what} count {n}"
-            )));
-        }
-        (0..n).map(|_| read(self)).collect()
-    }
-
-    pub fn f64s(&mut self) -> Result<Vec<f64>, TransportError> {
-        self.seq(MAX_FRAME / 8, "f64", Self::f64)
-    }
-
-    /// A [`put_opt`] field.
-    pub fn opt<T>(
-        &mut self,
-        read: impl FnOnce(&mut Self) -> Result<T, TransportError>,
-    ) -> Result<Option<T>, TransportError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => read(self).map(Some),
-            other => Err(TransportError::Frame(format!(
-                "unknown presence byte {other}"
-            ))),
-        }
-    }
-
-    /// A [`put_doc`] document; one past [`MAX_DOC`] is refused before it
-    /// reaches the JSON parser.
-    pub fn doc<T: Deserialize>(&mut self) -> Result<T, TransportError> {
-        let doc = self.bytes()?;
-        if doc.len() > MAX_DOC {
-            return Err(TransportError::Frame(format!(
-                "document of {} bytes exceeds the {MAX_DOC}-byte cap",
-                doc.len()
-            )));
-        }
-        let text = std::str::from_utf8(doc)
-            .map_err(|e| TransportError::Frame(format!("document is not UTF-8: {e}")))?;
-        serde_json::from_str(text)
-            .map_err(|e| TransportError::Frame(format!("decoding document: {e}")))
-    }
-
-    pub fn done(&self) -> Result<(), TransportError> {
-        if self.at != self.buf.len() {
-            return Err(TransportError::Frame(format!(
-                "{} trailing bytes after message",
-                self.buf.len() - self.at
-            )));
-        }
-        Ok(())
-    }
+    let text =
+        std::str::from_utf8(doc).map_err(|e| DecodeError(format!("document is not UTF-8: {e}")))?;
+    serde_json::from_str(text).map_err(|e| DecodeError(format!("decoding document: {e}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -367,12 +210,10 @@ pub(crate) fn put_tensor(buf: &mut Vec<u8>, t: &Tensor) {
 }
 
 /// Decode a [`put_tensor`] payload; bit-exact for both encodings.
-pub(crate) fn read_tensor(r: &mut WireReader<'_>) -> Result<Tensor, TransportError> {
+pub(crate) fn read_tensor(r: &mut WireReader<'_>) -> Result<Tensor, DecodeError> {
     let rank = r.u8()? as usize;
     if rank > 8 {
-        return Err(TransportError::Frame(format!(
-            "implausible tensor rank {rank}"
-        )));
+        return Err(DecodeError(format!("implausible tensor rank {rank}")));
     }
     let mut dims = Vec::with_capacity(rank);
     for _ in 0..rank {
@@ -384,16 +225,11 @@ pub(crate) fn read_tensor(r: &mut WireReader<'_>) -> Result<Tensor, TransportErr
         .iter()
         .try_fold(1usize, |n, &d| n.checked_mul(d))
         .filter(|&n| n <= MAX_FRAME / 4)
-        .ok_or_else(|| TransportError::Frame(format!("implausible tensor shape {dims:?}")))?;
+        .ok_or_else(|| DecodeError(format!("implausible tensor shape {dims:?}")))?;
     match r.u8()? {
         1 => Ok(SpikeBits::from_le_bytes(r.take(numel.div_ceil(8))?, dims).unpack()),
-        0 => {
-            let data = (0..numel).map(|_| r.f32()).collect::<Result<_, _>>()?;
-            Ok(Tensor::from_vec(data, dims))
-        }
-        other => Err(TransportError::Frame(format!(
-            "unknown tensor encoding {other}"
-        ))),
+        0 => Ok(Tensor::from_vec(r.f32s(numel)?, dims)),
+        other => Err(DecodeError(format!("unknown tensor encoding {other}"))),
     }
 }
 
@@ -407,23 +243,13 @@ fn put_grads(buf: &mut Vec<u8>, grads: &WireGrads) {
     });
 }
 
-fn read_grads(r: &mut WireReader<'_>) -> Result<WireGrads, TransportError> {
+fn read_grads(r: &mut WireReader<'_>) -> Result<WireGrads, DecodeError> {
     r.seq(1 << 20, "gradient slot", |r| {
-        r.opt(|r| r.seq(MAX_FRAME / 4, "f32", WireReader::f32))
+        r.opt(|r| {
+            let n = r.u32()? as usize;
+            r.f32s(n)
+        })
     })
-}
-
-/// Distributed trace context riding on work dispatches: the coordinator's
-/// run-level trace id and the span (the open `iteration` span) that the
-/// worker's `worker_task` span should nest under. Absent while the
-/// coordinator is not tracing; workers then open unparented spans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TraceCtx {
-    /// Process-stable id of the coordinator's trace (groups every span of
-    /// one training run across all processes).
-    pub trace: u64,
-    /// Span id the receiving worker adopts as its remote parent.
-    pub parent: u64,
 }
 
 /// Compact metric-registry delta a worker piggybacks on `Heartbeat`:
@@ -464,7 +290,7 @@ fn put_delta(buf: &mut Vec<u8>, d: &MetricsDelta) {
     });
 }
 
-fn read_delta(r: &mut WireReader<'_>) -> Result<MetricsDelta, TransportError> {
+fn read_delta(r: &mut WireReader<'_>) -> Result<MetricsDelta, DecodeError> {
     let series = |r: &mut WireReader<'_>| Ok((r.string()?, r.f64()?));
     Ok(MetricsDelta {
         counters: r.seq(MAX_DELTA_SERIES, "metric-series", series)?,
@@ -473,7 +299,7 @@ fn read_delta(r: &mut WireReader<'_>) -> Result<MetricsDelta, TransportError> {
             let name = r.string()?;
             let counts = r.seq(1 << 16, "bucket", WireReader::u64)?;
             let hist = Histogram::from_parts(&counts, r.f64()?, r.u64()?, r.f64()?, r.f64()?)
-                .map_err(TransportError::Frame)?;
+                .map_err(DecodeError)?;
             Ok((name, hist))
         })?,
     })
@@ -507,12 +333,12 @@ fn put_request(buf: &mut Vec<u8>, request: &Request) -> Result<(), TransportErro
     Ok(())
 }
 
-fn read_request(r: &mut WireReader<'_>) -> Result<Request, TransportError> {
+fn read_request(r: &mut WireReader<'_>) -> Result<Request, DecodeError> {
     let kind = r.u8()?;
     match kind {
         0 | 1 => {
             let input = ShardInput {
-                ctx: r.doc()?,
+                ctx: read_doc(r)?,
                 labels: r.seq(1 << 24, "label", |r| Ok(r.u32()? as usize))?,
                 inputs: r.seq(1 << 16, "timestep", read_tensor)?,
                 rows: None,
@@ -529,9 +355,7 @@ fn read_request(r: &mut WireReader<'_>) -> Result<Request, TransportError> {
             shard: r.u32()?,
             sums: r.f64s()?,
         }),
-        other => Err(TransportError::Frame(format!(
-            "unknown request kind {other}"
-        ))),
+        other => Err(DecodeError(format!("unknown request kind {other}"))),
     }
 }
 
@@ -564,11 +388,13 @@ pub(crate) enum Message {
     /// Coordinator → worker: one shard's request for one round. Round-1
     /// requests bring the iteration's weights (`.skw` v2 records), so a
     /// worker that was away never computes with stale ones; round 2 ships
-    /// only the globally aggregated SAM sums.
+    /// only the globally aggregated SAM sums. `trace` is the id of the
+    /// coordinator's open `iteration` span, which the worker's
+    /// `worker_task` span nests under; `None` while it is not tracing.
     Work {
         request: Request,
         params: Option<Vec<u8>>,
-        trace: Option<TraceCtx>,
+        trace: Option<u64>,
     },
     /// Worker → coordinator shard result.
     ShardResult {
@@ -629,10 +455,7 @@ impl Message {
                 buf.push(4);
                 put_request(&mut buf, request)?;
                 put_opt(&mut buf, params, |b, p| put_bytes(b, p));
-                put_opt(&mut buf, trace, |b, t| {
-                    put_u64(b, t.trace);
-                    put_u64(b, t.parent);
-                });
+                put_opt(&mut buf, trace, |b, t| put_u64(b, *t));
             }
             Message::ShardResult {
                 iteration,
@@ -689,81 +512,71 @@ impl Message {
 
     /// Decode a payload produced by [`Message::encode`].
     pub fn decode(payload: &[u8]) -> Result<Message, TransportError> {
-        let mut r = WireReader::new(payload);
-        let msg = match r.u8()? {
-            1 => Message::Hello {
-                worker: r.u64()?,
-                reconnect: r.u8()? != 0,
-                ping: r.u64()?,
-            },
-            2 => Message::Welcome {
-                worker: r.u64()?,
-                spec: r.doc()?,
-                pong: (r.u64()?, r.u64()?),
-            },
-            3 => Message::Heartbeat {
-                worker: r.u64()?,
-                iteration: r.u64()?,
-                metrics: r.opt(read_delta)?,
-            },
-            4 => Message::Work {
-                request: read_request(&mut r)?,
-                params: r.opt(|r| Ok(r.bytes()?.to_vec()))?,
-                trace: r.opt(|r| {
-                    Ok(TraceCtx {
-                        trace: r.u64()?,
-                        parent: r.u64()?,
-                    })
-                })?,
-            },
-            5 => {
-                let iteration = r.u64()?;
-                let attempt = r.u32()?;
-                let shard = r.u32()?;
-                let payload = match r.u8()? {
-                    0 => ResultPayload::Forward {
-                        sam_sums: r.f64s()?,
-                        per_sample: r.f64s()?,
-                        correct: r.u32()?,
-                    },
-                    1 => ResultPayload::Grads {
-                        grads: read_grads(&mut r)?,
-                    },
-                    2 => ResultPayload::Single {
-                        loss_groups: r.seq(1 << 16, "loss-group", WireReader::f64s)?,
-                        correct: r.u32()?,
-                        sam_sums: r.f64s()?,
-                        recomputed: r.u32()?,
-                        skipped: r.u32()?,
-                        grads: read_grads(&mut r)?,
-                    },
-                    other => {
-                        return Err(TransportError::Frame(format!(
-                            "unknown result payload tag {other}"
-                        )))
-                    }
-                };
-                Message::ShardResult {
-                    iteration,
-                    attempt,
-                    shard,
-                    payload,
-                }
-            }
-            6 => Message::Fault {
-                worker: r.u64()?,
-                detail: r.string()?,
-            },
-            7 => Message::Shutdown,
-            other => {
-                return Err(TransportError::Frame(format!(
-                    "unknown message tag {other}"
-                )))
-            }
-        };
-        r.done()?;
-        Ok(msg)
+        Ok(read_message(&mut WireReader::new(payload))?)
     }
+}
+
+fn read_message(r: &mut WireReader<'_>) -> Result<Message, DecodeError> {
+    let msg = match r.u8()? {
+        1 => Message::Hello {
+            worker: r.u64()?,
+            reconnect: r.u8()? != 0,
+            ping: r.u64()?,
+        },
+        2 => Message::Welcome {
+            worker: r.u64()?,
+            spec: read_doc(r)?,
+            pong: (r.u64()?, r.u64()?),
+        },
+        3 => Message::Heartbeat {
+            worker: r.u64()?,
+            iteration: r.u64()?,
+            metrics: r.opt(read_delta)?,
+        },
+        4 => Message::Work {
+            request: read_request(r)?,
+            params: r.opt(|r| Ok(r.bytes()?.to_vec()))?,
+            trace: r.opt(WireReader::u64)?,
+        },
+        5 => {
+            let iteration = r.u64()?;
+            let attempt = r.u32()?;
+            let shard = r.u32()?;
+            let payload = match r.u8()? {
+                0 => ResultPayload::Forward {
+                    sam_sums: r.f64s()?,
+                    per_sample: r.f64s()?,
+                    correct: r.u32()?,
+                },
+                1 => ResultPayload::Grads {
+                    grads: read_grads(r)?,
+                },
+                2 => ResultPayload::Single {
+                    loss_groups: r.seq(1 << 16, "loss-group", WireReader::f64s)?,
+                    correct: r.u32()?,
+                    sam_sums: r.f64s()?,
+                    recomputed: r.u32()?,
+                    skipped: r.u32()?,
+                    grads: read_grads(r)?,
+                },
+                other => return Err(DecodeError(format!("unknown result payload tag {other}"))),
+            };
+            Message::ShardResult {
+                iteration,
+                attempt,
+                shard,
+                payload,
+            }
+        }
+        6 => Message::Fault {
+            worker: r.u64()?,
+            detail: r.string()?,
+        },
+        7 => Message::Shutdown,
+        other => return Err(DecodeError(format!("unknown message tag {other}"))),
+    };
+    r.done()?;
+    Ok(msg)
 }
 
 // ---------------------------------------------------------------------------
@@ -1507,10 +1320,7 @@ mod tests {
                             Request::Forward(input)
                         },
                         params: coin(rng).then(|| vec_of(rng, 40, |rng| rng.next_u64() as u8)),
-                        trace: coin(rng).then(|| TraceCtx {
-                            trace: rng.next_u64(),
-                            parent: rng.next_u64(),
-                        }),
+                        trace: coin(rng).then(|| rng.next_u64()),
                     }
                 }
                 5 => Message::Work {
@@ -1521,10 +1331,7 @@ mod tests {
                         sums: vec_of(rng, 12, any_f64),
                     },
                     params: None,
-                    trace: coin(rng).then(|| TraceCtx {
-                        trace: rng.next_u64(),
-                        parent: rng.next_u64(),
-                    }),
+                    trace: coin(rng).then(|| rng.next_u64()),
                 },
                 6 => Message::ShardResult {
                     iteration,
@@ -1691,12 +1498,12 @@ mod tests {
             put_u32(&mut hostile, 65536);
         }
         hostile.push(1); // bitmask flag
-        let err = read_tensor(&mut WireReader::new(&hostile)).unwrap_err();
+        let err = TransportError::from(read_tensor(&mut WireReader::new(&hostile)).unwrap_err());
         assert!(matches!(err, TransportError::Frame(_)), "{err}");
         // A hostile length cannot wrap the cursor either.
         let mut r = WireReader::new(&hostile);
         r.u8().unwrap();
-        assert!(matches!(r.take(usize::MAX), Err(TransportError::Frame(_))));
+        assert!(matches!(r.take(usize::MAX), Err(DecodeError(_))));
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn valid_bytes() -> Vec<u8> {
 
 #[test]
 fn valid_snapshot_roundtrips() {
-    let state = read_snapshot_from(&mut valid_bytes().as_slice()).expect("valid bytes decode");
+    let state = read_snapshot_from(&valid_bytes()).expect("valid bytes decode");
     assert_eq!(state.iteration, 7);
     assert_eq!(state.params.len(), 2);
     assert!(state.aux.is_some());
@@ -77,8 +77,7 @@ fn truncation_at_every_offset_is_a_typed_error() {
     for cut in 0..buf.len() {
         let mut short = buf.clone();
         short.truncate(cut);
-        let err = read_snapshot_from(&mut short.as_slice())
-            .expect_err("a truncated snapshot must never decode");
+        let err = read_snapshot_from(&short).expect_err("a truncated snapshot must never decode");
         match err {
             SkipperError::Snapshot(_) | SkipperError::Io(_) => {}
             other => panic!("cut at {cut}: unexpected error variant {other:?}"),
@@ -101,7 +100,7 @@ fn wrong_section_crc_names_the_section() {
     let payload_at = at + name.len() + 4;
     let mut bad = buf.clone();
     bad[payload_at + 8] ^= 0xFF;
-    let err = read_snapshot_from(&mut bad.as_slice()).unwrap_err();
+    let err = read_snapshot_from(&bad).unwrap_err();
     assert!(
         err.to_string().contains("CRC mismatch"),
         "expected a CRC error, got: {err}"
@@ -120,7 +119,7 @@ proptest! {
         let mut buf = valid_bytes();
         let pos = pos % buf.len();
         buf[pos] ^= 1 << bit;
-        match read_snapshot_from(&mut buf.as_slice()) {
+        match read_snapshot_from(&buf) {
             // A flip in the JSON meta that survives the CRC is impossible;
             // a successful decode can only mean the flip was reverted by
             // the modulo... it was not: any Ok must carry intact params.
@@ -144,7 +143,7 @@ proptest! {
         buf[pos] ^= 1 << bit;
         // Either error variant is fine; decoding successfully is not, since
         // the trailer can never survive a strict truncation.
-        prop_assert!(read_snapshot_from(&mut buf.as_slice()).is_err());
+        prop_assert!(read_snapshot_from(&buf).is_err());
     }
 
     /// Appending garbage after a valid image still decodes the valid part
@@ -161,7 +160,7 @@ proptest! {
             x ^= x >> 27;
             bytes.push((x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8);
         }
-        match read_snapshot_from(&mut bytes.as_slice()) {
+        match read_snapshot_from(&bytes) {
             Ok(_) => prop_assert!(false, "random bytes must never decode"),
             Err(SkipperError::Snapshot(_)) | Err(SkipperError::Io(_)) => {}
             Err(other) => prop_assert!(false, "unexpected error variant {:?}", other),

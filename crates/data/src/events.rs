@@ -54,28 +54,6 @@ pub struct EventDataset {
 }
 
 impl EventDataset {
-    /// Assemble a dataset from raw parts (deserialization, custom
-    /// ingestion).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths disagree or a label is out of range.
-    pub fn from_parts(
-        streams: Vec<EventStream>,
-        labels: Vec<usize>,
-        num_classes: usize,
-        hw: usize,
-    ) -> EventDataset {
-        assert_eq!(streams.len(), labels.len(), "one label per stream");
-        assert!(labels.iter().all(|&l| l < num_classes), "label in range");
-        EventDataset {
-            streams,
-            labels,
-            num_classes,
-            hw,
-        }
-    }
-
     /// Number of recordings.
     pub fn len(&self) -> usize {
         self.streams.len()
@@ -283,6 +261,12 @@ fn saccade_scene(
     let jy = rng.next_f32() * 2.0 - 1.0;
     let third = cfg.duration / 3;
     let amp = hw as f32 * 0.12;
+    // The pattern is sampled at integer pixels only, so it is one table
+    // over the sensor that each frame reads shifted.
+    let mut pattern = vec![0.0f32; hw * hw];
+    render(&mut pattern, hw, |x, y| {
+        blob(c1x, c1y, sigma, x, y).max(blob(c2x, c2y, sigma, x, y))
+    });
     Box::new(move |t, frame| {
         // Saccades: right-down, left-down, up (like the ATIS recording).
         let seg = (t / third.max(1)).min(2);
@@ -292,16 +276,11 @@ fn saccade_scene(
             1 => (amp * (1.0 - f), amp * (0.5 + f * 0.5)),
             _ => (0.0, amp * (1.0 - f)),
         };
+        // A shift past the left or top edge saturates to pixel 0.
         render(frame, hw, |x, y| {
-            let px = x as f32 - ox - jx;
-            let py = y as f32 - oy - jy;
-            blob(c1x, c1y, sigma, px as usize % hw, py.max(0.0) as usize % hw).max(blob(
-                c2x,
-                c2y,
-                sigma,
-                px.max(0.0) as usize % hw,
-                py.max(0.0) as usize % hw,
-            ))
+            let px = (x as f32 - ox - jx) as usize % hw;
+            let py = (y as f32 - oy - jy) as usize % hw;
+            pattern[py * hw + px]
         });
     })
 }

@@ -16,17 +16,13 @@
 //!   plus the binning that turns event streams into `[2,H,W]` spike frames.
 //! * [`loader`] — deterministic shuffling batch iteration.
 
-pub mod error;
 pub mod events;
 pub mod images;
-pub mod io;
 pub mod loader;
 
-pub use error::DataError;
 pub use events::{
     bin_events, event_batch, synth_dvs_gesture, synth_nmnist, Event, EventDataset, EventStream,
     SynthEventConfig,
 };
 pub use images::{synth_cifar, ImageDataset, SynthImageConfig};
-pub use io::{load_events, read_events, save_events, write_events};
 pub use loader::BatchIter;

@@ -51,4 +51,4 @@ pub use network::{
 };
 pub use optim::{Adam, Optimizer, OptimizerState, Sgd};
 pub use params::{ParamBinder, ParamId, ParamStore, Parameter, ShardGrads};
-pub use serialize::{crc32, load_params, save_params, Crc32, ParamRecord};
+pub use serialize::{crc32, load_params, save_params, ParamRecord};

@@ -12,6 +12,14 @@
 //! truncation are detected with a description of *which* record is bad
 //! instead of garbage weights. v1 files (no checksums) still load.
 //!
+//! Every binary container of the workspace — `.skw` here, the `.sksn`
+//! session snapshots and the cluster's wire frames — is written with the
+//! `put_*` helpers below and read back through one bounded cursor,
+//! [`WireReader`], over a byte slice: every count and length is checked
+//! against the bytes that remain before anything is sized by it. Files are
+//! written through [`write_atomic`] and read whole, so a file's length
+//! bounds what decoding it can allocate.
+//!
 //! ```no_run
 //! use skipper_snn::{custom_net, ModelConfig};
 //! use skipper_snn::serialize::{load_params, save_params};
@@ -28,7 +36,7 @@ use crate::error::SnnError;
 use crate::params::ParamStore;
 use skipper_tensor::Tensor;
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 /// File magic of the legacy checksum-less format: "SKPRW" + version 1.
@@ -41,12 +49,6 @@ const MAGIC_V2: &[u8; 6] = b"SKPRW\x02";
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320)
 // ---------------------------------------------------------------------------
-
-/// Incremental CRC32 (the ubiquitous IEEE variant used by zip/png/gzip).
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
 
 const CRC32_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
@@ -68,65 +70,263 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
+/// CRC32 of `bytes` (the ubiquitous IEEE variant used by zip/png/gzip).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut state = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        state = CRC32_TABLE[((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
+    }
+    state ^ 0xFFFF_FFFF
+}
+
+// ---------------------------------------------------------------------------
+// Encoding: little-endian scalars, counted runs, optional fields
+// ---------------------------------------------------------------------------
+
+/// Append `v` little-endian.
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append `v` little-endian.
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append `v` little-endian.
+pub fn put_f32(buf: &mut Vec<u8>, v: f32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append `v` little-endian.
+pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// A byte run: `u32` length, then the bytes.
+pub fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
+    put_u32(buf, b.len() as u32);
+    buf.extend_from_slice(b);
+}
+
+/// A string as a [`put_bytes`] run of its UTF-8.
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_bytes(buf, s.as_bytes());
+}
+
+/// A sequence: `u32` count, then each element through `put`.
+pub fn put_seq<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    put_u32(buf, items.len() as u32);
+    for item in items {
+        put(buf, item);
     }
 }
 
-impl Crc32 {
-    /// Fresh hasher.
-    pub fn new() -> Crc32 {
-        Crc32 { state: 0xFFFF_FFFF }
+/// A [`put_seq`] of `f64`s.
+pub fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
+    put_seq(buf, vs, |b, v| put_f64(b, *v));
+}
+
+/// An optional field: one presence byte, then the value through `put`.
+pub fn put_opt<T>(buf: &mut Vec<u8>, v: &Option<T>, put: impl FnOnce(&mut Vec<u8>, &T)) {
+    match v {
+        Some(v) => {
+            buf.push(1);
+            put(buf, v);
+        }
+        None => buf.push(0),
+    }
+}
+
+/// Write `bytes` to `path` atomically: they go to a `.tmp` sibling (same
+/// directory, so the rename never crosses filesystems) that is renamed
+/// over `path` only once written, so an interrupted save never leaves a
+/// half-written file where a valid one is expected.
+///
+/// # Errors
+///
+/// Propagates file-creation, write and rename errors.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = tmp_sibling(path);
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
+}
+
+/// The `.tmp` sibling [`write_atomic`] writes before it renames.
+fn tmp_sibling(path: &Path) -> std::path::PathBuf {
+    let mut name = path
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "file".into());
+    name.push_str(".tmp");
+    path.with_file_name(name)
+}
+
+// ---------------------------------------------------------------------------
+// Decoding: one bounded cursor
+// ---------------------------------------------------------------------------
+
+/// Bytes that do not decode: cut short, a count or length past the bytes
+/// that remain, or a field out of range. Each container maps it to the
+/// typed error it returns.
+#[derive(Debug)]
+pub struct DecodeError(pub String);
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+impl From<DecodeError> for SnnError {
+    fn from(e: DecodeError) -> SnnError {
+        SnnError::Format(e.0)
+    }
+}
+
+/// Cursor over an encoded byte slice, the one decoder of every container.
+/// Every read is bounds-checked, and every count and length is checked
+/// against the bytes that remain before anything is sized by it, so no
+/// input makes it allocate more than a small multiple of its own length.
+pub struct WireReader<'a> {
+    buf: &'a [u8],
+    at: usize,
+}
+
+impl<'a> WireReader<'a> {
+    /// A cursor at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> WireReader<'a> {
+        WireReader { buf, at: 0 }
     }
 
-    /// Absorb `bytes`.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            let idx = ((self.state ^ u32::from(b)) & 0xFF) as usize;
-            self.state = CRC32_TABLE[idx] ^ (self.state >> 8);
+    /// The next `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// Fewer than `n` bytes remain.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        // `at ≤ len` always, so the subtraction cannot wrap where `at + n`
+        // could for a hostile `n`.
+        if n > self.buf.len() - self.at {
+            return Err(DecodeError(format!(
+                "truncated: wanted {n} bytes at offset {} of {}",
+                self.at,
+                self.buf.len()
+            )));
+        }
+        let s = &self.buf[self.at..self.at + n];
+        self.at += n;
+        Ok(s)
+    }
+
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.take(1)?[0])
+    }
+
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    pub fn f64(&mut self) -> Result<f64, DecodeError> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    /// `n` little-endian `f32`s; `n` is checked against the bytes that
+    /// remain before the vector is sized by it.
+    pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, DecodeError> {
+        let b = self.take(n.saturating_mul(4))?;
+        Ok(b.chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect())
+    }
+
+    /// A [`put_f64s`] sequence, its count checked like [`WireReader::f32s`].
+    pub fn f64s(&mut self) -> Result<Vec<f64>, DecodeError> {
+        let n = self.u32()? as usize;
+        let b = self.take(n.saturating_mul(8))?;
+        Ok(b.chunks_exact(8)
+            .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
+            .collect())
+    }
+
+    /// A [`put_bytes`] run.
+    pub fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
+        let len = self.u32()? as usize;
+        self.take(len)
+    }
+
+    /// A [`put_str`] string.
+    pub fn string(&mut self) -> Result<String, DecodeError> {
+        let b = self.bytes()?;
+        String::from_utf8(b.to_vec()).map_err(|e| DecodeError(format!("string is not UTF-8: {e}")))
+    }
+
+    /// A [`put_seq`] sequence of at most `cap` elements named `what`. Every
+    /// element takes at least one byte, so the count is checked against
+    /// `cap` and the bytes that remain before the first element is read,
+    /// and the vector grows only as elements actually decode.
+    pub fn seq<T>(
+        &mut self,
+        cap: usize,
+        what: &str,
+        mut read: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = self.u32()? as usize;
+        if n > cap || n > self.buf.len() - self.at {
+            return Err(DecodeError(format!(
+                "implausible {what} count {n} ({} bytes left)",
+                self.buf.len() - self.at
+            )));
+        }
+        (0..n).map(|_| read(self)).collect()
+    }
+
+    /// A [`put_opt`] field.
+    pub fn opt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Option<T>, DecodeError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => read(self).map(Some),
+            other => Err(DecodeError(format!("unknown presence byte {other}"))),
         }
     }
 
-    /// The checksum of everything absorbed so far.
-    pub fn finish(&self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
+    /// Run `read` and also return the bytes it consumed (what a CRC that
+    /// follows them covers).
+    pub fn spanned<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<(T, &'a [u8]), DecodeError> {
+        let start = self.at;
+        let value = read(self)?;
+        Ok((value, &self.buf[start..self.at]))
     }
-}
 
-/// CRC32 of `bytes` in one call.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut h = Crc32::new();
-    h.update(bytes);
-    h.finish()
-}
-
-/// Reader adapter that hashes every byte it passes through.
-struct HashingReader<'a, R: Read> {
-    inner: &'a mut R,
-    crc: Crc32,
-}
-
-impl<R: Read> Read for HashingReader<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.crc.update(&buf[..n]);
-        Ok(n)
+    /// Succeeds only when every byte has been read.
+    pub fn done(&self) -> Result<(), DecodeError> {
+        if self.at != self.buf.len() {
+            return Err(DecodeError(format!(
+                "{} trailing bytes after message",
+                self.buf.len() - self.at
+            )));
+        }
+        Ok(())
     }
-}
-
-// ---------------------------------------------------------------------------
-// Primitives
-// ---------------------------------------------------------------------------
-
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
 }
 
 // ---------------------------------------------------------------------------
@@ -134,47 +334,35 @@ fn read_u32(r: &mut impl Read) -> io::Result<u32> {
 // ---------------------------------------------------------------------------
 
 /// Encode one record body (everything the per-record CRC covers).
-fn encode_record(name: &str, value: &Tensor) -> Vec<u8> {
-    let name = name.as_bytes();
-    let dims = value.shape().dims();
-    let mut body = Vec::with_capacity(8 + name.len() + 4 * dims.len() + value.byte_size() as usize);
-    body.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    body.extend_from_slice(name);
-    body.extend_from_slice(&(dims.len() as u32).to_le_bytes());
-    for &d in dims {
-        body.extend_from_slice(&(d as u32).to_le_bytes());
-    }
+fn put_record(buf: &mut Vec<u8>, name: &str, value: &Tensor) {
+    put_str(buf, name);
+    put_seq(buf, value.shape().dims(), |b, &d| put_u32(b, d as u32));
     for &v in value.data() {
-        body.extend_from_slice(&v.to_le_bytes());
+        put_f32(buf, v);
     }
-    body
 }
 
-/// Serialize named tensors to `writer` as a v2 container.
+/// Append named tensors to `buf` as a v2 container.
 ///
 /// This is the general building block behind [`write_params`]; snapshot
-/// code uses it directly for optimizer moments and other named state.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
+/// and wire code use it directly for optimizer moments and other named
+/// state.
 pub fn write_records<'a>(
     records: impl IntoIterator<Item = (&'a str, &'a Tensor)>,
-    writer: &mut impl Write,
-) -> Result<(), SnnError> {
+    buf: &mut Vec<u8>,
+) {
     let records: Vec<_> = records.into_iter().collect();
-    writer.write_all(MAGIC_V2)?;
-    let count = records.len() as u32;
-    write_u32(writer, count)?;
-    for (name, value) in records {
-        let body = encode_record(name, value);
-        writer.write_all(&body)?;
-        write_u32(writer, crc32(&body))?;
+    buf.extend_from_slice(MAGIC_V2);
+    put_u32(buf, records.len() as u32);
+    for (name, value) in &records {
+        let start = buf.len();
+        put_record(buf, name, value);
+        let crc = crc32(&buf[start..]);
+        put_u32(buf, crc);
     }
     // Trailing record count: a cheap whole-file completeness check that
     // catches files cut off cleanly between records.
-    write_u32(writer, count)?;
-    Ok(())
+    put_u32(buf, records.len() as u32);
 }
 
 /// Serialize every parameter of `params` to `writer` (format v2).
@@ -183,7 +371,10 @@ pub fn write_records<'a>(
 ///
 /// Propagates I/O errors from the writer.
 pub fn write_params(params: &ParamStore, writer: &mut impl Write) -> Result<(), SnnError> {
-    write_records(params.iter().map(|p| (p.name(), p.value())), writer)
+    let mut buf = Vec::new();
+    write_records(params.iter().map(|p| (p.name(), p.value())), &mut buf);
+    writer.write_all(&buf)?;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -199,97 +390,68 @@ pub struct ParamRecord {
     pub value: Tensor,
 }
 
-/// Read one record body (shared by v1 and v2; v2 wraps `r` in a
-/// [`HashingReader`] so the caller can verify the CRC afterwards).
-fn read_record(r: &mut impl Read, index: usize) -> Result<ParamRecord, SnnError> {
-    let name_len = read_u32(r)? as usize;
-    if name_len > 1 << 16 {
-        return Err(SnnError::Format(format!(
-            "record {index}: parameter name implausibly long ({name_len} bytes)"
-        )));
-    }
-    let mut name = vec![0u8; name_len];
-    r.read_exact(&mut name)?;
-    let name = String::from_utf8(name)
-        .map_err(|e| SnnError::Format(format!("record {index}: name is not UTF-8: {e}")))?;
-    let rank = read_u32(r)? as usize;
-    if rank > 8 {
-        return Err(SnnError::Format(format!(
-            "record {index} ('{name}'): tensor rank implausibly high ({rank})"
-        )));
-    }
-    let mut dims = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        dims.push(read_u32(r)? as usize);
-    }
-    let numel: usize = dims.iter().product();
-    if numel > 1 << 28 {
-        return Err(SnnError::Format(format!(
-            "record {index} ('{name}'): tensor implausibly large ({numel} elements)"
-        )));
-    }
-    let mut bytes = vec![0u8; numel * 4];
-    r.read_exact(&mut bytes)?;
-    let data: Vec<f32> = bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
+/// Read one record body (shared by v1 and v2).
+fn read_record(r: &mut WireReader<'_>) -> Result<ParamRecord, DecodeError> {
+    let name = r.string()?;
+    let dims = r
+        .seq(8, "dimension", |r| Ok(r.u32()? as usize))
+        .map_err(|e| DecodeError(format!("'{name}': {e}")))?;
+    // The dims are the file's: their product can overflow, so it is
+    // checked, and the bytes it names must be there before any is copied.
+    let data = dims
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .ok_or_else(|| DecodeError("element count overflows".into()))
+        .and_then(|numel| r.f32s(numel))
+        .map_err(|e| DecodeError(format!("'{name}': tensor {dims:?}: {e}")))?;
     Ok(ParamRecord {
         name,
         value: Tensor::from_vec(data, dims),
     })
 }
 
-/// Deserialize all parameter records from `reader` (v1 or v2).
+/// Deserialize all parameter records from `bytes` (v1 or v2). Bytes after
+/// the container are not read.
 ///
 /// # Errors
 ///
-/// Fails on I/O errors, a bad magic header, truncation, a CRC mismatch
-/// (v2) or a malformed record, naming the offending record.
-pub fn read_params(reader: &mut impl Read) -> Result<Vec<ParamRecord>, SnnError> {
-    let mut magic = [0u8; 6];
-    reader.read_exact(&mut magic)?;
-    let v2 = match &magic {
-        m if m == MAGIC_V1 => false,
-        m if m == MAGIC_V2 => true,
+/// [`SnnError::Format`] on a bad magic header, truncation, a count or
+/// length past the bytes that remain, a CRC mismatch (v2) or a malformed
+/// record, naming the offending record.
+pub fn read_params(bytes: &[u8]) -> Result<Vec<ParamRecord>, SnnError> {
+    let mut r = WireReader::new(bytes);
+    let v2 = match r.take(MAGIC_V2.len()) {
+        Ok(m) if m == MAGIC_V1 => false,
+        Ok(m) if m == MAGIC_V2 => true,
         _ => {
             return Err(SnnError::Format(
                 "not a skipper weight file (bad magic)".into(),
             ))
         }
     };
-    let count = read_u32(reader)? as usize;
-    if count > 1 << 20 {
-        return Err(SnnError::Format(format!(
-            "implausible record count ({count})"
-        )));
-    }
-    let mut records = Vec::with_capacity(count);
-    for index in 0..count {
+    let mut index = 0;
+    let records = r.seq(1 << 20, "record", |r| {
+        let in_record = |e: DecodeError| DecodeError(format!("record {index}: {e}"));
+        let (record, body) = r.spanned(read_record).map_err(in_record)?;
         if v2 {
-            let mut hashing = HashingReader {
-                inner: reader,
-                crc: Crc32::new(),
-            };
-            let record = read_record(&mut hashing, index)?;
-            let computed = hashing.crc.finish();
-            let stored = read_u32(reader)?;
+            let stored = r.u32().map_err(in_record)?;
+            let computed = crc32(body);
             if stored != computed {
-                return Err(SnnError::Format(format!(
+                return Err(DecodeError(format!(
                     "record {index} ('{}'): CRC mismatch (stored {stored:#010x}, computed {computed:#010x})",
                     record.name
                 )));
             }
-            records.push(record);
-        } else {
-            records.push(read_record(reader, index)?);
         }
-    }
+        index += 1;
+        Ok(record)
+    })?;
     if v2 {
-        let trailer = read_u32(reader)? as usize;
-        if trailer != count {
+        let trailer = r.u32()? as usize;
+        if trailer != records.len() {
             return Err(SnnError::Format(format!(
-                "trailing record count {trailer} disagrees with header count {count} (truncated?)"
+                "trailing record count {trailer} disagrees with header count {} (truncated?)",
+                records.len()
             )));
         }
     }
@@ -329,45 +491,28 @@ pub fn apply_records(params: &mut ParamStore, records: Vec<ParamRecord>) -> Resu
     Ok(())
 }
 
-/// Save `params` to the file at `path` (format v2).
-///
-/// The write is atomic: data goes to a sibling temporary file which is
-/// renamed over `path` only after a successful flush, so an interrupted
-/// save can never leave a half-written model behind.
+/// Save `params` to the file at `path` (format v2), atomically (see
+/// [`write_atomic`]).
 ///
 /// # Errors
 ///
 /// Propagates file-creation and write errors.
 pub fn save_params(params: &ParamStore, path: impl AsRef<Path>) -> Result<(), SnnError> {
-    let path = path.as_ref();
-    let tmp = tmp_sibling(path);
-    let mut file = io::BufWriter::new(std::fs::File::create(&tmp)?);
-    write_params(params, &mut file)?;
-    file.flush()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
+    let mut buf = Vec::new();
+    write_params(params, &mut buf)?;
+    write_atomic(path.as_ref(), &buf)?;
     Ok(())
 }
 
-/// A temporary sibling path for atomic writes (same directory, so the
-/// final rename never crosses filesystems).
-pub(crate) fn tmp_sibling(path: &Path) -> std::path::PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "file".into());
-    name.push_str(".tmp");
-    path.with_file_name(name)
-}
-
 /// Load the file at `path` into `params` (matching by name and shape).
+/// The whole file is read first, so its length bounds what decoding it
+/// can allocate.
 ///
 /// # Errors
 ///
 /// See [`read_params`] and [`apply_records`].
 pub fn load_params(params: &mut ParamStore, path: impl AsRef<Path>) -> Result<(), SnnError> {
-    let mut file = io::BufReader::new(std::fs::File::open(path)?);
-    let records = read_params(&mut file)?;
+    let records = read_params(&std::fs::read(path)?)?;
     apply_records(params, records)
 }
 
@@ -375,6 +520,8 @@ pub fn load_params(params: &mut ParamStore, path: impl AsRef<Path>) -> Result<()
 mod tests {
     use super::*;
     use crate::models::{custom_net, ModelConfig};
+    use proptest::prelude::*;
+    use proptest::TestRng;
     use skipper_tensor::XorShiftRng;
 
     fn cfg() -> ModelConfig {
@@ -390,7 +537,7 @@ mod tests {
         buf.extend_from_slice(MAGIC_V1);
         buf.extend_from_slice(&(params.len() as u32).to_le_bytes());
         for p in params.iter() {
-            buf.extend_from_slice(&encode_record(p.name(), p.value()));
+            put_record(buf, p.name(), p.value());
         }
     }
 
@@ -409,7 +556,7 @@ mod tests {
         // Load into a differently initialised twin.
         let mut twin = custom_net(&ModelConfig { seed: 999, ..cfg() });
         let a0 = twin.params().iter().next().unwrap().value().clone();
-        let records = read_params(&mut buf.as_slice()).unwrap();
+        let records = read_params(&buf).unwrap();
         apply_records(twin.params_mut(), records).unwrap();
         for (p, q) in net.params().iter().zip(twin.params().iter()) {
             assert_eq!(p.value().data(), q.value().data(), "{}", p.name());
@@ -426,7 +573,7 @@ mod tests {
         let net = custom_net(&cfg());
         let mut buf = Vec::new();
         write_params_v1(net.params(), &mut buf);
-        let records = read_params(&mut buf.as_slice()).unwrap();
+        let records = read_params(&buf).unwrap();
         let mut twin = custom_net(&ModelConfig { seed: 999, ..cfg() });
         apply_records(twin.params_mut(), records).unwrap();
         for (p, q) in net.params().iter().zip(twin.params().iter()) {
@@ -454,7 +601,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let err = read_params(&mut &b"NOTSKW\x01rest"[..]).unwrap_err();
+        let err = read_params(b"NOTSKW\x01rest").unwrap_err();
         assert!(matches!(err, SnnError::Format(_)), "{err}");
         assert!(err.to_string().contains("bad magic"), "{err}");
     }
@@ -465,7 +612,7 @@ mod tests {
         let mut buf = Vec::new();
         write_params(net.params(), &mut buf).unwrap();
         buf.truncate(buf.len() / 2);
-        let err = read_params(&mut buf.as_slice()).unwrap_err();
+        let err = read_params(&buf).unwrap_err();
         assert!(matches!(err, SnnError::Format(_)), "{err}");
     }
 
@@ -475,7 +622,7 @@ mod tests {
         let mut buf = Vec::new();
         write_params(net.params(), &mut buf).unwrap();
         buf.truncate(buf.len() - 4); // drop the trailing count
-        assert!(read_params(&mut buf.as_slice()).is_err());
+        assert!(read_params(&buf).is_err());
     }
 
     #[test]
@@ -487,7 +634,7 @@ mod tests {
         // far enough in to be past the header and the name.
         let at = 60;
         buf[at] ^= 0x40;
-        let err = read_params(&mut buf.as_slice()).unwrap_err();
+        let err = read_params(&buf).unwrap_err();
         assert!(err.to_string().contains("CRC mismatch"), "{err}");
     }
 
@@ -496,7 +643,7 @@ mod tests {
         let net = custom_net(&cfg());
         let mut buf = Vec::new();
         write_params(net.params(), &mut buf).unwrap();
-        let records = read_params(&mut buf.as_slice()).unwrap();
+        let records = read_params(&buf).unwrap();
         // A wider twin has different shapes.
         let mut wide = custom_net(&ModelConfig {
             width_mult: 0.5,
@@ -511,7 +658,7 @@ mod tests {
         let net = custom_net(&cfg());
         let mut buf = Vec::new();
         write_params(net.params(), &mut buf).unwrap();
-        let mut records = read_params(&mut buf.as_slice()).unwrap();
+        let mut records = read_params(&buf).unwrap();
         records.pop();
         let mut twin = custom_net(&cfg());
         let err = apply_records(twin.params_mut(), records).unwrap_err();
@@ -545,9 +692,83 @@ mod tests {
             seed: 1234,
             ..cfg()
         });
-        apply_records(twin.params_mut(), read_params(&mut buf.as_slice()).unwrap()).unwrap();
+        apply_records(twin.params_mut(), read_params(&buf).unwrap()).unwrap();
         let mut state2 = twin.init_state(1);
         let got = twin.step_infer(&input, &mut state2, &StepCtx::eval(0));
         assert!(got.logits.allclose(&expect.logits, 1e-6));
+    }
+
+    /// A container of up to three named tensors of rank 0–3 (dims 0–4, so
+    /// empty tensors too), in format v1 or v2.
+    struct AnyContainer;
+
+    impl Strategy for AnyContainer {
+        type Value = (bool, Vec<ParamRecord>);
+
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            let records = (0..rng.below(4))
+                .map(|i| {
+                    let dims: Vec<usize> =
+                        (0..rng.below(4)).map(|_| rng.below(5) as usize).collect();
+                    let data = (0..dims.iter().product())
+                        .map(|_| (rng.unit_f64() * 8.0 - 4.0) as f32)
+                        .collect();
+                    ParamRecord {
+                        name: format!("layer{i}.w{}", "é".repeat(rng.below(3) as usize)),
+                        value: Tensor::from_vec(data, dims),
+                    }
+                })
+                .collect();
+            (rng.below(2) == 1, records)
+        }
+    }
+
+    fn encode(v2: bool, records: &[ParamRecord]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        if v2 {
+            write_records(
+                records.iter().map(|r| (r.name.as_str(), &r.value)),
+                &mut buf,
+            );
+        } else {
+            buf.extend_from_slice(MAGIC_V1);
+            put_seq(&mut buf, records, |b, r| put_record(b, &r.name, &r.value));
+        }
+        buf
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// What is written is what is read; every strict prefix of a file
+        /// is a typed format error.
+        #[test]
+        fn every_container_roundtrips((v2, records) in AnyContainer) {
+            let bytes = encode(v2, &records);
+            prop_assert_eq!(&read_params(&bytes).unwrap(), &records);
+            for cut in 0..bytes.len() {
+                prop_assert!(
+                    matches!(read_params(&bytes[..cut]), Err(SnnError::Format(_))),
+                    "prefix of {cut}/{} bytes did not fail as a format error",
+                    bytes.len()
+                );
+            }
+        }
+
+        /// A file with one byte changed decodes or is a typed format error;
+        /// it never panics.
+        #[test]
+        fn mutated_containers_decode_or_fail_typed(
+            (v2, records) in AnyContainer,
+            at in 0usize..1 << 16,
+            flip in 0u8..255,
+        ) {
+            let mut bytes = encode(v2, &records);
+            let at = at % bytes.len();
+            bytes[at] ^= flip + 1;
+            if let Err(e) = read_params(&bytes) {
+                prop_assert!(matches!(e, SnnError::Format(_)), "{e}");
+            }
+        }
     }
 }

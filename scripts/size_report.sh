@@ -46,20 +46,28 @@
 # more blank line in core, tensor and snn each. Every ceiling was then
 # re-measured with this count at the change that replaced the span-stack
 # sampler with the span fold (obs 3207 -> 3196, bench 2700 -> 2686).
+# snn was raised from 2811 by 145 lines when the one decoder of every
+# binary container moved into `serialize.rs` from core's `transport.rs`:
+# 171 lines came in (the `put_*` helpers, 49, and `WireReader`, 122), and
+# `serialize.rs` dropped its own reader, `Crc32` and `read_u32`/`write_u32`
+# for less than it gained in `DecodeError`, `write_atomic` and the module
+# docs. In the same change core (6897 -> 6654), the wire (2539 -> 2332)
+# and data (843 -> 621, the uncalled `.skevt` container and `DataError`
+# gone) were lowered to what they measured.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Ceilings: the values at the commit that last edited them. Lower them when
 # a PR shrinks the code; raise them only with a reason in the PR.
-CEILING_CORE=6897
-CEILING_WIRE=2539
+CEILING_CORE=6654
+CEILING_WIRE=2332
 CEILING_BENCH=2686
 CEILING_REPORT=439
 CEILING_TENSOR=1757
 CEILING_AUTOGRAD=767
-CEILING_SNN=2811
+CEILING_SNN=2956
 CEILING_SERVE=1691
-CEILING_DATA=843
+CEILING_DATA=621
 CEILING_OBS=3196
 CEILING_WAIVERS=38
 
