@@ -21,8 +21,8 @@
 //! resumed run agree exactly from iteration 6 on.
 //!
 //! Other knobs: `--poison N` forces the loss to NaN at iteration `N`
-//! (watch the sentinels roll back, back the learning rate off and
-//! retry); `--mem-budget BYTES` arms the governor (watch it step the
+//! (watch the sentinels drop the faulty gradients, back the learning
+//! rate off and retry); `--mem-budget BYTES` arms the governor (watch it step the
 //! method toward the paper's `C = √T` optimum under pressure).
 
 use skipper_bench::{Workload, WorkloadKind};

@@ -15,7 +15,7 @@ use crate::shard::{run_unsharded, Iteration};
 use crate::stats::{BatchStats, EvalStats};
 use skipper_memprof::{reset_peaks, snapshot, take_op_log, MemorySnapshot, OpLog};
 use skipper_snn::serialize::{apply_records, ParamRecord};
-use skipper_snn::{Optimizer, OptimizerState, SpikingNetwork};
+use skipper_snn::{Optimizer, SpikingNetwork};
 use skipper_tensor::Tensor;
 use std::path::Path;
 use std::time::Instant;
@@ -25,10 +25,11 @@ use std::time::Instant;
 ///
 /// With sentinels enabled (see [`TrainSession::enable_sentinels`]) every
 /// iteration's loss and gradient norm are checked *before* the optimizer
-/// applies the update. A faulty iteration is rolled back to the last known
-/// good state, the learning rate is multiplied by `lr_backoff`, and the
-/// batch is retried under a fresh iteration seed — at most `max_retries`
-/// times, after which [`SkipperError::Divergence`] is returned.
+/// applies the update, so a faulty iteration leaves the weights and the
+/// optimizer state as they were: its gradients are dropped, the learning
+/// rate is multiplied by `lr_backoff`, and the batch is retried under a
+/// fresh iteration seed — at most `max_retries` times, after which the
+/// rate is put back and [`SkipperError::Divergence`] is returned.
 #[derive(Debug, Clone)]
 pub struct SentinelConfig {
     /// Gradient L2-norm above which an iteration is declared divergent.
@@ -49,55 +50,11 @@ impl Default for SentinelConfig {
     }
 }
 
-/// Raw (untracked) copy of optimizer state for in-memory rollback. Holding
-/// plain `Vec<f32>` instead of `Tensor`s keeps the rollback buffer out of
-/// the memory profiler, so sentinels do not perturb the measurements the
-/// harness exists to take.
-struct RawOptim {
-    kind: String,
-    scalars: Vec<(String, f64)>,
-    tensors: Vec<(String, Vec<usize>, Vec<f32>)>,
-}
-
-impl RawOptim {
-    fn capture(state: OptimizerState) -> RawOptim {
-        RawOptim {
-            kind: state.kind,
-            scalars: state.scalars,
-            tensors: state
-                .tensors
-                .into_iter()
-                .map(|(name, t)| (name, t.shape().dims().to_vec(), t.data().to_vec()))
-                .collect(),
-        }
-    }
-
-    fn to_state(&self) -> OptimizerState {
-        OptimizerState {
-            kind: self.kind.clone(),
-            scalars: self.scalars.clone(),
-            tensors: self
-                .tensors
-                .iter()
-                .map(|(name, dims, data)| {
-                    (
-                        name.clone(),
-                        Tensor::from_vec(data.clone(), dims.as_slice()),
-                    )
-                })
-                .collect(),
-        }
-    }
-}
-
-/// The last known good training state, captured after each successful
-/// iteration while sentinels are enabled.
-struct RollbackState {
-    params: Vec<Vec<f32>>,
-    optim: RawOptim,
-    aux_params: Option<Vec<Vec<f32>>>,
-    aux_optim: Option<RawOptim>,
-    sam_sums: Vec<f64>,
+/// TBPTT-LBP's auxiliary classifier heads with the Adam that trains them:
+/// one exists exactly when the other does.
+struct AuxHeads {
+    heads: LocalClassifiers,
+    optimizer: Box<dyn Optimizer>,
 }
 
 /// A network + optimizer + training method, instrumented like the paper's
@@ -110,8 +67,7 @@ struct RollbackState {
 pub struct TrainSession {
     net: SpikingNetwork,
     optimizer: Box<dyn Optimizer>,
-    aux_optimizer: Option<Box<dyn Optimizer>>,
-    aux: Option<LocalClassifiers>,
+    aux: Option<AuxHeads>,
     method: Method,
     timesteps: usize,
     iteration: u64,
@@ -121,7 +77,6 @@ pub struct TrainSession {
     /// so a resumed session knows the activity history).
     last_sam_sums: Vec<f64>,
     sentinel: Option<SentinelConfig>,
-    last_good: Option<RollbackState>,
     /// Fault injection: force the loss to NaN at this iteration.
     poison_loss_at: Option<u64>,
     mem_budget: Option<u64>,
@@ -171,7 +126,6 @@ impl TrainSession {
         let mut session = TrainSession {
             net,
             optimizer,
-            aux_optimizer: None,
             aux: None,
             method: method.clone(),
             timesteps,
@@ -180,7 +134,6 @@ impl TrainSession {
             skip_policy: SkipPolicy::default(),
             last_sam_sums: Vec::new(),
             sentinel: None,
-            last_good: None,
             poison_loss_at: None,
             mem_budget: None,
             governor_log: Vec::new(),
@@ -238,17 +191,12 @@ impl TrainSession {
             let rebuild = self
                 .aux
                 .as_ref()
-                .is_none_or(|aux| aux.taps() != taps.as_slice());
+                .is_none_or(|aux| aux.heads.taps() != taps.as_slice());
             if rebuild {
-                self.aux = Some(LocalClassifiers::new(
-                    &self.net,
-                    taps,
-                    self.net.num_classes(),
-                    0xA0A0,
-                ));
-                self.aux_optimizer = Some(Box::new(skipper_snn::Adam::new(
-                    self.optimizer.learning_rate(),
-                )));
+                self.aux = Some(AuxHeads {
+                    heads: LocalClassifiers::new(&self.net, taps, self.net.num_classes(), 0xA0A0),
+                    optimizer: Box::new(skipper_snn::Adam::new(self.optimizer.learning_rate())),
+                });
             }
         }
         self.method = method;
@@ -294,12 +242,14 @@ impl TrainSession {
     /// With sentinels enabled (see [`enable_sentinels`]) a divergent
     /// iteration — non-finite loss or a gradient L2-norm above the
     /// configured limit — is detected **before** the optimizer applies the
-    /// update. The session rolls back to the last known good state, backs
-    /// the learning rate off, and retries the batch under a fresh
-    /// iteration seed. Recoveries that happened on the way to a successful
-    /// iteration are reported in [`BatchStats::recoveries`]; once the
-    /// retry budget is exhausted [`SkipperError::Divergence`] is returned
-    /// with the session left at the last good state (gradients zeroed).
+    /// update, so the weights, optimizer state and auxiliary heads are
+    /// still those of the last good iteration. The session drops the
+    /// gradients, backs the learning rate off, and retries the batch under
+    /// a fresh iteration seed. Recoveries that happened on the way to a
+    /// successful iteration are reported in [`BatchStats::recoveries`];
+    /// once the retry budget is exhausted [`SkipperError::Divergence`] is
+    /// returned with the session left at the last good state (the learning
+    /// rates read at entry restored, gradients zeroed).
     ///
     /// [`train_batch`]: TrainSession::train_batch
     /// [`enable_sentinels`]: TrainSession::enable_sentinels
@@ -312,6 +262,7 @@ impl TrainSession {
         self.method.validate_structure(&self.net, self.timesteps)?;
         let batch_size = inputs[0].shape()[0];
         let mut recoveries: u32 = 0;
+        let entry_lr = self.learning_rates();
         loop {
             self.iteration += 1;
             let iter_seed = self.iteration;
@@ -336,13 +287,14 @@ impl TrainSession {
             let mut result = if let Some(cluster) = self.cluster.as_mut() {
                 cluster.run_iteration(&mut self.net, &sharded)?
             } else if let Some(engine) = &self.engine {
-                let outcome = engine.run_iteration(&mut self.net, self.aux.as_mut(), &sharded)?;
+                let heads = self.aux.as_mut().map(|aux| &mut aux.heads);
+                let outcome = engine.run_iteration(&mut self.net, heads, &sharded)?;
                 worker_mem = outcome.worker_mem;
                 engine_ops = outcome.ops;
                 outcome.step
             } else {
-                run_unsharded(&mut self.net, self.aux.as_mut(), &sharded)
-                    .map_err(SkipperError::Config)?
+                let heads = self.aux.as_mut().map(|aux| &mut aux.heads);
+                run_unsharded(&mut self.net, heads, &sharded).map_err(SkipperError::Config)?
             };
             if self.poison_loss_at == Some(self.iteration) {
                 result.loss = f64::NAN;
@@ -353,10 +305,10 @@ impl TrainSession {
                     // was never applied, so the weights are untouched.
                     self.net.params_mut().zero_grads();
                     if let Some(aux) = self.aux.as_mut() {
-                        aux.store_mut().zero_grads();
+                        aux.heads.store_mut().zero_grads();
                     }
                     if recoveries >= cfg.max_retries {
-                        self.apply_rollback();
+                        self.set_learning_rates(entry_lr);
                         skipper_obs::instant!(
                             skipper_obs::Level::Warn,
                             "sentinel.divergence",
@@ -370,18 +322,10 @@ impl TrainSession {
                         });
                     }
                     recoveries += 1;
-                    // Compound the backoff across retries: read the rate
-                    // before the rollback restores the captured one.
-                    let lr = self.optimizer.learning_rate() * cfg.lr_backoff;
-                    let aux_lr = self
-                        .aux_optimizer
-                        .as_ref()
-                        .map(|o| o.learning_rate() * cfg.lr_backoff);
-                    self.apply_rollback();
-                    self.optimizer.set_learning_rate(lr);
-                    if let (Some(opt), Some(lr)) = (self.aux_optimizer.as_mut(), aux_lr) {
-                        opt.set_learning_rate(lr);
-                    }
+                    // The backoff compounds across retries.
+                    let (lr, aux_lr) = self.learning_rates();
+                    let lr = lr * cfg.lr_backoff;
+                    self.set_learning_rates((lr, aux_lr.map(|r| r * cfg.lr_backoff)));
                     skipper_obs::counter_add("sentinel.recoveries", 1.0);
                     skipper_obs::instant!(
                         skipper_obs::Level::Warn,
@@ -398,9 +342,9 @@ impl TrainSession {
                 let _opt = skipper_obs::span!("optimizer_step");
                 self.optimizer.step(self.net.params_mut());
                 self.net.params_mut().zero_grads();
-                if let (Some(aux), Some(opt)) = (self.aux.as_mut(), self.aux_optimizer.as_mut()) {
-                    opt.step(aux.store_mut());
-                    aux.store_mut().zero_grads();
+                if let Some(aux) = self.aux.as_mut() {
+                    aux.optimizer.step(aux.heads.store_mut());
+                    aux.heads.store_mut().zero_grads();
                 }
             }
             let wall = start.elapsed();
@@ -445,9 +389,6 @@ impl TrainSession {
                     }
                 }
             }
-            if self.sentinel.is_some() {
-                self.last_good = Some(self.capture_rollback());
-            }
             return Ok(stats);
         }
     }
@@ -478,54 +419,18 @@ impl TrainSession {
         sum.sqrt()
     }
 
-    /// Capture the current weights + optimizer state as raw (untracked)
-    /// buffers for in-memory rollback.
-    fn capture_rollback(&self) -> RollbackState {
-        RollbackState {
-            params: self
-                .net
-                .params()
-                .iter()
-                .map(|p| p.value().data().to_vec())
-                .collect(),
-            optim: RawOptim::capture(self.optimizer.export_state()),
-            aux_params: self.aux.as_ref().map(|aux| {
-                aux.store()
-                    .iter()
-                    .map(|p| p.value().data().to_vec())
-                    .collect()
-            }),
-            aux_optim: self
-                .aux_optimizer
-                .as_ref()
-                .map(|o| RawOptim::capture(o.export_state())),
-            sam_sums: self.last_sam_sums.clone(),
-        }
+    /// The main optimizer's learning rate and, with LBP heads, theirs.
+    fn learning_rates(&self) -> (f32, Option<f32>) {
+        let aux = self.aux.as_ref().map(|aux| aux.optimizer.learning_rate());
+        (self.optimizer.learning_rate(), aux)
     }
 
-    /// Restore the last known good state, if one was captured. Without one
-    /// (fault on the very first iteration) this is a no-op — the weights
-    /// were never touched by the faulty attempt anyway.
-    fn apply_rollback(&mut self) {
-        let Some(good) = &self.last_good else { return };
-        for (p, data) in self.net.params_mut().iter_mut().zip(&good.params) {
-            p.value_mut().data_mut().copy_from_slice(data);
+    /// Set the rates that [`TrainSession::learning_rates`] reads.
+    fn set_learning_rates(&mut self, (lr, aux_lr): (f32, Option<f32>)) {
+        self.optimizer.set_learning_rate(lr);
+        if let (Some(aux), Some(lr)) = (self.aux.as_mut(), aux_lr) {
+            aux.optimizer.set_learning_rate(lr);
         }
-        self.optimizer
-            .import_state(&good.optim.to_state())
-            // lint:allow(panic): rollback state was captured from this same optimizer earlier in the run
-            .expect("rollback state was captured from this optimizer");
-        if let (Some(aux), Some(saved)) = (self.aux.as_mut(), good.aux_params.as_ref()) {
-            for (p, data) in aux.store_mut().iter_mut().zip(saved) {
-                p.value_mut().data_mut().copy_from_slice(data);
-            }
-        }
-        if let (Some(opt), Some(saved)) = (self.aux_optimizer.as_mut(), good.aux_optim.as_ref()) {
-            opt.import_state(&saved.to_state())
-                // lint:allow(panic): rollback state was captured from this same optimizer earlier in the run
-                .expect("rollback state was captured from this optimizer");
-        }
-        self.last_sam_sums = good.sam_sums.clone();
     }
 
     /// Turn the divergence sentinels on (see [`SentinelConfig`]).
@@ -585,10 +490,10 @@ impl TrainSession {
             sam_sums: self.last_sam_sums.clone(),
             params: records(self.net.params()),
             optim: self.optimizer.export_state(),
-            aux: match (self.aux.as_ref(), self.aux_optimizer.as_ref()) {
-                (Some(aux), Some(opt)) => Some((records(aux.store()), opt.export_state())),
-                _ => None,
-            },
+            aux: self
+                .aux
+                .as_ref()
+                .map(|aux| (records(aux.heads.store()), aux.optimizer.export_state())),
         }
     }
 
@@ -627,12 +532,8 @@ impl TrainSession {
         self.optimizer.import_state(&state.optim)?;
         match (&state.aux, self.aux.as_mut()) {
             (Some((aux_params, aux_optim)), Some(aux)) => {
-                apply_records(aux.store_mut(), aux_params.clone())?;
-                self.aux_optimizer
-                    .as_mut()
-                    // lint:allow(panic): aux optimizer is constructed whenever aux classifiers exist
-                    .expect("aux optimizer exists whenever aux classifiers do")
-                    .import_state(aux_optim)?;
+                apply_records(aux.heads.store_mut(), aux_params.clone())?;
+                aux.optimizer.import_state(aux_optim)?;
             }
             (Some(_), None) => {
                 return Err(SkipperError::Config(
@@ -644,7 +545,6 @@ impl TrainSession {
         }
         self.iteration = state.iteration;
         self.last_sam_sums = state.sam_sums.clone();
-        self.last_good = None;
         Ok(())
     }
 

@@ -22,7 +22,7 @@ pub struct BatchStats {
     pub skipped_steps: usize,
     /// Divergences the sentinels recovered from on the way to this
     /// (successful) iteration — zero unless sentinels are enabled and a
-    /// rollback-and-retry happened.
+    /// faulty attempt was retried.
     pub recoveries: u32,
     /// Wall-clock time of the iteration (real CPU execution).
     pub wall: Duration,

@@ -1,8 +1,9 @@
 //! End-to-end fault-tolerance tests: durable snapshots with bit-exact
-//! resume, divergence sentinels with rollback-and-retry, and the
+//! resume, divergence sentinels with backoff-and-retry, and the
 //! memory-budget governor.
 
-use skipper_core::{Method, SentinelConfig, SkipperError, TrainSession};
+use skipper_core::resume::write_snapshot_to;
+use skipper_core::{Method, SentinelConfig, SessionState, SkipperError, TrainSession};
 use skipper_snn::{custom_net, Adam, Encoder, ModelConfig, PoissonEncoder};
 use skipper_tensor::{Tensor, XorShiftRng};
 
@@ -212,6 +213,77 @@ fn failed_batch_leaves_weights_at_last_good_state() {
         .data()
         .to_vec();
     assert_eq!(good, after, "weights must be at the last good state");
+}
+
+/// A batch that runs out of retries on a session's first iteration leaves
+/// the learning rate bit-equal to its value at entry, as it does after a
+/// good iteration.
+#[test]
+fn exhausted_first_iteration_keeps_the_entry_learning_rate() {
+    let mut s = session(Method::Bptt, 8);
+    s.enable_sentinels(SentinelConfig {
+        max_grad_norm: 0.0,
+        max_retries: 2,
+        lr_backoff: 0.5,
+    });
+    let entry = s.learning_rate();
+    let (inputs, labels) = batch(9, 8);
+    s.try_train_batch(&inputs, &labels).unwrap_err();
+    assert_eq!(s.learning_rate().to_bits(), entry.to_bits());
+}
+
+/// A faulty attempt changes nothing but the iteration counter: the
+/// recovered iteration equals a clean run at the retry's seed, bit for
+/// bit, in the weights, the optimizer moments and the LBP heads.
+#[test]
+fn recovered_iteration_equals_a_clean_run_at_the_retry_seed() {
+    let methods = [
+        Method::Skipper {
+            checkpoints: 2,
+            percentile: 25.0,
+        },
+        Method::TbpttLbp {
+            window: 4,
+            taps: vec![1, 2],
+        },
+    ];
+    // Poison the session's first iteration, then one after a good
+    // iteration has given the optimizer moments to keep.
+    for (method, warmup) in methods.iter().flat_map(|m| [(m, 0), (m, 1)]) {
+        let (inputs, labels) = batch(13, 8);
+        let mut recovered = session(method.clone(), 8);
+        for _ in 0..warmup {
+            recovered.train_batch(&inputs, &labels);
+        }
+        recovered.enable_sentinels(SentinelConfig {
+            lr_backoff: 1.0,
+            ..SentinelConfig::default()
+        });
+        let entry = recovered.capture_state();
+        recovered.inject_loss_poison(entry.iteration + 1);
+        let stats = recovered.try_train_batch(&inputs, &labels).unwrap();
+        assert_eq!(stats.recoveries, 1, "{method}, warmup {warmup}");
+
+        let mut clean = session(method.clone(), 8);
+        clean
+            .restore_state(&SessionState {
+                iteration: entry.iteration + 1,
+                ..entry
+            })
+            .unwrap();
+        clean.train_batch(&inputs, &labels);
+
+        let bytes = |s: &TrainSession| {
+            let mut buf = Vec::new();
+            write_snapshot_to(&s.capture_state(), &mut buf).unwrap();
+            buf
+        };
+        assert_eq!(
+            bytes(&recovered),
+            bytes(&clean),
+            "{method}, warmup {warmup}"
+        );
+    }
 }
 
 /// Under a byte budget the governor converts plain BPTT to temporal

@@ -1,8 +1,9 @@
 //! Robustness of `.sksn` snapshot decoding against corrupted bytes.
 //!
 //! A snapshot that was truncated, bit-flipped, or rewritten with a stale
-//! CRC must come back as a typed [`SkipperError`] — never a panic, never
-//! a silently wrong [`SessionState`]. These tests drive
+//! CRC must come back as [`SkipperError::Snapshot`] — never a panic, never
+//! a silently wrong [`SessionState`]. The decoder reads a slice, so no
+//! other variant can come out of it. These tests drive
 //! [`read_snapshot_from`] with systematically mutated images of a valid
 //! snapshot, including a proptest sweep over arbitrary offsets.
 
@@ -79,7 +80,7 @@ fn truncation_at_every_offset_is_a_typed_error() {
         short.truncate(cut);
         let err = read_snapshot_from(&short).expect_err("a truncated snapshot must never decode");
         match err {
-            SkipperError::Snapshot(_) | SkipperError::Io(_) => {}
+            SkipperError::Snapshot(_) => {}
             other => panic!("cut at {cut}: unexpected error variant {other:?}"),
         }
     }
@@ -127,7 +128,7 @@ proptest! {
                 prop_assert_eq!(state.params.len(), 2);
                 prop_assert_eq!(state.iteration, 7);
             }
-            Err(SkipperError::Snapshot(_)) | Err(SkipperError::Io(_)) => {}
+            Err(SkipperError::Snapshot(_)) => {}
             Err(other) => prop_assert!(false, "unexpected error variant {:?}", other),
         }
     }
@@ -141,9 +142,12 @@ proptest! {
         buf.truncate(cut);
         let pos = pos % buf.len();
         buf[pos] ^= 1 << bit;
-        // Either error variant is fine; decoding successfully is not, since
-        // the trailer can never survive a strict truncation.
-        prop_assert!(read_snapshot_from(&buf).is_err());
+        // Decoding successfully is impossible, since the trailer can never
+        // survive a strict truncation.
+        match read_snapshot_from(&buf) {
+            Err(SkipperError::Snapshot(_)) => {}
+            other => prop_assert!(false, "expected a snapshot error, got {:?}", other),
+        }
     }
 
     /// Appending garbage after a valid image still decodes the valid part
@@ -162,7 +166,7 @@ proptest! {
         }
         match read_snapshot_from(&bytes) {
             Ok(_) => prop_assert!(false, "random bytes must never decode"),
-            Err(SkipperError::Snapshot(_)) | Err(SkipperError::Io(_)) => {}
+            Err(SkipperError::Snapshot(_)) => {}
             Err(other) => prop_assert!(false, "unexpected error variant {:?}", other),
         }
     }

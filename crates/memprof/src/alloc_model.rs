@@ -104,16 +104,16 @@ impl CachingAllocator {
             return;
         }
         // Best fit: smallest cached block that fits and wastes at most 2x.
-        let candidate = self
+        let hit = self
             .free
-            .range(want..=want.saturating_mul(2))
+            .range_mut(want..=want.saturating_mul(2))
             .next()
-            .map(|(&size, _)| size);
-        let granted = if let Some(size) = candidate {
-            // lint:allow(panic): candidate key was just yielded by a range scan of the same free map
-            let count = self.free.get_mut(&size).expect("candidate block exists");
-            *count -= 1;
-            if *count == 0 {
+            .map(|(&size, count)| {
+                *count -= 1;
+                (size, *count == 0)
+            });
+        let granted = if let Some((size, emptied)) = hit {
+            if emptied {
                 self.free.remove(&size);
             }
             self.stats.cache_hits += 1;

@@ -23,7 +23,7 @@ pub enum Level {
     /// Run-level happenings a user wants on a terminal (governor actions,
     /// snapshots, epoch results).
     Info,
-    /// Faults and recoveries (sentinel rollbacks).
+    /// Faults and recoveries (sentinel retries).
     Warn,
 }
 

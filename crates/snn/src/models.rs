@@ -55,34 +55,18 @@ impl ModelConfig {
     }
 }
 
-/// Incremental topology builder with shape tracking.
-struct NetBuilder {
+/// What both phases of the topology builder carry: the parameters,
+/// modules and LIF state shapes built so far.
+struct Parts {
     params: ParamStore,
     modules: Vec<Module>,
     state_shapes: Vec<Vec<usize>>,
     lif: LifConfig,
     rng: XorShiftRng,
-    /// Current spatial shape, if any.
-    chw: Option<(usize, usize, usize)>,
-    /// Current flat feature count, if flattened.
-    flat: Option<usize>,
     next_name: usize,
 }
 
-impl NetBuilder {
-    fn new(cfg: &ModelConfig) -> NetBuilder {
-        NetBuilder {
-            params: ParamStore::new(),
-            modules: Vec::new(),
-            state_shapes: Vec::new(),
-            lif: cfg.lif,
-            rng: XorShiftRng::new(cfg.seed),
-            chw: Some((cfg.in_channels, cfg.input_hw, cfg.input_hw)),
-            flat: None,
-            next_name: 0,
-        }
-    }
-
+impl Parts {
     fn name(&mut self, prefix: &str) -> String {
         let n = self.next_name;
         self.next_name += 1;
@@ -96,136 +80,158 @@ impl NetBuilder {
             state_id: self.state_shapes.len() - 1,
         }
     }
+}
+
+/// The builder's spatial phase: feature maps of shape `(c, h, w)`.
+/// [`Spatial::flatten`] moves it into the [`Flat`] phase, so a dense layer
+/// on a feature map, or a convolution on a vector, does not compile.
+struct Spatial {
+    parts: Parts,
+    chw: (usize, usize, usize),
+}
+
+/// The builder's flat phase: vectors of `features` elements.
+struct Flat {
+    parts: Parts,
+    features: usize,
+}
+
+impl Spatial {
+    fn new(cfg: &ModelConfig) -> Spatial {
+        Spatial {
+            parts: Parts {
+                params: ParamStore::new(),
+                modules: Vec::new(),
+                state_shapes: Vec::new(),
+                lif: cfg.lif,
+                rng: XorShiftRng::new(cfg.seed),
+                next_name: 0,
+            },
+            chw: (cfg.in_channels, cfg.input_hw, cfg.input_hw),
+        }
+    }
 
     fn conv_lif(&mut self, out_c: usize, k: usize, spec: Conv2dSpec, pool: Option<usize>) {
-        // lint:allow(panic): topology builder invariant: conv follows a spatial layer; misuse fails fast in model-construction tests
-        let (c, h, w) = self.chw.expect("conv on spatial input");
-        let name = self.name("conv");
-        let conv = Conv2dLayer::new(
-            &mut self.params,
-            &name,
-            c,
-            out_c,
-            k,
-            spec,
-            true,
-            &mut self.rng,
-        );
+        let (c, h, w) = self.chw;
+        let p = &mut self.parts;
+        let name = p.name("conv");
+        let conv = Conv2dLayer::new(&mut p.params, &name, c, out_c, k, spec, true, &mut p.rng);
         let (ho, wo) = conv.out_hw(h, w);
-        let lif = self.lif_unit(vec![out_c, ho, wo]);
+        let lif = p.lif_unit(vec![out_c, ho, wo]);
         let (ho, wo) = match pool {
-            Some(p) => (ho / p, wo / p),
+            Some(k) => (ho / k, wo / k),
             None => (ho, wo),
         };
-        self.modules.push(Module::ConvLif { conv, lif, pool });
-        self.chw = Some((out_c, ho, wo));
+        p.modules.push(Module::ConvLif { conv, lif, pool });
+        self.chw = (out_c, ho, wo);
     }
 
     /// Conv with 3x3 kernel, padding 1, optional 2x pool — the standard
     /// VGG-style stage. Pooling is skipped automatically once the feature
     /// map cannot be halved, so topologies stay valid at small input sizes.
     fn vgg_stage(&mut self, out_c: usize, pool: bool) {
-        // lint:allow(panic): topology builder invariant: preceding layer is spatial
-        let (_, h, _) = self.chw.expect("spatial");
+        let (_, h, _) = self.chw;
         let pool = (pool && h >= 2 && h % 2 == 0).then_some(2);
         self.conv_lif(out_c, 3, Conv2dSpec::padded(1), pool);
     }
 
     fn residual(&mut self, out_c: usize, stride: usize) {
-        // lint:allow(panic): topology builder invariant: residual follows a spatial layer
-        let (c, h, w) = self.chw.expect("residual on spatial input");
-        let n1 = self.name("res_conv");
+        let (c, h, w) = self.chw;
+        let p = &mut self.parts;
+        let n1 = p.name("res_conv");
         let conv1 = Conv2dLayer::new(
-            &mut self.params,
+            &mut p.params,
             &n1,
             c,
             out_c,
             3,
             Conv2dSpec { stride, padding: 1 },
             true,
-            &mut self.rng,
+            &mut p.rng,
         );
         let (h1, w1) = conv1.out_hw(h, w);
-        let lif1 = self.lif_unit(vec![out_c, h1, w1]);
-        let n2 = self.name("res_conv");
+        let lif1 = p.lif_unit(vec![out_c, h1, w1]);
+        let n2 = p.name("res_conv");
         let conv2 = Conv2dLayer::new(
-            &mut self.params,
+            &mut p.params,
             &n2,
             out_c,
             out_c,
             3,
             Conv2dSpec::padded(1),
             true,
-            &mut self.rng,
+            &mut p.rng,
         );
         let shortcut = (stride != 1 || c != out_c).then(|| {
-            let n = self.name("res_proj");
+            let n = p.name("res_proj");
             Conv2dLayer::new(
-                &mut self.params,
+                &mut p.params,
                 &n,
                 c,
                 out_c,
                 1,
                 Conv2dSpec { stride, padding: 0 },
                 false,
-                &mut self.rng,
+                &mut p.rng,
             )
         });
-        let lif2 = self.lif_unit(vec![out_c, h1, w1]);
-        self.modules.push(Module::Residual {
+        let lif2 = p.lif_unit(vec![out_c, h1, w1]);
+        p.modules.push(Module::Residual {
             conv1,
             lif1,
             conv2,
             shortcut,
             lif2,
         });
-        self.chw = Some((out_c, h1, w1));
+        self.chw = (out_c, h1, w1);
     }
 
-    fn pool(&mut self, k: usize) {
-        // lint:allow(panic): topology builder invariant: pool follows a spatial layer
-        let (c, h, w) = self.chw.expect("pool on spatial input");
-        self.modules.push(Module::Pool(k));
-        self.chw = Some((c, h / k, w / k));
-    }
-
-    fn flatten(&mut self) {
-        // lint:allow(panic): topology builder invariant: flatten follows a spatial layer
-        let (c, h, w) = self.chw.take().expect("flatten on spatial input");
-        self.flat = Some(c * h * w);
-        self.modules.push(Module::Flatten);
-    }
-
-    fn linear_lif(&mut self, out: usize, dropout: Option<f32>) {
-        // lint:allow(panic): topology builder invariant: linear follows flatten or another flat layer
-        let inf = self.flat.expect("linear on flat input");
-        let name = self.name("fc");
-        let lin = LinearLayer::new(&mut self.params, &name, inf, out, true, &mut self.rng);
-        let lif = self.lif_unit(vec![out]);
-        self.modules.push(Module::LinearLif { lin, lif, dropout });
-        self.flat = Some(out);
-    }
-
-    fn finish(mut self, name: &str, cfg: &ModelConfig) -> SpikingNetwork {
-        if self.flat.is_none() {
-            self.flatten();
+    /// Global average pool down to 1x1 (nothing to do on a 1x1 map).
+    fn global_pool(&mut self) {
+        let (c, h, w) = self.chw;
+        if h > 1 {
+            self.parts.modules.push(Module::Pool(h));
+            self.chw = (c, 1, w / h);
         }
-        // lint:allow(panic): topology builder invariant: output follows a flat layer
-        let inf = self.flat.expect("flat before output");
+    }
+
+    fn flatten(self) -> Flat {
+        let (c, h, w) = self.chw;
+        let mut parts = self.parts;
+        parts.modules.push(Module::Flatten);
+        Flat {
+            parts,
+            features: c * h * w,
+        }
+    }
+}
+
+impl Flat {
+    fn linear_lif(&mut self, out: usize, dropout: Option<f32>) {
+        let p = &mut self.parts;
+        let name = p.name("fc");
+        let lin = LinearLayer::new(&mut p.params, &name, self.features, out, true, &mut p.rng);
+        let lif = p.lif_unit(vec![out]);
+        p.modules.push(Module::LinearLif { lin, lif, dropout });
+        self.features = out;
+    }
+
+    fn finish(self, name: &str, cfg: &ModelConfig) -> SpikingNetwork {
+        let mut p = self.parts;
         let lin = LinearLayer::new(
-            &mut self.params,
+            &mut p.params,
             "readout",
-            inf,
+            self.features,
             cfg.num_classes,
             true,
-            &mut self.rng,
+            &mut p.rng,
         );
-        self.modules.push(Module::Output(lin));
+        p.modules.push(Module::Output(lin));
         SpikingNetwork::from_parts(
             name,
-            self.modules,
-            self.params,
-            self.state_shapes,
+            p.modules,
+            p.params,
+            p.state_shapes,
             vec![cfg.in_channels, cfg.input_hw, cfg.input_hw],
             cfg.num_classes,
         )
@@ -234,11 +240,11 @@ impl NetBuilder {
 
 /// VGG5: conv(3) + lin(3). Paper workload for CIFAR-10, `T = 100`.
 pub fn vgg5(cfg: &ModelConfig) -> SpikingNetwork {
-    let mut b = NetBuilder::new(cfg);
+    let mut b = Spatial::new(cfg);
     b.vgg_stage(cfg.ch(64), true);
     b.vgg_stage(cfg.ch(128), true);
     b.vgg_stage(cfg.ch(128), true);
-    b.flatten();
+    let mut b = b.flatten();
     b.linear_lif(cfg.ch(256), cfg.dropout);
     b.linear_lif(cfg.ch(256), cfg.dropout);
     b.finish("vgg5", cfg)
@@ -246,7 +252,7 @@ pub fn vgg5(cfg: &ModelConfig) -> SpikingNetwork {
 
 /// VGG11: conv(9) + lin(3). Paper workload for CIFAR-100, `T = 125`.
 pub fn vgg11(cfg: &ModelConfig) -> SpikingNetwork {
-    let mut b = NetBuilder::new(cfg);
+    let mut b = Spatial::new(cfg);
     let plan: [(usize, bool); 9] = [
         (64, true),
         (128, true),
@@ -261,7 +267,7 @@ pub fn vgg11(cfg: &ModelConfig) -> SpikingNetwork {
     for (ch, pool) in plan {
         b.vgg_stage(cfg.ch(ch), pool);
     }
-    b.flatten();
+    let mut b = b.flatten();
     b.linear_lif(cfg.ch(512), cfg.dropout);
     b.linear_lif(cfg.ch(512), cfg.dropout);
     b.finish("vgg11", cfg)
@@ -269,7 +275,7 @@ pub fn vgg11(cfg: &ModelConfig) -> SpikingNetwork {
 
 /// ResNet20: conv(20) + lin(1). Paper workload for CIFAR-10, `T = 250`.
 pub fn resnet20(cfg: &ModelConfig) -> SpikingNetwork {
-    let mut b = NetBuilder::new(cfg);
+    let mut b = Spatial::new(cfg);
     b.conv_lif(cfg.ch(16), 3, Conv2dSpec::padded(1), None);
     for (stage, ch) in [16usize, 32, 64].into_iter().enumerate() {
         for block in 0..3 {
@@ -277,44 +283,39 @@ pub fn resnet20(cfg: &ModelConfig) -> SpikingNetwork {
             b.residual(cfg.ch(ch), stride);
         }
     }
-    // Global average pool to 1x1.
-    // lint:allow(panic): lenet5 wiring keeps this block spatial
-    let (_, h, _) = b.chw.expect("spatial");
-    if h > 1 {
-        b.pool(h);
-    }
-    b.finish("resnet20", cfg)
+    b.global_pool();
+    b.flatten().finish("resnet20", cfg)
 }
 
 /// LeNet variant: conv(5) + lin(1). Paper workload for DVS-Gesture,
 /// `T = 400` (event-camera input, 2 polarity channels).
 pub fn lenet5(cfg: &ModelConfig) -> SpikingNetwork {
-    let mut b = NetBuilder::new(cfg);
+    let mut b = Spatial::new(cfg);
     for ch in [16usize, 32, 64, 64, 128] {
         b.vgg_stage(cfg.ch(ch), true);
     }
-    b.finish("lenet5", cfg)
+    b.flatten().finish("lenet5", cfg)
 }
 
 /// custom-Net: conv(3) + lin(1). Paper workload for N-MNIST, `T = 300`.
 pub fn custom_net(cfg: &ModelConfig) -> SpikingNetwork {
-    let mut b = NetBuilder::new(cfg);
+    let mut b = Spatial::new(cfg);
     for ch in [16usize, 32, 64] {
         b.vgg_stage(cfg.ch(ch), true);
     }
-    b.finish("custom-net", cfg)
+    b.flatten().finish("custom-net", cfg)
 }
 
 /// AlexNet (CIFAR variant of Guo et al. \[28\]): conv(5) + lin(3). Used for
 /// the TBPTT-LBP comparison (Table II, Fig. 16).
 pub fn alexnet(cfg: &ModelConfig) -> SpikingNetwork {
-    let mut b = NetBuilder::new(cfg);
+    let mut b = Spatial::new(cfg);
     b.vgg_stage(cfg.ch(96), true);
     b.vgg_stage(cfg.ch(256), true);
     b.vgg_stage(cfg.ch(384), false);
     b.vgg_stage(cfg.ch(384), false);
     b.vgg_stage(cfg.ch(256), true);
-    b.flatten();
+    let mut b = b.flatten();
     b.linear_lif(cfg.ch(1024), cfg.dropout);
     b.linear_lif(cfg.ch(1024), cfg.dropout);
     b.finish("alexnet", cfg)
@@ -323,7 +324,7 @@ pub fn alexnet(cfg: &ModelConfig) -> SpikingNetwork {
 /// ResNet34 at ImageNet geometry (224x224), used *analytically* for the
 /// paper's Fig. 4 — constructing it is cheap; training it is not intended.
 pub fn resnet34(cfg: &ModelConfig) -> SpikingNetwork {
-    let mut b = NetBuilder::new(cfg);
+    let mut b = Spatial::new(cfg);
     // 7x7/2 stem + 2x2 pool (stand-in for the 3x3/2 max pool).
     b.conv_lif(
         cfg.ch(64),
@@ -343,12 +344,8 @@ pub fn resnet34(cfg: &ModelConfig) -> SpikingNetwork {
             b.residual(cfg.ch(ch), stride);
         }
     }
-    // lint:allow(panic): vgg9 wiring keeps this block spatial
-    let (_, h, _) = b.chw.expect("spatial");
-    if h > 1 {
-        b.pool(h);
-    }
-    b.finish("resnet34", cfg)
+    b.global_pool();
+    b.flatten().finish("resnet34", cfg)
 }
 
 #[cfg(test)]

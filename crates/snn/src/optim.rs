@@ -12,8 +12,7 @@ use crate::params::ParamStore;
 use skipper_memprof::{record_op, Category, CategoryGuard, OpKind};
 use skipper_tensor::Tensor;
 
-/// Portable optimizer state, as captured for durable session snapshots
-/// and in-memory divergence rollback.
+/// Portable optimizer state, as captured for durable session snapshots.
 ///
 /// The representation is deliberately generic — a kind tag, named scalar
 /// hyper-parameters/counters and named state tensors — so a snapshot file
@@ -100,7 +99,7 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f32);
 
     /// Capture the complete update-rule state (hyper-parameters, step
-    /// counters and moment buffers) for snapshots or rollback.
+    /// counters and moment buffers) for snapshots.
     fn export_state(&self) -> OptimizerState;
 
     /// Restore state captured by [`export_state`], making subsequent

@@ -54,22 +54,28 @@
 # docs. In the same change core (6897 -> 6654), the wire (2539 -> 2332)
 # and data (843 -> 621, the uncalled `.skevt` container and `DataError`
 # gone) were lowered to what they measured.
+# core (6654 -> 6554), snn (2956 -> 2952) and the waivers (38 -> 25) were
+# lowered to what they measured when the code that guarded impossible
+# states went: the sentinels' rollback copy (a fault is caught before the
+# optimizer step, so nothing it copied could have changed), the LBP heads'
+# optimizer held apart from the heads, and the model builder's `Option`
+# shapes, now a spatial and a flat phase that the compiler keeps apart.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Ceilings: the values at the commit that last edited them. Lower them when
 # a PR shrinks the code; raise them only with a reason in the PR.
-CEILING_CORE=6654
+CEILING_CORE=6554
 CEILING_WIRE=2332
 CEILING_BENCH=2686
 CEILING_REPORT=439
 CEILING_TENSOR=1757
 CEILING_AUTOGRAD=767
-CEILING_SNN=2956
+CEILING_SNN=2952
 CEILING_SERVE=1691
 CEILING_DATA=621
 CEILING_OBS=3196
-CEILING_WAIVERS=38
+CEILING_WAIVERS=25
 
 # Lines outside `#[cfg(test)]` items: an item runs from its attribute to
 # the brace that closes its body, or to its `;` when it has none (a test
