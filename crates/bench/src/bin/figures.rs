@@ -1528,14 +1528,13 @@ fn ablation_surrogate(cx: &mut Ctx, fig: &Figure, r: &mut Report) {
 
 /// Record a structured trace of a short Skipper training run.
 ///
-/// Installs two `skipper-obs` sinks — a `ChromeTraceSink` that writes
-/// `trace_training.trace.json` next to the report (Chrome trace-event
-/// format, drag into <https://ui.perfetto.dev> or `chrome://tracing`) and a
-/// ring buffer whose contents feed the summary table and
+/// Installs a `skipper-obs` ring buffer, trains the tiny N-MNIST net for a
+/// few iterations with `T = 20`, `C = 2`, `p = 50`, and writes the whole
+/// capture three ways: `trace_training.trace.json` next to the report
+/// (Chrome trace-event format, drag into <https://ui.perfetto.dev> or
+/// `chrome://tracing`), the summary table, and
 /// `profile_trace_training.folded` (the capture's span fold: collapsed
-/// stacks weighted by exact self µs, for `flamegraph.pl`) — then trains
-/// the tiny N-MNIST net for a few iterations with `T = 20`, `C = 2`,
-/// `p = 50`. The summary's timing columns and the profile's weights are
+/// stacks weighted by exact self µs, for `flamegraph.pl`). The summary's timing columns and the profile's weights are
 /// wall-clock: this is the one entry whose output does not repeat byte
 /// for byte. That the trace agrees with the runner's own accounting is
 /// `obs_events.rs`'s test, not checked here.
@@ -1550,8 +1549,6 @@ fn trace_training(cx: &mut Ctx, _: &Figure, r: &mut Report) {
     // (The harness already cleared the registry and installed its no-op
     // sink.)
     std::fs::create_dir_all(&cx.out).ok();
-    let trace_file = "trace_training.trace.json";
-    let chrome = obs::add_sink(Box::new(obs::ChromeTraceSink::new(cx.out.join(trace_file))));
     let (ring, handle) = obs::RingBufferSink::new(1 << 16);
     let ring = obs::add_sink(Box::new(ring));
 
@@ -1570,10 +1567,12 @@ fn trace_training(cx: &mut Ctx, _: &Figure, r: &mut Report) {
     // closes).
     drop(s);
 
-    // Removing a sink flushes it; the Chrome sink writes its file here.
-    obs::remove_sink(chrome);
     obs::remove_sink(ring);
+    assert_eq!(handle.dropped(), 0, "the ring holds the whole capture");
     let events = handle.snapshot();
+    let trace_file = "trace_training.trace.json";
+    obs::write_chrome_trace(&events, cx.out.join(trace_file))
+        .unwrap_or_else(|err| panic!("cannot write {trace_file}: {err}"));
     r.line(format!(
         "{iterations} iters x {t} steps: {skipped} skipped + {recomputed} recomputed = {}",
         skipped + recomputed

@@ -54,7 +54,7 @@ fn parse_args() -> Args {
 fn main() {
     // `std::process::exit` skips destructors, so all exit codes funnel
     // through `real_main`'s return value: the `BenchRun` guard (which
-    // flushes obs sinks — JSONL streams, the flight-recorder's instants)
+    // flushes obs sinks, the `SKIPPER_OBS_JSONL` event stream among them)
     // drops on every path, including disconnect/kill failures.
     std::process::exit(real_main());
 }

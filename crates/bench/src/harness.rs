@@ -7,8 +7,7 @@
 //! with no other sink) and honors the `SKIPPER_OBS`, `SKIPPER_OBS_ADDR`
 //! and `SKIPPER_OBS_JSONL` environment knobs. Dropping the guard —
 //! including on early return — stops the metrics endpoint and calls
-//! [`skipper_obs::shutdown`] so file-backed sinks (JSONL, Chrome traces)
-//! are never left truncated.
+//! [`skipper_obs::shutdown`] so a JSONL sink is never left truncated.
 //!
 //! It records no timings: how fast the code is, is `benchmark/`'s
 //! question.

@@ -56,7 +56,6 @@ impl Reaped {
 fn command(bin: &str, dir: &Path) -> Command {
     let mut cmd = Command::new(bin);
     cmd.current_dir(dir)
-        .env("SKIPPER_BLACKBOX_DIR", dir)
         .env_remove("SKIPPER_CHAOS")
         .env_remove("SKIPPER_OBS")
         .env_remove("SKIPPER_OBS_ADDR")

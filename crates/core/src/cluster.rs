@@ -42,8 +42,7 @@ use skipper_obs::Histogram;
 use skipper_snn::serialize::{apply_records, read_params, write_records};
 use skipper_snn::{custom_net, ModelConfig, ParamStore, SpikingNetwork};
 use skipper_tensor::XorShiftRng;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::Write as _;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -56,18 +55,6 @@ pub fn cluster_addr_from_env() -> Option<String> {
     std::env::var(CLUSTER_ADDR_ENV)
         .ok()
         .filter(|s| !s.trim().is_empty())
-}
-
-/// Environment knob overriding where crash flight-recorder dumps land
-/// (default: the workspace `results/` directory).
-pub const BLACKBOX_DIR_ENV: &str = "SKIPPER_BLACKBOX_DIR";
-
-/// Directory flight-recorder dumps are written to.
-fn blackbox_dir() -> std::path::PathBuf {
-    match std::env::var(BLACKBOX_DIR_ENV) {
-        Ok(d) if !d.trim().is_empty() => std::path::PathBuf::from(d),
-        _ => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -171,125 +158,12 @@ impl MetricShadow {
     }
 }
 
-/// Bounded ring of recent per-connection happenings — the crash flight
-/// recorder. Recording costs nothing while tracing is disabled; on a
-/// worker loss the ring is dumped as JSONL next to the other run
-/// artifacts (`results/blackbox_<id>.jsonl`).
-pub(crate) struct FlightRecorder {
-    ring: VecDeque<String>,
-    cap: usize,
-}
-
-impl FlightRecorder {
-    fn new(cap: usize) -> FlightRecorder {
-        FlightRecorder {
-            ring: VecDeque::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Append one pre-summarized record; `detail` must be the inner JSON
-    /// fields (without braces) and is only rendered while tracing is
-    /// enabled.
-    fn note(&mut self, kind: &str, detail: impl FnOnce() -> String) {
-        if !skipper_obs::enabled() {
-            return;
-        }
-        let line = format!(
-            "{{\"ts_us\":{},\"kind\":\"{kind}\",{}}}",
-            skipper_obs::now_us(),
-            detail()
-        );
-        if self.ring.len() == self.cap {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(line);
-    }
-
-    /// Write the ring to `path` (JSONL, oldest first) and emit a
-    /// `cluster.blackbox_dump` marker. Empty rings write nothing.
-    fn dump(&self, path: &std::path::Path) {
-        if self.ring.is_empty() {
-            return;
-        }
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        let write = || -> std::io::Result<()> {
-            let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-            for line in &self.ring {
-                writeln!(f, "{line}")?;
-            }
-            f.flush()
-        };
-        match write() {
-            Ok(()) => {
-                skipper_obs::instant!(
-                    skipper_obs::Level::Warn,
-                    "cluster.blackbox_dump",
-                    path = path.display().to_string(),
-                    records = self.ring.len() as u64,
-                );
-            }
-            Err(e) => eprintln!("skipper: blackbox dump to {} failed: {e}", path.display()),
-        }
-    }
-}
-
-/// JSON-escape `s` into a quoted string (flight-recorder details carry
-/// free-form error text).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    skipper_obs::push_json_string(&mut out, s);
-    out
-}
-
-/// One-line JSON fields summarizing a protocol message for the flight
-/// recorder (payloads elided; identity and routing only).
-fn frame_summary(msg: &Message) -> String {
-    match msg {
-        Message::Hello {
-            worker, reconnect, ..
-        } => format!("\"msg\":\"Hello\",\"worker\":{worker},\"reconnect\":{reconnect}"),
-        Message::Welcome { worker, .. } => format!("\"msg\":\"Welcome\",\"worker\":{worker}"),
-        Message::Heartbeat {
-            worker,
-            iteration,
-            metrics,
-        } => format!(
-            "\"msg\":\"Heartbeat\",\"worker\":{worker},\"iteration\":{iteration},\"metrics\":{}",
-            metrics.is_some()
-        ),
-        Message::Work { request, .. } => {
-            let (iteration, attempt, shard) = request.key();
-            format!(
-                "\"msg\":\"Work\",\"round\":\"{}\",\"iteration\":{iteration},\"attempt\":{attempt},\"shard\":{shard}",
-                request.phase()
-            )
-        }
-        Message::ShardResult {
-            iteration,
-            attempt,
-            shard,
-            ..
-        } => format!(
-            "\"msg\":\"ShardResult\",\"iteration\":{iteration},\"attempt\":{attempt},\"shard\":{shard}"
-        ),
-        Message::Fault { worker, detail } => format!(
-            "\"msg\":\"Fault\",\"worker\":{worker},\"detail\":{}",
-            json_str(detail)
-        ),
-        Message::Shutdown => "\"msg\":\"Shutdown\"".to_string(),
-    }
-}
-
-/// Ring capacity of each connection's flight recorder.
-const BLACKBOX_CAP: usize = 512;
-
 /// Live status row of one worker, published through the `/cluster`
 /// endpoint of the obs metrics server.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize)]
 struct WorkerStatus {
+    /// The board's key, copied in when the document is rendered.
+    id: u64,
     state: &'static str,
     last_seen_us: u64,
     iteration: u64,
@@ -300,42 +174,28 @@ struct WorkerStatus {
     lost_reason: String,
 }
 
+/// The `/cluster` JSON document: every worker the coordinator has seen,
+/// in id order.
+#[derive(Serialize)]
+struct ClusterDoc {
+    workers: Vec<WorkerStatus>,
+}
+
 /// Shared worker-status board backing the `/cluster` endpoint.
 type Board = Arc<Mutex<BTreeMap<u64, WorkerStatus>>>;
 
-/// Render the board as the `/cluster` JSON document.
-fn render_cluster_json(board: &Board) -> String {
-    let board = board.lock().unwrap_or_else(|p| p.into_inner());
-    let mut out = String::from("{\"workers\":[");
-    for (i, (id, w)) in board.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let shards: Vec<String> = w.shards.iter().map(|s| s.to_string()).collect();
-        let _ = std::fmt::Write::write_fmt(
-            &mut out,
-            format_args!(
-                "{{\"id\":{id},\"state\":{},\"last_seen_us\":{},\"iteration\":{},\
-                 \"attempt\":{},\"shards\":[{}],\"frames_sent\":{},\"frames_received\":{},\
-                 \"bytes_sent\":{},\"bytes_received\":{},\"frame_errors\":{},\
-                 \"chaos_injected\":{},\"lost_reason\":{}}}",
-                json_str(w.state),
-                w.last_seen_us,
-                w.iteration,
-                w.attempt,
-                shards.join(","),
-                w.stats.frames_sent,
-                w.stats.frames_received,
-                w.stats.bytes_sent,
-                w.stats.bytes_received,
-                w.stats.frame_errors,
-                w.chaos_injected,
-                json_str(&w.lost_reason),
-            ),
-        );
+/// The board as the `/cluster` JSON document.
+fn cluster_response(board: &Board) -> skipper_obs::Response {
+    let workers = board
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .iter()
+        .map(|(&id, row)| WorkerStatus { id, ..row.clone() })
+        .collect();
+    match serde_json::to_string(&ClusterDoc { workers }) {
+        Ok(json) => skipper_obs::Response::ok_json(json),
+        Err(e) => skipper_obs::Response::service_unavailable("cluster", &e.to_string()),
     }
-    out.push_str("]}");
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -412,7 +272,6 @@ struct WorkerConn {
     id: u64,
     channel: Channel,
     last_seen: Instant,
-    recorder: FlightRecorder,
 }
 
 /// The distributed engine's session-side half: owns the listener and the
@@ -456,7 +315,7 @@ impl Coordinator {
         let board: Board = Arc::new(Mutex::new(BTreeMap::new()));
         let route_board = Arc::clone(&board);
         let cluster_route = skipper_obs::global_router().register("GET", "/cluster", move |_req| {
-            skipper_obs::Response::ok_json(render_cluster_json(&route_board))
+            cluster_response(&route_board)
         });
         Ok(Coordinator {
             listener,
@@ -563,13 +422,6 @@ impl Coordinator {
             worker = id,
             reconnect = reconnect,
         );
-        let mut recorder = FlightRecorder::new(BLACKBOX_CAP);
-        recorder.note("admitted", || {
-            format!(
-                "\"worker\":{id},\"reconnect\":{reconnect},\"peer\":{}",
-                json_str(channel.peer())
-            )
-        });
         self.update_status(id, |row| {
             row.state = "live";
             row.last_seen_us = skipper_obs::now_us();
@@ -579,20 +431,20 @@ impl Coordinator {
             id,
             channel,
             last_seen: Instant::now(),
-            recorder,
         });
         self.workers.sort_by_key(|w| w.id);
         self.publish_worker_gauge();
     }
 
-    /// Remove worker `id`, counting the death and dumping its flight
-    /// recorder to `results/blackbox_<id>.jsonl`.
+    /// Remove worker `id`, counting the death; its `cluster.worker_lost`
+    /// carries the connection's final frame counts.
     fn kill_worker(&mut self, id: u64, why: &str) {
         let Some(pos) = self.workers.iter().position(|w| w.id == id) else {
             self.publish_worker_gauge();
             return;
         };
-        let mut w = self.workers.remove(pos);
+        let w = self.workers.remove(pos);
+        let stats = w.channel.stats();
         // The emitters self-guard on enabled(); only the length check above
         // (did we actually remove someone?) is load-bearing.
         skipper_obs::counter_add("cluster.worker_deaths", 1.0);
@@ -601,26 +453,16 @@ impl Coordinator {
             "cluster.worker_lost",
             worker = id,
             reason = why,
+            frames_sent = stats.frames_sent,
+            frames_received = stats.frames_received,
+            frame_errors = stats.frame_errors,
         );
-        let stats = w.channel.stats();
         self.update_status(id, |row| {
             row.state = "lost";
             row.lost_reason = why.to_string();
             row.stats = stats;
             row.chaos_injected = w.channel.chaos_injected();
         });
-        w.recorder.note("lost", || {
-            format!(
-                "\"worker\":{id},\"reason\":{},\"frames_sent\":{},\"frames_received\":{},\
-                 \"frame_errors\":{}",
-                json_str(why),
-                stats.frames_sent,
-                stats.frames_received,
-                stats.frame_errors
-            )
-        });
-        w.recorder
-            .dump(&blackbox_dir().join(format!("blackbox_{id}.jsonl")));
         self.publish_worker_gauge();
     }
 
@@ -680,7 +522,6 @@ impl Coordinator {
         let Some(w) = self.workers.iter_mut().find(|w| w.id == id) else {
             return Err(format!("worker {id} vanished"));
         };
-        w.recorder.note("send", || frame_summary(msg));
         if let Err(e) = w.channel.send(msg) {
             self.kill_worker(id, "send failed");
             return Err(format!("send to worker {id}: {e}"));
@@ -720,7 +561,6 @@ impl Coordinator {
                 match w.channel.recv_timeout(POLL) {
                     Ok(msg) => {
                         w.last_seen = Instant::now();
-                        w.recorder.note("recv", || frame_summary(&msg));
                         match msg {
                             Message::ShardResult {
                                 iteration: i,
@@ -991,20 +831,16 @@ pub fn run_worker(
     // Persists across reconnects so a rejoining worker never re-ships
     // already-federated totals as fresh deltas.
     let mut shadow = MetricShadow::default();
-    // The worker's own flight recorder; dumped on a chaos kill, on an
-    // exhausted reconnect budget, and (via the guard) on a panicking
-    // unwind, as `blackbox_<id>_self.jsonl` (the `_self` suffix keeps it
-    // apart from the coordinator's dump for the same worker).
-    let mut recorder = WorkerRecorder {
-        id: opts.id,
-        rec: FlightRecorder::new(BLACKBOX_CAP),
-    };
+    // The id the coordinator last assigned, for the exit instant.
+    let mut worker = opts.id;
     loop {
         if connect_attempt > opts.backoff.max_retries {
-            recorder.rec.note("exhausted", || {
-                format!("\"worker\":{},\"attempts\":{connect_attempt}", recorder.id)
-            });
-            recorder.dump_self();
+            skipper_obs::instant!(
+                skipper_obs::Level::Debug,
+                "cluster.worker_exit",
+                worker = worker,
+                reason = "exhausted",
+            );
             skipper_obs::flush();
             return Err(SkipperError::Transport {
                 peer: connector.peer().to_string(),
@@ -1066,58 +902,24 @@ pub fn run_worker(
             report.reconnects += 1;
         }
         was_connected = true;
-        recorder.id = id;
-        recorder.rec.note("connected", || {
-            format!("\"worker\":{id},\"reconnect\":{was_connected}")
-        });
-        match serve(
-            &mut channel,
-            id,
-            &spec,
-            opts,
-            &mut report,
-            &mut shadow,
-            &mut recorder.rec,
-        ) {
+        worker = id;
+        match serve(&mut channel, id, &spec, opts, &mut report, &mut shadow) {
             ServeEnd::Shutdown => {
                 skipper_obs::flush();
                 return Ok(report);
             }
             ServeEnd::Killed => {
                 report.killed = true;
-                recorder.rec.note("killed", || {
-                    format!("\"worker\":{id},\"iteration\":{}", report.iterations)
-                });
-                recorder.dump_self();
+                skipper_obs::instant!(
+                    skipper_obs::Level::Debug,
+                    "cluster.worker_exit",
+                    worker = id,
+                    reason = "killed",
+                );
                 skipper_obs::flush();
                 return Ok(report);
             }
             ServeEnd::Reconnect => connect_attempt = 1,
-        }
-    }
-}
-
-/// Owns a worker's [`FlightRecorder`] and dumps it if the thread unwinds
-/// with the recorder still alive — the crash path that can't reach an
-/// explicit dump call.
-struct WorkerRecorder {
-    id: u64,
-    rec: FlightRecorder,
-}
-
-impl WorkerRecorder {
-    fn dump_self(&self) {
-        self.rec
-            .dump(&blackbox_dir().join(format!("blackbox_{}_self.jsonl", self.id)));
-    }
-}
-
-impl Drop for WorkerRecorder {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.rec.note("panic", || format!("\"worker\":{}", self.id));
-            self.dump_self();
-            skipper_obs::flush();
         }
     }
 }
@@ -1166,7 +968,6 @@ fn serve(
     opts: &WorkerOptions,
     report: &mut WorkerReport,
     shadow: &mut MetricShadow,
-    recorder: &mut FlightRecorder,
 ) -> ServeEnd {
     let mut worker = ShardWorker::new(custom_net(&spec.model), None);
     let mut last_iter: u64 = 0;
@@ -1193,7 +994,6 @@ fn serve(
             }
             Err(_) => return ServeEnd::Reconnect,
         };
-        recorder.note("recv", || frame_summary(&msg));
         let (request, params, trace) = match msg {
             Message::Shutdown => return ServeEnd::Shutdown,
             Message::Work {

@@ -411,6 +411,19 @@ pub(crate) enum Message {
 }
 
 impl Message {
+    /// The message's kind, as `cluster.frame` instants name it.
+    fn kind(&self) -> &'static str {
+        match self {
+            Message::Hello { .. } => "Hello",
+            Message::Welcome { .. } => "Welcome",
+            Message::Heartbeat { .. } => "Heartbeat",
+            Message::Work { .. } => "Work",
+            Message::ShardResult { .. } => "ShardResult",
+            Message::Fault { .. } => "Fault",
+            Message::Shutdown => "Shutdown",
+        }
+    }
+
     /// Encode to a payload (no frame header).
     ///
     /// # Errors
@@ -841,7 +854,7 @@ impl Chaos {
 /// Per-connection transport counters, kept as plain `u64`s on the
 /// [`Channel`] (single-owner, no atomics needed). The coordinator's
 /// `/cluster` status table snapshots them per worker.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub(crate) struct ChannelStats {
     pub frames_sent: u64,
     pub frames_received: u64,
@@ -856,10 +869,13 @@ pub(crate) struct ChannelStats {
 /// connection.
 pub(crate) struct Channel {
     stream: TcpStream,
-    peer: String,
     rbuf: Vec<u8>,
     stats: ChannelStats,
     chaos: Option<Chaos>,
+    /// The worker this connection serves: the id its Hello proposed, then
+    /// the one its Welcome assigned (0 before the handshake). Both ends
+    /// learn it from the frames themselves.
+    worker: u64,
 }
 
 impl Channel {
@@ -873,19 +889,57 @@ impl Channel {
         stream
             .set_nodelay(true)
             .map_err(|e| TransportError::Io(e.to_string()))?;
-        let peer = stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "tcp-peer".to_string());
         Ok(Channel {
             stream,
-            peer,
             rbuf: Vec::new(),
             stats: ChannelStats::default(),
             chaos: chaos
                 .filter(|cfg| cfg.frame_faults())
                 .map(|cfg| Chaos::new(cfg.clone(), salt)),
+            worker: 0,
         })
+    }
+
+    /// Emit the `cluster.frame` instant for one message sent or received
+    /// (`dir`): its kind, this connection's worker and whichever of
+    /// iteration, attempt, shard and round it carries. Identity and
+    /// routing only, never a payload.
+    fn note_frame(&mut self, dir: &'static str, msg: &Message) {
+        if let Message::Hello { worker, .. } | Message::Welcome { worker, .. } = msg {
+            self.worker = *worker;
+        }
+        if !skipper_obs::enabled() {
+            return;
+        }
+        let mut fields: skipper_obs::Fields = vec![
+            ("dir", dir.into()),
+            ("msg", msg.kind().into()),
+            ("worker", self.worker.into()),
+        ];
+        match msg {
+            Message::Heartbeat { iteration, .. } => fields.push(("iteration", (*iteration).into())),
+            Message::Work { request, .. } => {
+                let (iteration, attempt, shard) = request.key();
+                fields.extend([
+                    ("iteration", iteration.into()),
+                    ("attempt", attempt.into()),
+                    ("shard", shard.into()),
+                    ("round", request.phase().into()),
+                ]);
+            }
+            Message::ShardResult {
+                iteration,
+                attempt,
+                shard,
+                ..
+            } => fields.extend([
+                ("iteration", (*iteration).into()),
+                ("attempt", (*attempt).into()),
+                ("shard", (*shard).into()),
+            ]),
+            _ => {}
+        }
+        skipper_obs::instant("cluster.frame", skipper_obs::Level::Debug, fields);
     }
 
     /// Encode and ship one message.
@@ -903,6 +957,7 @@ impl Channel {
                 frame.len() as f64,
             );
         }
+        self.note_frame("sent", msg);
         let frames = match &mut self.chaos {
             Some(chaos) => chaos.apply(frame),
             None => vec![frame],
@@ -972,11 +1027,15 @@ impl Channel {
             }
             Message::decode(&payload)
         });
-        if matches!(received, Err(TransportError::Frame(_))) {
-            self.stats.frame_errors += 1;
-            if skipper_obs::enabled() {
-                skipper_obs::counter_add("engine.transport_frame_errors", 1.0);
+        match &received {
+            Ok(msg) => self.note_frame("received", msg),
+            Err(TransportError::Frame(_)) => {
+                self.stats.frame_errors += 1;
+                if skipper_obs::enabled() {
+                    skipper_obs::counter_add("engine.transport_frame_errors", 1.0);
+                }
             }
+            Err(_) => {}
         }
         received
     }
@@ -990,11 +1049,6 @@ impl Channel {
     /// not armed).
     pub(crate) fn chaos_injected(&self) -> u64 {
         self.chaos.as_ref().map_or(0, |c| c.injected)
-    }
-
-    /// Peer label for diagnostics.
-    pub(crate) fn peer(&self) -> &str {
-        &self.peer
     }
 }
 

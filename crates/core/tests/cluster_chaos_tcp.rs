@@ -4,11 +4,10 @@
 //! worker. `cluster_recovery.rs` covers chaos, a kill and a clean run
 //! separately; this is the only place they meet.
 //!
-//! A file of its own because it is a process of its own: it points
-//! `SKIPPER_BLACKBOX_DIR` at a temp directory and reads the process-wide
+//! A file of its own because it is a process of its own: it records every
+//! event of the process to one JSONL stream and reads the process-wide
 //! metrics registry.
 
-use skipper_core::cluster::BLACKBOX_DIR_ENV;
 use skipper_core::{
     run_worker, BackoffConfig, ChaosConfig, ClusterConfig, Coordinator, Method, TcpConnector,
     TrainSession, WorkerOptions,
@@ -52,7 +51,6 @@ fn weight_bits(net: &SpikingNetwork) -> Vec<Vec<u32>> {
 fn tcp_cluster_under_chaos_and_a_kill_matches_the_pool_and_leaves_its_evidence() {
     let dir = std::env::temp_dir().join(format!("skipper_chaos_tcp_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    std::env::set_var(BLACKBOX_DIR_ENV, &dir);
 
     let mut rng = XorShiftRng::new(42);
     let inputs: Vec<Tensor> = (0..T)
@@ -71,9 +69,9 @@ fn tcp_cluster_under_chaos_and_a_kill_matches_the_pool_and_leaves_its_evidence()
         .collect();
     let want_weights = weight_bits(&reference.into_net());
 
-    // Record the cluster run's events (and only those): the flight
-    // recorder, metric federation and trace contexts are off without a
-    // sink, and the stitcher reads this stream back.
+    // Record the cluster run's events (and only those): frame instants,
+    // metric federation and trace contexts are off without a sink, and
+    // check (3) and the stitcher read this stream back.
     let events = dir.join("obs.jsonl");
     let sink = skipper_obs::add_sink(Box::new(
         skipper_obs::JsonlSink::create(&events).expect("event stream"),
@@ -171,12 +169,41 @@ fn tcp_cluster_under_chaos_and_a_kill_matches_the_pool_and_leaves_its_evidence()
     }
     assert_eq!(killed, 1, "exactly the scheduled worker died");
 
-    // (3) The coordinator dumped the killed worker's flight recorder.
-    let blackbox = dir.join(format!("blackbox_{WORKERS}.jsonl"));
-    assert!(blackbox.exists(), "no {}", blackbox.display());
+    // (3) The killed worker's history is in the event stream: its frames,
+    // then the coordinator's `cluster.worker_lost` with the connection's
+    // final counts, and its own `cluster.worker_exit`.
+    skipper_obs::remove_sink(sink);
+    let text = std::fs::read_to_string(&events).expect("event stream");
+    let instants: Vec<serde_json::Value> = text
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("JSONL line"))
+        .filter(|e: &serde_json::Value| e["ev"].as_str() == Some("instant"))
+        .collect();
+    // Positions in the stream of the victim's `name` instants.
+    let of_victim = |name: &str| -> Vec<usize> {
+        (0..instants.len())
+            .filter(|&i| instants[i]["name"].as_str() == Some(name))
+            .filter(|&i| instants[i]["fields"]["worker"].as_u64() == Some(WORKERS))
+            .collect()
+    };
+    let last_frame = *of_victim("cluster.frame")
+        .last()
+        .expect("the victim's frames");
+    let lost = *of_victim("cluster.worker_lost")
+        .last()
+        .expect("the victim's loss");
+    assert!(last_frame < lost, "frame {last_frame} after loss {lost}");
+    let counts = &instants[lost]["fields"];
+    assert!(counts["frames_sent"].as_u64() > Some(0), "{counts:?}");
+    assert!(counts["frames_received"].as_u64() > Some(0), "{counts:?}");
+    assert!(counts["frame_errors"].as_u64().is_some(), "{counts:?}");
+    let exits: Vec<Option<&str>> = of_victim("cluster.worker_exit")
+        .into_iter()
+        .map(|i| instants[i]["fields"]["reason"].as_str())
+        .collect();
+    assert_eq!(exits, [Some("killed")]);
 
     // (4) Every worker_task span resolves to a coordinator `iteration`.
-    skipper_obs::remove_sink(sink);
     let stats = skipper_report::stitch::stitch_files(&[events])
         .expect("stitch")
         .stats;

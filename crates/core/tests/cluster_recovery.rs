@@ -15,7 +15,7 @@ use skipper_core::{
 use skipper_snn::{custom_net, ModelConfig, Sgd, SpikingNetwork};
 use skipper_tensor::{Tensor, XorShiftRng};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const T: usize = 12;
 const BATCH: usize = 4;
@@ -95,6 +95,17 @@ fn loopback_cluster(cfg: ClusterConfig) -> (Coordinator, impl Fn() -> TcpConnect
 /// Run `iters` Skipper iterations over a loopback TCP cluster of worker
 /// threads with the given per-worker options, on a fixed batch.
 fn run_cluster(iters: usize, cfg: ClusterConfig, workers: Vec<WorkerOptions>) -> RunOutcome {
+    run_cluster_then(iters, cfg, workers, || ())
+}
+
+/// [`run_cluster`], calling `probe` after the last iteration while the
+/// coordinator still serves its `/cluster` table.
+fn run_cluster_then(
+    iters: usize,
+    cfg: ClusterConfig,
+    workers: Vec<WorkerOptions>,
+    probe: impl FnOnce(),
+) -> RunOutcome {
     let (coordinator, connector) = loopback_cluster(cfg);
     let handles: Vec<WorkerHandle> = workers
         .into_iter()
@@ -113,6 +124,7 @@ fn run_cluster(iters: usize, cfg: ClusterConfig, workers: Vec<WorkerOptions>) ->
     let losses = (0..iters)
         .map(|_| session.train_batch(&inputs, &labels).loss.to_bits())
         .collect();
+    probe();
     // Dropping the session shuts the coordinator down (Shutdown to every
     // live worker), which ends the worker threads.
     let trained = session.into_net();
@@ -138,6 +150,35 @@ fn worker(id: u64) -> WorkerOptions {
         backoff: fast_backoff(),
         heartbeat_interval: Duration::from_millis(25),
         ..WorkerOptions::default()
+    }
+}
+
+/// The rows of the `/cluster` document whose worker ids are exactly
+/// `ids`. Tests of this file run side by side and the latest coordinator's
+/// table shadows the others', so the route is read until this run's table
+/// is the one it serves.
+fn cluster_rows(ids: &[u64]) -> Vec<serde_json::Value> {
+    let get = skipper_obs::Request {
+        method: "GET".into(),
+        path: "/cluster".into(),
+        query: String::new(),
+        body: Vec::new(),
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let resp = skipper_obs::global_router().dispatch(&get);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let doc: serde_json::Value = serde_json::from_str(&resp.body).expect("/cluster is JSON");
+        let rows = doc["workers"].as_array().cloned().unwrap_or_default();
+        if rows
+            .iter()
+            .map(|r| r["id"].as_u64())
+            .eq(ids.iter().map(|&id| Some(id)))
+        {
+            return rows;
+        }
+        assert!(Instant::now() < deadline, "no /cluster table lists {ids:?}");
+        std::thread::sleep(Duration::from_millis(20));
     }
 }
 
@@ -191,18 +232,24 @@ fn clean_cluster_run_matches_the_in_process_engine_bit_exactly() {
 
 #[test]
 fn killed_worker_mid_epoch_reassigns_and_stays_bit_exact() {
-    let clean = run_cluster(4, fast_cfg(3), vec![worker(1), worker(2), worker(3)]);
+    // Ids no other test of this file uses, so that `/cluster` can tell
+    // this run's table apart.
+    let ids = [21, 22, 23];
+    let clean = run_cluster(4, fast_cfg(3), ids.map(worker).to_vec());
 
-    // Worker 2's chaos schedule kills it when it receives work for
+    // Worker 22's chaos schedule kills it when it receives work for
     // iteration 3: the attempt fails, its shards are reassigned over the
     // two survivors, and the retried attempt (parameters untouched) is
     // bit-identical — so the whole 4-iteration run must match.
-    let mut victim = worker(2);
+    let mut victim = worker(22);
     victim.chaos = Some(ChaosConfig {
-        kill: Some((2, 3)),
+        kill: Some((22, 3)),
         ..ChaosConfig::default()
     });
-    let chaotic = run_cluster(4, fast_cfg(3), vec![worker(1), victim, worker(3)]);
+    let mut rows = Vec::new();
+    let chaotic = run_cluster_then(4, fast_cfg(3), vec![worker(21), victim, worker(23)], || {
+        rows = cluster_rows(&ids)
+    });
 
     assert_bit_identical(&clean, &chaotic, "kill-mid-epoch");
     let killed: Vec<&WorkerReport> = chaotic
@@ -216,6 +263,14 @@ fn killed_worker_mid_epoch_reassigns_and_stays_bit_exact() {
         killed[0].iterations >= 2,
         "the victim computed shards before its death schedule fired"
     );
+
+    // The coordinator's `/cluster` table reads the same story.
+    assert_eq!(rows[1]["state"].as_str(), Some("lost"), "{:?}", rows[1]);
+    let reason = rows[1]["lost_reason"].as_str().unwrap_or_default();
+    assert!(!reason.is_empty(), "the victim's row names why it was lost");
+    for survivor in [&rows[0], &rows[2]] {
+        assert_eq!(survivor["state"].as_str(), Some("live"), "{survivor:?}");
+    }
 }
 
 #[test]

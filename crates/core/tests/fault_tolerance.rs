@@ -126,10 +126,10 @@ fn horizon_mismatch_is_a_config_error() {
 }
 
 /// A NaN loss injected mid-run must be caught before the optimizer applies
-/// the update; the session rolls back, backs the learning rate off, and
-/// the batch still completes with a finite loss.
+/// the update; the session drops the attempt's gradients, backs the
+/// learning rate off, and the batch still completes with a finite loss.
 #[test]
-fn nan_injection_rolls_back_and_recovers() {
+fn nan_injection_is_caught_before_the_update_and_recovers() {
     let mut s = session(
         Method::Skipper {
             checkpoints: 2,
@@ -175,11 +175,9 @@ fn exhausted_retries_surface_divergence_error() {
     assert_eq!(s.iteration(), 3);
 }
 
-/// Rollback must restore the exact pre-fault weights: a recovered batch
-/// trained with sentinels from a snapshot must match the weights of a
-/// clean run whose faulty attempt never happened... here we check the
-/// cheaper invariant: after exhausting retries the weights equal the last
-/// good state.
+/// A divergent attempt never reaches the optimizer, so a batch that
+/// exhausts its retries leaves the weights exactly at the last good
+/// state.
 #[test]
 fn failed_batch_leaves_weights_at_last_good_state() {
     let mut s = session(Method::Bptt, 8);

@@ -283,10 +283,8 @@ fn chrome_trace_of_pooled_run_parses_and_balances() {
     let dir = std::env::temp_dir().join(format!("skipper_obs_trace_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("pooled.trace.json");
-    let id = obs::add_sink(Box::new(obs::ChromeTraceSink::new(&path)));
-    // A ring sink rides along to learn which pool tids belong to *this*
-    // test: sinks are process-global, so the trace file also captures any
-    // concurrently running test's pool.
+    // Sinks are process-global, so the ring (and the trace file written
+    // from it) also captures any concurrently running test's pool.
     let (ring, handle) = obs::RingBufferSink::new(1 << 16);
     let ring_id = obs::add_sink(Box::new(ring));
 
@@ -306,7 +304,7 @@ fn chrome_trace_of_pooled_run_parses_and_balances() {
 
     // `train_batch` returns once the results arrive, which can be before
     // the workers close their `worker_task` spans — dropping the session
-    // joins the pool, so every span end is recorded before the flush.
+    // joins the pool, so every span end is recorded before the snapshot.
     drop(s);
 
     let my_tid = obs::current_tid();
@@ -322,9 +320,8 @@ fn chrome_trace_of_pooled_run_parses_and_balances() {
         .map(|(_, _, tid)| tid)
         .collect();
 
-    // Removal flushes the file.
-    obs::remove_sink(id);
     obs::remove_sink(ring_id);
+    obs::write_chrome_trace(&events, &path).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     let value: serde_json::Value = serde_json::from_str(&text).expect("trace is valid JSON");
     let trace_events = value

@@ -10,9 +10,10 @@
 //! * **Metrics** ([`counter_add`], [`gauge_set`], [`observe`]) aggregate
 //!   counters, gauges and fixed-bucket histograms in a global [`Registry`];
 //! * **Sinks** receive every event: [`RingBufferSink`] (tests, summary
-//!   tables), [`JsonlSink`] (offline analysis), [`ChromeTraceSink`]
-//!   (open the file in Perfetto / `chrome://tracing`), [`StderrSink`]
-//!   (terminal logging behind the `SKIPPER_OBS` verbosity knob);
+//!   tables; [`write_chrome_trace`] turns its snapshot into a file for
+//!   Perfetto / `chrome://tracing`), [`JsonlSink`] (offline analysis),
+//!   [`StderrSink`] (terminal logging behind the `SKIPPER_OBS` verbosity
+//!   knob);
 //! * **Profiles**: [`SpanFold`] turns span events into exact per-stack
 //!   total and self time — [`span_stats`] and the `/profile` endpoint of a
 //!   [`MetricsServer`] both read it.
@@ -64,7 +65,7 @@ pub use serve::{serve_from_env, MetricsServer};
 pub use sink::{JsonlSink, NullSink, RingBufferSink, RingHandle, Sink, StderrSink};
 pub use span::{current_span, namespace_span_ids, ContextGuard, SpanContext, SpanGuard};
 pub use summary::{render_summary, span_stats, SpanStat};
-pub use trace::{chrome_trace_json, write_chrome_trace, ChromeTraceSink};
+pub use trace::{chrome_trace_json, write_chrome_trace};
 pub use witness::{named_lock, publish_witness_metrics, witness_edges, NamedGuard};
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -172,12 +173,11 @@ pub fn flush() {
 
 /// Flush and uninstall **every** sink, dropping each one.
 ///
-/// File-backed sinks buffer ([`JsonlSink`] behind a `BufWriter`,
-/// [`ChromeTraceSink`] until flush/drop), so a `main` that returns without
-/// draining them leaves a truncated or empty trace on disk. Call this —
-/// or hold a [`ShutdownGuard`] — at the end of every binary that installs
-/// sinks. Tracing is disabled afterwards; it re-enables if a sink is
-/// installed again.
+/// A file-backed sink buffers ([`JsonlSink`] behind a `BufWriter`), so a
+/// `main` that returns without draining it leaves a truncated or empty
+/// trace on disk. Call this — or hold a [`ShutdownGuard`] — at the end of
+/// every binary that installs sinks. Tracing is disabled afterwards; it
+/// re-enables if a sink is installed again.
 pub fn shutdown() {
     let c = collector();
     let drained = {

@@ -741,4 +741,91 @@ mod tests {
         let resp = http(server.addr(), &raw);
         assert!(resp.starts_with("HTTP/1.1 413"), "got: {resp}");
     }
+
+    use proptest::prelude::*;
+
+    /// What a hostile head is built from: any byte, or a token that steers
+    /// the parsers into their branches.
+    fn head_piece() -> impl Strategy<Value = Vec<u8>> {
+        const TOKENS: [&str; 10] = [
+            "\r\n",
+            "\r\n\r\n",
+            ":",
+            " ",
+            "?",
+            "GET",
+            "HTTP/1.1",
+            "Content-Length",
+            "42",
+            "99999999999999999999999",
+        ];
+        prop_oneof![
+            (0u16..256).prop_map(|b| vec![b as u8]),
+            (0..TOKENS.len()).prop_map(|i| TOKENS[i].as_bytes().to_vec()),
+        ]
+    }
+
+    const PATH_CHARS: &[u8] = b"abcxyz019-_./";
+    const QUERY_CHARS: &[u8] = b"abz09=&%+";
+
+    proptest! {
+        /// Whatever bytes arrive, the head parsers answer with a value or
+        /// a typed refusal, and never panic.
+        #[test]
+        fn hostile_heads_parse_to_a_typed_result(
+            pieces in prop::collection::vec(head_piece(), 0..64),
+        ) {
+            let buf = pieces.concat();
+            let end = find_head_end(&buf);
+            if let Some(end) = end {
+                prop_assert_eq!(&buf[end..end + 4], b"\r\n\r\n");
+                prop_assert!(find_head_end(&buf[..end + 3]).is_none());
+            }
+            let head = String::from_utf8_lossy(&buf[..end.unwrap_or(buf.len())]);
+            if let Some(req) = parse_head(&head) {
+                prop_assert_eq!(req.method.to_ascii_uppercase(), req.method.clone());
+                prop_assert!(!req.path.contains('?'), "{:?}", req.path);
+                prop_assert!(req.body.is_empty());
+            }
+            if let Err(reason) = content_length(&head) {
+                prop_assert!(
+                    ["malformed header line", "Content-Length is not a number"].contains(&reason)
+                );
+            }
+        }
+
+        /// A well-formed head gives back its method, path, query and
+        /// `Content-Length`, with other headers on either side of the length.
+        #[test]
+        fn well_formed_heads_parse_back(
+            method in 0usize..4,
+            path in prop::collection::vec(0..PATH_CHARS.len(), 0..12),
+            query in prop::collection::vec(0..QUERY_CHARS.len(), 0..12),
+            extra in prop::collection::vec(0u32..1000, 0..4),
+            length in 0..MAX_BODY + 1,
+            lower in 0u8..2,
+        ) {
+            let method = ["GET", "POST", "HEAD", "delete"][method];
+            let chars = |set: &[u8], picks: &[usize]| -> String {
+                picks.iter().map(|&i| set[i] as char).collect()
+            };
+            let path = format!("/{}", chars(PATH_CHARS, &path));
+            let query = chars(QUERY_CHARS, &query);
+            let target = if query.is_empty() { path.clone() } else { format!("{path}?{query}") };
+            let name = if lower == 1 { "content-length" } else { "Content-Length" };
+            let mut lines = vec![format!("{method} {target} HTTP/1.1"), "Host: localhost".into()];
+            lines.extend(extra.iter().map(|v| format!("X-Extra-{v}:{v}")));
+            lines.insert(1 + extra.len() / 2, format!("{name}: {length}"));
+            let head = lines.join("\r\n");
+            let raw = format!("{head}\r\n\r\nbody");
+            prop_assert_eq!(find_head_end(raw.as_bytes()), Some(head.len()));
+            let Some(req) = parse_head(&head) else {
+                return Err(TestCaseError::Fail(format!("no request in {head:?}")));
+            };
+            prop_assert_eq!(req.method, method.to_ascii_uppercase());
+            prop_assert_eq!(req.path, path);
+            prop_assert_eq!(req.query, query);
+            prop_assert_eq!(content_length(&head), Ok(length));
+        }
+    }
 }

@@ -9,10 +9,9 @@
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use crate::event::{push_json_f64, push_json_fields, push_json_string, Event, EventKind};
-use crate::sink::Sink;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Serialise `events` into a Chrome-trace JSON string.
 pub fn chrome_trace_json(events: &[Event]) -> String {
@@ -83,59 +82,6 @@ pub fn write_chrome_trace(events: &[Event], path: impl AsRef<Path>) -> std::io::
     std::fs::write(path, chrome_trace_json(events))
 }
 
-/// A sink that buffers every event and writes the Chrome-trace file on
-/// [`flush`](Sink::flush) (and on drop).
-#[derive(Debug)]
-pub struct ChromeTraceSink {
-    path: PathBuf,
-    events: Vec<Event>,
-    written: bool,
-}
-
-impl ChromeTraceSink {
-    /// Buffer events destined for `path`.
-    pub fn new(path: impl Into<PathBuf>) -> ChromeTraceSink {
-        ChromeTraceSink {
-            path: path.into(),
-            events: Vec::new(),
-            written: false,
-        }
-    }
-
-    /// Events buffered so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl Sink for ChromeTraceSink {
-    fn record(&mut self, event: &Event) {
-        self.events.push(event.clone());
-        self.written = false;
-    }
-
-    fn flush(&mut self) {
-        if !self.written {
-            if let Err(e) = write_chrome_trace(&self.events, &self.path) {
-                eprintln!("warning: cannot write {}: {e}", self.path.display());
-            } else {
-                self.written = true;
-            }
-        }
-    }
-}
-
-impl Drop for ChromeTraceSink {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,14 +138,11 @@ mod tests {
     }
 
     #[test]
-    fn sink_writes_file_on_flush() {
+    fn write_chrome_trace_writes_the_file() {
         let dir = std::env::temp_dir().join("skipper_obs_trace_test");
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("t.trace.json");
-        let mut sink = ChromeTraceSink::new(&path);
-        sink.record(&ev("x", 1, EventKind::Instant));
-        assert_eq!(sink.len(), 1);
-        sink.flush();
+        write_chrome_trace(&[ev("x", 1, EventKind::Instant)], &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"ph\":\"i\""));
         let _ = std::fs::remove_file(&path);

@@ -1,26 +1,21 @@
 //! `skipper-report`: where run artefacts go, and the cross-process trace
 //! stitcher.
 //!
-//! * [`results_dir`] — the one definition of the workspace `results/`
-//!   directory that `figures`, the bench harness and `trace_stitch` write
-//!   into;
+//! * [`results_dir`] — the one definition of the `results/` directory
+//!   that `figures` and `trace_stitch` write into;
 //! * [`stitch`] — merge per-process obs JSONL streams into one
 //!   Perfetto-loadable Chrome trace (the `trace_stitch` binary).
 //!
 //! How fast the code is, is judged elsewhere: by the pinned repository
 //! benchmark under `benchmark/` and its `repeat.sh`.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 pub mod stitch;
 
-/// The workspace `results/` directory (`<repo>/results`), resolved from
-/// this crate's position in the source tree.
+/// `results/` under the working directory: run from the repository root,
+/// the repository's own. No path is compiled in, so a binary built on one
+/// machine never writes into the source tree it was built from.
 pub fn results_dir() -> PathBuf {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(Path::parent)
-        .unwrap_or(manifest)
-        .join("results")
+    PathBuf::from("results")
 }

@@ -60,21 +60,30 @@
 # optimizer step, so nothing it copied could have changed), the LBP heads'
 # optimizer held apart from the heads, and the model builder's `Option`
 # shapes, now a spatial and a flat phase that the compiler keeps apart.
+# core (6554 -> 6408), the wire (2332 -> 2186), obs (3196 -> 3142), bench
+# (2686 -> 2684) and report (439 -> 434) were lowered to what they measured
+# when the cluster's second event log went: its per-connection flight
+# recorder, the blackbox files it wrote and the knob that placed them are
+# now `cluster.frame` and `cluster.worker_exit` instants in the one obs
+# stream, `ChromeTraceSink` (a second buffer of events a ring already held)
+# gave way to `write_chrome_trace` on that ring, and `results_dir` stopped
+# compiling a path in. snn stayed at 2952 with calibration made linear in
+# depth.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Ceilings: the values at the commit that last edited them. Lower them when
 # a PR shrinks the code; raise them only with a reason in the PR.
-CEILING_CORE=6554
-CEILING_WIRE=2332
-CEILING_BENCH=2686
-CEILING_REPORT=439
+CEILING_CORE=6408
+CEILING_WIRE=2186
+CEILING_BENCH=2684
+CEILING_REPORT=434
 CEILING_TENSOR=1757
 CEILING_AUTOGRAD=767
 CEILING_SNN=2952
 CEILING_SERVE=1691
 CEILING_DATA=621
-CEILING_OBS=3196
+CEILING_OBS=3142
 CEILING_WAIVERS=25
 
 # Lines outside `#[cfg(test)]` items: an item runs from its attribute to
