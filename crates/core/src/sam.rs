@@ -356,6 +356,18 @@ mod tests {
         assert!((0..4).all(|t| sam.recompute(t, sst)));
     }
 
+    /// Eq. 5 with a tie at the SST: the nearest-rank 50th percentile of
+    /// `[3, 1, 2, 2]` is 2, and both steps equal to it are recomputed.
+    #[test]
+    fn steps_equal_to_the_sst_are_recomputed() {
+        let sam = SpikeActivityMonitor::from_sums(vec![3.0, 1.0, 2.0, 2.0]);
+        let decisions = decide_skips(&sam, &[0, 4], 50.0, SkipPolicy::SpikeActivity, 0);
+        assert_eq!(decisions.sst(0), 2.0);
+        let skipped: Vec<bool> = (0..4).map(|t| decisions.skip(t)).collect();
+        assert_eq!(skipped, [false, true, false, false]);
+        assert_eq!(decisions.recomputed(), 3);
+    }
+
     #[test]
     fn thresholds_are_per_segment() {
         let mut sam = SpikeActivityMonitor::new(8);

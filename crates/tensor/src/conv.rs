@@ -4,16 +4,15 @@
 //! `L = H_out·W_out`) and performs a single GEMM — the standard GPU
 //! lowering, which keeps the FLOP accounting identical to what the latency
 //! model expects. All three products run [`matmul`](mod@crate::matmul)'s one
-//! kernel, which skips the zeros of its *left* operand:
+//! kernel, which performs every multiply-add of the naive loop whatever the
+//! operands hold:
 //!
-//! * forward: `out[C_out, B·L] = W[C_out, K] · cols[K, B·L]` (`im2col`;
-//!   the zero test sits on the weights, not on the spikes),
+//! * forward: `out[C_out, B·L] = W[C_out, K] · cols[K, B·L]` (`im2col`),
 //! * input gradient: `col_grad[K, B·L] = W[C_out, K]ᵀ · grad[C_out, B·L]`,
-//!   scattered back by `col2im` (zero test on the weights again),
+//!   scattered back by `col2im`,
 //! * weight gradient: `grad_W[C_out, K] = grad[C_out, B·L] · rows[B·L, K]`
 //!   (`im2row`: the transpose of `cols`, lowered directly so that the inner
-//!   loop runs along contiguous rows of length `K`; zero test on the output
-//!   gradient).
+//!   loop runs along contiguous rows of length `K`).
 //!
 //! The lowered matrices are booked under [`Category::Workspace`] so they
 //! show up in the right bucket of the memory breakdowns. No lowering tests a

@@ -11,23 +11,22 @@
 //!
 //! All three run the same kernel. It keeps an `MR × NR` tile of `C` in
 //! accumulators for the whole `p` loop (`MR` = 4 rows, `NR` = 16 columns,
-//! or 32 on AVX-512), covers the columns left over with strips 16, 8, 4
-//! and 1 wide and the rows left over one at a time. `A` is read in place,
-//! transposed or not; `matmul_nt` first writes `Bᵀ` to a
-//! [`Category::Workspace`] scratch, so that the `B` rows the kernel streams
-//! are contiguous in every variant. Each accumulator starts at `+0.0` and
-//! adds `a(i,p) · b(p,j)` with `p` ascending, a zero `a(i,p)` skipped before
-//! it multiplies (so `0 · ∞` never enters a sum), and so every output
-//! element is the sum of its terms in ascending `p`, whichever variant,
-//! tile or strip computes it.
+//! or 32 on AVX-512), covers the columns left over with strips 16, 8 and 4
+//! wide and one tile of the last `N mod 4`, and the rows left over one at a
+//! time. `A` is read in place, transposed or not; `matmul_nt` first writes
+//! `Bᵀ` to a [`Category::Workspace`] scratch, so that the `B` rows the
+//! kernel streams are contiguous in every variant. Each accumulator starts
+//! at `+0.0` and adds `a(i,p) · b(p,j)` for every `p`, ascending: the naive
+//! loop's operations on every input, whichever variant, tile or strip
+//! computes the element, and no test on a value (`0 · ∞` is `NaN`).
 //!
 //! The kernel is one generic body with no intrinsics, compiled three times:
 //! for the baseline target, with AVX2 and with AVX-512F enabled. Each call
 //! runs the widest one the CPU supports (`is_x86_feature_detected!`); no
 //! setting chooses. Which one runs cannot change a bit: a wider register
 //! holds more lanes, but each lane performs the same IEEE single-precision
-//! multiply, then add, in the same order, after the same zero test, and
-//! Rust never fuses a multiply and an add into an FMA by itself.
+//! multiply, then add, in the same order, and Rust never fuses a multiply
+//! and an add into an FMA by itself.
 //!
 //! All record `2·M·N·K` FLOPs with the latency model (`matmul_nt`'s
 //! transpose is part of that one GEMM, not an op of its own) and run entirely
@@ -163,15 +162,20 @@ impl Operands<'_> {
         }
     }
 
-    /// Rows `i..i + R` of `c`: `NR`-wide tiles, then strips 16, 8, 4 and 1
-    /// wide.
+    /// Rows `i..i + R` of `c`: `NR`-wide tiles, then strips 16, 8 and 4
+    /// wide, then one tile as wide as the `N mod 4` columns left.
     #[inline(always)]
     fn row_block<const R: usize, const NR: usize>(self, i: usize, c: &mut [f32]) {
         let j = self.strips::<R, NR>(i, 0, c);
         let j = self.strips::<R, 16>(i, j, c);
         let j = self.strips::<R, 8>(i, j, c);
         let j = self.strips::<R, 4>(i, j, c);
-        self.strips::<R, 1>(i, j, c);
+        match self.n - j {
+            1 => self.tile::<R, 1>(i, j, c),
+            2 => self.tile::<R, 2>(i, j, c),
+            3 => self.tile::<R, 3>(i, j, c),
+            _ => {}
+        }
     }
 
     /// As many `R × W` tiles as fit from column `j` on; returns the first
@@ -199,9 +203,6 @@ impl Operands<'_> {
             let b_strip = &b_row[j..j + W];
             for (r, acc_row) in acc.iter_mut().enumerate() {
                 let av = self.a[(i + r) * self.a_row + p * self.a_col];
-                if av == 0.0 {
-                    continue; // a ±0.0 term cannot change a sum that started at +0.0
-                }
                 for (acc, &bv) in acc_row.iter_mut().zip(b_strip) {
                     *acc += av * bv;
                 }
@@ -293,8 +294,8 @@ pub(crate) mod reference {
     use crate::shape::Shape;
     use crate::tensor::Tensor;
 
-    /// `A[M,K] · B[N,K]ᵀ` as one dot product per output element: no
-    /// transpose, no zero skipped.
+    /// `A[M,K] · B[N,K]ᵀ` as one dot product per output element, with no
+    /// transpose.
     pub(crate) fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k) = a.shape().as_2d();
         let (n, k2) = b.shape().as_2d();
@@ -324,7 +325,7 @@ pub(crate) mod reference {
     }
 
     /// Elements drawn evenly from `{0.0, -0.0, 0.25, 1.0, N(0,1)}`: both
-    /// zeros (the skipped terms), a pooled spike, a spike, a dense value.
+    /// zeros (a silent neuron), a pooled spike, a spike, a dense value.
     pub(crate) fn mixed(shape: impl Into<Shape>, rng: &mut XorShiftRng) -> Tensor {
         Tensor::from_fn(shape, |_| match rng.next_below(5) {
             0 => 0.0,
@@ -409,8 +410,8 @@ mod tests {
     }
 
     /// The largest product here (64×96×80 = 491 520 multiply-adds). `naive`
-    /// adds every term in ascending `p` from `+0.0` too, and a skipped
-    /// `±0.0` term cannot change such a sum, so the bits must agree.
+    /// adds every term in ascending `p` from `+0.0` too, so the bits must
+    /// agree.
     #[test]
     fn large_product_matches_naive_bit_for_bit() {
         let mut rng = XorShiftRng::new(11);
@@ -465,34 +466,36 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Every instantiation this CPU runs gives, for all three products,
-        /// the bits of the naive kernel and of the dot-product kernel. `M`,
+        /// the bits of the naive kernel and of the dot-product kernel: every
+        /// build performs the naive loop's operations on every input. `M`,
         /// `N`, `K` in `0..=70` reach every tile and strip remainder. With
-        /// `inf`, some columns of `A` are all `±0.0` and the rows of `B` they
-        /// meet all `+∞`: skipped zeros keep `0 · ∞` out, so the product is
-        /// the one the oracles give for a finite `B`.
+        /// `special`, half of one row of `B` is `+∞`: where it meets one of
+        /// `A`'s `±0.0` (two in five elements), `0 · ∞` must reach the sum
+        /// as `NaN`, elsewhere `±∞`. A few `NaN` and `−∞` land in both
+        /// operands too.
         #[test]
         fn every_instantiation_matches_the_oracles_bit_for_bit(
             m in 0usize..71, n in 0usize..71, k in 0usize..71,
-            inf in 0u8..2, seed in 0u64..u64::MAX,
+            special in 0u8..2, seed in 0u64..u64::MAX,
         ) {
             let mut rng = XorShiftRng::new(seed);
             let mut a = reference::mixed([m, k], &mut rng);
-            let finite_b = reference::mixed([k, n], &mut rng);
-            let mut b = finite_b.clone();
-            if inf == 1 {
-                for p in 0..k {
-                    if rng.next_below(4) != 0 {
-                        continue;
+            let mut b = reference::mixed([k, n], &mut rng);
+            if special == 1 {
+                if k > 0 {
+                    let p = rng.next_below(k);
+                    for v in &mut b.data_mut()[p * n..(p + 1) * n] {
+                        if rng.next_below(2) == 0 {
+                            *v = f32::INFINITY;
+                        }
                     }
-                    for i in 0..m {
-                        a.data_mut()[i * k + p] = if rng.next_below(2) == 0 { 0.0 } else { -0.0 };
-                    }
-                    b.data_mut()[p * n..(p + 1) * n].fill(f32::INFINITY);
                 }
+                sprinkle_non_finite(&mut a, &mut rng);
+                sprinkle_non_finite(&mut b, &mut rng);
             }
             let oracles = [
-                ("naive", naive(&a, &finite_b, false, false)),
-                ("dot product", reference::matmul_nt(&a, &reference::transposed(&finite_b))),
+                ("naive", naive(&a, &b, false, false)),
+                ("dot product", reference::matmul_nt(&a, &reference::transposed(&b))),
             ];
             let (at, bt) = (reference::transposed(&a), reference::transposed(&b));
             for isa in instantiations() {
@@ -506,11 +509,28 @@ mod tests {
                         let checked = reference::same_bits(what, got, want);
                         prop_assert!(
                             checked.is_ok(),
-                            "{isa:?} vs {oracle}, [{m}x{k}]·[{k}x{n}] inf {inf} seed {seed}: {checked:?}"
+                            "{isa:?} vs {oracle}, [{m}x{k}]·[{k}x{n}] special {special} seed {seed}: {checked:?}"
                         );
                     }
                 }
             }
+        }
+    }
+
+    /// Up to two elements of `t` become `NaN` or `−∞`. The `NaN` is the
+    /// one this CPU makes for `0 · ∞`, so every `NaN` in a sum has one bit
+    /// pattern: IEEE 754 leaves open which of two `NaN` operands an add
+    /// passes on, and the compiler may order an add's operands either way.
+    fn sprinkle_non_finite(t: &mut Tensor, rng: &mut XorShiftRng) {
+        let nan = std::hint::black_box(0.0f32) * std::hint::black_box(f32::INFINITY);
+        let len = t.numel();
+        for _ in 0..rng.next_below(3).min(len) {
+            let at = rng.next_below(len);
+            t.data_mut()[at] = if rng.next_below(2) == 0 {
+                nan
+            } else {
+                f32::NEG_INFINITY
+            };
         }
     }
 
