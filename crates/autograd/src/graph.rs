@@ -310,7 +310,7 @@ impl Graph {
     pub fn value(&self, v: Var) -> &Tensor {
         match &self.nodes[v.0].value {
             Some(value) => value,
-            // lint:allow(panic): reading a released value is a caller bug that must fail loudly, never read stale data
+            #[expect(clippy::panic, reason = "reading a released value must fail loudly")]
             None => panic!("value of node {} was released; only its shape is kept", v.0),
         }
     }

@@ -41,6 +41,8 @@
 //! g.backward();
 //! assert_eq!(g.grad(x).unwrap().data(), &[36.0]);
 //! ```
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 pub mod gradcheck;
 pub mod graph;

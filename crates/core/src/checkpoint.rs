@@ -36,6 +36,7 @@
 //! percentile is formed, keeping skip decisions global (paper semantics)
 //! rather than per-shard. [`checkpointed_step_with`] chains the phases for
 //! the unsharded reference path.
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use crate::method::segment_bounds;
 use crate::sam::{
@@ -94,7 +95,7 @@ pub(crate) struct PhaseAOut {
 /// # Panics
 ///
 /// Panics if `checkpoints` is zero or exceeds `inputs.len()`.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the batch plus method settings")]
 pub(crate) fn checkpointed_step_with(
     net: &mut SpikingNetwork,
     inputs: &[Tensor],
@@ -192,7 +193,7 @@ pub(crate) fn checkpoint_forward(
             }
         }
     }
-    // lint:allow(panic): T >= 1 is validated at session build, so the loop set logits
+    #[expect(clippy::expect_used, reason = "T >= 1 is validated at session build")]
     let mut logits = logits.expect("at least one timestep");
     logits.scale_assign(1.0 / timesteps as f32); // time-averaged readout
     let loss = softmax_cross_entropy_scaled(&logits, labels, shard.global_batch);
@@ -210,7 +211,7 @@ pub(crate) fn checkpoint_forward(
 /// already-formed global skip schedule. Returns `(recomputed, skipped)`
 /// timestep counts. The caller emits the skip trace
 /// ([`emit_skip_trace`]), once per iteration rather than once per shard.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "phase B takes phase A's outputs")]
 pub(crate) fn checkpoint_backward(
     net: &mut SpikingNetwork,
     inputs: &[Tensor],

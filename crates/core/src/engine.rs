@@ -19,6 +19,7 @@
 //! * **Memory booking.** The memory tracker and the op log are
 //!   thread-local; each worker's peak snapshot and op log are returned for
 //!   per-worker attribution ([`EngineOutcome::worker_mem`]).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use crate::error::SkipperError;
 use crate::lbp::LocalClassifiers;
@@ -62,6 +63,7 @@ impl WorkerPool {
     ///
     /// Propagates the OS error when a worker thread cannot be spawned
     /// (thread exhaustion / memory pressure at construction time).
+    #[expect(clippy::disallowed_methods, reason = "busy/idle telemetry only")]
     pub fn new(workers: usize) -> Result<WorkerPool, SkipperError> {
         assert!(workers > 0, "a worker pool needs at least one thread");
         let mut senders = Vec::with_capacity(workers);
@@ -76,10 +78,8 @@ impl WorkerPool {
                 .spawn(move || {
                     let mut idle_us = 0u64;
                     let mut busy_us = 0u64;
-                    // lint:allow(determinism): wall-clock feeds worker busy/idle telemetry gauges only, never training math
                     let mut last_done = std::time::Instant::now();
                     while let Ok(task) = rx.recv() {
-                        // lint:allow(determinism): wall-clock feeds worker busy/idle telemetry gauges only, never training math
                         let started = std::time::Instant::now();
                         idle_us += started.duration_since(last_done).as_micros() as u64;
                         let pending = worker_depth.fetch_sub(1, Ordering::Relaxed) - 1;
@@ -92,7 +92,6 @@ impl WorkerPool {
                             );
                             (task.run)();
                         }
-                        // lint:allow(determinism): wall-clock feeds worker busy/idle telemetry gauges only, never training math
                         last_done = std::time::Instant::now();
                         busy_us += last_done.duration_since(started).as_micros() as u64;
                         if skipper_obs::enabled() {
@@ -282,7 +281,7 @@ fn run_requests(
     }
     let mut replies = Vec::with_capacity(requests.len());
     for (shard, request) in requests {
-        // lint:allow(determinism): wall-clock feeds the shard_wall_us telemetry histogram only, never training math
+        #[expect(clippy::disallowed_methods, reason = "shard_wall_us telemetry only")]
         let started = std::time::Instant::now();
         let reply = worker.handle(request)?;
         replies.push((shard, reply, started.elapsed().as_micros() as u64));

@@ -214,7 +214,7 @@ impl InferSession {
                 None => logits = Some(out.logits),
             }
         }
-        // lint:allow(panic): skip_schedule keeps ≥ 1 step, so the loop set logits
+        #[expect(clippy::expect_used, reason = "skip_schedule keeps at least one step")]
         let mut logits = logits.expect("at least one evaluated step");
         logits.scale_assign(1.0 / evaluated as f32); // time-averaged readout
         let classes = logits.argmax_rows();

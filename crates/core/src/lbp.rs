@@ -7,6 +7,7 @@
 //! (global-average-pool + linear) attached to its output, while the final
 //! block uses the network's own readout. The training loop over those
 //! blocks is the crate's windowed core (`windowed.rs`).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use skipper_autograd::{Graph, Var};
 use skipper_snn::{LinearLayer, ParamBinder, ParamStore, SpikingNetwork, StepCtx};
@@ -62,7 +63,7 @@ impl LocalClassifiers {
                     (Some(shape[2]), shape[1])
                 }
                 2 => (None, shape[1]),
-                // lint:allow(panic): block outputs are rank-2/rank-3 by construction of the method graph
+                #[expect(clippy::panic, reason = "block outputs are rank 2 or 4 by design")]
                 other => panic!("unexpected block output rank {other}"),
             };
             let linear = LinearLayer::new(

@@ -63,6 +63,7 @@
 //! assert!(stats.loss.is_finite());
 //! assert!(stats.skipped_steps > 0);
 //! ```
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod analytic;
 pub mod builder;

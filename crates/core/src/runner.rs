@@ -225,9 +225,9 @@ impl TrainSession {
     /// methods at [`build`](crate::builder::SessionBuilder::build).
     ///
     /// [`try_train_batch`]: TrainSession::try_train_batch
+    #[expect(clippy::panic, reason = "panics where try_train_batch returns Err")]
     pub fn train_batch(&mut self, inputs: &[Tensor], labels: &[usize]) -> BatchStats {
         self.try_train_batch(inputs, labels)
-            // lint:allow(panic): documented contract: train_batch panics where try_train_batch returns Err
             .unwrap_or_else(|e| panic!("unrecoverable training fault: {e}"))
     }
 
@@ -568,10 +568,10 @@ impl TrainSession {
     /// [`InferSession`](crate::InferSession) over a storage-sharing view
     /// of the network. The logits are bit-identical to running the
     /// `InferSession` directly (a regression test holds this).
+    #[expect(clippy::expect_used, reason = "T >= 1 and input shapes are validated")]
     pub fn eval_batch(&self, inputs: &[Tensor], labels: &[usize]) -> EvalStats {
         crate::InferSession::new(self.net.share())
             .eval(inputs, labels)
-            // lint:allow(panic): T ≥ 1 and the input shapes are validated at session build / by the caller's training batches
             .expect("eval batch is well-formed")
     }
 }

@@ -6,6 +6,7 @@
 //! Spike-Sum-Threshold `SST_c` (Eq. 5); timesteps with `s_t < SST_c` are
 //! skipped. This module also provides the boundary conditions of
 //! Section VI-B (Eq. 7 and the `C ≤ T/L_n` bound of Section V-A).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use serde::{Deserialize, Serialize};
 use skipper_snn::NetworkState;
@@ -206,7 +207,7 @@ pub fn decide_skips(
     policy: SkipPolicy,
     iter_seed: u64,
 ) -> SkipDecisions {
-    // lint:allow(panic): segment_bounds always returns at least one bound for validated T
+    #[expect(clippy::expect_used, reason = "segment_bounds never returns empty")]
     let timesteps = *bounds.last().expect("at least one bound");
     let checkpoints = bounds.len() - 1;
     let mut skip = vec![false; timesteps];

@@ -60,6 +60,7 @@
 //!   retried bit-identically.
 //! * TBPTT-LBP needs the session's auxiliary classifiers on the worker,
 //!   and a wire worker has none: [`reject_lbp_over_wire`].
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use crate::checkpoint::{
     checkpoint_backward, checkpoint_forward, checkpointed_step_with, PhaseAOut,

@@ -18,6 +18,7 @@
 //! The core is shard-aware: a [`ShardCtx`] carries the global batch size
 //! (loss scaling) and the shard's row offset (dropout streams), and the
 //! gradients go to per-store [`GradSink`]s.
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use crate::lbp::LocalClassifiers;
 use crate::sam::SpikeActivityMonitor;
@@ -72,7 +73,7 @@ pub(crate) fn combine_loss_groups(groups: &[Vec<f64>], global_batch: usize) -> f
 /// # Panics
 ///
 /// Panics if `window` is zero.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "two nets, each with a grad sink")]
 pub(crate) fn windowed_core(
     net: &mut SpikingNetwork,
     aux: &mut LocalClassifiers,
@@ -118,7 +119,7 @@ pub(crate) fn windowed_core(
                 );
                 sam_sums[t] += ssum;
                 if is_final {
-                    // lint:allow(panic): method validation guarantees the final block emits the readout logits
+                    #[expect(clippy::expect_used, reason = "the final block emits the readout")]
                     logit_vars.push(logits.expect("final block holds the readout"));
                 } else {
                     logit_vars.push(aux.head_logits(bi, &mut g, &mut aux_binder, out));
@@ -164,7 +165,7 @@ pub(crate) fn windowed_core(
     }
     // Accuracy on the readout accumulated over all windows, comparable
     // across methods.
-    // lint:allow(panic): T >= 1 is validated at session build, so at least one window ran
+    #[expect(clippy::expect_used, reason = "T >= 1 is validated, so one window ran")]
     let total = total_logits.expect("at least one window");
     let preds = total.argmax_rows();
     StepResult {

@@ -15,6 +15,7 @@
 //!   saccade-style motion over static patterns for *synthetic N-MNIST*,
 //!   plus the binning that turns event streams into `[2,H,W]` spike frames.
 //! * [`loader`] — deterministic shuffling batch iteration.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod events;
 pub mod images;

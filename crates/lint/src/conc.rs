@@ -125,66 +125,6 @@ impl Analysis {
         let adj = adjacency(&pairs);
         reachable(&adj, from, to)
     }
-
-    /// `(from, to)` pairs that participate in a cycle.
-    pub fn cycle_pairs(&self) -> BTreeSet<(String, String)> {
-        let pairs = self.edge_pairs();
-        let adj = adjacency(&pairs);
-        let on_cycle: Vec<(String, String)> = pairs
-            .iter()
-            .filter(|(a, b)| a == b || reachable(&adj, b, a))
-            .cloned()
-            .collect();
-        on_cycle.into_iter().collect()
-    }
-
-    /// Render the lock-order graph as GraphViz DOT; cycle edges are
-    /// colored red and carry the inversion in their tooltip.
-    pub fn render_dot(&self) -> String {
-        let cycles = self.cycle_pairs();
-        let mut out = String::from(
-            "// Lock-order graph generated by `skipper-lint --dump-lock-graph`.\n\
-             // An edge A -> B means B was (possibly transitively) acquired while\n\
-             // A was held. Red edges participate in a cycle (rule C1).\n\
-             digraph lock_order {\n  rankdir=LR;\n  node [shape=box, fontname=\"monospace\"];\n",
-        );
-        let mut nodes: BTreeSet<&str> = BTreeSet::new();
-        for e in &self.edges {
-            nodes.insert(&e.from);
-            nodes.insert(&e.to);
-        }
-        for n in nodes {
-            out.push_str(&format!("  \"{}\";\n", n.replace('"', "\\\"")));
-        }
-        let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
-        for e in &self.edges {
-            let key = (e.from.clone(), e.to.clone());
-            if !seen.insert(key.clone()) {
-                continue;
-            }
-            let style = if cycles.contains(&key) {
-                ", color=red, penwidth=2.0"
-            } else {
-                ""
-            };
-            let via = e
-                .via
-                .as_deref()
-                .map(|v| format!(" via {v}"))
-                .unwrap_or_default();
-            out.push_str(&format!(
-                "  \"{}\" -> \"{}\" [label=\"{}:{}{}\"{}];\n",
-                e.from.replace('"', "\\\""),
-                e.to.replace('"', "\\\""),
-                e.file,
-                e.line,
-                via,
-                style
-            ));
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 fn adjacency(pairs: &BTreeSet<(String, String)>) -> BTreeMap<&str, BTreeSet<&str>> {
@@ -1202,9 +1142,9 @@ fn resolve(files: &[ConcFile], scopes: Vec<FnScope>) -> Analysis {
                 e.to, e.from
             ),
             hint: "two threads taking these locks in opposite orders deadlock; pick one \
-                   global order (see --dump-lock-graph) and acquire in that order \
-                   everywhere, or waive with the argument why both orders can never run \
-                   concurrently: // lint:allow(lock-order): <reason>"
+                   global order and acquire in that order everywhere, or waive with the \
+                   argument why both orders can never run concurrently: \
+                   // lint:allow(lock-order): <reason>"
                 .to_string(),
         });
     }

@@ -1,9 +1,9 @@
-//! Diagnostics and report rendering (human text and machine JSON).
+//! Diagnostics and their text rendering.
 
 use std::fmt::Write as _;
 
-/// The nine rule identifiers, in report order.
-pub const RULE_IDS: [&str; 9] = ["D1", "D2", "P1", "O1", "O2", "S1", "C1", "C2", "W1"];
+/// The six rule identifiers, in report order.
+pub const RULE_IDS: [&str; 6] = ["D2", "O1", "O2", "C1", "C2", "W1"];
 
 /// One finding at a source position.
 #[derive(Debug, Clone)]
@@ -12,7 +12,7 @@ pub struct Diagnostic {
     pub file: String,
     pub line: u32,
     pub col: u32,
-    /// Rule id (`D1`, `D2`, `P1`, `O1`, `O2`, `S1`).
+    /// Rule id, one of [`RULE_IDS`].
     pub rule: &'static str,
     pub message: String,
     /// Actionable fix suggestion.
@@ -42,135 +42,4 @@ impl Diagnostic {
         }
         out
     }
-}
-
-/// Render the full report as JSON for CI artifact upload.
-///
-/// Waived findings are included (with their reasons) so the artifact
-/// doubles as a waiver audit; only `"active"` findings fail the build.
-pub fn render_json(root: &str, diags: &[Diagnostic]) -> String {
-    let active = diags.iter().filter(|d| d.waived.is_none()).count();
-    let mut out = String::from("{");
-    push_kv_str(&mut out, "tool", "skipper-lint");
-    out.push(',');
-    push_kv_str(&mut out, "version", env!("CARGO_PKG_VERSION"));
-    out.push(',');
-    push_kv_str(&mut out, "root", root);
-    out.push(',');
-    let _ = write!(
-        out,
-        "\"active\":{},\"waived\":{},",
-        active,
-        diags.len() - active
-    );
-    out.push_str("\"by_rule\":{");
-    for (i, rule) in RULE_IDS.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let n = diags
-            .iter()
-            .filter(|d| d.rule == *rule && d.waived.is_none())
-            .count();
-        let _ = write!(out, "\"{rule}\":{n}");
-    }
-    out.push_str("},\"diagnostics\":[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        push_kv_str(&mut out, "file", &d.file);
-        let _ = write!(out, ",\"line\":{},\"col\":{},", d.line, d.col);
-        push_kv_str(&mut out, "rule", d.rule);
-        out.push(',');
-        push_kv_str(&mut out, "message", &d.message);
-        out.push(',');
-        push_kv_str(&mut out, "hint", &d.hint);
-        out.push(',');
-        match &d.waived {
-            Some(reason) => push_kv_str(&mut out, "waived", reason),
-            None => out.push_str("\"waived\":null"),
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Render the report as SARIF 2.1.0 so findings can annotate PRs
-/// (GitHub code scanning ingests this directly). Waived findings are
-/// included at `note` level — the annotation shows the waiver reason —
-/// and active findings at `error`.
-pub fn render_sarif(diags: &[Diagnostic]) -> String {
-    let mut out = String::from(
-        "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{",
-    );
-    out.push_str("\"tool\":{\"driver\":{\"name\":\"skipper-lint\",");
-    push_kv_str(&mut out, "version", env!("CARGO_PKG_VERSION"));
-    out.push_str(",\"informationUri\":\"https://github.com\",\"rules\":[");
-    for (i, rule) in RULE_IDS.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let short = crate::explain::explain(rule)
-            .and_then(|doc| doc.lines().next())
-            .unwrap_or(rule);
-        out.push('{');
-        push_kv_str(&mut out, "id", rule);
-        out.push_str(",\"shortDescription\":{");
-        push_kv_str(&mut out, "text", short);
-        out.push_str("}}");
-    }
-    out.push_str("]}},\"results\":[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        push_kv_str(&mut out, "ruleId", d.rule);
-        out.push(',');
-        let level = if d.waived.is_some() { "note" } else { "error" };
-        push_kv_str(&mut out, "level", level);
-        out.push_str(",\"message\":{");
-        let text = match &d.waived {
-            Some(reason) => format!("{} [waived: {reason}]", d.message),
-            None => format!("{}. {}", d.message, d.hint),
-        };
-        push_kv_str(&mut out, "text", &text);
-        out.push_str("},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{");
-        push_kv_str(&mut out, "uri", &d.file);
-        let _ = write!(
-            out,
-            "}},\"region\":{{\"startLine\":{},\"startColumn\":{}}}}}}}]}}",
-            d.line, d.col
-        );
-    }
-    out.push_str("]}]}");
-    out
-}
-
-fn push_kv_str(out: &mut String, key: &str, value: &str) {
-    push_json_string(out, key);
-    out.push(':');
-    push_json_string(out, value);
-}
-
-/// Append `value` as a JSON string literal.
-pub fn push_json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }

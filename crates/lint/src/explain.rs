@@ -5,12 +5,9 @@
 /// for an unknown id.
 pub fn explain(rule: &str) -> Option<&'static str> {
     Some(match rule.to_ascii_uppercase().as_str() {
-        "D1" => D1,
         "D2" => D2,
-        "P1" => P1,
         "O1" => O1,
         "O2" => O2,
-        "S1" => S1,
         "C1" => C1,
         "C2" => C2,
         "W1" => W1,
@@ -18,35 +15,11 @@ pub fn explain(rule: &str) -> Option<&'static str> {
     })
 }
 
-const D1: &str = "\
-D1 · determinism — no nondeterminism sources in the numeric core
-
-Scope: crates/core/src/{engine,shard,checkpoint,sam,windowed,lbp}.rs,
-       crates/autograd/src/**, crates/snn/src/**  (non-test code)
-
-Forbidden: HashMap / HashSet (iteration order varies per process),
-Instant::now / SystemTime (wall-clock reads), thread_rng / from_entropy /
-OsRng (unseeded RNG).
-
-Why: Skipper's time-skipping is *stateful* approximation. The per-timestep
-spike sum s_t feeds the SST percentile, and the percentile decides which
-timesteps are recomputed versus skipped. Any nondeterminism upstream of
-that decision does not average out — it changes the recompute schedule
-itself, so two runs of the same seed diverge structurally, and the
-engine's bitwise sharded-vs-unsharded contract (engine_determinism tests)
-cannot hold. Deterministic alternatives: BTreeMap / BTreeSet / ordered
-Vec; seeded StdRng plumbed from the session config; clock reads moved to
-telemetry code outside the numeric core.
-
-Waiver: // lint:allow(determinism): <reason>   (same line or line above)
-Telemetry-only wall-clock reads inside the worker pool are the expected
-waiver case; say so explicitly in the reason.
-";
-
 const D2: &str = "\
 D2 · float-order — fixed-order float accumulation on the gradient path
 
-Scope: same file set as D1 (non-test code).
+Scope: crates/core/src/{engine,shard,checkpoint,sam,windowed,lbp}.rs,
+       crates/autograd/src/**, crates/snn/src/**  (non-test code)
 
 Flagged: .sum::<f32|f64>(), .product::<f32|f64>(), .fold(<float seed>, …).
 
@@ -60,28 +33,6 @@ shard-local. If that is the case, say so in a waiver; if not, route the
 accumulation through the tree reduction.
 
 Waiver: // lint:allow(float-order): <why the order is fixed>
-";
-
-const P1: &str = "\
-P1 · panic — library crates must not panic
-
-Scope: crates/{core,obs,report,tensor,autograd,snn,data,memprof}/src/**
-       excluding src/bin/ and #[cfg(test)] / #[test] code.
-
-Flagged: .unwrap(), .expect(…), panic!, todo!, unimplemented!.
-
-Why: library code runs on worker-pool threads and inside the
-fault-tolerance path. A panic in a worker is caught and re-raised by the
-pool (taking the whole training step down), and a panic during snapshot
-restore turns a recoverable divergence into a crash. Recoverable errors
-must flow as SkipperError / Result so sentinels and the resume machinery
-can do their job. Binaries and tests may still panic: a CLI aborting on
-bad input is fine, a library deciding to abort for the host process is
-not.
-
-Waiver: // lint:allow(panic): <why this cannot fail>
-The reason must argue infallibility (e.g. \"index < len checked above\"),
-not convenience.
 ";
 
 const O1: &str = "\
@@ -126,26 +77,6 @@ Fix: declare the knob in [env], or fix the spelling.
 Waiver: // lint:allow(env): <reason>
 ";
 
-const S1: &str = "\
-S1 · safety — unsafe requires a SAFETY comment
-
-Scope: all scanned files, including test code.
-
-Flagged: the `unsafe` keyword without a comment containing `SAFETY:` on
-the same line or within the two lines above.
-
-Why: the workspace has one unsafe block, the call in
-crates/tensor/src/matmul.rs that runs a GEMM compiled with AVX2 or
-AVX-512 enabled, after checking that the CPU has those features (the
-benchmark package, outside the workspace, has two more: its affinity
-syscalls). Each unsafe block rests on an invariant the compiler cannot
-check; it must be stated where it can be reviewed and re-checked after
-every edit.
-
-Fix: // SAFETY: <the invariant that makes this sound>
-Waiver: // lint:allow(safety): <reason>   (prefer a real SAFETY comment)
-";
-
 const C1: &str = "\
 C1 · lock-order — the global lock-order graph must be acyclic
 
@@ -170,7 +101,6 @@ where a stalled training step or a frozen gateway is most expensive.
 An acyclic acquisition order makes that class of hang impossible by
 construction.
 
-Inspect: skipper-lint --dump-lock-graph   (DOT; red edges = cycles)
 Fix: pick one global order and acquire in that order everywhere, or
 narrow a guard's scope so the nesting disappears.
 Waiver: // lint:allow(lock-order): <why both orders can never run
@@ -209,14 +139,18 @@ Flagged: a `// lint:allow(<key>)` comment whose key is a real rule id or
 category but which waived nothing — the rule no longer fires on that
 line (or the line below it), or the waiver is missing its mandatory
 `: <reason>`. Keys that are not rule ids/categories are ignored (docs
-may quote the syntax), and `lint:allow(waiver)` itself is never GC'd.
+may quote the syntax), and `lint:allow(waiver)` itself is never flagged.
 
-Why: waivers are per-site arguments (\"this cannot fail because …\");
+Why: waivers are per-site arguments (\"this wait is bounded because …\");
 when the code moves on, a stale waiver keeps making an argument about
 code that no longer exists, and the next reader extends trust it never
 earned. Dead waivers also mask typos: a misspelled key waives nothing
 silently — W1 makes the silence loud.
 
-Fix: delete the comment — `skipper-lint --fix-waivers` lists them,
-`--fix-waivers --apply` edits files in place.
+Fix: delete the comment, or repair its reason.
+
+Clippy holds the same line for `#[expect(clippy::…, reason = \"…\")]`:
+an expectation that no longer fires is rustc's
+`unfulfilled_lint_expectations`, which `cargo clippy -- -D warnings`
+turns into an error.
 ";

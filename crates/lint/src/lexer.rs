@@ -2,11 +2,10 @@
 //! engine cares about and deliberately loose about everything else:
 //!
 //! 1. **Comments** (line, nested block) are tokenized, not skipped —
-//!    waivers (`// lint:allow(...)`) and `// SAFETY:` justifications live
-//!    in them.
+//!    waivers (`// lint:allow(...)`) live in them.
 //! 2. **Strings** (cooked, raw `r#"…"#`, byte, byte-raw) are single
-//!    tokens carrying their inner text, so `"call .unwrap() here"` never
-//!    looks like a method call and metric-name literals can be read back.
+//!    tokens carrying their inner text, so `"call .sum::<f32>() here"`
+//!    never looks like a method call and metric-name literals can be read back.
 //! 3. **Everything else** is identifiers, lifetimes, numbers and
 //!    one-character punctuation with exact line/column positions.
 //!
@@ -16,7 +15,7 @@
 /// Kind of a lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
-    /// Identifier or keyword (`unwrap`, `unsafe`, `fn`, raw `r#type`).
+    /// Identifier or keyword (`sum`, `lock`, `fn`, raw `r#type`).
     Ident,
     /// Lifetime such as `'a` (also labels like `'outer`).
     Lifetime,
@@ -271,8 +270,9 @@ fn raw_or_byte_prefix(cur: &mut Cursor, line: u32, col: u32) -> Option<Tok> {
         }
         Some(c) if first == b'r' && hashes == 1 && is_ident_start(c) => {
             // Raw identifier `r#type`: keep the `r#` in the token text so
-            // keyword-matching rules (S1 on `unsafe`) never fire on an
-            // identifier that merely *names* a keyword.
+            // keyword matching (the parser's `fn`/`impl` scan, O1's `fn`
+            // check) never fires on an identifier that merely *names* a
+            // keyword.
             cur.bump();
             cur.bump();
             let mut t = ident(cur, line, col);

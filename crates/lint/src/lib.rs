@@ -1,12 +1,17 @@
 //! `skipper-lint` — workspace-aware static analysis for the Skipper
 //! reproduction.
 //!
-//! Clippy enforces Rust hygiene; this crate enforces *Skipper* hygiene:
-//! the determinism, panic-policy and observability contracts the paper's
-//! approximate-BPTT semantics depend on (a nondeterministic reduction
-//! order changes `s_t`, which changes the SST percentile, which changes
-//! which timesteps get skipped). See [`rules`] for the rule catalog and
-//! DESIGN.md §10 for the narrative version.
+//! Clippy holds everything a token can show: the panic policy, `unsafe`
+//! hygiene, the numeric core's ban on hash containers and wall clocks,
+//! and stale expectations (`clippy.toml`, `[workspace.lints]` and the
+//! `#![deny(...)]` attributes in the library crates). This crate holds
+//! what only this repo knows: fixed-order float reductions on the sharded
+//! gradient path (a reordered sum changes `s_t`, which changes the SST
+//! percentile, which changes which timesteps get skipped), the
+//! `metrics.toml` registry of observability names and env knobs, and the
+//! static lock-order graph the runtime lock witness is checked against.
+//! See [`rules`] for the rule catalog and DESIGN.md §10 for the narrative
+//! version.
 //!
 //! The crate is dependency-free and exposes everything the binary does so
 //! tests (and future tooling) can drive the engine in-process.
@@ -20,7 +25,7 @@ pub mod parser;
 pub mod rules;
 
 pub use conc::{Analysis, LockEdge};
-pub use diag::{render_json, render_sarif, Diagnostic, RULE_IDS};
+pub use diag::{Diagnostic, RULE_IDS};
 pub use manifest::Manifest;
 pub use rules::{check_file, check_sources, extract_names, scope_for_path, ObsName, Scope};
 
@@ -96,89 +101,9 @@ pub fn check_workspace(root: &Path, manifest: &Manifest) -> std::io::Result<Vec<
 }
 
 /// Run only the concurrency engine over the workspace: the lock-order
-/// graph behind `--dump-lock-graph` and the obs lock-witness subset test.
+/// graph the serve crate's lock-witness subset test checks against.
 pub fn workspace_analysis(root: &Path) -> std::io::Result<Analysis> {
     Ok(rules::analyze_concurrency(&read_workspace_sources(root)?))
-}
-
-/// One stale waiver removed (or removable) by `--fix-waivers`.
-#[derive(Debug, Clone)]
-pub struct WaiverFix {
-    /// Workspace-relative path.
-    pub file: String,
-    /// 1-based line the stale `lint:allow` lives on.
-    pub line: u32,
-    /// The source line before the fix, trimmed (for the dry-run report).
-    pub before: String,
-}
-
-/// Delete stale `lint:allow` comments (every unwaived W1 finding) from
-/// workspace files. Dry-run unless `apply`; returns what was (or would
-/// be) removed. Only line-comment waivers are fixed — a `lint:allow`
-/// inside a block comment is reported by W1 but left for a human.
-pub fn fix_waivers(
-    root: &Path,
-    manifest: &Manifest,
-    apply: bool,
-) -> std::io::Result<Vec<WaiverFix>> {
-    let sources = read_workspace_sources(root)?;
-    let diags = check_sources(&sources, manifest);
-    let mut stale: std::collections::BTreeMap<&str, Vec<u32>> = std::collections::BTreeMap::new();
-    for d in diags
-        .iter()
-        .filter(|d| d.rule == "W1" && d.waived.is_none())
-    {
-        stale.entry(d.file.as_str()).or_default().push(d.line);
-    }
-    let mut fixes = Vec::new();
-    for (rel, src) in &sources {
-        let Some(lines) = stale.get(rel.as_str()) else {
-            continue;
-        };
-        let (fixed, removed) = strip_stale_waivers(src, lines);
-        for (line_no, before) in removed {
-            fixes.push(WaiverFix {
-                file: rel.clone(),
-                line: line_no,
-                before,
-            });
-        }
-        if apply && fixed != *src {
-            std::fs::write(root.join(rel), fixed)?;
-        }
-    }
-    Ok(fixes)
-}
-
-/// Remove the `// lint:allow…` comment from each listed 1-based line:
-/// a line left empty disappears entirely, a trailing comment is cut back
-/// to the code before it. Returns the fixed source plus
-/// `(line, original)` for each edit. Lines without a line-comment waiver
-/// (e.g. block comments) are left untouched.
-pub fn strip_stale_waivers(src: &str, lines: &[u32]) -> (String, Vec<(u32, String)>) {
-    let mut removed = Vec::new();
-    let mut out = String::with_capacity(src.len());
-    for (i, line) in src.lines().enumerate() {
-        let line_no = i as u32 + 1;
-        if lines.contains(&line_no) {
-            if let Some(cut) = line
-                .find("lint:allow(")
-                .and_then(|at| line[..at].rfind("//"))
-            {
-                removed.push((line_no, line.trim().to_string()));
-                let kept = line[..cut].trim_end();
-                if kept.trim().is_empty() {
-                    continue; // The whole line was the waiver: drop it.
-                }
-                out.push_str(kept);
-                out.push('\n');
-                continue;
-            }
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    (out, removed)
 }
 
 /// O1 findings against the manifest itself: every registered name must

@@ -2,20 +2,17 @@
 //!
 //! ```text
 //! cargo run -p skipper-lint                      # lint the workspace
-//! cargo run -p skipper-lint -- --format json     # machine-readable report
-//! cargo run -p skipper-lint -- --explain P1      # rule documentation
+//! cargo run -p skipper-lint -- --explain C1      # rule documentation
 //! cargo run -p skipper-lint -- --self-test       # run over the seeded fixtures
 //! cargo run -p skipper-lint -- --dump-manifest   # regenerate metrics.toml skeleton
-//! cargo run -p skipper-lint -- --dump-lock-graph # lock-order graph as DOT
-//! cargo run -p skipper-lint -- --fix-waivers     # list stale waivers (--apply edits)
 //! ```
 //!
 //! Exit codes: 0 clean, 1 non-waived diagnostics (or self-test mismatch),
 //! 2 usage / IO / manifest errors.
 
 use skipper_lint::{
-    check_file, explain::explain, extract_workspace_names, relative_path, render_json,
-    render_sarif, workspace_files, Manifest, ObsName, RULE_IDS,
+    check_file, explain::explain, extract_workspace_names, relative_path, workspace_files,
+    Manifest, ObsName, RULE_IDS,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -24,18 +21,7 @@ use std::process::ExitCode;
 struct Args {
     root: PathBuf,
     manifest: Option<PathBuf>,
-    format: Format,
-    out: Option<PathBuf>,
     mode: Mode,
-    /// With `--fix-waivers`: actually edit files instead of dry-running.
-    apply: bool,
-}
-
-#[derive(PartialEq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
 }
 
 enum Mode {
@@ -44,8 +30,6 @@ enum Mode {
     ListRules,
     SelfTest,
     DumpManifest,
-    DumpLockGraph,
-    FixWaivers,
 }
 
 fn main() -> ExitCode {
@@ -62,8 +46,6 @@ fn main() -> ExitCode {
         Mode::ListRules => return run_list_rules(),
         Mode::SelfTest => run_self_test(&args),
         Mode::DumpManifest => run_dump_manifest(&args),
-        Mode::DumpLockGraph => run_dump_lock_graph(&args),
-        Mode::FixWaivers => run_fix_waivers(&args),
         Mode::Check => run_check(&args),
     };
     match result {
@@ -76,41 +58,24 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-usage: skipper-lint [--root DIR] [--manifest FILE] [--format text|json|sarif]
-                    [--out FILE] [--explain RULE | --list-rules |
-                     --self-test | --dump-manifest | --dump-lock-graph |
-                     --fix-waivers [--apply]]";
+usage: skipper-lint [--root DIR] [--manifest FILE]
+                    [--explain RULE | --list-rules | --self-test | --dump-manifest]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
         manifest: None,
-        format: Format::Text,
-        out: None,
         mode: Mode::Check,
-        apply: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--root" => args.root = PathBuf::from(take(&mut it, "--root")?),
             "--manifest" => args.manifest = Some(PathBuf::from(take(&mut it, "--manifest")?)),
-            "--out" => args.out = Some(PathBuf::from(take(&mut it, "--out")?)),
-            "--format" => {
-                args.format = match take(&mut it, "--format")?.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    "sarif" => Format::Sarif,
-                    other => return Err(format!("unknown format {other:?} (text|json|sarif)")),
-                }
-            }
             "--explain" => args.mode = Mode::Explain(take(&mut it, "--explain")?),
             "--list-rules" => args.mode = Mode::ListRules,
             "--self-test" => args.mode = Mode::SelfTest,
             "--dump-manifest" => args.mode = Mode::DumpManifest,
-            "--dump-lock-graph" => args.mode = Mode::DumpLockGraph,
-            "--fix-waivers" => args.mode = Mode::FixWaivers,
-            "--apply" => args.apply = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -185,38 +150,18 @@ fn run_check(args: &Args) -> Result<ExitCode, String> {
         .map_err(|e| format!("walking workspace: {e}"))?;
     let active: Vec<_> = diags.iter().filter(|d| d.waived.is_none()).collect();
     let waived = diags.len() - active.len();
-    let rendered = match args.format {
-        Format::Sarif => render_sarif(&diags),
-        _ => render_json(&args.root.to_string_lossy(), &diags),
-    };
-    if let Some(out) = &args.out {
-        if let Some(parent) = out.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        std::fs::write(out, &rendered).map_err(|e| format!("writing {}: {e}", out.display()))?;
+    for d in &active {
+        print!("{}", d.render_text());
     }
-    match args.format {
-        // With --out the report already went to the file; keep stdout
-        // clean so CI logs show only the human summary lines.
-        Format::Json | Format::Sarif if args.out.is_none() => println!("{rendered}"),
-        Format::Json | Format::Sarif => {}
-        Format::Text => {
-            for d in &diags {
-                if d.waived.is_none() {
-                    print!("{}", d.render_text());
-                }
-            }
-            let files = workspace_files(&args.root)
-                .map(|f| f.len())
-                .unwrap_or_default();
-            println!(
-                "skipper-lint: {} file(s), {} violation(s), {} waived site(s)",
-                files,
-                active.len(),
-                waived
-            );
-        }
-    }
+    let files = workspace_files(&args.root)
+        .map(|f| f.len())
+        .unwrap_or_default();
+    println!(
+        "skipper-lint: {} file(s), {} violation(s), {} waived site(s)",
+        files,
+        active.len(),
+        waived
+    );
     Ok(if active.is_empty() {
         ExitCode::SUCCESS
     } else {
@@ -289,64 +234,6 @@ fn run_self_test(args: &Args) -> Result<ExitCode, String> {
         eprintln!("skipper-lint self-test: {} mismatch(es)", failures.len());
         Ok(ExitCode::FAILURE)
     }
-}
-
-/// Render the workspace lock-order graph as GraphViz DOT (stdout, or
-/// `--out FILE`). Exit code reflects acyclicity: cycles are C1 material.
-fn run_dump_lock_graph(args: &Args) -> Result<ExitCode, String> {
-    let analysis = skipper_lint::workspace_analysis(&args.root)
-        .map_err(|e| format!("walking workspace: {e}"))?;
-    let dot = analysis.render_dot();
-    if let Some(out) = &args.out {
-        if let Some(parent) = out.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        std::fs::write(out, &dot).map_err(|e| format!("writing {}: {e}", out.display()))?;
-        eprintln!(
-            "skipper-lint: wrote lock-order graph ({} edge(s), {} on cycles) to {}",
-            analysis.edge_pairs().len(),
-            analysis.cycle_pairs().len(),
-            out.display()
-        );
-    } else {
-        print!("{dot}");
-    }
-    Ok(if analysis.cycle_pairs().is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
-/// Delete stale `lint:allow` comments workspace-wide. Dry-run by
-/// default; `--apply` edits the files in place.
-fn run_fix_waivers(args: &Args) -> Result<ExitCode, String> {
-    let manifest = load_manifest(args)?;
-    let fixes = skipper_lint::fix_waivers(&args.root, &manifest, args.apply)
-        .map_err(|e| format!("fixing waivers: {e}"))?;
-    for f in &fixes {
-        println!(
-            "{}: {}:{}: {}",
-            if args.apply {
-                "removed"
-            } else {
-                "would remove"
-            },
-            f.file,
-            f.line,
-            f.before
-        );
-    }
-    println!(
-        "skipper-lint: {} stale waiver(s){}",
-        fixes.len(),
-        if args.apply || fixes.is_empty() {
-            ""
-        } else {
-            " (dry run; pass --apply to edit files)"
-        }
-    );
-    Ok(ExitCode::SUCCESS)
 }
 
 /// Print a manifest skeleton regenerated from the code: every

@@ -1,18 +1,20 @@
-//! The nine Skipper-specific rules and the check drivers.
+//! The six Skipper-specific rules and the check drivers.
 //!
 //! | id | category      | scope | invariant |
 //! |----|---------------|-------|-----------|
-//! | D1 | `determinism` | numeric core | no `HashMap`/`HashSet`, wall clocks, or unseeded RNG |
 //! | D2 | `float-order` | sharded gradient path | no free-form float reductions |
-//! | P1 | `panic`       | library crates | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` |
 //! | O1 | `metric`      | everywhere | metric/span names must be declared in `metrics.toml` |
 //! | O2 | `env`         | everywhere | `SKIPPER_*` env knobs must be declared in `metrics.toml` |
-//! | S1 | `safety`      | everywhere | `unsafe` requires a `// SAFETY:` comment |
 //! | C1 | `lock-order`  | everywhere | the global lock-order graph must be acyclic |
 //! | C2 | `blocking`    | everywhere | no lock held across a blocking call, even through calls |
 //! | W1 | `waiver`      | everywhere | every `lint:allow` must still waive a live finding |
 //!
-//! D1–S1 are token-local and run per file; C1/C2 run on the
+//! The panic policy, `unsafe` hygiene and the numeric core's ban on hash
+//! containers and wall clocks are clippy's (DESIGN.md §10): `clippy.toml`,
+//! `[workspace.lints]` and the `#![deny(...)]` attributes in each library
+//! crate's `lib.rs` and core's numeric modules.
+//!
+//! D2, O1 and O2 are token-local and run per file; C1/C2 run on the
 //! interprocedural engine in [`crate::conc`] (block parser, call graph,
 //! lock summaries) and need the whole file set to see cross-crate cycles;
 //! W1 runs last, over the waiver-usage bookkeeping the other rules left
@@ -24,8 +26,7 @@
 //! W1 closes the loop: a waiver whose rule no longer fires on its site is
 //! itself a violation, so waivers cannot outlive the code they excused.
 //!
-//! Test code (`#[cfg(test)]` / `#[test]` items) is exempt from every rule
-//! except S1 — tests may panic, but they may not skip safety comments.
+//! Test code (`#[cfg(test)]` / `#[test]` items) is exempt from every rule.
 
 use crate::conc::{self, Analysis, ConcFile};
 use crate::diag::Diagnostic;
@@ -36,28 +37,17 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Which rule families apply to one file.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Scope {
-    /// P1: panic-free library code.
-    pub panic_policy: bool,
-    /// D1: determinism of the numeric core.
-    pub determinism: bool,
     /// D2: fixed-order float accumulation.
     pub float_order: bool,
     /// O1/O2: observability name registries.
     pub observability: bool,
-    /// S1: `unsafe` hygiene.
-    pub safety: bool,
     /// C1/C2: lock-order and blocking-call discipline.
     pub concurrency: bool,
     /// W1: stale-waiver hygiene.
     pub waiver_hygiene: bool,
 }
 
-/// The library crates covered by the panic policy (P1).
-pub const LIB_CRATES: [&str; 9] = [
-    "core", "obs", "report", "tensor", "autograd", "snn", "data", "memprof", "serve",
-];
-
-/// `crates/core/src` files that are part of the numeric core (D1/D2), in
+/// `crates/core/src` files that are part of the numeric core (D2), in
 /// addition to all of `crates/autograd/src` and `crates/snn/src`.
 pub const CORE_NUMERIC_FILES: [&str; 6] = [
     "engine.rs",
@@ -70,28 +60,21 @@ pub const CORE_NUMERIC_FILES: [&str; 6] = [
 
 /// Compute the rule scope for a workspace-relative path (forward slashes).
 pub fn scope_for_path(rel: &str) -> Scope {
-    let lib = LIB_CRATES
-        .iter()
-        .any(|c| rel.starts_with(&format!("crates/{c}/src/")))
-        && !rel.contains("/src/bin/");
     let numeric = rel.starts_with("crates/autograd/src/")
         || rel.starts_with("crates/snn/src/")
         || CORE_NUMERIC_FILES
             .iter()
             .any(|f| rel == format!("crates/core/src/{f}"));
     Scope {
-        panic_policy: lib,
-        determinism: numeric,
         float_order: numeric,
         observability: true,
-        safety: true,
         concurrency: true,
         waiver_hygiene: true,
     }
 }
 
 /// Fixture files opt into scopes explicitly via a first-line header
-/// comment: `// lint-fixture: scope=p1,d1,d2,o1,o2,s1,c1,c2,w1` (or
+/// comment: `// lint-fixture: scope=d2,o1,o2,c1,c2,w1` (or
 /// `scope=all`). Honored only for paths containing `fixtures` so
 /// production files can never scope themselves down.
 fn fixture_scope(rel: &str, toks: &[Tok]) -> Option<Scope> {
@@ -108,20 +91,14 @@ fn fixture_scope(rel: &str, toks: &[Tok]) -> Option<Scope> {
     let mut scope = Scope::default();
     for part in list.split(',') {
         match part.trim() {
-            "p1" => scope.panic_policy = true,
-            "d1" => scope.determinism = true,
             "d2" => scope.float_order = true,
             "o1" | "o2" => scope.observability = true,
-            "s1" => scope.safety = true,
             "c1" | "c2" => scope.concurrency = true,
             "w1" => scope.waiver_hygiene = true,
             "all" => {
                 scope = Scope {
-                    panic_policy: true,
-                    determinism: true,
                     float_order: true,
                     observability: true,
-                    safety: true,
                     concurrency: true,
                     waiver_hygiene: true,
                 }
@@ -207,7 +184,7 @@ pub fn check_sources(files: &[(String, String)], manifest: &Manifest) -> Vec<Dia
 
 /// Run only the concurrency engine over a file set and return the raw
 /// analysis (lock-order graph + findings). This is what
-/// `--dump-lock-graph` and the obs lock-witness subset test consume.
+/// the serve crate's lock-witness subset test consumes.
 pub fn analyze_concurrency(files: &[(String, String)]) -> Analysis {
     type Lexed<'a> = (&'a str, Vec<Tok>, Vec<(usize, usize)>);
     let lexed: Vec<Lexed> = files
@@ -241,22 +218,16 @@ pub fn extract_names(rel: &str, src: &str) -> Vec<ObsName> {
 /// Waiver keys W1 understands: rule ids and category names. Anything
 /// else inside `lint:allow(…)` is treated as prose (docs showing the
 /// syntax with a `<placeholder>` key must not trip the rule).
-const WAIVER_KEYS: [&str; 18] = [
-    "d1",
+const WAIVER_KEYS: [&str; 12] = [
     "d2",
-    "p1",
     "o1",
     "o2",
-    "s1",
     "c1",
     "c2",
     "w1",
-    "determinism",
     "float-order",
-    "panic",
     "metric",
     "env",
-    "safety",
     "lock-order",
     "blocking",
     "waiver",
@@ -270,7 +241,7 @@ struct FileCtx<'a> {
     code: Vec<usize>,
     /// Token-index ranges covered by `#[cfg(test)]` / `#[test]`.
     test_ranges: Vec<(usize, usize)>,
-    /// Comment text per starting line, for waiver/SAFETY lookup.
+    /// Comment text per starting line, for waiver lookup.
     comments: BTreeMap<u32, String>,
     /// `(comment line, key)` pairs of waivers that matched a finding —
     /// the ground truth W1 checks stale waivers against.
@@ -368,21 +339,10 @@ impl<'a> FileCtx<'a> {
         let extracting = dump.is_some();
         for p in 0..self.code.len() {
             let idx = self.code[p];
-            let in_test = self.in_test(idx);
-            let tok = &self.toks[idx];
-
-            if scope.safety && !extracting && tok.is_ident("unsafe") {
-                self.rule_s1(p);
-            }
-            if in_test {
+            if self.in_test(idx) {
                 continue;
             }
-            if scope.panic_policy && !extracting {
-                self.rule_p1(p);
-            }
-            if scope.determinism && !extracting {
-                self.rule_d1(p);
-            }
+            let tok = &self.toks[idx];
             if scope.float_order && !extracting {
                 self.rule_d2(p);
             }
@@ -393,83 +353,6 @@ impl<'a> FileCtx<'a> {
                 }
             }
         }
-    }
-
-    // --- P1: panic policy ------------------------------------------------
-
-    fn rule_p1(&mut self, p: usize) {
-        let Some(tok) = self.ct(p).cloned() else {
-            return;
-        };
-        if tok.kind != TokKind::Ident {
-            return;
-        }
-        let next_is = |c: char| self.ct(p + 1).is_some_and(|t| t.is_punct(c));
-        let prev_is_dot = p > 0 && self.ct(p - 1).is_some_and(|t| t.is_punct('.'));
-        let (what, is_hit) = match tok.text.as_str() {
-            "unwrap" | "expect" => (
-                format!(".{}() can panic", tok.text),
-                prev_is_dot && next_is('('),
-            ),
-            "panic" | "unimplemented" | "todo" => {
-                (format!("{}! aborts the thread", tok.text), next_is('!'))
-            }
-            _ => return,
-        };
-        if !is_hit {
-            return;
-        }
-        self.push(
-            &tok,
-            "P1",
-            "panic",
-            format!("{what} in a library crate; a panic here takes down a worker thread"),
-            "propagate a SkipperError/Result, or waive an infallible site with \
-             `// lint:allow(panic): <why this cannot fail>`",
-        );
-    }
-
-    // --- D1: determinism --------------------------------------------------
-
-    fn rule_d1(&mut self, p: usize) {
-        let Some(tok) = self.ct(p).cloned() else {
-            return;
-        };
-        if tok.kind != TokKind::Ident {
-            return;
-        }
-        let (message, hint): (String, &str) = match tok.text.as_str() {
-            "HashMap" | "HashSet" => (
-                format!(
-                    "{} has nondeterministic iteration order inside the numeric core",
-                    tok.text
-                ),
-                "iteration order changes s_t, the SST percentile, and which timesteps get \
-                 skipped; use BTreeMap/BTreeSet or an explicitly ordered Vec",
-            ),
-            "Instant" | "SystemTime" => {
-                let bare_type_mention = tok.text == "Instant"
-                    && !(self.ct(p + 1).is_some_and(|t| t.is_punct(':'))
-                        && self.ct(p + 2).is_some_and(|t| t.is_punct(':'))
-                        && self.ct(p + 3).is_some_and(|t| t.is_ident("now")));
-                if bare_type_mention {
-                    return; // Bare `Instant` type mentions are fine; reads are not.
-                }
-                (
-                    format!("wall-clock read ({}) inside the numeric core", tok.text),
-                    "time must never influence training math; move the read out of the \
-                     numeric core or waive with `// lint:allow(determinism): <telemetry-only \
-                     justification>`",
-                )
-            }
-            "thread_rng" | "from_entropy" | "OsRng" => (
-                format!("unseeded RNG ({}) inside the numeric core", tok.text),
-                "plumb a seeded StdRng from the session config so reruns and shard \
-                 counts reproduce bitwise",
-            ),
-            _ => return,
-        };
-        self.push(&tok, "D1", "determinism", message, hint);
     }
 
     // --- D2: float accumulation ------------------------------------------
@@ -711,28 +594,6 @@ impl<'a> FileCtx<'a> {
         );
     }
 
-    // --- S1: unsafe requires SAFETY ---------------------------------------
-
-    fn rule_s1(&mut self, p: usize) {
-        let Some(tok) = self.ct(p).cloned() else {
-            return;
-        };
-        let line = tok.line;
-        let documented = (line.saturating_sub(2)..=line)
-            .any(|l| self.comments.get(&l).is_some_and(|c| c.contains("SAFETY:")));
-        if documented {
-            return;
-        }
-        self.push(
-            &tok,
-            "S1",
-            "safety",
-            "`unsafe` without a `// SAFETY:` comment".to_string(),
-            "state the invariant that makes this sound in a `// SAFETY:` comment on or \
-             directly above the unsafe block",
-        );
-    }
-
     // --- W1: stale waivers -------------------------------------------------
 
     /// Flag every `lint:allow(key)` with a *known* key that waived
@@ -775,8 +636,7 @@ impl<'a> FileCtx<'a> {
                          or the line below"
                     ),
                     "either the rule no longer fires here or the waiver lacks its mandatory \
-                     `: <reason>`; delete the comment (`skipper-lint --fix-waivers` does it \
-                     mechanically) or repair the reason",
+                     `: <reason>`; delete the comment or repair the reason",
                 );
             }
         }

@@ -47,6 +47,7 @@
 //! ```
 //!
 //! [Singh et al., MICRO 2022]: https://doi.org/10.1109/MICRO56248.2022.00047
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod alloc_model;
 pub mod category;

@@ -57,6 +57,7 @@ pub fn timeline_from_events(events: &[AllocEvent]) -> Vec<TimelinePoint> {
 
 /// Reduce a timeline to at most `n` points, keeping each bucket's maximum
 /// (so peaks survive downsampling).
+#[expect(clippy::expect_used, reason = "chunks() never yields an empty slice")]
 pub fn downsample(points: &[TimelinePoint], n: usize) -> Vec<TimelinePoint> {
     if points.len() <= n || n == 0 {
         return points.to_vec();
@@ -68,7 +69,6 @@ pub fn downsample(points: &[TimelinePoint], n: usize) -> Vec<TimelinePoint> {
             *chunk
                 .iter()
                 .max_by_key(|p| p.total)
-                // lint:allow(panic): chunks() never yields an empty slice
                 .expect("chunks are non-empty")
         })
         .collect()

@@ -42,6 +42,7 @@
 //! let events = handle.snapshot_current_thread();
 //! assert!(events.len() >= 5); // 2 begins + 2 ends + 1 counter
 //! ```
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod event;
 mod fold;

@@ -8,6 +8,7 @@
 //!
 //! How fast the code is, is judged elsewhere: by the pinned repository
 //! benchmark under `benchmark/` and its `repeat.sh`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::path::PathBuf;
 

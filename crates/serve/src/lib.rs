@@ -64,6 +64,7 @@
 //! // POST /v1/predict and GET /v1/tenants now answer at `addr`.
 //! # let _ = addr;
 //! ```
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod api;
 pub mod config;

@@ -136,7 +136,7 @@ fn runtime_lock_edges_are_a_subset_of_the_static_graph() {
     );
 
     // The static graph, derived from source alone by the same engine
-    // that backs `skipper-lint --dump-lock-graph`.
+    // that backs `skipper-lint`'s rule C1.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)

@@ -20,6 +20,7 @@ use skipper_tensor::Tensor;
 
 /// Run the network's modules as an ANN (LIF → ReLU) and return the logits
 /// variable.
+#[expect(clippy::expect_used, reason = "every network ends with Output")]
 pub fn ann_logits_taped(
     net: &SpikingNetwork,
     g: &mut Graph,
@@ -69,7 +70,6 @@ pub fn ann_logits_taped(
             }
         }
     }
-    // lint:allow(panic): network validation guarantees a trailing Output layer that sets logits
     logits.expect("network ends with Output")
 }
 

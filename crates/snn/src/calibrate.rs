@@ -94,7 +94,7 @@ pub fn calibrate_thresholds(
         // What a sort puts at `rank`; ±0.0 order apart, and the floor joins them.
         let (_, nth, _) = potentials.select_nth_unstable_by(rank, f32::total_cmp);
         let theta = nth.max(1e-3);
-        // lint:allow(panic): `l` enumerates this net's own LIF populations, so it is in range
+        #[expect(clippy::expect_used, reason = "`l` enumerates this net's LIF layers")]
         set_threshold(net, l, theta).expect("lif index enumerated from this net");
         thresholds.push(theta);
     }

@@ -31,7 +31,7 @@ pub struct Conv2dLayer {
 impl Conv2dLayer {
     /// Create a `kernel x kernel` convolution with Kaiming-initialised
     /// weights registered in `store`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per layer setting")]
     pub fn new(
         store: &mut ParamStore,
         name: &str,

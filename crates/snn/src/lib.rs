@@ -24,6 +24,8 @@
 //! * [`loss`] — softmax cross-entropy on time-accumulated readout logits,
 //!   returning the analytic `∂L/∂logits` used to seed tapes;
 //! * [`optim`] — SGD(+momentum) and Adam (the paper trains with Adam).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 pub mod ann;
 pub mod calibrate;

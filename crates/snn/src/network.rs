@@ -522,7 +522,7 @@ impl SpikingNetwork {
         let (_, logits, spike_sum) =
             self.step_infer_modules(input.clone(), state, ctx, 0..self.modules.len());
         StepOutput {
-            // lint:allow(panic): network validation guarantees a trailing Output layer that sets logits
+            #[expect(clippy::expect_used, reason = "every network ends with Output")]
             logits: logits.expect("network ends with Output"),
             spike_sum,
         }
@@ -617,7 +617,7 @@ impl SpikingNetwork {
         let (_, logits, spike_sum) =
             self.step_taped_modules(g, binder, x, state, ctx, 0..self.modules.len());
         TapedStepOutput {
-            // lint:allow(panic): network validation guarantees a trailing Output layer that sets logits
+            #[expect(clippy::expect_used, reason = "every network ends with Output")]
             logits: logits.expect("network ends with Output"),
             spike_sum,
         }

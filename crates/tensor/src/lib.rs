@@ -37,6 +37,7 @@
 //! let b = Tensor::eye(2);
 //! assert_eq!(matmul(&a, &b).data(), a.data());
 //! ```
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod conv;
 pub mod lif;

@@ -2,8 +2,8 @@
 # Size trend of the workspace (ROADMAP item 6): non-test lines and `pub`
 # items per crate, the number of lint waivers outside the lint crate, and
 # the number of bench binaries. Fails when a number this repo has committed
-# to (core, wire, bench, report, tensor, autograd, snn, serve, data and obs
-# lines, waivers) is exceeded, so growth is a decision made by editing this
+# to (core, wire, bench, report, tensor, autograd, snn, serve, data, obs and
+# lint lines, waivers) is exceeded, so growth is a decision made by editing this
 # file, not an accident; the `pub` and binary counts are reported only. "wire" is
 # the part of core that is not the paper — `transport.rs` + `cluster.rs` —
 # counted on its own so that the split into its own crate (ROADMAP item 4)
@@ -69,22 +69,42 @@
 # gave way to `write_chrome_trace` on that ring, and `results_dir` stopped
 # compiling a path in. snn stayed at 2952 with calibration made linear in
 # depth.
+# The panic, `unsafe`, determinism and stale-waiver rules moved from
+# skipper-lint to clippy, so each library crate's ceiling rose by the lint
+# attributes that now carry them, and by nothing else: one
+# `#![deny(clippy::unwrap_used, ...)]` line in the `lib.rs` of tensor,
+# serve, data, obs and report (+1 each; memprof has no ceiling); that line
+# plus `#![deny(clippy::disallowed_types, ...)]` in autograd's and snn's
+# `lib.rs` (+2 each); and in core the `lib.rs` line plus the determinism
+# line atop engine, shard, checkpoint, sam, windowed and lbp (+7), less the
+# 2 lines saved where the worker pool's three telemetry clock reads share
+# one `#[expect]` on `WorkerPool::new` (one of them is an assignment, which
+# takes no attribute): 6408 -> 6413. "lint" has a ceiling from the same
+# change, set at what it measured after the moved rules and the report
+# formats, the lock-graph dump and the waiver GC that nothing read went.
+# The waiver count now covers every way a check is switched off at a site:
+# `lint:allow(` comments, `#[expect(`/`#![expect(` attributes and any
+# `#[allow(`/`#![allow(` left. Its ceiling was 25 `lint:allow` comments;
+# the 18 of them that clippy now checks became 16 `#[expect]` attributes,
+# and the 4 `#[allow(clippy::too_many_arguments)]` that were never counted
+# are counted as `#[expect]` now: 7 + 16 + 4 = 27.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Ceilings: the values at the commit that last edited them. Lower them when
 # a PR shrinks the code; raise them only with a reason in the PR.
-CEILING_CORE=6408
+CEILING_CORE=6413
 CEILING_WIRE=2186
 CEILING_BENCH=2684
-CEILING_REPORT=434
-CEILING_TENSOR=1757
-CEILING_AUTOGRAD=767
-CEILING_SNN=2952
-CEILING_SERVE=1691
-CEILING_DATA=621
-CEILING_OBS=3142
-CEILING_WAIVERS=25
+CEILING_REPORT=435
+CEILING_TENSOR=1758
+CEILING_AUTOGRAD=769
+CEILING_SNN=2954
+CEILING_SERVE=1692
+CEILING_DATA=622
+CEILING_OBS=3143
+CEILING_LINT=3463
+CEILING_WAIVERS=27
 
 # Lines outside `#[cfg(test)]` items: an item runs from its attribute to
 # the brace that closes its body, or to its `;` when it has none (a test
@@ -142,9 +162,10 @@ snn_lines=$(non_test_lines crates/snn/src)
 serve_lines=$(non_test_lines crates/serve/src)
 data_lines=$(non_test_lines crates/data/src)
 obs_lines=$(non_test_lines crates/obs/src)
-waivers=$(grep -rn 'lint:allow' --include='*.rs' --include='*.toml' \
+lint_lines=$(non_test_lines crates/lint/src)
+waivers=$(grep -rnE 'lint:allow\(|#!?\[(expect|allow)\(' --include='*.rs' --include='*.toml' \
     crates src tests examples benchmark | grep -vc '^crates/lint/' || true)
-echo "lint:allow outside crates/lint: $waivers (ceiling $CEILING_WAIVERS)"
+echo "waivers (lint:allow, #[expect], #[allow]) outside crates/lint: $waivers (ceiling $CEILING_WAIVERS)"
 echo "files in crates/bench/src/bin: $(find crates/bench/src/bin -type f | wc -l)"
 
 status=0
@@ -165,6 +186,7 @@ check_ceiling crates/snn/src "$snn_lines" "$CEILING_SNN"
 check_ceiling crates/serve/src "$serve_lines" "$CEILING_SERVE"
 check_ceiling crates/data/src "$data_lines" "$CEILING_DATA"
 check_ceiling crates/obs/src "$obs_lines" "$CEILING_OBS"
+check_ceiling crates/lint/src "$lint_lines" "$CEILING_LINT"
 if [ "$waivers" -gt "$CEILING_WAIVERS" ]; then
     echo "error: more lint waivers than the ceiling" >&2
     status=1
