@@ -12,11 +12,12 @@
 //!   the latest registration wins, and dropping it restores the previous
 //!   one — which replaces the old `set_cluster_provider` /
 //!   `clear_cluster_provider` global-slot-with-token scheme.
-//! * [`HttpServer`] binds a listener and dispatches each connection to
-//!   the router on its own thread, so a handler that blocks (the
-//!   gateway's micro-batcher coalescing a batch) does not stall other
-//!   requests. Request bodies are read per `Content-Length` (the old
-//!   loop supported none), which is what `POST /v1/predict` needs.
+//! * [`HttpServer`] binds a listener and starts [`HANDLER_THREADS`]
+//!   threads that each accept a connection and serve it themselves, so
+//!   a handler that blocks (the gateway's micro-batcher coalescing a
+//!   batch) stalls only its own thread. Connections beyond the set wait
+//!   in the listen backlog. A request body is read in one sized buffer
+//!   per `Content-Length`, which is what `POST /v1/predict` needs.
 //! * [`global_router`] is the process-wide router pre-seeded with the
 //!   standard observability routes; `SKIPPER_OBS_ADDR` servers and the
 //!   cluster coordinator's `/cluster` table both hang off it.
@@ -32,11 +33,19 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Largest accepted request head (request line + headers).
 const MAX_HEAD: usize = 16 * 1024;
-/// Largest accepted request body; bigger payloads get `413`.
+/// Largest accepted request body; bigger payloads get `413`. A server
+/// holds at most this much body per handler thread.
 const MAX_BODY: usize = 8 * 1024 * 1024;
+/// Handler threads every [`HttpServer`] starts at bind: the most
+/// connections it serves at once.
+pub const HANDLER_THREADS: usize = 8;
+/// How long a request may take to arrive, head and body together. A
+/// client that trickles its bytes is cut off here and its handler freed.
+const READ_DEADLINE: Duration = Duration::from_secs(5);
 
 /// One parsed HTTP request as handed to a [`Handler`].
 #[derive(Debug, Clone)]
@@ -352,14 +361,14 @@ pub fn global_router() -> Arc<Router> {
     Arc::clone(GLOBAL.get_or_init(Router::with_standard_routes))
 }
 
-/// A listening HTTP/1.1 server dispatching to a [`Router`]. Dropping it
-/// stops the accept loop; in-flight connection threads finish their
-/// single response and exit.
+/// A listening HTTP/1.1 server dispatching to a [`Router`] from a fixed
+/// set of [`HANDLER_THREADS`] threads. Dropping it stops and joins every
+/// handler; one that is serving a request finishes it first.
 #[derive(Debug)]
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    handlers: Vec<JoinHandle<()>>,
 }
 
 impl HttpServer {
@@ -367,39 +376,37 @@ impl HttpServer {
     ///
     /// # Errors
     ///
-    /// Propagates the bind error.
+    /// Propagates the bind error and thread-spawn failures.
     pub fn bind(addr: &str, router: Arc<Router>) -> std::io::Result<HttpServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("skipper-http-serve".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if accept_stop.load(Ordering::Relaxed) {
-                        break;
+        let listener = Arc::new(TcpListener::bind(addr)?);
+        let mut server = HttpServer {
+            addr: listener.local_addr()?,
+            stop: Arc::new(AtomicBool::new(false)),
+            handlers: Vec::with_capacity(HANDLER_THREADS),
+        };
+        for i in 0..HANDLER_THREADS {
+            let (listener, router) = (Arc::clone(&listener), Arc::clone(&router));
+            let stop = Arc::clone(&server.stop);
+            // On a failed spawn, dropping `server` stops the ones started.
+            let handler = std::thread::Builder::new()
+                .name(format!("skipper-http-{i}"))
+                .spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        let Ok((stream, _)) = listener.accept() else {
+                            continue;
+                        };
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        // A panic is contained to its connection.
+                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            handle_connection(stream, &router)
+                        }));
                     }
-                    let Ok(stream) = conn else { continue };
-                    let router = Arc::clone(&router);
-                    // One thread per connection: a handler that blocks
-                    // (micro-batch coalescing) must not stall the accept
-                    // loop or other requests. Panics are contained per
-                    // connection.
-                    let _ = std::thread::Builder::new()
-                        .name("skipper-http-conn".into())
-                        .spawn(move || {
-                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                let _ = handle_connection(stream, &router);
-                            }));
-                        });
-                }
-            })?;
-        Ok(HttpServer {
-            addr: local,
-            stop,
-            thread: Some(thread),
-        })
+                })?;
+            server.handlers.push(handler);
+        }
+        Ok(server)
     }
 
     /// The bound address (useful with port 0).
@@ -411,28 +418,46 @@ impl HttpServer {
 impl Drop for HttpServer {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        // The accept loop blocks in `incoming()`; poke it awake so it
-        // sees the stop flag. A failed connect means it already died.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
+        // A handler blocked in `accept` sees the flag once a connection
+        // wakes it: one wake-up per handler reaches all of them. A wake-up
+        // that cannot connect finds the backlog full, and the connections
+        // queued there wake the handlers instead.
+        for _ in &self.handlers {
+            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
+        }
+        for handler in self.handlers.drain(..) {
+            let _ = handler.join();
         }
     }
 }
 
+/// One `read` that returns by `deadline`, so a request trickled byte by
+/// byte cannot hold a handler past it.
+fn read_by(stream: &mut TcpStream, into: &mut [u8], deadline: Instant) -> std::io::Result<usize> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(std::io::ErrorKind::TimedOut.into());
+    }
+    stream.set_read_timeout(Some(left))?;
+    stream.read(into)
+}
+
 fn handle_connection(mut stream: TcpStream, router: &Router) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
-    // Read until the end of the request head.
+    let deadline = Instant::now() + READ_DEADLINE;
+    // Read until the end of the request head. Each scan starts 3 bytes
+    // before the new data, where a terminator split by a read may begin.
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
+    let mut scanned = 0;
     let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
+        if let Some(pos) = find_head_end(&buf[scanned..]) {
+            break scanned + pos;
         }
         if buf.len() > MAX_HEAD {
             return write_response(&mut stream, &Response::bad_request("head too large"));
         }
-        let n = stream.read(&mut chunk)?;
+        scanned = buf.len().saturating_sub(3);
+        let n = read_by(&mut stream, &mut chunk, deadline)?;
         if n == 0 {
             if buf.is_empty() {
                 // Peer connected and went away (the Drop wake-up does
@@ -444,7 +469,6 @@ fn handle_connection(mut stream: TcpStream, router: &Router) -> std::io::Result<
         buf.extend_from_slice(&chunk[..n]);
     };
     let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let mut body = buf.split_off(head_end + 4);
 
     let Some(mut req) = parse_head(&head) else {
         return write_response(&mut stream, &Response::bad_request("malformed request"));
@@ -456,14 +480,19 @@ fn handle_connection(mut stream: TcpStream, router: &Router) -> std::io::Result<
     if content_length > MAX_BODY {
         return write_response(&mut stream, &Response::payload_too_large());
     }
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
+    // The body bytes that came with the head, then the rest read straight
+    // into place. Bytes past `Content-Length` are ignored.
+    let arrived = &buf[head_end + 4..];
+    let mut filled = arrived.len().min(content_length);
+    let mut body = vec![0; content_length];
+    body[..filled].copy_from_slice(&arrived[..filled]);
+    while filled < content_length {
+        let n = read_by(&mut stream, &mut body[filled..], deadline)?;
         if n == 0 {
             return write_response(&mut stream, &Response::bad_request("truncated body"));
         }
-        body.extend_from_slice(&chunk[..n]);
+        filled += n;
     }
-    body.truncate(content_length);
     req.body = body;
 
     let head_only = req.method == "HEAD";
@@ -520,23 +549,23 @@ fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()
     write_response_with(stream, resp, false)
 }
 
+/// Head and body go out in one write.
 fn write_response_with(
     stream: &mut TcpStream,
     resp: &Response,
     head_only: bool,
 ) -> std::io::Result<()> {
-    let head = format!(
+    let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         resp.status,
         resp.reason(),
         resp.content_type,
         resp.body.len()
     );
-    stream.write_all(head.as_bytes())?;
     if !head_only {
-        stream.write_all(resp.body.as_bytes())?;
+        out.push_str(&resp.body);
     }
-    stream.flush()
+    stream.write_all(out.as_bytes())
 }
 
 #[cfg(test)]
@@ -644,7 +673,8 @@ mod tests {
     fn server_handles_concurrent_blocking_handlers() {
         // Two in-flight requests must be served concurrently: the first
         // blocks until the second arrives (rendezvous), which only
-        // completes if connections get their own threads.
+        // completes if a second handler thread serves while the first
+        // blocks.
         use std::sync::mpsc;
         let router = Arc::new(Router::new());
         let (tx, rx) = mpsc::channel::<()>();
@@ -740,6 +770,63 @@ mod tests {
         );
         let resp = http(server.addr(), &raw);
         assert!(resp.starts_with("HTTP/1.1 413"), "got: {resp}");
+    }
+
+    /// Send `raw` in pieces of `piece` bytes, each its own write, with
+    /// no delay between them; then close the write half and read the
+    /// answer.
+    fn http_in_pieces(addr: SocketAddr, raw: &[u8], piece: usize) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        for part in raw.chunks(piece) {
+            stream.write_all(part).unwrap();
+        }
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
+    }
+
+    #[test]
+    fn bodies_arrive_whole_however_the_bytes_are_split() {
+        let (server, _route) = echo_server();
+        let body: String = (0..3000)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        let raw = format!(
+            "POST /echo HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        // One byte per write: the head's terminator and the body straddle
+        // every read boundary.
+        let resp = http_in_pieces(server.addr(), raw.as_bytes(), 1);
+        assert!(resp.starts_with("HTTP/1.1 200 OK"), "got: {resp}");
+        assert!(resp.ends_with(&format!("\r\n\r\n{body}")), "got: {resp}");
+        // Head and body in one segment.
+        let resp = http_in_pieces(server.addr(), raw.as_bytes(), raw.len());
+        assert!(resp.ends_with(&format!("\r\n\r\n{body}")), "got: {resp}");
+    }
+
+    #[test]
+    fn bytes_past_content_length_are_ignored() {
+        let (server, _route) = echo_server();
+        let raw = "POST /echo HTTP/1.1\r\nContent-Length: 5\r\n\r\nhelloEXTRA BYTES";
+        let resp = http(server.addr(), raw);
+        assert!(resp.starts_with("HTTP/1.1 200 OK"), "got: {resp}");
+        assert!(resp.contains("Content-Length: 5\r\n"), "got: {resp}");
+        assert!(resp.ends_with("\r\n\r\nhello"), "got: {resp}");
+    }
+
+    #[test]
+    fn a_short_body_gets_a_typed_400() {
+        let (server, _route) = echo_server();
+        for piece in [1, 64] {
+            let raw = b"POST /echo HTTP/1.1\r\nContent-Length: 10\r\n\r\nhello";
+            let resp = http_in_pieces(server.addr(), raw, piece);
+            assert!(resp.starts_with("HTTP/1.1 400"), "got: {resp}");
+            assert!(resp.contains("\"error\":\"bad_request\""), "got: {resp}");
+            assert!(resp.contains("truncated body"), "got: {resp}");
+        }
     }
 
     use proptest::prelude::*;

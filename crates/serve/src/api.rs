@@ -109,14 +109,14 @@ impl PredictRequest {
         })
     }
 
-    /// Validate and unflatten into one `[1, …shape]` tensor per timestep
-    /// (the gateway stacks these along the batch dimension).
+    /// The values in one timestep, once the declared geometry is checked
+    /// against `inputs`.
     ///
     /// # Errors
     ///
     /// A human-readable reason when the declared geometry is empty,
     /// overflows, or disagrees with `inputs.len()`.
-    pub fn to_timestep_tensors(&self) -> Result<Vec<Tensor>, String> {
+    pub(crate) fn per_step(&self) -> Result<usize, String> {
         if self.timesteps == 0 {
             return Err("timesteps must be >= 1".to_string());
         }
@@ -143,6 +143,17 @@ impl PredictRequest {
                 want
             ));
         }
+        Ok(per_step)
+    }
+
+    /// Validate and unflatten into one `[1, …shape]` tensor per timestep.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable reason when the declared geometry is empty,
+    /// overflows, or disagrees with `inputs.len()`.
+    pub fn to_timestep_tensors(&self) -> Result<Vec<Tensor>, String> {
+        let per_step = self.per_step()?;
         let mut sample_shape = Vec::with_capacity(self.shape.len() + 1);
         sample_shape.push(1usize);
         sample_shape.extend_from_slice(&self.shape);
@@ -267,19 +278,11 @@ impl Cursor<'_> {
 
     /// A number, scanned and typed as the vendored parser does: any of
     /// `.eE+-` after the sign makes it an `f64`, otherwise it is an
-    /// `i64` (signed) or `u64`. The texts a spike train is made of,
-    /// `0.0` and `1.0`, skip the scan and the parse; they give the same
-    /// `Number` as parsing would.
+    /// `i64` (signed) or `u64`.
     fn number(&mut self) -> Result<Number, String> {
         let in_number = |b: &u8| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-');
         let start = self.pos;
         let rest = self.bytes.get(start..).unwrap_or_default();
-        if let [d @ (b'0' | b'1'), b'.', b'0', next, ..] = rest {
-            if !in_number(next) {
-                self.pos += 3;
-                return Ok(Number::from_f64(f64::from(d - b'0')));
-            }
-        }
         let len = rest
             .iter()
             .position(|b| !in_number(b))
@@ -320,6 +323,11 @@ impl Cursor<'_> {
 
     /// An array whose every element `elem` accepts, or `None` after
     /// consuming a value of another shape.
+    ///
+    /// The elements a spike train is made of, `0.0` or `1.0` right before
+    /// the `,` or `]` that ends them, are taken without a scan or a parse:
+    /// they give the `Number` parsing would. Any other element, whitespace
+    /// included, goes the general way.
     fn array<T>(&mut self, elem: impl Fn(Number) -> Option<T>) -> Result<Option<Vec<T>>, String> {
         if self.peek() != Some(b'[') {
             return self.skip_value().map(|()| None);
@@ -334,12 +342,21 @@ impl Cursor<'_> {
         }
         self.depth += 1;
         loop {
-            self.skip_ws();
-            match self.number_or_skip()?.and_then(&elem) {
+            let (number, close) = match self.bytes.get(self.pos..self.pos + 4) {
+                Some(&[d @ (b'0' | b'1'), b'.', b'0', end @ (b',' | b']')]) => {
+                    self.pos += 4;
+                    (Some(Number::from_f64(f64::from(d - b'0'))), end == b']')
+                }
+                _ => {
+                    self.skip_ws();
+                    (self.number_or_skip()?, self.next_or_close(b']')?)
+                }
+            };
+            match number.and_then(&elem) {
                 Some(v) => out.push(v),
                 None => fits = false,
             }
-            if self.next_or_close(b']')? {
+            if close {
                 self.depth -= 1;
                 return Ok(fits.then_some(out));
             }

@@ -46,7 +46,8 @@ pub struct GatewayConfig {
     /// The admission table. A request naming an unlisted tenant is
     /// rejected up front.
     pub tenants: Vec<TenantConfig>,
-    /// How often the model pool polls its watched `.skw` for changes.
+    /// How often the batcher polls the model pool's watched `.skw` for
+    /// changes, at its first wake-up after each interval.
     pub reload_poll: Duration,
     /// The serving SLO the burn-rate engine evaluates; `None` disables
     /// the engine (no `/slo` endpoint, no `serve.slo_burn_rate` gauges).

@@ -21,7 +21,8 @@
 //!
 //! Requests are **compatible** (may share a micro-batch) when they agree
 //! on timestep count and per-step shape; the batch is their row-wise
-//! concatenation, so with skipping disabled each row's logits are
+//! concatenation, stacked straight from each request's decoded values,
+//! so with skipping disabled each row's logits are
 //! bit-identical to a solo `InferSession::predict` on that sample. With
 //! skipping enabled the SST is computed over the whole micro-batch —
 //! replicas seeing the same batch still answer identically.
@@ -69,8 +70,11 @@ type JobResult = Result<(PredictResponse, Instant), Shed>;
 
 /// One admitted request waiting for a micro-batch slot.
 struct Job {
-    /// Per-timestep `[1, …]` tensors.
-    inputs: Vec<Tensor>,
+    /// The validated spike train, flat and timestep-major.
+    inputs: Vec<f32>,
+    timesteps: usize,
+    /// Per-timestep sample shape, without the batch dimension.
+    shape: Vec<usize>,
     /// When the job was pushed onto the queue; `queue_wait` starts here.
     enqueued: Instant,
     /// Arrival plus the request's budget.
@@ -101,16 +105,15 @@ struct Inner {
     stop: AtomicBool,
 }
 
-/// The running gateway: routes registered, batcher (and reloader, for a
-/// watching pool) threads live. Dropping it sheds queued requests with a
-/// typed `shutdown` reason, joins the threads and unregisters the routes.
+/// The running gateway: routes registered, batcher thread live. Dropping
+/// it sheds queued requests with a typed `shutdown` reason, joins the
+/// threads and unregisters the routes.
 pub struct Gateway {
     inner: Arc<Inner>,
     router: Arc<Router>,
     routes: Vec<RouteGuard>,
     servers: Vec<HttpServer>,
     batcher: Option<JoinHandle<()>>,
-    reloader: Option<JoinHandle<()>>,
     slo: Option<Arc<SloEngine>>,
 }
 
@@ -126,8 +129,8 @@ impl std::fmt::Debug for Gateway {
 
 impl Gateway {
     /// Register `POST /v1/predict` + `GET /v1/tenants` (and, with an SLO
-    /// configured, `GET /slo`) on `router`, then start the batcher, the
-    /// SLO engine, and — for a watching pool — the reload poller.
+    /// configured, `GET /slo`) on `router`, then start the batcher (which
+    /// also polls a watching pool's weight file) and the SLO engine.
     ///
     /// Pass [`skipper_obs::global_router()`] to share the process-wide
     /// server with `/metrics` and `/cluster`, or a private router for an
@@ -173,23 +176,12 @@ impl Gateway {
         let batcher = std::thread::Builder::new()
             .name("skipper-serve-batch".into())
             .spawn(move || batcher_loop(&batch_inner))?;
-        let reloader = if inner.pool.watches() {
-            let reload_inner = Arc::clone(&inner);
-            Some(
-                std::thread::Builder::new()
-                    .name("skipper-serve-reload".into())
-                    .spawn(move || reload_loop(&reload_inner))?,
-            )
-        } else {
-            None
-        };
         Ok(Gateway {
             inner,
             router,
             routes,
             servers: Vec::new(),
             batcher: Some(batcher),
-            reloader,
             slo,
         })
     }
@@ -225,9 +217,6 @@ impl Drop for Gateway {
         if let Some(t) = self.batcher.take() {
             let _ = t.join();
         }
-        if let Some(t) = self.reloader.take() {
-            let _ = t.join();
-        }
         // Routes are gone, so nothing can read `/slo` while the engine's
         // evaluation thread stops and joins.
         drop(self.slo.take());
@@ -252,10 +241,9 @@ fn handle_predict(inner: &Arc<Inner>, req: &Request) -> Response {
         Ok(p) => p,
         Err(e) => return Response::bad_request(&format!("invalid JSON body: {e}")),
     };
-    let inputs = match parsed.to_timestep_tensors() {
-        Ok(v) => v,
-        Err(reason) => return Response::bad_request(&reason),
-    };
+    if let Err(reason) = parsed.per_step() {
+        return Response::bad_request(&reason);
+    }
     match inner.admission.admit(&parsed.tenant, start) {
         Err(AdmitError::UnknownTenant) => {
             shed("unknown_tenant");
@@ -288,7 +276,9 @@ fn handle_predict(inner: &Arc<Inner>, req: &Request) -> Response {
         }
         let enqueued = Instant::now();
         q.push_back(Job {
-            inputs,
+            inputs: parsed.inputs,
+            timesteps: parsed.timesteps,
+            shape: parsed.shape,
             enqueued,
             deadline,
             respond: tx,
@@ -354,8 +344,7 @@ fn handle_tenants(inner: &Arc<Inner>) -> Response {
 /// Whether two jobs may share a micro-batch: same timestep count and
 /// per-step shape.
 fn compatible(a: &Job, b: &Job) -> bool {
-    a.inputs.len() == b.inputs.len()
-        && a.inputs.first().map(|t| t.shape().dims()) == b.inputs.first().map(|t| t.shape().dims())
+    a.timesteps == b.timesteps && a.shape == b.shape
 }
 
 fn wait_on<'a>(
@@ -392,8 +381,19 @@ fn extract_batch(q: &mut VecDeque<Job>, max_batch: usize) -> Vec<Job> {
     batch
 }
 
+/// Coalesce and dispatch batches until the gateway stops. A watching
+/// pool's weight file is polled here too, at the first wake-up after
+/// each `reload_poll`; an idle batcher wakes at least every 50 ms.
 fn batcher_loop(inner: &Arc<Inner>) {
+    let mut next_poll = Instant::now() + inner.cfg.reload_poll;
     loop {
+        if Instant::now() >= next_poll {
+            // `serve.model_reloads` is counted inside the pool on success.
+            if inner.pool.poll_reload().is_err() {
+                counter_add("serve.model_reload_errors", 1.0);
+            }
+            next_poll = Instant::now() + inner.cfg.reload_poll;
+        }
         let batch = {
             let mut q = lock_unpoisoned(&inner.queue);
             loop {
@@ -421,6 +421,9 @@ fn batcher_loop(inner: &Arc<Inner>) {
                     }
                 }
                 let Some(front) = q.front() else {
+                    if now >= next_poll {
+                        break Vec::new(); // poll the weight file unlocked
+                    }
                     // lint:allow(blocking): condvar protocol — wait_timeout atomically releases serve.queue while parked
                     q = wait_on(&inner.cv, q, Duration::from_millis(50));
                     continue;
@@ -474,24 +477,20 @@ fn dispatch(inner: &Arc<Inner>, batch: &[Job]) {
         );
     }
     let rows = batch.len();
-    let timesteps = front.inputs.len();
-    let mut steps: Vec<Tensor> = Vec::with_capacity(timesteps);
-    for t in 0..timesteps {
-        let mut dims = Vec::new();
-        let mut data = Vec::new();
-        for job in batch {
-            if let Some(x) = job.inputs.get(t) {
-                if dims.is_empty() {
-                    dims = x.shape().dims().to_vec();
-                }
-                data.extend_from_slice(x.data());
+    // Every job of the batch has the front's geometry (`compatible`).
+    let per_step: usize = front.shape.iter().product();
+    let mut dims = vec![rows];
+    dims.extend_from_slice(&front.shape);
+    let steps: Vec<Tensor> = (0..front.timesteps)
+        .map(|t| {
+            let mut data = Vec::with_capacity(rows * per_step);
+            for job in batch {
+                let step = job.inputs.get(t * per_step..(t + 1) * per_step);
+                data.extend_from_slice(step.unwrap_or_default());
             }
-        }
-        if let Some(d0) = dims.first_mut() {
-            *d0 = rows;
-        }
-        steps.push(Tensor::from_vec(data, dims));
-    }
+            Tensor::from_vec(data, dims.clone())
+        })
+        .collect();
     let stacked = Instant::now();
     for job in batch {
         phase_wall("batch_wait", stacked - picked_up, job.span);
@@ -533,27 +532,6 @@ fn dispatch(inner: &Arc<Inner>, batch: &[Job]) {
             for job in batch {
                 let _ = job.respond.send(Err(Shed::Model(reason.clone())));
             }
-        }
-    }
-}
-
-/// Poll the watched `.skw` at the configured interval, in short slices
-/// so shutdown stays prompt.
-fn reload_loop(inner: &Arc<Inner>) {
-    let slice = Duration::from_millis(25);
-    loop {
-        let mut waited = Duration::ZERO;
-        while waited < inner.cfg.reload_poll {
-            if inner.stop.load(Ordering::Relaxed) {
-                return;
-            }
-            let step = slice.min(inner.cfg.reload_poll - waited);
-            std::thread::sleep(step);
-            waited += step;
-        }
-        // `serve.model_reloads` is counted inside the pool on success.
-        if inner.pool.poll_reload().is_err() {
-            counter_add("serve.model_reload_errors", 1.0);
         }
     }
 }
@@ -797,7 +775,9 @@ mod tests {
         });
         let (respond, answers) = mpsc::channel();
         let job = Job {
-            inputs: vec![Tensor::ones([1, 3, 8, 8]); 2],
+            inputs: vec![1.0; 2 * 3 * 8 * 8],
+            timesteps: 2,
+            shape: vec![3, 8, 8],
             enqueued: Instant::now(),
             deadline: Instant::now() + Duration::from_secs(60),
             respond,

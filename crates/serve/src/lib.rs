@@ -22,8 +22,8 @@
 //!   latency histogram and shed counters, published as
 //!   `serve.slo_burn_rate{window}` gauges and the `GET /slo` endpoint;
 //! * [`gateway`] — the [`Gateway`]: HTTP handlers on a
-//!   [`skipper_obs::Router`], the queue, the batcher, reload and SLO
-//!   threads.
+//!   [`skipper_obs::Router`], the queue, the batcher thread (which also
+//!   polls a watched `.skw`) and the SLO thread.
 //!
 //! Everything rides the shared router redesign: registering on
 //! [`skipper_obs::global_router()`] puts `/v1/predict` on the same

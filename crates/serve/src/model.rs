@@ -91,8 +91,7 @@ impl ModelPool {
         Arc::clone(&lock_unpoisoned(&self.current))
     }
 
-    /// Whether this pool watches a weight file (i.e. wants a reload
-    /// thread).
+    /// Whether this pool watches a weight file.
     pub fn watches(&self) -> bool {
         self.watch.is_some()
     }

@@ -510,3 +510,32 @@ fn deep_nesting_costs_no_stack() {
         .join()
         .unwrap();
 }
+
+/// `inputs` arrays of spike values mixed with the texts beside the fast
+/// path (`-0.0`, `1.00`, `1.0e0`, `0.01`) and with whitespace. Each body is
+/// also cut at every byte inside the array, and closed again after the
+/// cut, so every element is seen ending at the end of the body and
+/// before a `]` it did not have.
+#[test]
+fn spike_runs_decode_like_the_derive_wherever_they_are_cut() {
+    let mut rng = TestRng::new(47);
+    let values = [
+        "0.0", "1.0", "0.0", "1.0", "0.0", "1.0", "-0.0", "1.00", "1.0e0", "0.01",
+    ];
+    let head = r#"{"tenant":"t","timesteps":1,"shape":[1],"inputs":"#;
+    for _ in 0..40 {
+        let run: Vec<String> = (0..1 + rng.below(40))
+            .map(|_| {
+                let value = pick(&mut rng, &values);
+                format!("{}{value}{}", ws(&mut rng), ws(&mut rng))
+            })
+            .collect();
+        let whole = format!("{head}[{}]}}", run.join(","));
+        let decoded = check(whole.as_bytes()).unwrap();
+        assert_eq!(decoded.inputs.len(), run.len());
+        for cut in head.len()..whole.len() - 1 {
+            assert!(check(&whole.as_bytes()[..cut]).is_err(), "{cut}");
+            let _ = check(format!("{}]}}", &whole[..cut]).as_bytes());
+        }
+    }
+}
